@@ -7,8 +7,9 @@ c(C^(n+1), omega*) between an inner ball radius (checked by explicit point
 construction) and an outer cylinder radius (checked by coordinate bounds):
 
 * flat side, mu <= 1: B(1) sits inside M because 1 <= sum_j l_j^2 +
-  prod_j (1 - l_j^2), and M sits inside Z(1); certified interval
-  [pi (1-eps)^2, pi].
+  prod_j (1 - l_j^2), and M sits inside Z(1) because |z_11| <= ||z||_op < 1
+  on Omega (the first coordinate is bounded by the spectral norm, Loos 1977);
+  certified interval [pi (1-eps)^2, pi].
 * dual side: the image of Phi contains every sphere of radius c with
   c^2 < min(1, mu) (solved coordinatewise through the target system) and is
   contained in the cylinder of radius min(1, sqrt(mu)) by the spectral bound
@@ -72,7 +73,11 @@ def ball_in_hartogs(H: HartogsSpec, radius: float, samples: int, seed: int) -> C
 
 
 def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) -> CheckOutcome:
-    """Sample member points of M and test |z_1| < radius (first base coordinate)."""
+    """Sample member points of M and test |z_1| < radius (first base coordinate).
+
+    The points fill Omega up to its boundary, so at radius 1 the test checks
+    |z_11| <= ||z||_op < 1 rather than a bound built into the sampler.
+    """
     rng = np.random.default_rng(seed)
     pts = sample_member_points_full(H, samples, rng)
     ok = np.abs(pts[:, 0]) < radius

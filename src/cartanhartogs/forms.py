@@ -12,64 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .hartogs import HartogsPoint, HartogsSpec, dual_potential_field
+from .hartogs import HartogsSpec, dual_potential_field, split_vec
 from .jtsys import norm_self
 from .realcoords import to_complex, to_real
 
 DEFAULT_STEP = 1e-5
 
 
-class HermitianForm:
-    """A conjugate-symmetric matrix; symmetrized on construction."""
-
-    def __init__(self, matrix: np.ndarray, tol: float = 1e-9):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError("HermitianForm needs a square matrix")
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        dev = float(np.max(np.abs(matrix - np.conj(matrix.T))))
-        if dev > tol * scale:
-            raise ValueError(f"matrix is not conjugate-symmetric (deviation {dev:.2e})")
-        self.matrix = 0.5 * (matrix + np.conj(matrix.T))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
-class TwoForm:
-    """An antisymmetric real matrix of coefficients; antisymmetrized on construction."""
-
-    def __init__(self, matrix: np.ndarray, tol: float = 1e-9):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ShapeError("TwoForm needs a square even-dimensional matrix")
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        dev = float(np.max(np.abs(matrix + matrix.T)))
-        if dev > tol * scale:
-            raise ValueError(f"matrix is not antisymmetric (deviation {dev:.2e})")
-        self.matrix = 0.5 * (matrix - matrix.T)
-
-
-def form_distance(a: TwoForm, b: TwoForm) -> float:
-    """Entrywise max-norm distance between two-forms."""
-    return float(np.max(np.abs(a.matrix - b.matrix)))
-
-
-def standard_symplectic(m: int) -> TwoForm:
+def standard_symplectic(m: int) -> np.ndarray:
     """omega_0 = sum_j dx_j ^ dy_j in interleaved coordinates."""
     w = np.zeros((2 * m, 2 * m))
     idx = np.arange(m)
     w[2 * idx, 2 * idx + 1] = 1.0
     w[2 * idx + 1, 2 * idx] = -1.0
-    return TwoForm(w)
-
-
-def _eval_field(f, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(pts))
-    if vals.shape != pts.shape[:-1]:
-        vals = np.array([float(f(p)) for p in pts])
-    return vals
+    return w
 
 
 def complex_hessian_batch(f, pts: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -94,7 +50,7 @@ def complex_hessian_batch(f, pts: np.ndarray, step: float = DEFAULT_STEP) -> np.
             pattern[base + 4 * i + j, b] = sb
 
     stencil = x[:, None, :] + h[:, None, None] * pattern[None]
-    vals = _eval_field(f, to_complex(stencil.reshape(-1, k))).reshape(batch, -1)
+    vals = f(to_complex(stencil.reshape(-1, k))).reshape(batch, -1)
 
     hess = np.empty((batch, k, k))
     h2 = h * h
@@ -112,11 +68,6 @@ def complex_hessian_batch(f, pts: np.ndarray, step: float = DEFAULT_STEP) -> np.
     return g[0] if squeeze else g
 
 
-def complex_hessian(f, point: np.ndarray, step: float = DEFAULT_STEP) -> HermitianForm:
-    """Complex Hessian of a scalar field at one point of C^m."""
-    return HermitianForm(complex_hessian_batch(f, np.asarray(point, dtype=complex), step))
-
-
 def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
     """Coefficient matrix of (i/2) sum g_jk dz_j ^ dzbar_k, batched over leading axes."""
     g = np.asarray(g, dtype=complex)
@@ -129,12 +80,6 @@ def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
     w[..., 0::2, 1::2] = sym
     w[..., 1::2, 0::2] = -np.swapaxes(sym, -1, -2)
     return w
-
-
-def kahler_form_at(f, point: np.ndarray, step: float = DEFAULT_STEP) -> TwoForm:
-    """The Kaehler form of a potential, as a real two-form matrix."""
-    g = complex_hessian_batch(f, np.asarray(point, dtype=complex), step)
-    return TwoForm(hermitian_to_twoform_matrix(g))
 
 
 def jacobian_batch(map_r, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -153,47 +98,31 @@ def jacobian_batch(map_r, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarr
     return np.swapaxes(vp - vm, -1, -2) / (2.0 * h[:, None, None])
 
 
-def pullback(map_r, point: np.ndarray, target_form: TwoForm,
-             step: float = DEFAULT_STEP) -> TwoForm:
-    """Pull a constant-coefficient two-form back through a real map at a point.
-
-    The map takes batched real vectors (interleaved coordinates); the result is
-    J^T W J with J the central-difference Jacobian at the point.
-    """
-    x = np.asarray(point, dtype=float)
-    jac = jacobian_batch(map_r, x[None], step)[0]
-    return TwoForm(jac.T @ target_form.matrix @ jac)
-
-
 def pullback_batch(map_r, x: np.ndarray, target: np.ndarray,
                    step: float = DEFAULT_STEP) -> np.ndarray:
     jac = jacobian_batch(map_r, x, step)
     return np.einsum("bji,jk,bkl->bil", jac, target, jac)
 
 
-def is_positive_definite(g: HermitianForm) -> tuple[bool, float]:
-    """Positive-definiteness together with the smallest eigenvalue."""
-    smallest = float(g.eigenvalues()[0])
-    return smallest > 0.0, smallest
-
-
-def det_dual_hessian(H: HartogsSpec, p: HartogsPoint) -> float:
-    """Closed-form determinant of the dual potential's complex Hessian,
+def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
+    """Closed-form determinant of the dual potential's complex Hessian at packed
+    points (..., n+1),
 
     mu^n N*^(mu(n+1) - gamma) / (N*^mu + |w|^2)^(n+2),  N* = N(z, -zbar).
     """
     d = H.domain
-    z = np.asarray(p.z, dtype=complex)
-    nd = float(norm_self(d, z, sign=-1))
+    z, w = split_vec(H, pts)
+    nd = norm_self(d, z, sign=-1)
     return (H.mu ** d.n * nd ** (H.mu * (d.n + 1) - d.genus)
-            / (nd ** H.mu + abs(p.w) ** 2) ** (d.n + 2))
+            / (nd ** H.mu + np.abs(w) ** 2) ** (d.n + 2))
 
 
-def det_dual_hessian_fd(H: HartogsSpec, p: HartogsPoint,
-                        step: float = DEFAULT_STEP) -> float:
-    """Finite-difference route for the same determinant."""
-    g = complex_hessian_batch(dual_potential_field(H), p.as_vector(), step)
-    return float(np.linalg.det(g).real)
+def det_dual_hessian_fd(H: HartogsSpec, pts: np.ndarray,
+                        step: float = DEFAULT_STEP) -> np.ndarray:
+    """Finite-difference route for the same determinant, at one packed point
+    (n+1,) or a batch (B, n+1)."""
+    g = complex_hessian_batch(dual_potential_field(H), pts, step)
+    return np.linalg.det(g).real
 
 
 def dual_hessian_min_eigs(H: HartogsSpec, pts: np.ndarray, step: float = 1e-3) -> np.ndarray:

@@ -335,28 +335,27 @@ def sample_member_points(H: HartogsSpec, count: int, rng: np.random.Generator,
     return out
 
 
-def sample_member_points_full(H: HartogsSpec, count: int, rng: np.random.Generator,
-                              max_rounds: int = 2000) -> np.ndarray:
-    """Member points from bounding-box rejection, covering the whole domain."""
+def sample_member_points_full(H: HartogsSpec, count: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Member points covering the whole domain, spectral eigenvalues up to 1.
+
+    Base points come from `sample_base_points` with lam_max = 1; the membership
+    filter only drops the rare draw whose top eigenvalue rounds onto the
+    boundary.
+    """
     out = np.empty((count, H.domain.n + 1), dtype=complex)
     filled = 0
-    for _ in range(max_rounds):
-        if filled >= count:
-            break
-        todo = max(count - filled, 64)
-        radius = np.sqrt(rng.uniform(size=(todo, H.domain.n)))
-        z = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(todo, H.domain.n)))
-        keep = membership(H.domain, z)
-        z = z[keep]
+    while filled < count:
+        todo = count - filled
+        z = sample_base_points(H.domain, todo, rng, 1.0)
+        z = z[membership(H.domain, z)]
         nmu = norm_self(H.domain, z) ** H.mu
         w = np.sqrt(rng.uniform(size=z.shape[0]) * nmu) \
             * np.exp(1j * rng.uniform(0, 2 * np.pi, size=z.shape[0]))
-        got = min(z.shape[0], count - filled)
-        out[filled:filled + got, :-1] = z[:got]
-        out[filled:filled + got, -1] = w[:got]
+        got = z.shape[0]
+        out[filled:filled + got, :-1] = z
+        out[filled:filled + got, -1] = w
         filled += got
-    if filled < count:
-        raise ConvergenceError("rejection sampler failed to fill the batch")
     return out
 
 

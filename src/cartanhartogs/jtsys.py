@@ -40,8 +40,10 @@ class DomainSpec:
     r, a, b : rank and root multiplicities
     n : complex dimension, n = r(b + 1 + (a/2)(r - 1))
     genus : gamma = 2 + a(r - 1) + b
-    boundary_volume : optional Furstenberg-Satake boundary constant; never
-        required by any ratio computed here, absent by default
+
+    The Furstenberg-Satake boundary constant is not stored: every volume
+    computed from a DomainSpec either has an analytic value or is a dual/flat
+    ratio in which the constant cancels.
     """
 
     kind: str
@@ -51,7 +53,6 @@ class DomainSpec:
     b: int
     n: int
     genus: int
-    boundary_volume: float | None = None
 
 
 def make_domain(kind: str, *, n: int | None = None, p: int | None = None,

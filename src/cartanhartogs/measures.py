@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
+from .forms import complex_hessian_batch, det_dual_hessian
 from .hartogs import HartogsSpec
 from .jtsys import KIND_POLYDISC, DomainSpec, membership, norm_self, singular_values
 
@@ -194,14 +195,6 @@ def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
                       total, seed)
 
 
-def _dual_density(H: HartogsSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # closed-form det of the dual Hessian, batched
-    d = H.domain
-    nd = norm_self(d, z, sign=-1)
-    return (H.mu ** d.n * nd ** (H.mu * (d.n + 1) - d.genus)
-            / (nd ** H.mu + np.abs(w) ** 2) ** (d.n + 2))
-
-
 def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     """Dual volume int_{C^(n+1)} det(Hess phi*) dLeb by importance sampling.
 
@@ -220,7 +213,7 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         rho = t / (1.0 - t)
         pts = rho * np.exp(1j * theta)
         weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
-        vals = _dual_density(H, pts[:, :-1], pts[:, -1]) * weight
+        vals = det_dual_hessian(H, pts) * weight
         sums.append(float(np.sum(vals)))
         sqsums.append(float(np.sum(vals**2)))
         total += size
@@ -285,8 +278,6 @@ def fit_genus(D: DomainSpec, points: int = 12, seed: int = 20,
     Averages the log-ratio over moderate random points (log N* kept away from
     zero); adjudicates the genus value numerically.
     """
-    from .forms import complex_hessian_batch
-
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(points, D.n)) + 1j * rng.normal(size=(points, D.n))
     top = singular_values(D, g)[:, 0]

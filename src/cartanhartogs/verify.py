@@ -40,7 +40,7 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray, step: float,
     mapping = hartogs.phi_map_vec if dual else hartogs.psi_map_vec
     field = hartogs.dual_potential_field(H) if dual else hartogs.potential_field(H)
     map_r = realify_map(lambda c: mapping(H, c))
-    flat = forms.standard_symplectic(m).matrix
+    flat = forms.standard_symplectic(m)
     pulled = forms.pullback_batch(map_r, to_real(pts), flat, step)
     target = forms.hermitian_to_twoform_matrix(forms.complex_hessian_batch(field, pts, step))
     return np.max(np.abs(pulled - target), axis=(-2, -1))
@@ -115,10 +115,9 @@ def check_det_formula(cfg) -> list[dict]:
         npts = max(10, cfg.points // 4)
         pts = 0.7 * (rng.normal(size=(npts, H.domain.n + 1))
                      + 1j * rng.normal(size=(npts, H.domain.n + 1)))
-        closed = np.array([forms.det_dual_hessian(H, hartogs.point_from_vector(row))
-                           for row in pts])
-        fd = np.array([forms.det_dual_hessian_fd(H, hartogs.point_from_vector(row), det_step)
-                       for row in pts])
+        closed = forms.det_dual_hessian(H, pts)
+        # per point: a batched stencil would hold every point's evaluations at once
+        fd = np.array([forms.det_dual_hessian_fd(H, row, det_step) for row in pts])
         rel = np.abs(fd - closed) / np.abs(closed)
         out.append(_result("det-formula", {"mu": mu, "points": npts,
                                            "fd_step": det_step,

@@ -39,12 +39,16 @@ def test_ball_in_hartogs_rank_two():
     assert ok.passed
 
 
-def test_hartogs_in_cylinder():
-    H = hartogs.make_hartogs(POLY1, 1.0)
+@pytest.mark.parametrize("domain", [POLY1, T22], ids=["polydisc-1", "type-I(2,2)"])
+def test_hartogs_in_cylinder(domain):
+    # |z_11| <= ||z||_op < 1 on Omega, so radius 1 holds; the sampler does
+    # not bound |z_11| by construction, so a smaller radius must fail
+    H = hartogs.make_hartogs(domain, 1.0)
     ok = capacity.hartogs_in_cylinder(H, 1.0, 20_000, seed=6)
-    assert ok.passed
+    assert ok.passed and not ok.failures
     bad = capacity.hartogs_in_cylinder(H, 0.5, 20_000, seed=6)
-    assert not bad.passed
+    assert not bad.passed and bad.failures
+    assert all(abs(row[0]) >= 0.5 for row in bad.failures)
 
 
 def test_dual_image_bounds():

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
@@ -151,3 +152,19 @@ def test_all_runs_every_family():
     report = json.loads(res.output)
     names = {c["name"] for c in report["checks"]}
     assert names == set(cli.verify.CHECKS)
+
+
+def test_capacity_rank_three_runs():
+    # the flat sampler draws inside Omega, so a rank-3 base fills its batch
+    res = _run(["capacity", "--domain", "type-I", "--p", "3", "--q", "3",
+                "--mu", "0.5", "--samples", "400"])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    eps, mu = 1e-3, 0.5
+    want = {"flat-hartogs": [np.pi * (1 - eps) ** 2, np.pi],
+            "dual": [np.pi * (min(1.0, np.sqrt(mu)) - eps) ** 2, np.pi * min(1.0, mu)]}
+    sides = {c["parameters"]["side"]: c for c in report["checks"]}
+    assert set(sides) == set(want)
+    for side, check in sides.items():
+        assert check["status"] == "pass"
+        npt.assert_allclose(check["parameters"]["interval"], want[side], rtol=1e-12)

@@ -26,8 +26,8 @@ def test_complex_hessian_quartic_oracle():
     # f = |z|^4 on C: d2f/dz dzbar = 4 |z|^2
     f = lambda pts: np.abs(pts[..., 0]) ** 4
     z0 = 0.5 + 0.2j
-    g = forms.complex_hessian(f, np.array([z0]))
-    npt.assert_allclose(g.matrix, [[4 * abs(z0) ** 2]], rtol=1e-5)
+    g = forms.complex_hessian_batch(f, np.array([z0]))
+    npt.assert_allclose(g, [[4 * abs(z0) ** 2]], rtol=1e-5)
 
 
 def test_complex_hessian_richardson_rate():
@@ -44,19 +44,6 @@ def test_complex_hessian_richardson_rate():
     assert err[0] / err[1] > 8.0
 
 
-def test_hermitian_form_validation():
-    with pytest.raises(ValueError):
-        forms.HermitianForm(np.array([[1.0, 2.0], [3.0, 1.0]]))
-    g = forms.HermitianForm(np.array([[2.0, 1j], [-1j, 2.0]]))
-    npt.assert_allclose(g.eigenvalues(), [1.0, 3.0])
-
-
-def test_two_form_validation():
-    with pytest.raises(ValueError):
-        forms.TwoForm(np.eye(2))
-    forms.TwoForm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 def test_hermitian_to_twoform_oracle():
     # g = I on C^1 -> dx ^ dy
     w = forms.hermitian_to_twoform_matrix(np.eye(1, dtype=complex))
@@ -64,14 +51,15 @@ def test_hermitian_to_twoform_oracle():
     # purely imaginary off-diagonal part lands in the dx^dx' / dy^dy' blocks
     g = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.0]])
     w = forms.hermitian_to_twoform_matrix(g)
-    m = forms.TwoForm(w).matrix  # antisymmetry must hold exactly
-    assert m[0, 2] == pytest.approx(-0.25)
-    assert m[0, 3] == pytest.approx(0.5)
+    npt.assert_array_equal(w, -w.T)  # antisymmetry must hold exactly
+    assert w[0, 2] == pytest.approx(-0.25)
+    assert w[0, 3] == pytest.approx(0.5)
 
 
 def test_flat_kahler_form_is_standard_symplectic():
-    got = forms.kahler_form_at(_flat_potential, np.array([0.2 + 0.1j, 0.4]))
-    npt.assert_allclose(got.matrix, forms.standard_symplectic(2).matrix, atol=1e-7)
+    g = forms.complex_hessian_batch(_flat_potential, np.array([0.2 + 0.1j, 0.4]))
+    got = forms.hermitian_to_twoform_matrix(g)
+    npt.assert_allclose(got, forms.standard_symplectic(2), atol=1e-7)
 
 
 def test_jacobian_of_linear_map_is_exact():
@@ -83,8 +71,8 @@ def test_jacobian_of_linear_map_is_exact():
 def test_pullback_through_scaling():
     # zeta -> 2 zeta multiplies the flat form by 4
     target = forms.standard_symplectic(1)
-    got = forms.pullback(lambda x: 2.0 * x, np.array([0.1, 0.2]), target)
-    npt.assert_allclose(got.matrix, 4.0 * target.matrix, atol=1e-9)
+    got = forms.pullback_batch(lambda x: 2.0 * x, np.array([[0.1, 0.2]]), target)
+    npt.assert_allclose(got[0], 4.0 * target, atol=1e-9)
 
 
 def test_pullback_batch_matches_single(rng):
@@ -94,45 +82,37 @@ def test_pullback_batch_matches_single(rng):
 
     target = forms.standard_symplectic(1)
     pts = rng.normal(size=(5, 2))
-    batched = forms.pullback_batch(warp, pts, target.matrix)
-    for i, x in enumerate(pts):
-        single = forms.pullback(warp, x, target)
-        npt.assert_allclose(batched[i], single.matrix, atol=1e-12)
-
-
-def test_form_distance():
-    a = forms.standard_symplectic(1)
-    b = forms.TwoForm(np.array([[0.0, 1.5], [-1.5, 0.0]]))
-    assert forms.form_distance(a, b) == pytest.approx(0.5)
-
-
-def test_is_positive_definite():
-    ok, smallest = forms.is_positive_definite(forms.HermitianForm(np.eye(2)))
-    assert ok and smallest == pytest.approx(1.0)
-    bad = forms.HermitianForm(np.diag([1.0, -2.0]).astype(complex))
-    ok, smallest = forms.is_positive_definite(bad)
-    assert not ok and smallest == pytest.approx(-2.0)
+    batched = forms.pullback_batch(warp, pts, target)
+    for i in range(len(pts)):
+        single = forms.pullback_batch(warp, pts[i:i + 1], target)[0]
+        npt.assert_allclose(batched[i], single, atol=1e-12)
 
 
 def test_darboux_pullback_single_point():
     # the headline identity at one well-conditioned point
     H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
     p = np.array([0.3 + 0.1j, 0.2 - 0.2j])
-    pulled = forms.pullback(realify_map(lambda c: hartogs.psi_map_vec(H, c)),
-                            to_real(p), forms.standard_symplectic(2))
-    want = forms.kahler_form_at(hartogs.potential_field(H), p)
-    assert forms.form_distance(pulled, want) < 1e-6
+    pulled = forms.pullback_batch(realify_map(lambda c: hartogs.psi_map_vec(H, c)),
+                                  to_real(p[None]), forms.standard_symplectic(2))[0]
+    g = forms.complex_hessian_batch(hartogs.potential_field(H), p)
+    want = forms.hermitian_to_twoform_matrix(g)
+    assert np.max(np.abs(pulled - want)) < 1e-6
 
 
 def test_det_dual_hessian_two_routes(domain):
     H = hartogs.make_hartogs(domain, 1.5)
     rng = np.random.default_rng(7)
-    vec = 0.6 * (rng.normal(size=domain.n + 1) + 1j * rng.normal(size=domain.n + 1))
-    p = hartogs.point_from_vector(vec)
-    closed = forms.det_dual_hessian(H, p)
-    fd = forms.det_dual_hessian_fd(H, p, step=1e-4)
-    assert closed > 0
+    shape = (5, domain.n + 1)
+    pts = 0.6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    closed = forms.det_dual_hessian(H, pts)
+    fd = forms.det_dual_hessian_fd(H, pts, step=1e-4)
+    assert closed.shape == fd.shape == (5,)
+    assert np.all(closed > 0)
     npt.assert_allclose(fd, closed, rtol=1e-5)
+    # a batch gives the same values as its rows one at a time
+    for row, c, f in zip(pts, closed, fd):
+        npt.assert_allclose(forms.det_dual_hessian(H, row), c, rtol=1e-12)
+        npt.assert_allclose(forms.det_dual_hessian_fd(H, row, step=1e-4), f, rtol=1e-12)
 
 
 def test_dual_hessian_min_eigs_positive(domain, rng):

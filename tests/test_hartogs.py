@@ -245,13 +245,18 @@ def test_sample_member_points_respects_floor(domain, rng):
     assert np.all(lam <= 0.55 + 1e-12)
 
 
-def test_sample_member_points_full_covers(rng):
-    H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
+@pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_POLYDISC, n=1),
+                                  dict(kind=jtsys.KIND_TYPE_I, p=2, q=2)],
+                         ids=["polydisc-1", "type-I(2,2)"])
+def test_sample_member_points_full_covers(dims, rng):
+    d = jtsys.make_domain(**dims)
+    H = _hartogs(d, 1.0)
     pts = hartogs.sample_member_points_full(H, 4000, rng)
+    assert pts.shape == (4000, d.n + 1)
     assert np.all(hartogs.ch_member_vec(H, pts))
-    # near-boundary points do occur
+    # near-boundary points do occur, in the base and in the fiber
+    assert np.max(jtsys.singular_values(d, pts[:, :-1])[:, 0]) > 0.99
     assert np.min(hartogs.fiber_gap_vec(H, pts)) < 5e-3
-    assert np.max(np.abs(pts[:, 0])) > 0.95
 
 
 def test_sample_heavy_points_cap(rng):
