@@ -28,25 +28,20 @@ from .forms import (
 )
 from .hartogs import (
     BaseEmbedding,
-    HartogsPoint,
     HartogsSpec,
-    as_point,
-    ch_member,
-    dual_potential,
+    ch_member_vec,
     dual_potential_field,
     embed_base,
     hartogs_isotropy_apply,
     lift_embedding,
     make_hartogs,
     phi_inverse,
-    phi_map,
-    point_from_vector,
+    phi_map_vec,
     polydisc_inclusion,
     polydisc_to_type1,
-    potential,
     potential_field,
     psi_inverse,
-    psi_map,
+    psi_map_vec,
     sample_member_points,
     unit_ball_darboux,
 )
@@ -58,7 +53,6 @@ from .jtsys import (
     b_quarter_power_on_z,
     b_quarter_power_operator,
     bergman_apply,
-    flat_distance,
     generic_norm,
     hyperbolic_space,
     isotropy_apply,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .hartogs import (HartogsPoint, HartogsSpec, ch_member_vec, phi_map_vec,
+from .hartogs import (HartogsSpec, ch_member_vec, phi_map_vec,
                       sample_ball_points, sample_heavy_points,
                       sample_member_points_full, split_vec)
 from .jtsys import KIND_POLYDISC, norm_self, singular_values
@@ -113,8 +113,9 @@ def _canonical_frame(H: HartogsSpec, k: int) -> np.ndarray:
     return frame
 
 
-def solve_target_system(H: HartogsSpec, c: float, delta: float, x: np.ndarray) -> HartogsPoint:
-    """Construct (z, w) with Phi(z, w) hitting spectral targets (x, delta).
+def solve_target_system(H: HartogsSpec, c: float, delta: float, x: np.ndarray) -> np.ndarray:
+    """Construct the packed point (z, w) with Phi(z, w) hitting spectral
+    targets (x, delta).
 
     Requires c^2 < min(1, mu), 0 <= delta <= c, sum x_j^2 = c^2 - delta^2 and at
     most r spectral slots.  The solution is l_j^2 = x_j^2/(mu(1-delta^2) - x_j^2)
@@ -137,7 +138,7 @@ def solve_target_system(H: HartogsSpec, c: float, delta: float, x: np.ndarray) -
     z = lam @ _canonical_frame(H, len(x))
     ndmu = float(norm_self(d, z, sign=-1)) ** H.mu
     w = delta * np.sqrt(ndmu / (1.0 - delta**2))
-    return HartogsPoint(z, complex(w))
+    return np.append(z, w)
 
 
 def spectral_coords(H: HartogsSpec, vec: np.ndarray) -> tuple[np.ndarray, float]:
@@ -161,7 +162,7 @@ def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int,
         direction /= np.sum(direction)
         x = np.sqrt((c**2 - delta**2) * direction)
         sol = solve_target_system(H, c, delta, x)
-        img = phi_map_vec(H, sol.as_vector()[None])[0]
+        img = phi_map_vec(H, sol[None])[0]
         xi, dv = spectral_coords(H, img)
         want = np.zeros(H.domain.r)
         want[:k] = np.sort(x)[::-1]

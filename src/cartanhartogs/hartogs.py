@@ -10,9 +10,10 @@ pulls the flat form back to the domain form, and
 
     Phi(z, w) = (N*^mu + |w|^2)^(-1/2) (sqrt(mu N*^mu) B(z, -zbar)^(-1/4) z, w)
 
-with N* = N(z, -zbar) does the same for the dual form.  Points are handled
-either as HartogsPoint pairs (public operations) or as packed complex vectors
-of length n+1 with w last (batched kernels, suffix ``_vec``).
+with N* = N(z, -zbar) does the same for the dual form.  A point is a packed
+complex vector of length n+1 with w last; every map, potential and membership
+test takes a packed array of shape (..., n+1) and works on all leading axes
+at once.  The Newton inverses solve for one (n+1,) target at a time.
 """
 
 from __future__ import annotations
@@ -39,32 +40,6 @@ def make_hartogs(domain: DomainSpec, mu: float) -> HartogsSpec:
     if not mu > 0:
         raise DomainError("mu must be positive")
     return HartogsSpec(domain, float(mu))
-
-
-@dataclass(frozen=True)
-class HartogsPoint:
-    """A pair (z, w) with z a flat base coordinate vector and w the fiber coordinate."""
-
-    z: np.ndarray
-    w: complex
-
-    def as_vector(self) -> np.ndarray:
-        return np.append(np.asarray(self.z, dtype=complex), complex(self.w))
-
-
-def point_from_vector(vec: np.ndarray) -> HartogsPoint:
-    vec = np.asarray(vec, dtype=complex)
-    return HartogsPoint(vec[:-1].copy(), complex(vec[-1]))
-
-
-def as_point(H: HartogsSpec, p) -> HartogsPoint:
-    """Coerce a HartogsPoint or a length-(n+1) complex vector to HartogsPoint."""
-    if isinstance(p, HartogsPoint):
-        return p
-    vec = np.asarray(p, dtype=complex)
-    if vec.shape != (H.domain.n + 1,):
-        raise ShapeError(f"point must have {H.domain.n + 1} complex coordinates")
-    return point_from_vector(vec)
 
 
 def split_vec(H: HartogsSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +70,6 @@ def ch_member_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     return membership(H.domain, z) & (fiber_gap_vec(H, pts) > 0)
 
 
-def ch_member(H: HartogsSpec, p) -> bool:
-    """Membership test for the Hartogs domain (strict inequalities)."""
-    return bool(ch_member_vec(H, as_point(H, p).as_vector()[None])[0])
-
-
 def potential_field(H: HartogsSpec):
     """phi = -log(N^mu - |w|^2) as a batched field on the open domain."""
 
@@ -117,17 +87,6 @@ def dual_potential_field(H: HartogsSpec):
         return np.log(norm_self(H.domain, z, sign=-1) ** H.mu + np.abs(w) ** 2)
 
     return phistar
-
-
-def potential(H: HartogsSpec, p) -> float:
-    p = as_point(H, p)
-    if not ch_member(H, p):
-        raise DomainError("point is not in the Hartogs domain")
-    return float(potential_field(H)(p.as_vector()[None])[0])
-
-
-def dual_potential(H: HartogsSpec, p) -> float:
-    return float(dual_potential_field(H)(as_point(H, p).as_vector()[None])[0])
 
 
 def psi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
@@ -148,31 +107,18 @@ def phi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     return _join(zeta, w / np.sqrt(denom))
 
 
-def psi_map(H: HartogsSpec, p) -> HartogsPoint:
-    p = as_point(H, p)
-    if not ch_member(H, p):
-        raise DomainError("point is not in the Hartogs domain")
-    return point_from_vector(psi_map_vec(H, p.as_vector()[None])[0])
-
-
-def phi_map(H: HartogsSpec, p) -> HartogsPoint:
-    return point_from_vector(phi_map_vec(H, as_point(H, p).as_vector()[None])[0])
-
-
-def _as_target_vector(H: HartogsSpec, target) -> np.ndarray:
-    vec = target.as_vector() if isinstance(target, HartogsPoint) else np.asarray(target, dtype=complex)
-    if vec.shape != (H.domain.n + 1,):
-        raise ShapeError(f"target must have {H.domain.n + 1} complex coordinates")
-    return vec
-
-
-def _damped_newton(H: HartogsSpec, forward_vec, target: np.ndarray, inside,
-                   tol: float, max_iter: int = 100) -> np.ndarray:
-    """Solve forward(x) = target on the real 2(n+1)-dimensional system.
+def _damped_newton(H: HartogsSpec, forward_vec, target, inside,
+                   max_iter: int = 100) -> np.ndarray:
+    """Solve forward(x) = target for one packed (n+1,) target on the real
+    2(n+1)-dimensional system; returns the packed solution.
 
     Starts from the origin scaled toward the target; steps are halved while the
     base iterate leaves the admissible region or the residual fails to shrink.
     """
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (H.domain.n + 1,):
+        raise ShapeError(f"target must have {H.domain.n + 1} complex coordinates")
+    tol = 1e-12 * (1.0 + np.linalg.norm(target))
     target_r = to_real(target[None])[0]
 
     def residual(xr: np.ndarray) -> np.ndarray:
@@ -186,7 +132,7 @@ def _damped_newton(H: HartogsSpec, forward_vec, target: np.ndarray, inside,
     for _ in range(max_iter):
         norm_fx = np.max(np.abs(fx))
         if norm_fx <= tol:
-            return x
+            return to_complex(x)
         h = 1e-7 * (1.0 + np.linalg.norm(x))
         stencil = np.concatenate([x + h * np.eye(k), x - h * np.eye(k)])
         vals = residual(stencil)
@@ -209,30 +155,25 @@ def _damped_newton(H: HartogsSpec, forward_vec, target: np.ndarray, inside,
     raise ConvergenceError("Newton did not converge; target may lie outside the image")
 
 
-def psi_inverse(H: HartogsSpec, target) -> HartogsPoint:
-    """Preimage under Psi of any point of C^(n+1) (Psi is onto)."""
-    vec = _as_target_vector(H, target)
+def psi_inverse(H: HartogsSpec, target) -> np.ndarray:
+    """Preimage under Psi of one packed point of C^(n+1) (Psi is onto)."""
 
     def inside(xr: np.ndarray) -> bool:
         return bool(ch_member_vec(H, to_complex(xr)[None])[0])
 
-    tol = 1e-12 * (1.0 + np.linalg.norm(vec))
-    sol = _damped_newton(H, psi_map_vec, vec, inside, tol)
-    return point_from_vector(to_complex(sol))
+    return _damped_newton(H, psi_map_vec, target, inside)
 
 
-def phi_inverse(H: HartogsSpec, target) -> HartogsPoint:
-    """Preimage under Phi; rejects targets outside the exact image
-    {|omega| < 1 and xi_j^2 < mu (1 - |omega|^2)}."""
-    vec = _as_target_vector(H, target)
-    if abs(vec[-1]) >= 1.0:
+def phi_inverse(H: HartogsSpec, target) -> np.ndarray:
+    """Preimage under Phi of one packed point; rejects targets outside the
+    exact image {|omega| < 1 and xi_j^2 < mu (1 - |omega|^2)}."""
+    zeta, omega = split_vec(H, target)
+    if np.any(np.abs(omega) >= 1.0):
         raise DomainError("target fiber coordinate must have modulus < 1")
-    xi = singular_values(H.domain, vec[:-1])
-    if np.any(xi**2 >= H.mu * (1.0 - abs(vec[-1]) ** 2)):
+    xi = singular_values(H.domain, zeta)
+    if np.any(xi**2 >= H.mu * (1.0 - np.abs(omega)[..., None] ** 2)):
         raise DomainError("target violates the bound xi^2 < mu (1 - |omega|^2)")
-    tol = 1e-12 * (1.0 + np.linalg.norm(vec))
-    sol = _damped_newton(H, phi_map_vec, vec, lambda xr: True, tol)
-    return point_from_vector(to_complex(sol))
+    return _damped_newton(H, phi_map_vec, target, lambda xr: True)
 
 
 @dataclass(frozen=True)
@@ -275,17 +216,16 @@ def embed_base(E: BaseEmbedding, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def lift_embedding(E: BaseEmbedding, p) -> HartogsPoint:
-    """Lift a base embedding to the Hartogs level, (z, w) -> (f(z), w)."""
-    if not isinstance(p, HartogsPoint):
-        p = point_from_vector(np.asarray(p, dtype=complex))
-    return HartogsPoint(embed_base(E, np.asarray(p.z, dtype=complex)), p.w)
+def lift_embedding(E: BaseEmbedding, pts: np.ndarray) -> np.ndarray:
+    """Lift a base embedding to the Hartogs level, (z, w) -> (f(z), w), batched."""
+    pts = np.asarray(pts, dtype=complex)
+    return _join(embed_base(E, pts[..., :-1]), pts[..., -1])
 
 
-def hartogs_isotropy_apply(H: HartogsSpec, tau, p) -> HartogsPoint:
-    """Lifted isotropy action (z, w) -> (tau z, w); fixes the generic norm."""
-    p = as_point(H, p)
-    return HartogsPoint(jtsys.isotropy_apply(H.domain, tau, np.asarray(p.z, dtype=complex)), p.w)
+def hartogs_isotropy_apply(H: HartogsSpec, tau, pts: np.ndarray) -> np.ndarray:
+    """Lifted isotropy action (z, w) -> (tau z, w), batched; fixes the generic norm."""
+    z, w = split_vec(H, pts)
+    return _join(jtsys.isotropy_apply(H.domain, tau, z), w)
 
 
 def unit_ball_darboux(pts: np.ndarray) -> np.ndarray:

@@ -215,12 +215,6 @@ def membership(D: DomainSpec, z) -> np.ndarray:
     return singular_values(D, z)[..., 0] < 1.0
 
 
-def flat_distance(D: DomainSpec, z) -> np.ndarray:
-    """Euclidean distance to the origin, sqrt(sum_j lambda_j^2), batched."""
-    z = _check_point(D, z)
-    return np.linalg.norm(z, axis=-1)
-
-
 def b_quarter_power_on_z(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
     """B(z, sign * zbar)^(-1/4) applied to z, batched.
 

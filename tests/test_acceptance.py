@@ -192,12 +192,10 @@ def test_criterion_10_structure_maps():
             pts = hartogs.sample_member_points(H, 9, rng, lam_max=0.8)
             for row in pts:
                 tau = jtsys.random_isotropy(d, rng)
-                p = hartogs.point_from_vector(row)
-                moved = hartogs.hartogs_isotropy_apply(H, tau, p)
-                for mapping in (hartogs.psi_map, hartogs.phi_map):
-                    lhs = mapping(H, moved).as_vector()
-                    rhs = hartogs.hartogs_isotropy_apply(
-                        H, tau, mapping(H, p)).as_vector()
+                moved = hartogs.hartogs_isotropy_apply(H, tau, row)
+                for mapping in (hartogs.psi_map_vec, hartogs.phi_map_vec):
+                    lhs = mapping(H, moved)
+                    rhs = hartogs.hartogs_isotropy_apply(H, tau, mapping(H, row))
                     equi = max(equi, float(np.max(np.abs(lhs - rhs))))
                 pairs += 1
 
@@ -208,12 +206,9 @@ def test_criterion_10_structure_maps():
             Hs = hartogs.make_hartogs(emb.source, mu)
             Ht = hartogs.make_hartogs(emb.target, mu)
             pts = hartogs.sample_member_points(Hs, 10, rng, lam_max=0.7)
-            for row in pts:
-                p = hartogs.point_from_vector(row)
-                big = hartogs.psi_map(Ht, hartogs.lift_embedding(emb, p)).as_vector()
-                small = hartogs.lift_embedding(
-                    emb, hartogs.psi_map(Hs, p)).as_vector()
-                hered = max(hered, float(np.max(np.abs(big - small))))
+            big = hartogs.psi_map_vec(Ht, hartogs.lift_embedding(emb, pts))
+            small = hartogs.lift_embedding(emb, hartogs.psi_map_vec(Hs, pts))
+            hered = max(hered, float(np.max(np.abs(big - small))))
 
     ball = 0.0
     for n in (1, 2, 3):
@@ -226,12 +221,11 @@ def test_criterion_10_structure_maps():
     for d in GRID_DOMAINS:
         H = hartogs.make_hartogs(d, 1.5)
         pts = hartogs.sample_member_points(H, 5, rng, lam_max=0.75)
-        for row in pts:
-            p = hartogs.point_from_vector(row)
-            back = hartogs.psi_inverse(H, hartogs.psi_map(H, p)).as_vector()
-            round_trip = max(round_trip, float(np.max(np.abs(back - row))))
-            back = hartogs.phi_inverse(H, hartogs.phi_map(H, p)).as_vector()
-            round_trip = max(round_trip, float(np.max(np.abs(back - row))))
+        for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
+                                 (hartogs.phi_map_vec, hartogs.phi_inverse)):
+            for row, image in zip(pts, mapping(H, pts)):
+                back = inverse(H, image)
+                round_trip = max(round_trip, float(np.max(np.abs(back - row))))
 
     ok = (equi <= 1e-10 and hered <= 1e-10 and ball <= 1e-12
           and round_trip <= 1e-8)

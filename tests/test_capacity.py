@@ -62,10 +62,10 @@ def test_solve_target_system_oracle():
     # mu = 1, delta = 0, x^2 = 1/4: lambda^2 = (1/4) / (1 - 1/4) = 1/3
     H = hartogs.make_hartogs(POLY1, 1.0)
     sol = capacity.solve_target_system(H, 0.5, 0.0, np.array([0.5]))
-    npt.assert_allclose(np.abs(sol.z[0]) ** 2, 1.0 / 3.0, rtol=1e-12)
-    assert sol.w == 0.0
+    npt.assert_allclose(np.abs(sol[0]) ** 2, 1.0 / 3.0, rtol=1e-12)
+    assert sol[-1] == 0.0
     # forward map hits the requested spectral targets
-    img = hartogs.phi_map(H, sol).as_vector()
+    img = hartogs.phi_map_vec(H, sol)
     xi, delta = capacity.spectral_coords(H, img)
     npt.assert_allclose(xi, [0.5], atol=1e-12)
     npt.assert_allclose(delta, 0.0, atol=1e-12)
@@ -76,7 +76,7 @@ def test_solve_target_system_with_fiber():
     c, delta = 0.9, 0.4
     x = np.sqrt((c**2 - delta**2) * np.array([0.7, 0.3]))
     sol = capacity.solve_target_system(H, c, delta, x)
-    img = hartogs.phi_map(H, sol).as_vector()
+    img = hartogs.phi_map_vec(H, sol)
     xi, dv = capacity.spectral_coords(H, img)
     npt.assert_allclose(np.sort(xi)[::-1], np.sort(x)[::-1], atol=1e-10)
     npt.assert_allclose(dv, delta, atol=1e-10)

@@ -168,3 +168,23 @@ def test_capacity_rank_three_runs():
     for side, check in sides.items():
         assert check["status"] == "pass"
         npt.assert_allclose(check["parameters"]["interval"], want[side], rtol=1e-12)
+
+
+
+@pytest.mark.parametrize("args, operations", [
+    (["--domain", "type-I", "--p", "3", "--q", "3", "--mu", "1", "--samples", "2000"],
+     ["mc_volume_dual"]),
+    (["--domain", "polydisc", "--n", "1", "--mu", "1", "--samples", "1"],
+     ["mc_volume_flat", "mc_volume_dual"]),
+], ids=["no-flat-hit", "one-sample"])
+def test_volume_zero_error_reports_fail(args, operations):
+    # no flat hit on the rank-3 domain, or a single sample, leaves a zero
+    # standard error and no z-score: the check must fail in the report, not raise
+    res = _run(["volume"] + args)
+    assert res.exit_code == 1
+    report = json.loads(res.output)
+    assert [c["parameters"]["operation"] for c in report["checks"]] == operations
+    for check in report["checks"]:
+        assert check["status"] == "fail"
+        assert check["worst_residual"] == float("inf")
+    assert report["checks"][-1]["parameters"]["ratio"] > 0

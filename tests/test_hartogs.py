@@ -55,48 +55,28 @@ def test_make_hartogs_validates_mu():
 
 def test_potential_oracle():
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
-    p = hartogs.HartogsPoint(np.array([0.6]), 0.3)
-    assert hartogs.potential(H, p) == pytest.approx(-np.log(1 - 0.36 - 0.09))
-    assert hartogs.dual_potential(H, p) == pytest.approx(np.log(1 + 0.36 + 0.09))
+    pt = np.array([0.6, 0.3])
+    assert hartogs.potential_field(H)(pt[None])[0] == pytest.approx(-np.log(1 - 0.36 - 0.09))
+    assert hartogs.dual_potential_field(H)(pt[None])[0] == pytest.approx(np.log(1 + 0.36 + 0.09))
 
     H2 = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 2.0)
-    assert hartogs.potential(H2, p) == pytest.approx(-np.log(0.64**2 - 0.09))
-
-
-def test_potential_rejects_non_member():
-    H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
-    with pytest.raises(DomainError):
-        hartogs.potential(H, hartogs.HartogsPoint(np.array([0.8]), 0.7))
+    assert hartogs.potential_field(H2)(pt[None])[0] == pytest.approx(-np.log(0.64**2 - 0.09))
 
 
 def test_membership_boundary():
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=2), 0.5)
-    assert hartogs.ch_member(H, hartogs.HartogsPoint(np.array([0.5, 0.5]), 0.5))
-    # |w|^2 = N^mu exactly (here 1 = 1) is outside: the inequality is strict
-    assert not hartogs.ch_member(H, hartogs.HartogsPoint(np.zeros(2), 1.0))
-    assert not hartogs.ch_member(H, hartogs.HartogsPoint(np.array([1.0, 0.0]), 0.0))
-
-
-def test_scalar_api_accepts_raw_vectors():
-    H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
-    p = hartogs.HartogsPoint(np.array([0.6]), 0.3)
-    vec = p.as_vector()
-    assert hartogs.ch_member(H, vec)
-    assert hartogs.potential(H, vec) == hartogs.potential(H, p)
-    assert hartogs.dual_potential(H, vec) == hartogs.dual_potential(H, p)
-    np.testing.assert_allclose(hartogs.psi_map(H, vec).as_vector(),
-                               hartogs.psi_map(H, p).as_vector())
-    np.testing.assert_allclose(hartogs.phi_map(H, vec).as_vector(),
-                               hartogs.phi_map(H, p).as_vector())
-    with pytest.raises(ShapeError):
-        hartogs.as_point(H, np.array([0.1, 0.2, 0.3]))
+    pts = np.array([[0.5, 0.5, 0.5],
+                    # |w|^2 = N^mu exactly (here 1 = 1) is outside: the inequality is strict
+                    [0.0, 0.0, 1.0],
+                    [1.0, 0.0, 0.0]])
+    assert hartogs.ch_member_vec(H, pts).tolist() == [True, False, False]
 
 
 def test_psi_rank_one_oracle():
     # mu = 1, z = 0.6, w = 0: Psi = (0.6 / (1 - 0.36), 0) = (0.75, 0)
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
-    out = hartogs.psi_map(H, hartogs.HartogsPoint(np.array([0.6]), 0.0))
-    npt.assert_allclose(out.as_vector(), [0.75, 0.0], atol=1e-14)
+    out = hartogs.psi_map_vec(H, np.array([0.6, 0.0]))
+    npt.assert_allclose(out, [0.75, 0.0], atol=1e-14)
 
 
 def test_psi_scalar_formula_oracle():
@@ -106,16 +86,16 @@ def test_psi_scalar_formula_oracle():
     g = nmu - 0.09
     zeta = np.sqrt(2 * nmu) * 0.6 / np.sqrt(1 - 0.36) / np.sqrt(g)
     omega = 0.3 / np.sqrt(g)
-    out = hartogs.psi_map(H, hartogs.HartogsPoint(np.array([0.6]), 0.3))
-    npt.assert_allclose(out.as_vector(), [zeta, omega], rtol=1e-14)
+    out = hartogs.psi_map_vec(H, np.array([0.6, 0.3]))
+    npt.assert_allclose(out, [zeta, omega], rtol=1e-14)
 
 
 def test_phi_rank_one_oracle():
     # mu = 1, z = 1 (outside Omega is fine for Phi), w = 0:
     # Nd = 1 + 1 = 2, Phi_z = sqrt(2) * 1 / sqrt(2) / sqrt(2) = 1/sqrt(2)
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
-    out = hartogs.phi_map(H, hartogs.HartogsPoint(np.array([1.0]), 0.0))
-    npt.assert_allclose(out.as_vector(), [1 / np.sqrt(2), 0.0], rtol=1e-14)
+    out = hartogs.phi_map_vec(H, np.array([1.0, 0.0]))
+    npt.assert_allclose(out, [1 / np.sqrt(2), 0.0], rtol=1e-14)
 
 
 def test_psi_matches_spectral_inverse(domain, rng):
@@ -141,22 +121,19 @@ def test_phi_matches_spectral_inverse(domain, rng):
 def test_newton_inverses_round_trip(domain, rng):
     H = _hartogs(domain, 1.5)
     pts = hartogs.sample_member_points(H, 8, rng, lam_max=0.75, w_frac=0.7)
-    for row in pts:
-        p = hartogs.point_from_vector(row)
-        back = hartogs.psi_inverse(H, hartogs.psi_map(H, p))
-        npt.assert_allclose(back.as_vector(), row, atol=1e-9)
-        back = hartogs.phi_inverse(H, hartogs.phi_map(H, p))
-        npt.assert_allclose(back.as_vector(), row, atol=1e-9)
+    for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
+                             (hartogs.phi_map_vec, hartogs.phi_inverse)):
+        for row, image in zip(pts, mapping(H, pts)):
+            npt.assert_allclose(inverse(H, image), row, atol=1e-9)
 
 
 def test_psi_is_onto_far_targets(rng):
     # targets far outside the domain still have preimages
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1.0)
     targets = hartogs.sample_heavy_points(5, 6, rng, norm_cap=10.0)
-    for t in targets:
-        p = hartogs.psi_inverse(H, t)
-        assert hartogs.ch_member(H, p)
-        npt.assert_allclose(hartogs.psi_map(H, p).as_vector(), t, atol=1e-8)
+    pre = np.stack([hartogs.psi_inverse(H, t) for t in targets])
+    assert np.all(hartogs.ch_member_vec(H, pre))
+    npt.assert_allclose(hartogs.psi_map_vec(H, pre), targets, atol=1e-8)
 
 
 def test_phi_inverse_rejects_outside_image():
@@ -168,6 +145,9 @@ def test_phi_inverse_rejects_outside_image():
     with pytest.raises(DomainError):
         # inside the naive box but outside the image: xi^2 >= mu (1 - |omega|^2)
         hartogs.phi_inverse(H, np.array([0.97, 0.3]))
+    with pytest.raises(ShapeError):
+        # the inverses take exactly one packed (n+1,) point
+        hartogs.psi_inverse(H, np.array([0.1, 0.2, 0.3]))
 
 
 def test_phi_inverse_reaches_unbounded_preimages():
@@ -176,8 +156,8 @@ def test_phi_inverse_reaches_unbounded_preimages():
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
     target = np.array([0.9, 0.3])  # s = 0.81/0.91, lambda^2 = s/(1-s) = 8.1
     pre = hartogs.phi_inverse(H, target)
-    npt.assert_allclose(np.abs(pre.z[0]) ** 2, 8.1, rtol=1e-8)
-    npt.assert_allclose(hartogs.phi_map(H, pre).as_vector(), target, atol=1e-9)
+    npt.assert_allclose(np.abs(pre[0]) ** 2, 8.1, rtol=1e-8)
+    npt.assert_allclose(hartogs.phi_map_vec(H, pre), target, atol=1e-9)
 
 
 def test_phi_image_spectral_bound(domain, rng):
@@ -208,11 +188,12 @@ def test_hereditary_lift(rng):
     Hs = _hartogs(emb.source, 1.5)
     Ht = _hartogs(emb.target, 1.5)
     pts = hartogs.sample_member_points(Hs, 10, rng, lam_max=0.7)
-    for row in pts:
-        p = hartogs.point_from_vector(row)
-        big = hartogs.psi_map(Ht, hartogs.lift_embedding(emb, p))
-        small = hartogs.lift_embedding(emb, hartogs.psi_map(Hs, p))
-        npt.assert_allclose(big.as_vector(), small.as_vector(), atol=1e-12)
+    big = hartogs.psi_map_vec(Ht, hartogs.lift_embedding(emb, pts))
+    small = hartogs.lift_embedding(emb, hartogs.psi_map_vec(Hs, pts))
+    npt.assert_allclose(big, small, atol=1e-12)
+    # the lift of a batch equals the lifts of its rows
+    rows = np.stack([hartogs.lift_embedding(emb, row) for row in pts[:5]])
+    npt.assert_allclose(hartogs.lift_embedding(emb, pts[:5]), rows, rtol=1e-15)
 
 
 def test_rank_one_specializes_to_ball_map(rng):
@@ -228,12 +209,14 @@ def test_isotropy_equivariance(domain, rng):
     pts = hartogs.sample_member_points(H, 10, rng, lam_max=0.8)
     for row in pts:
         tau = jtsys.random_isotropy(domain, rng)
-        p = hartogs.point_from_vector(row)
-        moved = hartogs.hartogs_isotropy_apply(H, tau, p)
-        for mapping in (hartogs.psi_map, hartogs.phi_map):
-            lhs = mapping(H, moved).as_vector()
-            rhs = hartogs.hartogs_isotropy_apply(H, tau, mapping(H, p)).as_vector()
-            npt.assert_allclose(lhs, rhs, atol=1e-12)
+        moved = hartogs.hartogs_isotropy_apply(H, tau, row)
+        for mapping in (hartogs.psi_map_vec, hartogs.phi_map_vec):
+            npt.assert_allclose(mapping(H, moved),
+                                hartogs.hartogs_isotropy_apply(H, tau, mapping(H, row)),
+                                atol=1e-12)
+    # one tau on a 5-point batch equals the same tau row by row
+    rows = np.stack([hartogs.hartogs_isotropy_apply(H, tau, row) for row in pts[:5]])
+    npt.assert_allclose(hartogs.hartogs_isotropy_apply(H, tau, pts[:5]), rows, rtol=1e-15)
 
 
 def test_sample_member_points_respects_floor(domain, rng):

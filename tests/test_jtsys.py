@@ -135,8 +135,6 @@ def test_membership_and_distance():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
     assert jtsys.membership(d, np.array([0.9, 0.9j]))
     assert not jtsys.membership(d, np.array([1.0, 0.0]))
-    z = np.array([3.0, 4.0j])
-    assert jtsys.flat_distance(d, z) == pytest.approx(5.0)
 
 
 def test_b_quarter_power_two_routes(domain, rng):
