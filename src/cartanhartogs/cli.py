@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -80,11 +81,13 @@ def resolve_domain(kind: str, n: int | None, p: int | None, q: int | None) -> jt
 def _validate(cfg: RunConfig) -> RunConfig:
     if not cfg.mu:
         raise click.UsageError("mu list must be nonempty")
-    if any(m <= 0 for m in cfg.mu):
-        raise click.UsageError("every mu must be positive")
+    # nan fails both "> 0" and isfinite
+    if not all(m > 0 and math.isfinite(m) for m in cfg.mu):
+        raise click.UsageError("every mu must be positive and finite")
     for field in ("points", "samples", "fd_step", "tol", "jobs"):
-        if getattr(cfg, field) <= 0:
-            raise click.UsageError(f"{field} must be positive")
+        val = getattr(cfg, field)
+        if not (val > 0 and math.isfinite(val)):
+            raise click.UsageError(f"{field} must be positive and finite")
     if cfg.seed < 0:
         raise click.UsageError("seed must be nonnegative")
     if cfg.output is not None:
@@ -97,7 +100,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise click.UsageError(f"cannot write report to {cfg.output}: {exc}")
         if not existed:
             os.remove(cfg.output)
-    cfg.domain_spec
+    try:
+        cfg.domain_spec
+    except ValueError as exc:  # dimensions out of range
+        raise click.UsageError(str(exc))
     return cfg
 
 
@@ -211,7 +217,7 @@ def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig
                         fd_step=float(merged["fd_step"]), tol=float(merged["tol"]),
                         jobs=int(merged["jobs"]), fmt=merged["fmt"],
                         output=merged["output"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise click.UsageError(f"malformed config value: {exc}")
     if cfg.kind is None:
         raise click.UsageError("a domain kind is required (--domain or config file)")

@@ -1,9 +1,12 @@
 """Numerical realization of Kaehler forms: complex Hessians, two-forms, pullbacks.
 
-All derivatives are central differences with step h = step * (1 + ||point||).
-A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k,
-assembled from the real Hessian in interleaved coordinates (x1, y1, ..., xm, ym);
-the associated real two-form (i/2) sum G_jk dz_j ^ dzbar_k is represented by an
+A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k.
+The two Hartogs potentials have it in closed form from the Jordan data of the
+base (`hartogs_hessian`); an arbitrary field gets it from central differences
+of the real Hessian in interleaved coordinates (x1, y1, ..., xm, ym), with
+step h = step * (1 + ||point||) (`complex_hessian_batch`, the reference route).
+Jacobians of maps, hence pullbacks, are always central differences.  The
+associated real two-form (i/2) sum G_jk dz_j ^ dzbar_k is represented by an
 antisymmetric 2m x 2m matrix in the same coordinate order.  Comparisons use the
 entrywise max norm of the difference.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hartogs import HartogsSpec, dual_potential_field, split_vec
-from .jtsys import norm_self
+from .jtsys import log_norm_derivatives, norm_self
 from .realcoords import to_complex, to_real
 
 DEFAULT_STEP = 1e-5
@@ -125,15 +128,39 @@ def det_dual_hessian_fd(H: HartogsSpec, pts: np.ndarray,
     return np.linalg.det(g).real
 
 
-def dual_hessian_min_eigs(H: HartogsSpec, pts: np.ndarray, step: float = 1e-3) -> np.ndarray:
-    """Smallest Hessian eigenvalue of phi* at each point, batched.
+def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:
+    """Closed-form complex Hessian of the domain potential -log(N^mu - |w|^2),
+    or with dual=True of the dual potential log(N(z, -zbar)^mu + |w|^2), at
+    packed points (..., n+1); shape (..., n+1, n+1).
 
-    The coarser default step keeps rounding noise (eps/h^2) far below the
-    smallest true eigenvalues at far points, where truncation is still
-    relatively small; sign certification is what matters here.
+    With eps = -1 on the domain and +1 on the dual, u = N(z, -eps zbar)^mu,
+    G = u + eps |w|^2 and l = log N(z, -eps zbar), the chain rule gives
+
+        eps * (M / G - v v^H / G^2),
+        M_zz = mu u (l_jk + mu l_j conj(l_k)),  M_ww = eps,  M_zw = 0,
+        v = (mu u l_j, eps conj(w)),
+
+    with the derivatives of l from `jtsys.log_norm_derivatives`.
     """
-    g = complex_hessian_batch(dual_potential_field(H), pts, step)
-    return np.linalg.eigvalsh(g)[..., 0]
+    eps = 1 if dual else -1
+    d = H.domain
+    z, w = split_vec(H, pts)
+    grad, hess = log_norm_derivatives(d, z, sign=-eps)
+    u = norm_self(d, z, sign=-eps) ** H.mu
+    g = (u + eps * np.abs(w) ** 2)[..., None, None]
+    mu_u = (H.mu * u)[..., None]
+    v = np.concatenate([mu_u * grad, eps * np.conj(w)[..., None]], axis=-1)
+    m = np.zeros(v.shape + (d.n + 1,), dtype=complex)
+    m[..., :-1, :-1] = mu_u[..., None] * (hess + H.mu * grad[..., :, None]
+                                           * np.conj(grad[..., None, :]))
+    m[..., -1, -1] = eps
+    return eps * (m / g - v[..., :, None] * np.conj(v[..., None, :]) / g**2)
+
+
+def dual_hessian_min_eigs(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the closed-form Hessian of phi* at each point,
+    batched (`hartogs_hessian` with dual=True)."""
+    return np.linalg.eigvalsh(hartogs_hessian(H, pts, dual=True))[..., 0]
 
 
 def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAULT_STEP) -> float:

@@ -156,6 +156,40 @@ def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
     return np.real(generic_norm(D, z, None, sign))
 
 
+def _coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the entry of j(z) that carries each coordinate of z."""
+    if D.kind == KIND_POLYDISC:
+        idx = np.arange(D.n)
+        return idx, idx
+    return np.divmod(np.arange(D.n), D.shape[1])
+
+
+def log_norm_derivatives(D: DomainSpec, z, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form derivatives of log N(z, sign * zbar), batched.
+
+    With J = j(z), A = I - sign J J* and C = I - sign J* J (Loos 1977;
+    Faraut-Koranyi, J. Funct. Anal. 88 (1990)),
+
+        d_j log N          = -sign * conj(A^-1 J)_ab,
+        d_j dbar_k log N   = -sign * (A^-1)_ca (C^-1)_bd,
+
+    where coordinate j sits at entry (a, b) of j(z) and k at (c, d); the
+    polydisc is the same formula on diagonal matrices.  Returns the gradient
+    (..., n) and the complex Hessian (..., n, n); for sign=+1 the point must
+    lie in the domain.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    jz = as_matrix(D, z)
+    jstar = np.conj(np.swapaxes(jz, -1, -2))
+    ainv = np.linalg.inv(np.eye(jz.shape[-2]) - sign * jz @ jstar)
+    cinv = np.linalg.inv(np.eye(jz.shape[-1]) - sign * jstar @ jz)
+    rows, cols = _coordinate_entries(D)
+    grad = np.conj((ainv @ jz)[..., rows, cols])
+    hess = ainv[..., rows[None, :], rows[:, None]] * cinv[..., cols[:, None], cols[None, :]]
+    return -sign * grad, -sign * hess
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """z = sum_j eigenvalues[j] * tripotents[j] over an orthogonal frame.

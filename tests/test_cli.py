@@ -79,6 +79,26 @@ def test_usage_errors_exit_two(tmp_path):
                  "--output", str(missing_dir)]).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["darboux", "--domain", "polydisc", "--n", "0"],
+    ["darboux", "--domain", "type-I", "--p", "0", "--q", "2"],
+    ["darboux", "--domain", "chn", "--n", "0"],
+    ["darboux", "--domain", "polydisc", "--n", "1", "--mu", "nan"],
+    ["darboux", "--domain", "polydisc", "--n", "1", "--mu", "inf"],
+    ["selberg", "--domain", "polydisc", "--n", "1", "--mu", "inf"],
+    ["selberg", "--domain", "polydisc", "--n", "1", "--tol", "nan"],
+    ["darboux", "--domain", "polydisc", "--n", "1", "--fd-step", "nan"],
+    ["volume", "--domain", "polydisc", "--n", "1", "--samples", "inf"],
+], ids=["polydisc-n0", "type-I-p0", "chn-n0", "mu-nan", "mu-inf", "selberg-mu-inf",
+        "selberg-tol-nan", "fd-step-nan", "samples-inf"])
+def test_out_of_range_inputs_exit_two(args):
+    # out-of-range dimensions and non-finite numbers are usage errors, not
+    # tracebacks, silent passes or (mu = inf: N^mu = 0) a sampler that never ends
+    res = _run(args)
+    assert res.exit_code == 2
+    assert "Error:" in res.output
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": "polydisc", "n": 2, "mu": [2.0],

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cartanhartogs import forms, hartogs, jtsys
+from cartanhartogs import forms, hartogs, jtsys, verify
 from cartanhartogs.realcoords import realify_map, to_complex, to_real
 
 
@@ -97,6 +97,90 @@ def test_darboux_pullback_single_point():
     g = forms.complex_hessian_batch(hartogs.potential_field(H), p)
     want = forms.hermitian_to_twoform_matrix(g)
     assert np.max(np.abs(pulled - want)) < 1e-6
+
+
+def test_darboux_residuals_detect_a_wrong_map(monkeypatch):
+    # Psi (or Phi) scaled by 1.001 pulls the flat form back to 1.001^2 times
+    # the right form; the closed-form side must expose the gap
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1.0)
+    rng = np.random.default_rng(3)
+    inside = hartogs.sample_member_points(H, 40, rng)
+    anywhere = hartogs.sample_heavy_points(H.domain.n + 1, 40, rng)
+    assert verify.darboux_residuals(H, inside, 1e-5).max() <= 1e-5
+    assert verify.darboux_residuals(H, anywhere, 1e-5, dual=True).max() <= 1e-5
+    for name in ("psi_map_vec", "phi_map_vec"):
+        good = getattr(hartogs, name)
+        monkeypatch.setattr(hartogs, name, lambda H, pts, good=good: 1.001 * good(H, pts))
+    assert verify.darboux_residuals(H, inside, 1e-5).max() > 1e-5
+    assert verify.darboux_residuals(H, anywhere, 1e-5, dual=True).max() > 1e-5
+
+
+def test_darboux_residuals_blocks_match_one_shot(monkeypatch):
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=1, q=2), 0.5)
+    rng = np.random.default_rng(4)
+    inside = hartogs.sample_member_points(H, 20, rng)
+    anywhere = hartogs.sample_heavy_points(H.domain.n + 1, 20, rng)
+    whole = [verify.darboux_residuals(H, inside, 1e-5),
+             verify.darboux_residuals(H, anywhere, 1e-5, dual=True)]
+    monkeypatch.setattr(verify, "_DARBOUX_BLOCK", 7)  # blocks of 7, 7 and 6 points
+    npt.assert_allclose(verify.darboux_residuals(H, inside, 1e-5), whole[0], rtol=1e-14)
+    npt.assert_allclose(verify.darboux_residuals(H, anywhere, 1e-5, dual=True), whole[1],
+                        rtol=1e-14)
+
+
+HESSIAN_DOMAINS = {
+    "polydisc-1": dict(kind=jtsys.KIND_POLYDISC, n=1),
+    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
+    "type-I(1,2)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=2),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+}
+
+
+@pytest.fixture(params=list(HESSIAN_DOMAINS), ids=list(HESSIAN_DOMAINS))
+def wide_domain(request):
+    return jtsys.make_domain(**HESSIAN_DOMAINS[request.param])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_log_norm_derivatives_match_stencils(wide_domain, sign):
+    d = wide_domain
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(6, d.n)) + 1j * rng.normal(size=(6, d.n))
+    z = 0.6 * g / jtsys.singular_values(d, g)[:, :1]  # top eigenvalue 0.6
+
+    def log_n(zz):
+        return np.log(jtsys.norm_self(d, zz, sign))
+
+    grad, hess = jtsys.log_norm_derivatives(d, z, sign)
+    assert grad.shape == (6, d.n) and hess.shape == (6, d.n, d.n)
+    # d/dz = (d/dx - i d/dy) / 2 on the interleaved real Jacobian
+    jac = forms.jacobian_batch(lambda x: log_n(to_complex(x))[:, None], to_real(z))[:, 0]
+    npt.assert_allclose(grad, 0.5 * (jac[:, 0::2] - 1j * jac[:, 1::2]), atol=1e-8)
+    npt.assert_allclose(hess, forms.complex_hessian_batch(log_n, z), atol=1e-5)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+def test_hartogs_hessian_matches_stencil(wide_domain, mu):
+    H = hartogs.make_hartogs(wide_domain, mu)
+    m = wide_domain.n + 1
+    rng = np.random.default_rng(6)
+    cases = [
+        (False, hartogs.potential_field(H), hartogs.sample_member_points(H, 12, rng)),
+        (True, hartogs.dual_potential_field(H), hartogs.sample_heavy_points(m, 12, rng)),
+        # the psh check's region
+        (True, hartogs.dual_potential_field(H), hartogs.sample_ball_points(m, 12, rng, 10.0)),
+    ]
+    for dual, field, pts in cases:
+        closed = forms.hartogs_hessian(H, pts, dual)
+        assert closed.shape == (12, m, m)
+        npt.assert_allclose(closed, forms.complex_hessian_batch(field, pts, 1e-5), atol=1e-5)
+        scale = np.max(np.abs(closed))
+        npt.assert_allclose(closed, np.conj(np.swapaxes(closed, -1, -2)),
+                            rtol=0, atol=1e-13 * scale)
+        # a batch gives the same values as its rows one at a time
+        for row, want in zip(pts[:5], closed[:5]):
+            npt.assert_allclose(forms.hartogs_hessian(H, row, dual), want, rtol=1e-12)
 
 
 def test_det_dual_hessian_two_routes(domain):
