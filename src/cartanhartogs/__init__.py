@@ -16,10 +16,7 @@ from .capacity import (
 )
 from .errors import ConvergenceError, DomainError, ShapeError
 from .forms import (
-    base_restriction_matches,
-    complex_hessian_batch,
     det_dual_hessian,
-    det_dual_hessian_fd,
     dual_hessian_min_eigs,
     hartogs_hessian,
     hermitian_to_twoform_matrix,

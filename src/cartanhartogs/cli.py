@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import click
 
-from . import jtsys, verify
+from . import jtsys, measures, verify
 
 ARTIFACT_VERSION = "0.1.0"
 SEED_ENVVAR = "CHVERIFY_SEED"
@@ -101,9 +101,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if not existed:
             os.remove(cfg.output)
     try:
-        cfg.domain_spec
+        domain = cfg.domain_spec
     except ValueError as exc:  # dimensions out of range
         raise click.UsageError(str(exc))
+    if "selberg" in cfg.checks and domain.r > measures.SELBERG_MAX_RANK:
+        raise click.UsageError(f"selberg supports base ranks 1..{measures.SELBERG_MAX_RANK}; "
+                               f"this domain has rank {domain.r}")
     return cfg
 
 
@@ -296,7 +299,7 @@ _HELP = {
     "darboux": "Pull the flat form back through Psi and compare with the domain form.",
     "dual-darboux": "Pull the flat form back through Phi and compare with the dual form.",
     "psh": "Certify strict plurisubharmonicity of the dual potential.",
-    "det-formula": "Closed-form dual Hessian determinant vs finite differences.",
+    "det-formula": "Product-formula dual Hessian determinant vs the closed-form Hessian.",
     "volume": "Monte Carlo volumes against analytic values and the ratio formula.",
     "selberg": "Quadrature for the F constant against the Gamma product.",
     "duality": "Root of the duality equation and the rank-one equality case.",

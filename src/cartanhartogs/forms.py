@@ -2,11 +2,11 @@
 
 A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k.
 The two Hartogs potentials have it in closed form from the Jordan data of the
-base (`hartogs_hessian`); an arbitrary field gets it from central differences
-of the real Hessian in interleaved coordinates (x1, y1, ..., xm, ym), with
-step h = step * (1 + ||point||) (`complex_hessian_batch`, the reference route).
-Jacobians of maps, hence pullbacks, are always central differences.  The
-associated real two-form (i/2) sum G_jk dz_j ^ dzbar_k is represented by an
+base (`hartogs_hessian`), and the dual one has its determinant in closed form
+too (`det_dual_hessian`, the paper's product formula).  Jacobians of maps,
+hence pullbacks, are central differences in interleaved real coordinates
+(x1, y1, ..., xm, ym) with step h = step * (1 + ||point||).  The associated
+real two-form (i/2) sum G_jk dz_j ^ dzbar_k is represented by an
 antisymmetric 2m x 2m matrix in the same coordinate order.  Comparisons use the
 entrywise max norm of the difference.
 """
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hartogs import HartogsSpec, dual_potential_field, split_vec
+from .hartogs import HartogsSpec, split_vec
 from .jtsys import log_norm_derivatives, norm_self
-from .realcoords import to_complex, to_real
 
 DEFAULT_STEP = 1e-5
 
@@ -29,46 +28,6 @@ def standard_symplectic(m: int) -> np.ndarray:
     w[2 * idx, 2 * idx + 1] = 1.0
     w[2 * idx + 1, 2 * idx] = -1.0
     return w
-
-
-def complex_hessian_batch(f, pts: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Complex Hessians d^2 f / dz dzbar at a batch of points, shape (B, m, m)."""
-    pts = np.asarray(pts, dtype=complex)
-    squeeze = pts.ndim == 1
-    if squeeze:
-        pts = pts[None]
-    x = to_real(pts)
-    batch, k = x.shape
-    h = step * (1.0 + np.linalg.norm(x, axis=-1))
-
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    pattern = np.zeros((1 + 2 * k + 4 * len(pairs), k))
-    for a in range(k):
-        pattern[1 + 2 * a, a] = 1.0
-        pattern[2 + 2 * a, a] = -1.0
-    base = 1 + 2 * k
-    for i, (a, b) in enumerate(pairs):
-        for j, (sa, sb) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            pattern[base + 4 * i + j, a] = sa
-            pattern[base + 4 * i + j, b] = sb
-
-    stencil = x[:, None, :] + h[:, None, None] * pattern[None]
-    vals = f(to_complex(stencil.reshape(-1, k))).reshape(batch, -1)
-
-    hess = np.empty((batch, k, k))
-    h2 = h * h
-    f0 = vals[:, 0]
-    for a in range(k):
-        hess[:, a, a] = (vals[:, 1 + 2 * a] + vals[:, 2 + 2 * a] - 2.0 * f0) / h2
-    for i, (a, b) in enumerate(pairs):
-        off = base + 4 * i
-        mixed = (vals[:, off] - vals[:, off + 1] - vals[:, off + 2] + vals[:, off + 3]) / (4.0 * h2)
-        hess[:, a, b] = mixed
-        hess[:, b, a] = mixed
-
-    g = 0.25 * ((hess[:, 0::2, 0::2] + hess[:, 1::2, 1::2])
-                + 1j * (hess[:, 0::2, 1::2] - hess[:, 1::2, 0::2]))
-    return g[0] if squeeze else g
 
 
 def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
@@ -120,14 +79,6 @@ def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
             / (nd ** H.mu + np.abs(w) ** 2) ** (d.n + 2))
 
 
-def det_dual_hessian_fd(H: HartogsSpec, pts: np.ndarray,
-                        step: float = DEFAULT_STEP) -> np.ndarray:
-    """Finite-difference route for the same determinant, at one packed point
-    (n+1,) or a batch (B, n+1)."""
-    g = complex_hessian_batch(dual_potential_field(H), pts, step)
-    return np.linalg.det(g).real
-
-
 def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:
     """Closed-form complex Hessian of the domain potential -log(N^mu - |w|^2),
     or with dual=True of the dual potential log(N(z, -zbar)^mu + |w|^2), at
@@ -161,18 +112,3 @@ def dual_hessian_min_eigs(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the closed-form Hessian of phi* at each point,
     batched (`hartogs_hessian` with dual=True)."""
     return np.linalg.eigvalsh(hartogs_hessian(H, pts, dual=True))[..., 0]
-
-
-def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAULT_STEP) -> float:
-    """Max deviation between the dual form restricted to w = 0 and mu times the
-    dual base form; returns the entrywise residual."""
-    z = np.asarray(z, dtype=complex)
-    pt = np.append(z, 0.0 + 0.0j)
-    big = complex_hessian_batch(dual_potential_field(H), pt, step)
-
-    def base_field(zz: np.ndarray) -> np.ndarray:
-        return H.mu * np.log(norm_self(H.domain, zz, sign=-1))
-
-    small = complex_hessian_batch(base_field, z, step)
-    n = H.domain.n
-    return float(np.max(np.abs(big[:n, :n] - small)))

@@ -297,13 +297,20 @@ def b_quarter_power_operator(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolydiscIsotropy:
-    """Coordinate permutation composed with unimodular phases: z -> (phases*z)[perm]."""
+    """Coordinate permutation composed with unimodular phases: z -> (phases*z)[perm].
 
-    perm: tuple[int, ...]
-    phases: tuple[complex, ...]
+    perm and phases have shape (n,) for one element, or (k, n) for a stack of
+    k elements whose row i acts on point i.
+    """
+
+    perm: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+        perm = np.asarray(self.perm)
+        n = perm.shape[-1]
+        if (not np.issubdtype(perm.dtype, np.integer)
+                or np.any(np.sort(perm, axis=-1) != np.arange(n))):
             raise ValueError("perm is not a permutation")
         phases = np.asarray(self.phases, dtype=complex)
         if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-10:
@@ -312,7 +319,11 @@ class PolydiscIsotropy:
 
 @dataclass(frozen=True)
 class TypeIIsotropy:
-    """Unitary pair acting by z -> U z V*."""
+    """Unitary pair acting by z -> U z V*.
+
+    u and v have shapes (p, p) and (q, q) for one element, or (k, p, p) and
+    (k, q, q) for a stack of k elements whose slice i acts on point i.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -323,41 +334,59 @@ class TypeIIsotropy:
 
 
 def _check_unitary(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Reject m unless every matrix in the stack is unitary."""
     m = np.asarray(m, dtype=complex)
-    dev = np.max(np.abs(np.conj(m.T) @ m - np.eye(m.shape[0])))
+    gram = np.conj(np.swapaxes(m, -1, -2)) @ m
+    dev = np.max(np.abs(gram - np.eye(m.shape[-1])))
     if dev > tol:
         raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
     return m
 
 
 def isotropy_apply(D: DomainSpec, tau, z) -> np.ndarray:
-    """Apply an origin-fixing triple automorphism, batched over points."""
+    """Apply an origin-fixing triple automorphism, batched over points; a
+    stacked tau moves point i by its element i (the arrays broadcast)."""
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
         if not isinstance(tau, PolydiscIsotropy):
             raise TypeError("polydisc expects PolydiscIsotropy")
-        if len(tau.perm) != D.n:
+        perm = np.asarray(tau.perm)
+        if perm.shape[-1] != D.n:
             raise ShapeError("perm length does not match the domain dimension")
-        phases = np.asarray(tau.phases, dtype=complex)
-        return (phases * z)[..., list(tau.perm)]
+        moved = np.asarray(tau.phases, dtype=complex) * z
+        return np.take_along_axis(moved, np.broadcast_to(perm, moved.shape), axis=-1)
     if not isinstance(tau, TypeIIsotropy):
         raise TypeError("type-I expects TypeIIsotropy")
     u = np.asarray(tau.u, dtype=complex)
     v = np.asarray(tau.v, dtype=complex)
-    return as_vector(D, u @ as_matrix(D, z) @ np.conj(v.T))
+    return as_vector(D, u @ as_matrix(D, z) @ np.conj(np.swapaxes(v, -1, -2)))
 
 
-def random_isotropy(D: DomainSpec, rng: np.random.Generator):
-    """Draw a Haar-ish random isotropy element (QR-based unitaries for type-I)."""
+def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int | None = None):
+    """Draw Haar random isotropy elements (QR-based unitaries for type-I).
+
+    With count=None one element; otherwise one stacked element of count rows,
+    drawn from the generator in the order of count single calls (per element
+    the Gaussians of U, then those of V), followed by one batched QR.
+    """
+    k = 1 if count is None else count
+    pick = (lambda a: a[0]) if count is None else (lambda a: a)
     if D.kind == KIND_POLYDISC:
-        perm = tuple(int(i) for i in rng.permutation(D.n))
-        phases = tuple(np.exp(1j * rng.uniform(0, 2 * np.pi, D.n)))
-        return PolydiscIsotropy(perm, phases)
-
-    def haar(k: int) -> np.ndarray:
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        qm, rm = np.linalg.qr(g)
-        return qm * (np.diag(rm) / np.abs(np.diag(rm)))
+        perms, phases = [], []
+        for _ in range(k):
+            perms.append(rng.permutation(D.n))
+            phases.append(np.exp(1j * rng.uniform(0, 2 * np.pi, D.n)))
+        return PolydiscIsotropy(pick(np.array(perms, dtype=np.intp).reshape(k, D.n)),
+                                pick(np.array(phases).reshape(k, D.n)))
 
     p, q = D.shape
-    return TypeIIsotropy(haar(p), haar(q))
+    # per element: real and imaginary parts of U, then of V
+    g = rng.normal(size=(k, 2 * (p * p + q * q)))
+
+    def haar(re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
+        qm, rm = np.linalg.qr((re + 1j * im).reshape(k, size, size))
+        diag = np.diagonal(rm, axis1=-2, axis2=-1)
+        return qm * (diag / np.abs(diag))[..., None, :]
+
+    u_re, u_im, v_re, v_im = np.split(g, [p * p, 2 * p * p, 2 * p * p + q * q], axis=1)
+    return TypeIIsotropy(pick(haar(u_re, u_im, p)), pick(haar(v_re, v_im, q)))

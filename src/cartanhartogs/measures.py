@@ -28,11 +28,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
-from .forms import complex_hessian_batch, det_dual_hessian
+from .forms import det_dual_hessian
 from .hartogs import HartogsSpec
-from .jtsys import KIND_POLYDISC, DomainSpec, membership, norm_self, singular_values
+from .jtsys import (KIND_POLYDISC, DomainSpec, log_norm_derivatives, membership, norm_self,
+                    singular_values)
 
 _CHUNK = 1 << 16
+# the tensor quadrature of F(s) is built for ranks 1..SELBERG_MAX_RANK
+SELBERG_MAX_RANK = 3
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -94,8 +97,8 @@ def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int = 6
     The ordering map l_j = u_1 ... u_j (u in (0,1)^r) carries the simplex to the
     cube with Jacobian prod_i u_i^(r-i).
     """
-    if r < 1 or r > 3:
-        raise DomainError("supported ranks are 1..3")
+    if r < 1 or r > SELBERG_MAX_RANK:
+        raise DomainError(f"supported ranks are 1..{SELBERG_MAX_RANK}")
     nodes, weights = _gauss01(resolution)
     grids = np.meshgrid(*([nodes] * r), indexing="ij", sparse=True)
     wgrids = np.meshgrid(*([weights] * r), indexing="ij", sparse=True)
@@ -271,21 +274,18 @@ def gennaio_check(D: DomainSpec) -> GennaioResult:
     return GennaioResult(value, bound, passed, equality, gamma_route)
 
 
-def fit_genus(D: DomainSpec, points: int = 12, seed: int = 20,
-              step: float = 1e-5) -> float:
+def fit_genus(D: DomainSpec, points: int = 12, seed: int = 20) -> float:
     """Fit gamma from det(Hess_z log N(z, -zbar)) = N(z, -zbar)^(-gamma).
 
     Averages the log-ratio over moderate random points (log N* kept away from
-    zero); adjudicates the genus value numerically.
+    zero).  The Hessian is the Jordan-data closed form of
+    `jtsys.log_norm_derivatives`, which holds no genus, so the fit
+    adjudicates the genus value to rounding.
     """
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(points, D.n)) + 1j * rng.normal(size=(points, D.n))
     top = singular_values(D, g)[:, 0]
     z = g * (rng.uniform(0.8, 2.0, size=points) / top)[:, None]
-
-    def field(zz: np.ndarray) -> np.ndarray:
-        return np.log(norm_self(D, zz, sign=-1))
-
-    dets = np.linalg.det(complex_hessian_batch(field, z, step)).real
+    dets = np.linalg.det(log_norm_derivatives(D, z, sign=-1)[1]).real
     lognd = np.log(norm_self(D, z, sign=-1))
     return float(np.mean(-np.log(dets) / lognd))

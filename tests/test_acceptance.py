@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from cartanhartogs import capacity, forms, hartogs, jtsys, measures, verify
+from reference import det_dual_hessian_fd
 
 GRID_DOMAINS = (
     jtsys.make_domain(jtsys.KIND_POLYDISC, n=1),
@@ -81,13 +82,13 @@ def test_criterion_4_determinant_formula():
                          + 1j * rng.normal(size=(50, d.n + 1)))
             closed = forms.det_dual_hessian(H, pts)
             for row, want in zip(pts, closed):
-                fd = forms.det_dual_hessian_fd(H, row, step=1e-4)
+                fd = det_dual_hessian_fd(H, row, step=1e-4)
                 worst = max(worst, abs(fd - want) / abs(want))
     fitted = measures.fit_genus(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2))
-    ok = worst <= 1e-5 and abs(fitted - 4.0) <= 1e-3
+    ok = worst <= 1e-5 and abs(fitted - 4.0) <= 1e-9
     _report(4, "determinant formula", ok,
             f"max relative error {worst:.3e} (tol 1e-05) at 50 points/config; "
-            f"fit_genus(type-I(2,2)) = {fitted:.4f} (want 4.000 +- 1e-3)")
+            f"fit_genus(type-I(2,2)) = {fitted:.12f} (want 4 +- 1e-9)")
 
 
 def test_criterion_5_volume_quantitative():

@@ -89,11 +89,14 @@ def test_usage_errors_exit_two(tmp_path):
     ["selberg", "--domain", "polydisc", "--n", "1", "--tol", "nan"],
     ["darboux", "--domain", "polydisc", "--n", "1", "--fd-step", "nan"],
     ["volume", "--domain", "polydisc", "--n", "1", "--samples", "inf"],
+    ["selberg", "--domain", "type-I", "--p", "4", "--q", "4"],
+    ["all", "--domain", "type-I", "--p", "4", "--q", "4"],
 ], ids=["polydisc-n0", "type-I-p0", "chn-n0", "mu-nan", "mu-inf", "selberg-mu-inf",
-        "selberg-tol-nan", "fd-step-nan", "samples-inf"])
+        "selberg-tol-nan", "fd-step-nan", "samples-inf", "selberg-rank4", "all-rank4"])
 def test_out_of_range_inputs_exit_two(args):
     # out-of-range dimensions and non-finite numbers are usage errors, not
-    # tracebacks, silent passes or (mu = inf: N^mu = 0) a sampler that never ends
+    # tracebacks, silent passes or (mu = inf: N^mu = 0) a sampler that never ends;
+    # so is a base rank the selberg quadrature does not cover
     res = _run(args)
     assert res.exit_code == 2
     assert "Error:" in res.output

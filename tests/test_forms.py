@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cartanhartogs import forms, hartogs, jtsys, verify
+from cartanhartogs import cli, forms, hartogs, jtsys, verify
 from cartanhartogs.realcoords import realify_map, to_complex, to_real
+from reference import base_restriction_matches, complex_hessian_batch, det_dual_hessian_fd
 
 
 def _flat_potential(pts):
@@ -18,7 +19,7 @@ def test_real_coords_round_trip():
 
 
 def test_complex_hessian_flat_is_identity():
-    g = forms.complex_hessian_batch(_flat_potential, np.array([[0.3 + 0.1j, -0.2j]]))
+    g = complex_hessian_batch(_flat_potential, np.array([[0.3 + 0.1j, -0.2j]]))
     npt.assert_allclose(g[0], np.eye(2), atol=1e-7)
 
 
@@ -26,7 +27,7 @@ def test_complex_hessian_quartic_oracle():
     # f = |z|^4 on C: d2f/dz dzbar = 4 |z|^2
     f = lambda pts: np.abs(pts[..., 0]) ** 4
     z0 = 0.5 + 0.2j
-    g = forms.complex_hessian_batch(f, np.array([z0]))
+    g = complex_hessian_batch(f, np.array([z0]))
     npt.assert_allclose(g, [[4 * abs(z0) ** 2]], rtol=1e-5)
 
 
@@ -39,7 +40,7 @@ def test_complex_hessian_richardson_rate():
     exact = np.exp(abs(z0[0]) ** 2) * (1 + abs(z0[0]) ** 2)
     err = []
     for h in (4e-3, 1e-3):
-        g = forms.complex_hessian_batch(f, z0[None], step=h)[0, 0, 0]
+        g = complex_hessian_batch(f, z0[None], step=h)[0, 0, 0]
         err.append(abs(g.real - exact))
     assert err[0] / err[1] > 8.0
 
@@ -57,7 +58,7 @@ def test_hermitian_to_twoform_oracle():
 
 
 def test_flat_kahler_form_is_standard_symplectic():
-    g = forms.complex_hessian_batch(_flat_potential, np.array([0.2 + 0.1j, 0.4]))
+    g = complex_hessian_batch(_flat_potential, np.array([0.2 + 0.1j, 0.4]))
     got = forms.hermitian_to_twoform_matrix(g)
     npt.assert_allclose(got, forms.standard_symplectic(2), atol=1e-7)
 
@@ -94,7 +95,7 @@ def test_darboux_pullback_single_point():
     p = np.array([0.3 + 0.1j, 0.2 - 0.2j])
     pulled = forms.pullback_batch(realify_map(lambda c: hartogs.psi_map_vec(H, c)),
                                   to_real(p[None]), forms.standard_symplectic(2))[0]
-    g = forms.complex_hessian_batch(hartogs.potential_field(H), p)
+    g = complex_hessian_batch(hartogs.potential_field(H), p)
     want = forms.hermitian_to_twoform_matrix(g)
     assert np.max(np.abs(pulled - want)) < 1e-6
 
@@ -157,7 +158,7 @@ def test_log_norm_derivatives_match_stencils(wide_domain, sign):
     # d/dz = (d/dx - i d/dy) / 2 on the interleaved real Jacobian
     jac = forms.jacobian_batch(lambda x: log_n(to_complex(x))[:, None], to_real(z))[:, 0]
     npt.assert_allclose(grad, 0.5 * (jac[:, 0::2] - 1j * jac[:, 1::2]), atol=1e-8)
-    npt.assert_allclose(hess, forms.complex_hessian_batch(log_n, z), atol=1e-5)
+    npt.assert_allclose(hess, complex_hessian_batch(log_n, z), atol=1e-5)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
@@ -174,7 +175,7 @@ def test_hartogs_hessian_matches_stencil(wide_domain, mu):
     for dual, field, pts in cases:
         closed = forms.hartogs_hessian(H, pts, dual)
         assert closed.shape == (12, m, m)
-        npt.assert_allclose(closed, forms.complex_hessian_batch(field, pts, 1e-5), atol=1e-5)
+        npt.assert_allclose(closed, complex_hessian_batch(field, pts, 1e-5), atol=1e-5)
         scale = np.max(np.abs(closed))
         npt.assert_allclose(closed, np.conj(np.swapaxes(closed, -1, -2)),
                             rtol=0, atol=1e-13 * scale)
@@ -189,14 +190,14 @@ def test_det_dual_hessian_two_routes(domain):
     shape = (5, domain.n + 1)
     pts = 0.6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     closed = forms.det_dual_hessian(H, pts)
-    fd = forms.det_dual_hessian_fd(H, pts, step=1e-4)
+    fd = det_dual_hessian_fd(H, pts, step=1e-4)
     assert closed.shape == fd.shape == (5,)
     assert np.all(closed > 0)
     npt.assert_allclose(fd, closed, rtol=1e-5)
     # a batch gives the same values as its rows one at a time
     for row, c, f in zip(pts, closed, fd):
         npt.assert_allclose(forms.det_dual_hessian(H, row), c, rtol=1e-12)
-        npt.assert_allclose(forms.det_dual_hessian_fd(H, row, step=1e-4), f, rtol=1e-12)
+        npt.assert_allclose(det_dual_hessian_fd(H, row, step=1e-4), f, rtol=1e-12)
 
 
 def test_dual_hessian_min_eigs_positive(domain, rng):
@@ -209,4 +210,47 @@ def test_dual_hessian_min_eigs_positive(domain, rng):
 def test_base_restriction(domain, rng):
     H = hartogs.make_hartogs(domain, 2.0)
     z = 0.4 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
-    assert forms.base_restriction_matches(H, z) < 1e-6
+    assert base_restriction_matches(H, z) < 1e-6
+
+
+def _product_formula(H, pts, genus_shift=0, exponent_shift=0, scale=1.0):
+    """det_dual_hessian's product formula, optionally with a wrong genus,
+    exponent or overall factor."""
+    d = H.domain
+    z, w = hartogs.split_vec(H, pts)
+    nd = jtsys.norm_self(d, z, sign=-1)
+    return (scale * H.mu ** d.n * nd ** (H.mu * (d.n + 1) - (d.genus + genus_shift))
+            / (nd ** H.mu + np.abs(w) ** 2) ** (d.n + 2 + exponent_shift))
+
+
+WRONG_PRODUCT_FORMULAS = {
+    "genus+1": (dict(genus_shift=1), 1e-5),
+    "genus-1": (dict(genus_shift=-1), 1e-5),
+    "exponent n+1": (dict(exponent_shift=-1), 1e-5),
+    # a relative 1e-8 slip sits below the default tolerance; the closed-form
+    # reference resolves it at 1e-10
+    "scale 1+1e-8": (dict(scale=1.0 + 1e-8), 1e-10),
+}
+
+
+@pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+                                  dict(kind=jtsys.KIND_POLYDISC, n=2)],
+                         ids=["type-I(2,2)", "polydisc-2"])
+@pytest.mark.parametrize("wrong", list(WRONG_PRODUCT_FORMULAS))
+def test_det_formula_detects_a_wrong_product_formula(monkeypatch, dims, wrong):
+    kwargs, tol = WRONG_PRODUCT_FORMULAS[wrong]
+    cfg = cli.RunConfig(kind=dims["kind"], n=dims.get("n"), p=dims.get("p"),
+                        q=dims.get("q"), mu=(0.5, 1.0, 2.0), checks=("det-formula",),
+                        points=80, samples=1000, seed=0, fd_step=1e-5, tol=tol)
+    H = hartogs.make_hartogs(cfg.domain_spec, 2.0)
+    pts = hartogs.sample_heavy_points(H.domain.n + 1, 8, np.random.default_rng(9))
+    npt.assert_allclose(_product_formula(H, pts), forms.det_dual_hessian(H, pts), rtol=1e-15)
+
+    def formula_entries():
+        return [c for c in verify.check_det_formula(cfg)
+                if c["parameters"]["operation"] == "det_dual_hessian"]
+
+    assert [c["status"] for c in formula_entries()] == ["pass"] * 3
+    monkeypatch.setattr(forms, "det_dual_hessian",
+                        lambda H, pts: _product_formula(H, pts, **kwargs))
+    assert [c["status"] for c in formula_entries()] == ["fail"] * 3

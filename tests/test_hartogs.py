@@ -219,6 +219,23 @@ def test_isotropy_equivariance(domain, rng):
     npt.assert_allclose(hartogs.hartogs_isotropy_apply(H, tau, pts[:5]), rows, rtol=1e-15)
 
 
+@pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_POLYDISC, n=3),
+                                  dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+                                  dict(kind=jtsys.KIND_TYPE_I, p=3, q=3)],
+                         ids=["polydisc-3", "type-I(2,3)", "type-I(3,3)"])
+def test_stacked_isotropy_moves_each_row_by_its_element(dims):
+    H = _hartogs(jtsys.make_domain(**dims), 1.0)
+    rng = np.random.default_rng(11)
+    pts = hartogs.sample_member_points(H, 9, rng, lam_max=0.8)
+    stack = jtsys.random_isotropy(H.domain, rng, len(pts))
+    rng = np.random.default_rng(11)
+    hartogs.sample_member_points(H, 9, rng, lam_max=0.8)
+    singles = [jtsys.random_isotropy(H.domain, rng) for _ in pts]
+    rows = np.stack([hartogs.hartogs_isotropy_apply(H, tau, row)
+                     for tau, row in zip(singles, pts)])
+    npt.assert_allclose(hartogs.hartogs_isotropy_apply(H, stack, pts), rows, rtol=1e-15)
+
+
 def test_sample_member_points_respects_floor(domain, rng):
     H = _hartogs(domain, 0.5)
     pts = hartogs.sample_member_points(H, 200, rng)

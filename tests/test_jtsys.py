@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
+from reference import isotropy_draws
 
 
 def test_make_domain_invariants():
@@ -174,6 +175,54 @@ def test_isotropy_rejects_non_unitary():
     bad = np.eye(2) * 2.0
     with pytest.raises(ValueError):
         jtsys.TypeIIsotropy(bad, np.eye(2))
+
+
+BATCH_DOMAINS = {
+    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_DOMAINS))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_isotropy_batch_equals_single_draws(name, seed):
+    d = jtsys.make_domain(**BATCH_DOMAINS[name])
+    rng = np.random.default_rng(seed)
+    singles = [jtsys.random_isotropy(d, rng) for _ in range(6)]
+    after_singles = rng.normal()
+    rng = np.random.default_rng(seed)
+    stack = jtsys.random_isotropy(d, rng, 6)
+    assert rng.normal() == after_singles  # the same draws, in the same order
+    rng = np.random.default_rng(seed)
+    one_by_one = isotropy_draws(d, rng, 6)
+    assert rng.normal() == after_singles
+    fields = ("perm", "phases") if d.kind == jtsys.KIND_POLYDISC else ("u", "v")
+    for i, field in enumerate(fields):
+        want = np.stack([draw[i] for draw in one_by_one])
+        for got in (getattr(stack, field), np.stack([getattr(t, field) for t in singles])):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_isotropy_stack_rejects_one_bad_slice():
+    unitaries = jtsys.random_isotropy(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3),
+                                      np.random.default_rng(2), 4)
+    u = unitaries.u.copy()
+    u[2] = 2.0 * np.eye(2)
+    with pytest.raises(ValueError):
+        jtsys.TypeIIsotropy(u, unitaries.v)
+    v = unitaries.v.copy()
+    v[3, 0, 0] += 1e-6
+    with pytest.raises(ValueError):
+        jtsys.TypeIIsotropy(unitaries.u, v)
+    perm = np.array([[1, 0, 2], [0, 0, 2], [2, 1, 0]])
+    with pytest.raises(ValueError):
+        jtsys.PolydiscIsotropy(perm, np.ones((3, 3), dtype=complex))
+    phases = np.ones((3, 3), dtype=complex)
+    phases[1, 2] = 1.1
+    with pytest.raises(ValueError):
+        jtsys.PolydiscIsotropy(np.array([[1, 0, 2], [0, 1, 2], [2, 1, 0]]), phases)
 
 
 def test_polydisc_isotropy_oracle():

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cartanhartogs import hartogs, jtsys, measures
+from cartanhartogs import cli, hartogs, jtsys, measures, verify
 from cartanhartogs.errors import ConvergenceError, DomainError
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
@@ -158,7 +158,25 @@ def test_gennaio_equality_iff_rank_one():
 
 
 def test_fit_genus_adjudication():
-    # the measured exponent must match gamma = 2 + a(r-1) + b
-    assert abs(measures.fit_genus(T22) - 4.0) < 1e-3
-    assert abs(measures.fit_genus(POLY2) - 2.0) < 1e-3
-    assert abs(measures.fit_genus(jtsys.hyperbolic_space(2)) - 3.0) < 1e-3
+    # the measured exponent must match gamma = 2 + a(r-1) + b; the closed-form
+    # Hessian puts it there to rounding
+    assert abs(measures.fit_genus(T22) - 4.0) < 1e-9
+    assert abs(measures.fit_genus(POLY2) - 2.0) < 1e-9
+    assert abs(measures.fit_genus(jtsys.hyperbolic_space(2)) - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("shift", [1.0, -1.0, 1e-8])
+def test_fit_genus_gate_rejects_a_wrong_genus(monkeypatch, shift):
+    # det-formula's genus entry must fail when the fit lands off the genus,
+    # by one or by far less
+    cfg = cli.RunConfig(kind=jtsys.KIND_TYPE_I, n=None, p=2, q=2, mu=(1.0,),
+                        checks=("det-formula",), points=40, samples=1000, seed=0,
+                        fd_step=1e-5, tol=1e-5)
+    entry = verify.check_det_formula(cfg)[-1]
+    assert entry["parameters"]["operation"] == "fit_genus"
+    assert entry["status"] == "pass" and entry["tolerance"] == 1e-9
+    good = measures.fit_genus
+    monkeypatch.setattr(measures, "fit_genus", lambda D: good(D) + shift)
+    entry = verify.check_det_formula(cfg)[-1]
+    assert entry["status"] == "fail"
+    assert entry["parameters"]["fitted"] == pytest.approx(4.0 + shift, abs=1e-12)
