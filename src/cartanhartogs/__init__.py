@@ -10,8 +10,6 @@ from .capacity import (
     capacity_certificate,
     dual_image_bounds,
     hartogs_in_cylinder,
-    solve_target_system,
-    spectral_coords,
     unit_ball_inequality,
 )
 from .errors import ConvergenceError, DomainError, ShapeError
@@ -47,9 +45,7 @@ from .jtsys import (
     KIND_POLYDISC,
     KIND_TYPE_I,
     DomainSpec,
-    SpectralDecomposition,
     b_quarter_power_on_z,
-    b_quarter_power_operator,
     bergman_apply,
     generic_norm,
     hyperbolic_space,
@@ -60,7 +56,6 @@ from .jtsys import (
     norm_self,
     random_isotropy,
     singular_values,
-    spectral_decompose,
     triple_product,
 )
 from .measures import (
@@ -79,5 +74,4 @@ from .measures import (
     mc_volume_flat,
     selberg_quadrature,
     selberg_quadrature_auto,
-    selberg_quadrature_symmetrized,
 )

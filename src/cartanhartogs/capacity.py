@@ -11,9 +11,10 @@ construction) and an outer cylinder radius (checked by coordinate bounds):
   on Omega (the first coordinate is bounded by the spectral norm, Loos 1977);
   certified interval [pi (1-eps)^2, pi].
 * dual side: the image of Phi contains every sphere of radius c with
-  c^2 < min(1, mu) (solved coordinatewise through the target system) and is
-  contained in the cylinder of radius min(1, sqrt(mu)) by the spectral bound
-  xi_j^2 < mu together with |omega| < 1; certified interval
+  c^2 < min(1, mu) (sampled targets are pulled back by the closed-form
+  inverse of Phi and pushed forward again) and is contained in the cylinder
+  of radius min(1, sqrt(mu)) by the spectral bound xi_j^2 < mu together with
+  |omega| < 1; certified interval
   [pi (min(1, sqrt(mu)) - eps)^2, pi min(1, mu)].
 
 For mu < 1 the two dual bounds pin mu pi; certificates carry a note that this
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .hartogs import (HartogsSpec, ch_member_vec, phi_map_vec,
+from .hartogs import (HartogsSpec, ch_member_vec, phi_inverse, phi_map_vec,
                       sample_ball_points, sample_heavy_points,
                       sample_member_points_full, split_vec)
-from .jtsys import KIND_POLYDISC, norm_self, singular_values
+from .jtsys import KIND_POLYDISC, singular_values
 
 
 @dataclass(frozen=True)
@@ -113,62 +114,36 @@ def _canonical_frame(H: HartogsSpec, k: int) -> np.ndarray:
     return frame
 
 
-def solve_target_system(H: HartogsSpec, c: float, delta: float, x: np.ndarray) -> np.ndarray:
-    """Construct the packed point (z, w) with Phi(z, w) hitting spectral
-    targets (x, delta).
-
-    Requires c^2 < min(1, mu), 0 <= delta <= c, sum x_j^2 = c^2 - delta^2 and at
-    most r spectral slots.  The solution is l_j^2 = x_j^2/(mu(1-delta^2) - x_j^2)
-    on the canonical frame, |w|^2 = prod_j (1+l_j^2)^mu delta^2/(1-delta^2).
-    """
-    d = H.domain
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1 or len(x) > d.r:
-        raise DomainError(f"at most r = {d.r} spectral targets")
-    if not c**2 < min(1.0, H.mu):
-        raise DomainError("need c^2 < min(1, mu)")
-    if not 0.0 <= delta <= c:
-        raise DomainError("need 0 <= delta <= c")
-    if abs(float(np.sum(x**2)) + delta**2 - c**2) > 1e-9 * max(1.0, c**2):
-        raise DomainError("need sum x_j^2 + delta^2 = c^2")
-    feas = H.mu * (1.0 - delta**2) - x**2
-    if np.any(feas <= 0):
-        raise DomainError("infeasible target: some x_j^2 >= mu (1 - delta^2)")
-    lam = np.sqrt(x**2 / feas)
-    z = lam @ _canonical_frame(H, len(x))
-    ndmu = float(norm_self(d, z, sign=-1)) ** H.mu
-    w = delta * np.sqrt(ndmu / (1.0 - delta**2))
-    return np.append(z, w)
-
-
-def spectral_coords(H: HartogsSpec, vec: np.ndarray) -> tuple[np.ndarray, float]:
-    """Spectral eigenvalues of the z-part (descending) and |w| of a packed point."""
-    zeta, omega = split_vec(H, np.asarray(vec, dtype=complex))
-    return singular_values(H.domain, zeta), float(np.abs(omega))
-
-
 def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int,
                  tol: float = 1e-8) -> CheckOutcome:
     """Hit random spectral targets on the radius-c sphere and verify the
-    round trip through Phi."""
+    round trip through Phi.
+
+    Each sweep draws the fiber target delta and k <= r spectral targets x with
+    sum x_j^2 + delta^2 = c^2; the target (x on the canonical frame, delta) is
+    pulled back by `phi_inverse` and pushed forward again by Phi.
+    """
     rng = np.random.default_rng(seed)
-    failures = []
-    for _ in range(sweeps):
+    r = H.domain.r
+    deltas = np.empty(sweeps)
+    ks = np.empty(sweeps, dtype=int)
+    xs = np.zeros((sweeps, r))
+    for i in range(sweeps):
         delta = c * rng.uniform() ** 2  # bias toward small delta, edge included below
         if rng.uniform() < 0.1:
             delta = c * (1.0 - 1e-6)
-        k = int(rng.integers(1, H.domain.r + 1))
+        k = int(rng.integers(1, r + 1))
         direction = rng.uniform(size=k)
         direction /= np.sum(direction)
-        x = np.sqrt((c**2 - delta**2) * direction)
-        sol = solve_target_system(H, c, delta, x)
-        img = phi_map_vec(H, sol[None])[0]
-        xi, dv = spectral_coords(H, img)
-        want = np.zeros(H.domain.r)
-        want[:k] = np.sort(x)[::-1]
-        err = max(float(np.max(np.abs(xi - want))), abs(dv - delta))
-        if err > tol:
-            failures.append({"c": c, "delta": delta, "x": x.tolist(), "err": err})
+        deltas[i], ks[i] = delta, k
+        xs[i, :k] = np.sqrt((c**2 - delta**2) * direction)
+    targets = np.concatenate([xs @ _canonical_frame(H, r), deltas[:, None]], axis=-1)
+    zeta, omega = split_vec(H, phi_map_vec(H, phi_inverse(H, targets)))
+    want = np.sort(xs, axis=-1)[:, ::-1]
+    err = np.maximum(np.max(np.abs(singular_values(H.domain, zeta) - want), axis=-1),
+                     np.abs(np.abs(omega) - deltas))
+    failures = [{"c": c, "delta": float(deltas[i]), "x": xs[i, :ks[i]].tolist(),
+                 "err": float(err[i])} for i in np.flatnonzero(err > tol)]
     return CheckOutcome(not failures, sweeps, failures[:16])
 
 
@@ -184,7 +159,7 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int = 20000,
     """Certified capacity interval for the chosen side.
 
     flat-hartogs (mu <= 1): inner ball radius 1-eps, outer cylinder radius 1.
-    dual: inner radius min(1, sqrt(mu)) - eps via target-system sweeps, outer
+    dual: inner radius min(1, sqrt(mu)) - eps via sphere-target sweeps, outer
     radius min(1, sqrt(mu)) via the spectral image bounds.
     """
     if side == "flat-hartogs":

@@ -10,4 +10,4 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine (Newton, auto-refined quadrature) did not converge."""
+    """The auto-refined quadrature did not converge within its resolution budget."""

@@ -13,7 +13,9 @@ pulls the flat form back to the domain form, and
 with N* = N(z, -zbar) does the same for the dual form.  A point is a packed
 complex vector of length n+1 with w last; every map, potential and membership
 test takes a packed array of shape (..., n+1) and works on all leading axes
-at once.  The Newton inverses solve for one (n+1,) target at a time.
+at once.  Both maps invert in closed form through the same Jordan kernel with
+the sign flipped (spectral calculus of B(x, +/-xbar): Loos 1977;
+Faraut-Koranyi 1990), see `psi_inverse` and `phi_inverse`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jtsys
-from .errors import ConvergenceError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .jtsys import DomainSpec, b_quarter_power_on_z, membership, norm_self, singular_values
-from .realcoords import to_complex, to_real
+from .realcoords import to_complex
 
 
 @dataclass(frozen=True)
@@ -107,73 +109,35 @@ def phi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     return _join(zeta, w / np.sqrt(denom))
 
 
-def _damped_newton(H: HartogsSpec, forward_vec, target, inside,
-                   max_iter: int = 100) -> np.ndarray:
-    """Solve forward(x) = target for one packed (n+1,) target on the real
-    2(n+1)-dimensional system; returns the packed solution.
+def psi_inverse(H: HartogsSpec, targets) -> np.ndarray:
+    """Preimages under Psi of packed points (..., n+1) of C^(n+1) (Psi is onto).
 
-    Starts from the origin scaled toward the target; steps are halved while the
-    base iterate leaves the admissible region or the residual fails to shrink.
+    With x = zeta / sqrt(mu (1 + |omega|^2)), the base part is
+    z = B(x, -xbar)^(-1/4) x, i.e. spectral values lambda_j = x_j / sqrt(1 + x_j^2),
+    and w = omega sqrt(N(z, zbar)^mu / (1 + |omega|^2)).
     """
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (H.domain.n + 1,):
-        raise ShapeError(f"target must have {H.domain.n + 1} complex coordinates")
-    tol = 1e-12 * (1.0 + np.linalg.norm(target))
-    target_r = to_real(target[None])[0]
-
-    def residual(xr: np.ndarray) -> np.ndarray:
-        return to_real(forward_vec(H, to_complex(xr))) - target_r
-
-    x = target_r / np.sqrt(1.0 + float(target_r @ target_r))
-    while not inside(x):
-        x = 0.5 * x
-    fx = residual(x[None])[0]
-    k = x.size
-    for _ in range(max_iter):
-        norm_fx = np.max(np.abs(fx))
-        if norm_fx <= tol:
-            return to_complex(x)
-        h = 1e-7 * (1.0 + np.linalg.norm(x))
-        stencil = np.concatenate([x + h * np.eye(k), x - h * np.eye(k)])
-        vals = residual(stencil)
-        jac = (vals[:k] - vals[k:]).T / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -fx, rcond=None)[0]
-        t = 1.0
-        while True:
-            x_new = x + t * step
-            if inside(x_new):
-                f_new = residual(x_new[None])[0]
-                if np.max(np.abs(f_new)) < norm_fx:
-                    break
-            t *= 0.5
-            if t < 1e-10:
-                raise ConvergenceError("Newton step damped to zero")
-        x, fx = x_new, f_new
-    raise ConvergenceError("Newton did not converge; target may lie outside the image")
+    zeta, omega = split_vec(H, targets)
+    fac = 1.0 + np.abs(omega) ** 2
+    z = b_quarter_power_on_z(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], -1)
+    return _join(z, omega * np.sqrt(norm_self(H.domain, z) ** H.mu / fac))
 
 
-def psi_inverse(H: HartogsSpec, target) -> np.ndarray:
-    """Preimage under Psi of one packed point of C^(n+1) (Psi is onto)."""
+def phi_inverse(H: HartogsSpec, targets) -> np.ndarray:
+    """Preimages under Phi of packed points (..., n+1) of its image
+    {|omega| < 1 and xi_j^2 < mu (1 - |omega|^2)}.
 
-    def inside(xr: np.ndarray) -> bool:
-        return bool(ch_member_vec(H, to_complex(xr)[None])[0])
-
-    return _damped_newton(H, psi_map_vec, target, inside)
-
-
-def phi_inverse(H: HartogsSpec, target) -> np.ndarray:
-    """Preimage under Phi of one packed point; rejects targets outside the
-    exact image {|omega| < 1 and xi_j^2 < mu (1 - |omega|^2)}."""
-    zeta, omega = split_vec(H, target)
+    With x = zeta / sqrt(mu (1 - |omega|^2)), the base part is
+    z = B(x, xbar)^(-1/4) x, i.e. spectral values lambda_j = x_j / sqrt(1 - x_j^2),
+    and w = omega sqrt(N(z, -zbar)^mu / (1 - |omega|^2)).  A target outside the
+    image raises DomainError: |omega| >= 1 here, a spectral value x_j >= 1 in
+    the Jordan kernel.
+    """
+    zeta, omega = split_vec(H, targets)
     if np.any(np.abs(omega) >= 1.0):
         raise DomainError("target fiber coordinate must have modulus < 1")
-    xi = singular_values(H.domain, zeta)
-    if np.any(xi**2 >= H.mu * (1.0 - np.abs(omega)[..., None] ** 2)):
-        raise DomainError("target violates the bound xi^2 < mu (1 - |omega|^2)")
-    return _damped_newton(H, phi_map_vec, target, lambda xr: True)
+    fac = 1.0 - np.abs(omega) ** 2
+    z = b_quarter_power_on_z(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], 1)
+    return _join(z, omega * np.sqrt(norm_self(H.domain, z, sign=-1) ** H.mu / fac))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Two circled realizations are supported:
   the matrix triple product, rank p and invariants (a, b) = (2, q - p).
 
 Every algebraic operator used downstream (Bergman operator, generic norm,
-spectral decomposition, fractional powers of B(z, +/-zbar)) is expressed through
+spectral values, fractional powers of B(z, +/-zbar)) is expressed through
 the matrix realization j(z): a diagonal matrix for the polydisc, the matrix
 itself for type-I.  Points are flat complex vectors of length n; type-I points
 are reshaped to (p, q) row-major when matrix algebra is needed.
@@ -24,10 +24,6 @@ from .errors import DomainError, ShapeError
 
 KIND_POLYDISC = "polydisc"
 KIND_TYPE_I = "type-I"
-
-# eigenvalues below this are treated as zero when building spectral frames
-_EIG_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -190,51 +186,6 @@ def log_norm_derivatives(D: DomainSpec, z, sign: int = 1) -> tuple[np.ndarray, n
     return -sign * grad, -sign * hess
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """z = sum_j eigenvalues[j] * tripotents[j] over an orthogonal frame.
-
-    Eigenvalues are strictly positive and sorted descending; zero eigenvalues
-    are dropped, so the frame length is the rank of z.  Tripotents are stored
-    as rows in flat coordinates and are orthonormal for the Hermitian trace
-    form.
-    """
-
-    eigenvalues: np.ndarray
-    tripotents: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        if len(self.eigenvalues) == 0:
-            return np.zeros(self.tripotents.shape[-1], dtype=complex)
-        return self.eigenvalues @ self.tripotents
-
-
-def spectral_decompose(D: DomainSpec, z) -> SpectralDecomposition:
-    """Spectral decomposition of a single point over orthogonal tripotents."""
-    z = _check_point(D, z)
-    if z.ndim != 1:
-        raise ShapeError("spectral_decompose takes a single point")
-    cutoff = _EIG_TOL * max(1.0, float(np.linalg.norm(z)))
-    if D.kind == KIND_POLYDISC:
-        mags = np.abs(z)
-        order = np.argsort(-mags)
-        lams, frame = [], []
-        for idx in order:
-            if mags[idx] <= cutoff:
-                break
-            c = np.zeros(D.n, dtype=complex)
-            c[idx] = z[idx] / mags[idx]
-            lams.append(mags[idx])
-            frame.append(c)
-        return SpectralDecomposition(np.array(lams), np.array(frame).reshape(len(lams), D.n))
-    p, q = D.shape
-    u, s, vh = np.linalg.svd(z.reshape(p, q))
-    keep = s > cutoff
-    frame = [np.outer(u[:, j], vh[j, :]).reshape(D.n) for j in range(p) if keep[j]]
-    k = int(np.sum(keep))
-    return SpectralDecomposition(s[keep], np.array(frame).reshape(k, D.n))
-
-
 def singular_values(D: DomainSpec, z) -> np.ndarray:
     """All r spectral eigenvalues (descending, zeros kept), batched."""
     z = _check_point(D, z)
@@ -270,29 +221,6 @@ def b_quarter_power_on_z(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
         raise DomainError("eigenvalue >= 1 with sign=+1")
     scaled = u * (s / np.sqrt(fac))[..., None, :]
     return as_vector(D, scaled @ vh)
-
-
-def _herm_inv_quarter(m: np.ndarray) -> np.ndarray:
-    """M^(-1/4) of a Hermitian positive definite matrix via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(m)
-    if np.any(vals <= 0):
-        raise DomainError("operator is not positive definite")
-    return (vecs * vals**-0.25) @ np.conj(vecs.T)
-
-
-def b_quarter_power_operator(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
-    """Independent route for :func:`b_quarter_power_on_z` on a single point.
-
-    Applies the honest operator fractional power: with J = j(z), A = I - sign J J*
-    and C = I - sign J* J, the result is j^(-1)(A^(-1/4) J C^(-1/4)).
-    """
-    z = _check_point(D, z)
-    if z.ndim != 1:
-        raise ShapeError("operator route takes a single point")
-    jz = as_matrix(D, z)
-    a = np.eye(jz.shape[0]) - sign * jz @ np.conj(jz.T)
-    c = np.eye(jz.shape[1]) - sign * np.conj(jz.T) @ jz
-    return as_vector(D, _herm_inv_quarter(a) @ jz @ _herm_inv_quarter(c))
 
 
 @dataclass(frozen=True)

@@ -118,27 +118,6 @@ def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int = 6
     return float(np.sum(integrand))
 
 
-def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,
-                                   resolution: int = 64) -> float:
-    """Independent scheme: integrate over the full cube and divide by r!.
-
-    Valid for even a, where the squared-difference product is symmetric.
-    """
-    if a % 2 != 0:
-        raise DomainError("symmetrized scheme needs even a")
-    nodes, weights = _gauss01(resolution)
-    grids = np.meshgrid(*([nodes] * r), indexing="ij", sparse=True)
-    wgrids = np.meshgrid(*([weights] * r), indexing="ij", sparse=True)
-    integrand = 1.0
-    for j in range(r):
-        integrand = integrand * (1.0 - grids[j] ** 2) ** s * grids[j] ** (2 * b + 1)
-        integrand = integrand * wgrids[j]
-    for j in range(r):
-        for k in range(j + 1, r):
-            integrand = integrand * (grids[j] ** 2 - grids[k] ** 2) ** a
-    return float(np.sum(integrand)) / math.factorial(r)
-
-
 def selberg_quadrature_auto(r: int, a: float, b: float, s: float,
                             rtol: float = 1e-8, start: int = 40,
                             max_resolution: int = 1500) -> float:

@@ -1,4 +1,4 @@
-"""Finite-difference reference routes that only the tests use.
+"""Reference routes that only the tests use.
 
 The library computes every Hessian and determinant it checks in closed form
 (`forms.hartogs_hessian`, `forms.det_dual_hessian`,
@@ -6,16 +6,29 @@ The library computes every Hessian and determinant it checks in closed form
 central-difference routes below: the complex Hessian of an arbitrary field,
 taken from the real Hessian in interleaved coordinates (x1, y1, ..., xm, ym)
 with step h = step * (1 + ||point||).
+
+The file also holds single-point routes that the library does not need: the
+spectral decomposition over orthogonal tripotents (behind the tests' own
+spectral inverses of Psi and Phi), the operator form of B(z, +/-zbar)^(-1/4),
+and the symmetrized Selberg quadrature.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.forms import DEFAULT_STEP
 from cartanhartogs.hartogs import HartogsSpec, dual_potential_field
-from cartanhartogs.jtsys import norm_self
+from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
+                                 norm_self)
 from cartanhartogs.realcoords import to_complex, to_real
+
+# eigenvalues below this are treated as zero when building spectral frames
+_EIG_TOL = 1e-13
 
 
 def complex_hessian_batch(f, pts: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -100,3 +113,95 @@ def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
             p, q = D.shape
             out.append((haar(p), haar(q)))
     return out
+
+
+def _single_point(D: DomainSpec, z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (D.n,):
+        raise ShapeError(f"expected one point of {D.n} coordinates, got {z.shape}")
+    return z
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """z = sum_j eigenvalues[j] * tripotents[j] over an orthogonal frame.
+
+    Eigenvalues are strictly positive and sorted descending; zero eigenvalues
+    are dropped, so the frame length is the rank of z.  Tripotents are stored
+    as rows in flat coordinates and are orthonormal for the Hermitian trace
+    form.
+    """
+
+    eigenvalues: np.ndarray
+    tripotents: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        if len(self.eigenvalues) == 0:
+            return np.zeros(self.tripotents.shape[-1], dtype=complex)
+        return self.eigenvalues @ self.tripotents
+
+
+def spectral_decompose(D: DomainSpec, z) -> SpectralDecomposition:
+    """Spectral decomposition of a single point over orthogonal tripotents."""
+    z = _single_point(D, z)
+    cutoff = _EIG_TOL * max(1.0, float(np.linalg.norm(z)))
+    if D.kind == KIND_POLYDISC:
+        mags = np.abs(z)
+        order = np.argsort(-mags)
+        lams, frame = [], []
+        for idx in order:
+            if mags[idx] <= cutoff:
+                break
+            c = np.zeros(D.n, dtype=complex)
+            c[idx] = z[idx] / mags[idx]
+            lams.append(mags[idx])
+            frame.append(c)
+        return SpectralDecomposition(np.array(lams), np.array(frame).reshape(len(lams), D.n))
+    p, q = D.shape
+    u, s, vh = np.linalg.svd(z.reshape(p, q))
+    keep = s > cutoff
+    frame = [np.outer(u[:, j], vh[j, :]).reshape(D.n) for j in range(p) if keep[j]]
+    k = int(np.sum(keep))
+    return SpectralDecomposition(s[keep], np.array(frame).reshape(k, D.n))
+
+
+def _herm_inv_quarter(m: np.ndarray) -> np.ndarray:
+    """M^(-1/4) of a Hermitian positive definite matrix via eigendecomposition."""
+    vals, vecs = np.linalg.eigh(m)
+    if np.any(vals <= 0):
+        raise DomainError("operator is not positive definite")
+    return (vecs * vals**-0.25) @ np.conj(vecs.T)
+
+
+def b_quarter_power_operator(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
+    """Independent route for `jtsys.b_quarter_power_on_z` on a single point.
+
+    Applies the honest operator fractional power: with J = j(z), A = I - sign J J*
+    and C = I - sign J* J, the result is j^(-1)(A^(-1/4) J C^(-1/4)).
+    """
+    jz = as_matrix(D, _single_point(D, z))
+    a = np.eye(jz.shape[0]) - sign * jz @ np.conj(jz.T)
+    c = np.eye(jz.shape[1]) - sign * np.conj(jz.T) @ jz
+    return as_vector(D, _herm_inv_quarter(a) @ jz @ _herm_inv_quarter(c))
+
+
+def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,
+                                   resolution: int = 64) -> float:
+    """Independent scheme: integrate over the full cube and divide by r!.
+
+    Valid for even a, where the squared-difference product is symmetric.
+    """
+    if a % 2 != 0:
+        raise DomainError("symmetrized scheme needs even a")
+    nodes, weights = np.polynomial.legendre.leggauss(resolution)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights  # Gauss-Legendre on (0, 1)
+    grids = np.meshgrid(*([nodes] * r), indexing="ij", sparse=True)
+    wgrids = np.meshgrid(*([weights] * r), indexing="ij", sparse=True)
+    integrand = 1.0
+    for j in range(r):
+        integrand = integrand * (1.0 - grids[j] ** 2) ** s * grids[j] ** (2 * b + 1)
+        integrand = integrand * wgrids[j]
+    for j in range(r):
+        for k in range(j + 1, r):
+            integrand = integrand * (grids[j] ** 2 - grids[k] ** 2) ** a
+    return float(np.sum(integrand)) / math.factorial(r)

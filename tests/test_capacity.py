@@ -58,47 +58,51 @@ def test_dual_image_bounds():
         assert ok.passed, ok.failures[:2]
 
 
-def test_solve_target_system_oracle():
-    # mu = 1, delta = 0, x^2 = 1/4: lambda^2 = (1/4) / (1 - 1/4) = 1/3
+def test_phi_inverse_target_oracle():
+    # mu = 1, omega = 0, xi^2 = 1/4: lambda^2 = (1/4) / (1 - 1/4) = 1/3
     H = hartogs.make_hartogs(POLY1, 1.0)
-    sol = capacity.solve_target_system(H, 0.5, 0.0, np.array([0.5]))
+    sol = hartogs.phi_inverse(H, np.array([0.5, 0.0]))
     npt.assert_allclose(np.abs(sol[0]) ** 2, 1.0 / 3.0, rtol=1e-12)
     assert sol[-1] == 0.0
     # forward map hits the requested spectral targets
     img = hartogs.phi_map_vec(H, sol)
-    xi, delta = capacity.spectral_coords(H, img)
-    npt.assert_allclose(xi, [0.5], atol=1e-12)
-    npt.assert_allclose(delta, 0.0, atol=1e-12)
+    npt.assert_allclose(jtsys.singular_values(POLY1, img[:-1]), [0.5], atol=1e-12)
+    npt.assert_allclose(np.abs(img[-1]), 0.0, atol=1e-12)
 
 
-def test_solve_target_system_with_fiber():
+def test_phi_inverse_target_with_fiber():
+    # spectral targets x on the diagonal frame E_11, E_22 of type-I(2,2)
     H = hartogs.make_hartogs(T22, 4.0)
     c, delta = 0.9, 0.4
     x = np.sqrt((c**2 - delta**2) * np.array([0.7, 0.3]))
-    sol = capacity.solve_target_system(H, c, delta, x)
+    sol = hartogs.phi_inverse(H, np.array([x[0], 0.0, 0.0, x[1], delta]))
     img = hartogs.phi_map_vec(H, sol)
-    xi, dv = capacity.spectral_coords(H, img)
-    npt.assert_allclose(np.sort(xi)[::-1], np.sort(x)[::-1], atol=1e-10)
-    npt.assert_allclose(dv, delta, atol=1e-10)
+    npt.assert_allclose(jtsys.singular_values(T22, img[:-1]), np.sort(x)[::-1], atol=1e-10)
+    npt.assert_allclose(np.abs(img[-1]), delta, atol=1e-10)
 
 
-def test_solve_target_system_validation():
-    H = hartogs.make_hartogs(POLY1, 1.0)
-    with pytest.raises(DomainError):
-        # c^2 must stay below min(1, mu)
-        capacity.solve_target_system(H, 1.01, 0.0, np.array([1.01]))
-    with pytest.raises(DomainError):
-        # budget mismatch: sum x^2 + delta^2 != c^2
-        capacity.solve_target_system(H, 0.5, 0.0, np.array([0.4]))
-    with pytest.raises(DomainError):
-        # more slots than the rank allows
-        capacity.solve_target_system(H, 0.5, 0.0,
-                                     np.array([0.3, 0.4]))
+def test_phi_inverse_rejects_infeasible_target():
+    # x^2 >= mu (1 - delta^2) in any spectral slot is outside the image of
+    # Phi, though x^2 < mu and |omega| < 1: at mu = 4, delta = 0.3 the bound
+    # is 3.64 and 1.95^2 = 3.8025
     H4 = hartogs.make_hartogs(POLY1, 4.0)
     with pytest.raises(DomainError):
-        # x exceeds the feasibility bound x^2 < mu (1 - delta^2)
-        capacity.solve_target_system(H4, 1.9, 0.3,
-                                     np.array([np.sqrt(1.9**2 - 0.09)]))
+        hartogs.phi_inverse(H4, np.array([1.95, 0.3]))
+    with pytest.raises(DomainError):
+        hartogs.phi_inverse(hartogs.make_hartogs(T22, 4.0),
+                            np.array([1.0, 0.0, 0.0, 1.95, 0.3]))
+
+
+def test_dual_sweeps_detect_a_wrong_map(monkeypatch):
+    # the sweeps pull sphere targets back in closed form and push them
+    # forward through Phi, so a 1 + 1e-6 slip in Phi fails every sweep
+    H = hartogs.make_hartogs(T22, 2.0)
+    assert capacity._dual_sweeps(H, 0.999, 50, seed=3).passed
+    good = capacity.phi_map_vec
+    monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: (1.0 + 1e-6) * good(H, pts))
+    bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
+    assert not bad.passed and len(bad.failures) == 16
+    assert set(bad.failures[0]) == {"c", "delta", "x", "err"}
 
 
 def test_capacity_certificate_flat():

@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from cartanhartogs import hartogs, jtsys
-from cartanhartogs.errors import ConvergenceError, DomainError, ShapeError
+from cartanhartogs import cli, hartogs, jtsys, verify
+from cartanhartogs.errors import DomainError, ShapeError
+from reference import spectral_decompose
 
 
 def _hartogs(domain, mu):
@@ -12,7 +13,8 @@ def _hartogs(domain, mu):
 
 
 def _spectral_inverse_psi(H, target):
-    """Closed-form inverse of Psi, independent of the Newton solver.
+    """Closed-form inverse of Psi at one point, through the tripotent frame of
+the z-part; independent of `hartogs.psi_inverse`, which calls the Jordan kernel.
 
     With xi the spectral values of the z-part and omega the fiber part,
     t_j = xi_j^2 / (mu (1 + |omega|^2)) gives lambda_j^2 = t_j / (1 + t_j) and
@@ -21,7 +23,7 @@ def _spectral_inverse_psi(H, target):
     d = H.domain
     vec = np.asarray(target, dtype=complex)
     zeta, omega = vec[:-1], vec[-1]
-    dec = jtsys.spectral_decompose(d, zeta)
+    dec = spectral_decompose(d, zeta)
     t = dec.eigenvalues**2 / (H.mu * (1.0 + abs(omega) ** 2))
     lam = np.sqrt(t / (1.0 + t))
     z = np.tensordot(lam, dec.tripotents, axes=(0, 0))
@@ -36,7 +38,7 @@ def _spectral_inverse_phi(H, target):
     d = H.domain
     vec = np.asarray(target, dtype=complex)
     zeta, omega = vec[:-1], vec[-1]
-    dec = jtsys.spectral_decompose(d, zeta)
+    dec = spectral_decompose(d, zeta)
     s = dec.eigenvalues**2 / (H.mu * (1.0 - abs(omega) ** 2))
     lam = np.sqrt(s / (1.0 - s))
     z = np.tensordot(lam, dec.tripotents, axes=(0, 0))
@@ -118,20 +120,56 @@ def test_phi_matches_spectral_inverse(domain, rng):
             npt.assert_allclose(back, row, atol=1e-10)
 
 
-def test_newton_inverses_round_trip(domain, rng):
+def test_inverses_round_trip(domain, rng):
     H = _hartogs(domain, 1.5)
     pts = hartogs.sample_member_points(H, 8, rng, lam_max=0.75, w_frac=0.7)
     for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
                              (hartogs.phi_map_vec, hartogs.phi_inverse)):
-        for row, image in zip(pts, mapping(H, pts)):
-            npt.assert_allclose(inverse(H, image), row, atol=1e-9)
+        npt.assert_allclose(inverse(H, mapping(H, pts)), pts, atol=1e-9)
+
+
+def test_inverses_batch_equals_spectral_rows(domain, rng):
+    # the batched closed forms against the one-point tripotent route, on
+    # images of member points and on far targets (Psi is onto C^(n+1))
+    for mu in (0.5, 1.0, 2.0):
+        H = _hartogs(domain, mu)
+        pts = hartogs.sample_member_points(H, 10, rng, lam_max=0.8, w_frac=0.8)
+        far = hartogs.sample_heavy_points(domain.n + 1, 10, rng, norm_cap=10.0)
+        cases = ((np.concatenate([hartogs.psi_map_vec(H, pts), far]),
+                  hartogs.psi_inverse, _spectral_inverse_psi),
+                 (hartogs.phi_map_vec(H, np.concatenate([pts, far])),
+                  hartogs.phi_inverse, _spectral_inverse_phi))
+        for targets, inverse, reference in cases:
+            rows = np.stack([reference(H, t) for t in targets])
+            npt.assert_allclose(inverse(H, targets), rows, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+                                  dict(kind=jtsys.KIND_POLYDISC, n=2)],
+                         ids=["type-I(2,2)", "polydisc-2"])
+@pytest.mark.parametrize("name", ["psi_map_vec", "phi_map_vec"])
+def test_round_trip_detects_a_wrong_map(monkeypatch, dims, name):
+    # the inverses are closed forms, not solvers of whatever map is installed,
+    # so a 1 + 1e-6 slip in either map shows in the round-trip entry
+    cfg = cli.RunConfig(kind=dims["kind"], n=dims.get("n"), p=dims.get("p"),
+                        q=dims.get("q"), mu=(0.5, 1.0, 2.0), checks=("equivariance",),
+                        points=40, samples=1000, seed=0, fd_step=1e-5, tol=1e-5)
+
+    def round_trip_entries():
+        return [c["status"] for c in verify.check_equivariance(cfg)
+                if c["parameters"]["operation"] == "psi_inverse"]
+
+    assert round_trip_entries() == ["pass"] * 3
+    good = getattr(hartogs, name)
+    monkeypatch.setattr(hartogs, name, lambda H, pts: (1.0 + 1e-6) * good(H, pts))
+    assert round_trip_entries() == ["fail"] * 3
 
 
 def test_psi_is_onto_far_targets(rng):
     # targets far outside the domain still have preimages
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1.0)
     targets = hartogs.sample_heavy_points(5, 6, rng, norm_cap=10.0)
-    pre = np.stack([hartogs.psi_inverse(H, t) for t in targets])
+    pre = hartogs.psi_inverse(H, targets)
     assert np.all(hartogs.ch_member_vec(H, pre))
     npt.assert_allclose(hartogs.psi_map_vec(H, pre), targets, atol=1e-8)
 
@@ -146,7 +184,7 @@ def test_phi_inverse_rejects_outside_image():
         # inside the naive box but outside the image: xi^2 >= mu (1 - |omega|^2)
         hartogs.phi_inverse(H, np.array([0.97, 0.3]))
     with pytest.raises(ShapeError):
-        # the inverses take exactly one packed (n+1,) point
+        # the inverses take packed (..., n+1) points, here n+1 = 2
         hartogs.psi_inverse(H, np.array([0.1, 0.2, 0.3]))
 
 
