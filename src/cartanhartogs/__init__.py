@@ -26,7 +26,6 @@ from .hartogs import (
     BaseEmbedding,
     HartogsSpec,
     ch_member_vec,
-    dual_potential_field,
     embed_base,
     hartogs_isotropy_apply,
     lift_embedding,

@@ -15,7 +15,8 @@ construction) and an outer cylinder radius (checked by coordinate bounds):
   inverse of Phi and pushed forward again) and is contained in the cylinder
   of radius min(1, sqrt(mu)) by the spectral bound xi_j^2 < mu together with
   |omega| < 1; certified interval
-  [pi (min(1, sqrt(mu)) - eps)^2, pi min(1, mu)].
+  [pi (min(1, sqrt(mu)) - eps)^2, pi min(1, mu)], with the inner radius
+  clamped at 0 when sqrt(mu) <= eps.
 
 For mu < 1 the two dual bounds pin mu pi; certificates carry a note that this
 is reported as a certified interval only.
@@ -31,7 +32,7 @@ from .errors import DomainError
 from .hartogs import (HartogsSpec, ch_member_vec, phi_inverse, phi_map_vec,
                       sample_ball_points, sample_heavy_points,
                       sample_member_points_full, split_vec)
-from .jtsys import KIND_POLYDISC, singular_values
+from .jtsys import as_vector, singular_values
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class CheckOutcome:
     """Result of a sampled inclusion check with witnesses for failures."""
 
     passed: bool
-    checked: int
     failures: list
 
 
@@ -52,7 +52,6 @@ class CapacityCertificate:
     r_out: float
     lower: float
     upper: float
-    sampled_points: int
     failures: list
     notes: tuple[str, ...] = field(default=())
 
@@ -70,7 +69,7 @@ def ball_in_hartogs(H: HartogsSpec, radius: float, samples: int, seed: int) -> C
     pts = sample_ball_points(H.domain.n + 1, samples, rng, radius)
     ok = ch_member_vec(H, pts)
     bad = pts[~ok]
-    return CheckOutcome(bool(np.all(ok)), samples, [row.tolist() for row in bad[:16]])
+    return CheckOutcome(bool(np.all(ok)), [row.tolist() for row in bad[:16]])
 
 
 def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) -> CheckOutcome:
@@ -83,7 +82,7 @@ def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) 
     pts = sample_member_points_full(H, samples, rng)
     ok = np.abs(pts[:, 0]) < radius
     bad = pts[~ok]
-    return CheckOutcome(bool(np.all(ok)), samples, [row.tolist() for row in bad[:16]])
+    return CheckOutcome(bool(np.all(ok)), [row.tolist() for row in bad[:16]])
 
 
 def dual_image_bounds(H: HartogsSpec, samples: int, seed: int) -> CheckOutcome:
@@ -96,22 +95,7 @@ def dual_image_bounds(H: HartogsSpec, samples: int, seed: int) -> CheckOutcome:
     xi = singular_values(H.domain, zeta)
     ok = np.all(xi**2 < H.mu, axis=-1) & (np.abs(omega) < 1.0)
     bad = pts[~ok]
-    return CheckOutcome(bool(np.all(ok)), samples, [row.tolist() for row in bad[:16]])
-
-
-def _canonical_frame(H: HartogsSpec, k: int) -> np.ndarray:
-    d = H.domain
-    frame = np.zeros((k, d.n), dtype=complex)
-    if d.kind == KIND_POLYDISC:
-        for j in range(k):
-            frame[j, j] = 1.0
-    else:
-        p, q = d.shape
-        for j in range(k):
-            mat = np.zeros((p, q), dtype=complex)
-            mat[j, j] = 1.0
-            frame[j] = mat.reshape(d.n)
-    return frame
+    return CheckOutcome(bool(np.all(ok)), [row.tolist() for row in bad[:16]])
 
 
 def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int,
@@ -137,14 +121,15 @@ def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int,
         direction /= np.sum(direction)
         deltas[i], ks[i] = delta, k
         xs[i, :k] = np.sqrt((c**2 - delta**2) * direction)
-    targets = np.concatenate([xs @ _canonical_frame(H, r), deltas[:, None]], axis=-1)
+    base = as_vector(H.domain, xs[:, :, None] * np.eye(r, H.domain.shape[-1]))
+    targets = np.concatenate([base, deltas[:, None]], axis=-1)
     zeta, omega = split_vec(H, phi_map_vec(H, phi_inverse(H, targets)))
     want = np.sort(xs, axis=-1)[:, ::-1]
     err = np.maximum(np.max(np.abs(singular_values(H.domain, zeta) - want), axis=-1),
                      np.abs(np.abs(omega) - deltas))
     failures = [{"c": c, "delta": float(deltas[i]), "x": xs[i, :ks[i]].tolist(),
                  "err": float(err[i])} for i in np.flatnonzero(err > tol)]
-    return CheckOutcome(not failures, sweeps, failures[:16])
+    return CheckOutcome(not failures, failures[:16])
 
 
 _DUAL_HEADLINE_NOTE = (
@@ -159,7 +144,7 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int = 20000,
     """Certified capacity interval for the chosen side.
 
     flat-hartogs (mu <= 1): inner ball radius 1-eps, outer cylinder radius 1.
-    dual: inner radius min(1, sqrt(mu)) - eps via sphere-target sweeps, outer
+    dual: inner radius max(min(1, sqrt(mu)) - eps, 0) via sphere-target sweeps, outer
     radius min(1, sqrt(mu)) via the spectral image bounds.
     """
     if side == "flat-hartogs":
@@ -172,11 +157,10 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int = 20000,
         if not ball.passed:
             r_in = 0.0
         return CapacityCertificate("flat-hartogs", r_in, 1.0,
-                                   np.pi * r_in**2, np.pi,
-                                   2 * samples, failures)
+                                   np.pi * r_in**2, np.pi, failures)
     if side == "dual":
         r_bound = float(min(1.0, np.sqrt(H.mu)))
-        r_in = r_bound - eps
+        r_in = max(r_bound - eps, 0.0)  # sqrt(mu) <= eps: certify only [0, pi mu]
         sweeps = _dual_sweeps(H, r_in, min(samples, 400), seed)
         bounds = dual_image_bounds(H, samples, seed + 1)
         failures = sweeps.failures + bounds.failures
@@ -185,6 +169,5 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int = 20000,
         r_out = r_bound if bounds.passed else np.inf
         notes = (_DUAL_HEADLINE_NOTE,) if H.mu < 1.0 else ()
         return CapacityCertificate("dual", r_in, r_out,
-                                   np.pi * r_in**2, np.pi * r_out**2,
-                                   sweeps.checked + bounds.checked, failures, notes)
+                                   np.pi * r_in**2, np.pi * r_out**2, failures, notes)
     raise DomainError(f"unknown side: {side!r}")

@@ -10,4 +10,4 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The auto-refined quadrature did not converge within its resolution budget."""
+    """The auto-refined quadrature or a member sampler ran out of its budget."""

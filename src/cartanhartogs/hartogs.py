@@ -2,20 +2,19 @@
 
 The domain M is {(z, w) in Omega x C : |w|^2 < N(z, zbar)^mu} with Kaehler
 potential phi = -log(N^mu - |w|^2).  Its dual carries the everywhere-defined
-potential phi* = log(N(z, -zbar)^mu + |w|^2) on C^(n+1).  The map
+potential phi* = log(N(z, -zbar)^mu + |w|^2) on C^(n+1); flipping the sign in
+B(z, +/-zbar) turns one into the other.  With eps = -1 on the domain and +1 on
+the dual, u = N(z, -eps zbar)^mu and G = u + eps |w|^2, the map
 
-    Psi(z, w) = (N^mu - |w|^2)^(-1/2) (sqrt(mu N^mu) B(z, zbar)^(-1/4) z, w)
+    (z, w) -> G^(-1/2) (sqrt(mu u) B(z, -eps zbar)^(-1/4) z, w)
 
-pulls the flat form back to the domain form, and
-
-    Phi(z, w) = (N*^mu + |w|^2)^(-1/2) (sqrt(mu N*^mu) B(z, -zbar)^(-1/4) z, w)
-
-with N* = N(z, -zbar) does the same for the dual form.  A point is a packed
-complex vector of length n+1 with w last; every map, potential and membership
-test takes a packed array of shape (..., n+1) and works on all leading axes
-at once.  Both maps invert in closed form through the same Jordan kernel with
-the sign flipped (spectral calculus of B(x, +/-xbar): Loos 1977;
-Faraut-Koranyi 1990), see `psi_inverse` and `phi_inverse`.
+pulls the flat form back to the domain form (Psi, eps = -1) and to the dual
+form (Phi, eps = +1); `potential_field(H, dual)` is eps log G.  A point is a
+packed complex vector of length n+1 with w last; every map, potential and
+membership test takes a packed array of shape (..., n+1) and works on all
+leading axes at once.  Both maps invert in closed form through the same Jordan
+kernel with the sign flipped once more (spectral calculus of B(x, +/-xbar):
+Loos 1977; Faraut-Koranyi 1990), see `_darboux_inverse`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jtsys
-from .errors import DomainError, ShapeError
+from .errors import ConvergenceError, DomainError, ShapeError
 from .jtsys import DomainSpec, b_quarter_power_on_z, membership, norm_self, singular_values
 from .realcoords import to_complex
 
@@ -72,72 +71,61 @@ def ch_member_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     return membership(H.domain, z) & (fiber_gap_vec(H, pts) > 0)
 
 
-def potential_field(H: HartogsSpec):
-    """phi = -log(N^mu - |w|^2) as a batched field on the open domain."""
+def potential_field(H: HartogsSpec, dual: bool = False):
+    """phi = -log(N^mu - |w|^2) as a batched field on the open domain, or with
+    dual=True phi* = log(N(z, -zbar)^mu + |w|^2), smooth on all of C^(n+1):
+    eps log G with eps = -1 on the domain and +1 on the dual."""
+    eps = 1 if dual else -1
 
-    def phi(pts: np.ndarray) -> np.ndarray:
-        return -np.log(fiber_gap_vec(H, pts))
-
-    return phi
-
-
-def dual_potential_field(H: HartogsSpec):
-    """phi* = log(N(z, -zbar)^mu + |w|^2), smooth on all of C^(n+1)."""
-
-    def phistar(pts: np.ndarray) -> np.ndarray:
+    def field(pts: np.ndarray) -> np.ndarray:
         z, w = split_vec(H, pts)
-        return np.log(norm_self(H.domain, z, sign=-1) ** H.mu + np.abs(w) ** 2)
+        return eps * np.log(norm_self(H.domain, z, sign=-eps) ** H.mu + eps * np.abs(w) ** 2)
 
-    return phistar
+    return field
+
+
+def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
+    """G^(-1/2) (sqrt(mu u) B(z, -eps zbar)^(-1/4) z, w) with u = N(z, -eps zbar)^mu
+    and G = u + eps |w|^2: Psi at eps = -1, Phi at eps = +1."""
+    z, w = split_vec(H, pts)
+    u = norm_self(H.domain, z, sign=-eps) ** H.mu
+    g = u + eps * np.abs(w) ** 2
+    zeta = np.sqrt(H.mu * u / g)[..., None] * b_quarter_power_on_z(H.domain, z, -eps)
+    return _join(zeta, w / np.sqrt(g))
+
+
+def _darboux_inverse(H: HartogsSpec, targets, eps: int) -> np.ndarray:
+    """Closed-form inverse of `_darboux_map` at the same eps: with
+    fac = 1 - eps |omega|^2 and x = zeta / sqrt(mu fac), z = B(x, eps xbar)^(-1/4) x
+    and w = omega sqrt(N(z, -eps zbar)^mu / fac).  For eps = +1, fac <= 0 or a
+    spectral value x_j >= 1 (in the Jordan kernel) is outside Phi's image: DomainError."""
+    zeta, omega = split_vec(H, targets)
+    fac = 1.0 - eps * np.abs(omega) ** 2
+    if np.any(fac <= 0):
+        raise DomainError("target fiber coordinate must have modulus < 1")
+    z = b_quarter_power_on_z(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], eps)
+    return _join(z, omega * np.sqrt(norm_self(H.domain, z, sign=-eps) ** H.mu / fac))
 
 
 def psi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """Darboux map for the domain form, batched over member points."""
-    z, w = split_vec(H, pts)
-    nmu = norm_self(H.domain, z) ** H.mu
-    g = nmu - np.abs(w) ** 2
-    zeta = np.sqrt(H.mu * nmu / g)[..., None] * b_quarter_power_on_z(H.domain, z, 1)
-    return _join(zeta, w / np.sqrt(g))
+    return _darboux_map(H, pts, -1)
 
 
 def phi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """Darboux map for the dual form, batched; defined on all of C^(n+1)."""
-    z, w = split_vec(H, pts)
-    nmu = norm_self(H.domain, z, sign=-1) ** H.mu
-    denom = nmu + np.abs(w) ** 2
-    zeta = np.sqrt(H.mu * nmu / denom)[..., None] * b_quarter_power_on_z(H.domain, z, -1)
-    return _join(zeta, w / np.sqrt(denom))
+    return _darboux_map(H, pts, 1)
 
 
 def psi_inverse(H: HartogsSpec, targets) -> np.ndarray:
-    """Preimages under Psi of packed points (..., n+1) of C^(n+1) (Psi is onto).
-
-    With x = zeta / sqrt(mu (1 + |omega|^2)), the base part is
-    z = B(x, -xbar)^(-1/4) x, i.e. spectral values lambda_j = x_j / sqrt(1 + x_j^2),
-    and w = omega sqrt(N(z, zbar)^mu / (1 + |omega|^2)).
-    """
-    zeta, omega = split_vec(H, targets)
-    fac = 1.0 + np.abs(omega) ** 2
-    z = b_quarter_power_on_z(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], -1)
-    return _join(z, omega * np.sqrt(norm_self(H.domain, z) ** H.mu / fac))
+    """Preimages under Psi of packed points (..., n+1) of C^(n+1) (Psi is onto)."""
+    return _darboux_inverse(H, targets, -1)
 
 
 def phi_inverse(H: HartogsSpec, targets) -> np.ndarray:
     """Preimages under Phi of packed points (..., n+1) of its image
-    {|omega| < 1 and xi_j^2 < mu (1 - |omega|^2)}.
-
-    With x = zeta / sqrt(mu (1 - |omega|^2)), the base part is
-    z = B(x, xbar)^(-1/4) x, i.e. spectral values lambda_j = x_j / sqrt(1 - x_j^2),
-    and w = omega sqrt(N(z, -zbar)^mu / (1 - |omega|^2)).  A target outside the
-    image raises DomainError: |omega| >= 1 here, a spectral value x_j >= 1 in
-    the Jordan kernel.
-    """
-    zeta, omega = split_vec(H, targets)
-    if np.any(np.abs(omega) >= 1.0):
-        raise DomainError("target fiber coordinate must have modulus < 1")
-    fac = 1.0 - np.abs(omega) ** 2
-    z = b_quarter_power_on_z(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], 1)
-    return _join(z, omega * np.sqrt(norm_self(H.domain, z, sign=-1) ** H.mu / fac))
+    {|omega| < 1 and xi_j^2 < mu (1 - |omega|^2)}; DomainError outside it."""
+    return _darboux_inverse(H, targets, 1)
 
 
 @dataclass(frozen=True)
@@ -214,6 +202,35 @@ def sample_base_points(D: DomainSpec, count: int, rng: np.random.Generator,
     return g * scale[:, None]
 
 
+# Rounds of the member samplers' rejection loop before ConvergenceError.
+_MAX_SAMPLER_ROUNDS = 1000
+
+
+def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
+                    lam_max: float, w_frac: float, g_floor: float) -> np.ndarray:
+    """Rejection loop of both member samplers: base points of Omega below lam_max,
+    |w|^2 uniform up to w_frac * N^mu, kept where N^mu - |w|^2 >= g_floor."""
+    out = np.empty((count, H.domain.n + 1), dtype=complex)
+    filled = 0
+    for _ in range(_MAX_SAMPLER_ROUNDS):
+        if filled == count:
+            break
+        z = sample_base_points(H.domain, count - filled, rng, lam_max)
+        z = z[membership(H.domain, z)]
+        nmu = norm_self(H.domain, z) ** H.mu
+        w = np.sqrt(w_frac * rng.uniform(size=len(z)) * nmu) \
+            * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(z)))
+        keep = nmu - np.abs(w) ** 2 >= g_floor
+        got = int(np.sum(keep))
+        out[filled:filled + got, :-1] = z[keep]
+        out[filled:filled + got, -1] = w[keep]
+        filled += got
+    if filled < count:
+        raise ConvergenceError(f"member sampler kept {filled} of {count} points "
+                               f"in {_MAX_SAMPLER_ROUNDS} rounds")
+    return out
+
+
 def sample_member_points(H: HartogsSpec, count: int, rng: np.random.Generator,
                          lam_max: float = 0.55, w_frac: float = 0.40,
                          g_floor: float = 1e-3) -> np.ndarray:
@@ -221,22 +238,9 @@ def sample_member_points(H: HartogsSpec, count: int, rng: np.random.Generator,
 
     |w|^2 is at most w_frac * N^mu and points with N^mu - |w|^2 < g_floor are
     rejected; the defaults keep finite differences at step 1e-5 well inside
-    their accuracy budget.
+    their accuracy budget.  ConvergenceError when almost no draw meets the floor.
     """
-    out = np.empty((count, H.domain.n + 1), dtype=complex)
-    filled = 0
-    while filled < count:
-        todo = count - filled
-        z = sample_base_points(H.domain, todo, rng, lam_max)
-        nmu = norm_self(H.domain, z) ** H.mu
-        w = np.sqrt(w_frac * rng.uniform(size=todo) * nmu) \
-            * np.exp(1j * rng.uniform(0, 2 * np.pi, size=todo))
-        keep = nmu - np.abs(w) ** 2 >= g_floor
-        got = int(np.sum(keep))
-        out[filled:filled + got, :-1] = z[keep]
-        out[filled:filled + got, -1] = w[keep]
-        filled += got
-    return out
+    return _sample_members(H, count, rng, lam_max, w_frac, g_floor)
 
 
 def sample_member_points_full(H: HartogsSpec, count: int,
@@ -247,20 +251,7 @@ def sample_member_points_full(H: HartogsSpec, count: int,
     filter only drops the rare draw whose top eigenvalue rounds onto the
     boundary.
     """
-    out = np.empty((count, H.domain.n + 1), dtype=complex)
-    filled = 0
-    while filled < count:
-        todo = count - filled
-        z = sample_base_points(H.domain, todo, rng, 1.0)
-        z = z[membership(H.domain, z)]
-        nmu = norm_self(H.domain, z) ** H.mu
-        w = np.sqrt(rng.uniform(size=z.shape[0]) * nmu) \
-            * np.exp(1j * rng.uniform(0, 2 * np.pi, size=z.shape[0]))
-        got = z.shape[0]
-        out[filled:filled + got, :-1] = z
-        out[filled:filled + got, -1] = w
-        filled += got
-    return out
+    return _sample_members(H, count, rng, 1.0, 1.0, -np.inf)
 
 
 def sample_heavy_points(m: int, count: int, rng: np.random.Generator,

@@ -73,34 +73,29 @@ def _pack(vec: np.ndarray) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(vec, dtype=complex)]
 
 
-def check_darboux(cfg) -> list[dict]:
+def _check_pullback(cfg, dual: bool) -> list[dict]:
+    name = "dual-darboux" if dual else "darboux"
     out = []
     for mu in cfg.mu:
         started = time.perf_counter()
         H = hartogs.make_hartogs(cfg.domain_spec, mu)
-        rng = np.random.default_rng(cfg.seed)
-        pts = hartogs.sample_member_points(H, cfg.points, rng)
-        res = darboux_residuals(H, pts, cfg.fd_step)
-        out.append(_result("darboux", {"mu": mu, "points": cfg.points,
-                                       "fd_step": cfg.fd_step, "operation": "pullback"},
+        rng = np.random.default_rng(cfg.seed + int(dual))
+        pts = (hartogs.sample_heavy_points(H.domain.n + 1, cfg.points, rng) if dual
+               else hartogs.sample_member_points(H, cfg.points, rng))
+        res = darboux_residuals(H, pts, cfg.fd_step, dual)
+        out.append(_result(name, {"mu": mu, "points": cfg.points,
+                                  "fd_step": cfg.fd_step, "operation": "pullback"},
                            float(np.max(res)), cfg.tol,
                            _witness(pts, res, cfg.tol), started))
     return out
+
+
+def check_darboux(cfg) -> list[dict]:
+    return _check_pullback(cfg, dual=False)
 
 
 def check_dual_darboux(cfg) -> list[dict]:
-    out = []
-    for mu in cfg.mu:
-        started = time.perf_counter()
-        H = hartogs.make_hartogs(cfg.domain_spec, mu)
-        rng = np.random.default_rng(cfg.seed + 1)
-        pts = hartogs.sample_heavy_points(H.domain.n + 1, cfg.points, rng)
-        res = darboux_residuals(H, pts, cfg.fd_step, dual=True)
-        out.append(_result("dual-darboux", {"mu": mu, "points": cfg.points,
-                                            "fd_step": cfg.fd_step, "operation": "pullback"},
-                           float(np.max(res)), cfg.tol,
-                           _witness(pts, res, cfg.tol), started))
-    return out
+    return _check_pullback(cfg, dual=True)
 
 
 def check_psh(cfg) -> list[dict]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.forms import DEFAULT_STEP
-from cartanhartogs.hartogs import HartogsSpec, dual_potential_field
+from cartanhartogs.hartogs import HartogsSpec, potential_field
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
                                  norm_self)
 from cartanhartogs.realcoords import to_complex, to_real
@@ -75,7 +75,7 @@ def det_dual_hessian_fd(H: HartogsSpec, pts: np.ndarray,
                         step: float = DEFAULT_STEP) -> np.ndarray:
     """Finite-difference route for the same determinant, at one packed point
     (n+1,) or a batch (B, n+1)."""
-    g = complex_hessian_batch(dual_potential_field(H), pts, step)
+    g = complex_hessian_batch(potential_field(H, dual=True), pts, step)
     return np.linalg.det(g).real
 
 
@@ -84,7 +84,7 @@ def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAUL
     dual base form; returns the entrywise residual."""
     z = np.asarray(z, dtype=complex)
     pt = np.append(z, 0.0 + 0.0j)
-    big = complex_hessian_batch(dual_potential_field(H), pt, step)
+    big = complex_hessian_batch(potential_field(H, dual=True), pt, step)
 
     def base_field(zz: np.ndarray) -> np.ndarray:
         return H.mu * np.log(norm_self(H.domain, zz, sign=-1))

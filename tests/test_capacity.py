@@ -135,6 +135,16 @@ def test_capacity_certificate_dual_small_mu():
     assert cert.notes and "reported" in cert.notes[0]
 
 
+@pytest.mark.parametrize("domain", [POLY1, T22], ids=["polydisc-1", "type-I(2,2)"])
+def test_capacity_certificate_dual_tiny_mu(domain):
+    # sqrt(mu) < eps: the inner radius clamps at 0 instead of going negative
+    mu = 1e-7
+    cert = capacity.capacity_certificate(hartogs.make_hartogs(domain, mu), "dual", samples=100)
+    assert cert.r_in == 0.0 and cert.lower == 0.0
+    npt.assert_allclose(cert.upper, np.pi * mu)
+    assert not cert.failures
+
+
 def test_capacity_certificate_unknown_side():
     with pytest.raises(DomainError):
         capacity.capacity_certificate(hartogs.make_hartogs(POLY1, 1.0), "nosuch")

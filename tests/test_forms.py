@@ -168,9 +168,9 @@ def test_hartogs_hessian_matches_stencil(wide_domain, mu):
     rng = np.random.default_rng(6)
     cases = [
         (False, hartogs.potential_field(H), hartogs.sample_member_points(H, 12, rng)),
-        (True, hartogs.dual_potential_field(H), hartogs.sample_heavy_points(m, 12, rng)),
+        (True, hartogs.potential_field(H, dual=True), hartogs.sample_heavy_points(m, 12, rng)),
         # the psh check's region
-        (True, hartogs.dual_potential_field(H), hartogs.sample_ball_points(m, 12, rng, 10.0)),
+        (True, hartogs.potential_field(H, dual=True), hartogs.sample_ball_points(m, 12, rng, 10.0)),
     ]
     for dual, field, pts in cases:
         closed = forms.hartogs_hessian(H, pts, dual)

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
 from cartanhartogs import cli, hartogs, jtsys, verify
-from cartanhartogs.errors import DomainError, ShapeError
+from cartanhartogs.errors import ConvergenceError, DomainError, ShapeError
 from reference import spectral_decompose
 
 
@@ -59,7 +61,7 @@ def test_potential_oracle():
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
     pt = np.array([0.6, 0.3])
     assert hartogs.potential_field(H)(pt[None])[0] == pytest.approx(-np.log(1 - 0.36 - 0.09))
-    assert hartogs.dual_potential_field(H)(pt[None])[0] == pytest.approx(np.log(1 + 0.36 + 0.09))
+    assert hartogs.potential_field(H, dual=True)(pt[None])[0] == pytest.approx(np.log(1 + 0.36 + 0.09))
 
     H2 = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 2.0)
     assert hartogs.potential_field(H2)(pt[None])[0] == pytest.approx(-np.log(0.64**2 - 0.09))
@@ -295,6 +297,15 @@ def test_sample_member_points_full_covers(dims, rng):
     # near-boundary points do occur, in the base and in the fiber
     assert np.max(jtsys.singular_values(d, pts[:, :-1])[:, 0]) > 0.99
     assert np.min(hartogs.fiber_gap_vec(H, pts)) < 5e-3
+
+
+def test_sample_member_points_gives_up_when_no_draw_is_kept(rng):
+    # at mu = 1e3 every draw has N^mu far below g_floor
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1e3)
+    started = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        hartogs.sample_member_points(H, 20, rng)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_sample_heavy_points_cap(rng):
