@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .capacity import (
     CapacityCertificate,
-    CheckOutcome,
     ball_in_hartogs,
     capacity_certificate,
     dual_image_bounds,
@@ -20,20 +19,15 @@ from .forms import (
     hermitian_to_twoform_matrix,
     jacobian_batch,
     pullback_batch,
-    standard_symplectic,
 )
 from .hartogs import (
-    BaseEmbedding,
     HartogsSpec,
     ch_member_vec,
-    embed_base,
     hartogs_isotropy_apply,
     lift_embedding,
     make_hartogs,
     phi_inverse,
     phi_map_vec,
-    polydisc_inclusion,
-    polydisc_to_type1,
     potential_field,
     psi_inverse,
     psi_map_vec,
@@ -46,6 +40,7 @@ from .jtsys import (
     DomainSpec,
     b_quarter_power_on_z,
     bergman_apply,
+    frame_point,
     generic_norm,
     hyperbolic_space,
     isotropy_apply,

@@ -19,7 +19,9 @@ construction) and an outer cylinder radius (checked by coordinate bounds):
   clamped at 0 when sqrt(mu) <= eps.
 
 For mu < 1 the two dual bounds pin mu pi; certificates carry a note that this
-is reported as a certified interval only.
+is reported as a certified interval only.  The sampled checks return their
+failure witnesses (at most 16): an empty list is a pass.  The sweep targets
+sit on the canonical frame of `jtsys.frame_point`.
 """
 
 from __future__ import annotations
@@ -32,24 +34,19 @@ from .errors import DomainError
 from .hartogs import (HartogsSpec, ch_member_vec, phi_inverse, phi_map_vec,
                       sample_ball_points, sample_heavy_points,
                       sample_member_points_full, split_vec)
-from .jtsys import as_vector, singular_values
+from .jtsys import frame_point, singular_values
 
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Result of a sampled inclusion check with witnesses for failures."""
-
-    passed: bool
-    failures: list
+# Margin eps of the inner radii below the exact inclusions.
+EPS = 1e-3
+# Largest round-trip error of a dual sweep target.
+_SWEEP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class CapacityCertificate:
     """A certified capacity interval [lower, upper] = [pi r_in^2, pi r_out^2]."""
 
-    side: str
     r_in: float
-    r_out: float
     lower: float
     upper: float
     failures: list
@@ -63,16 +60,18 @@ def unit_ball_inequality(lams: np.ndarray) -> np.ndarray:
     return np.sum(lams**2, axis=-1) + np.prod(1.0 - lams**2, axis=-1)
 
 
-def ball_in_hartogs(H: HartogsSpec, radius: float, samples: int, seed: int) -> CheckOutcome:
+def _witnesses(pts: np.ndarray, ok: np.ndarray) -> list:
+    return [row.tolist() for row in pts[~ok][:16]]
+
+
+def ball_in_hartogs(H: HartogsSpec, radius: float, samples: int, seed: int) -> list:
     """Sample the ball of the given radius and test membership in M."""
     rng = np.random.default_rng(seed)
     pts = sample_ball_points(H.domain.n + 1, samples, rng, radius)
-    ok = ch_member_vec(H, pts)
-    bad = pts[~ok]
-    return CheckOutcome(bool(np.all(ok)), [row.tolist() for row in bad[:16]])
+    return _witnesses(pts, ch_member_vec(H, pts))
 
 
-def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) -> CheckOutcome:
+def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) -> list:
     """Sample member points of M and test |z_1| < radius (first base coordinate).
 
     The points fill Omega up to its boundary, so at radius 1 the test checks
@@ -80,12 +79,10 @@ def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) 
     """
     rng = np.random.default_rng(seed)
     pts = sample_member_points_full(H, samples, rng)
-    ok = np.abs(pts[:, 0]) < radius
-    bad = pts[~ok]
-    return CheckOutcome(bool(np.all(ok)), [row.tolist() for row in bad[:16]])
+    return _witnesses(pts, np.abs(pts[:, 0]) < radius)
 
 
-def dual_image_bounds(H: HartogsSpec, samples: int, seed: int) -> CheckOutcome:
+def dual_image_bounds(H: HartogsSpec, samples: int, seed: int) -> list:
     """Push heavy-tailed points through Phi and check the image bounds
     xi_j^2 < mu and |omega| < 1."""
     rng = np.random.default_rng(seed)
@@ -93,13 +90,10 @@ def dual_image_bounds(H: HartogsSpec, samples: int, seed: int) -> CheckOutcome:
     img = phi_map_vec(H, pts)
     zeta, omega = split_vec(H, img)
     xi = singular_values(H.domain, zeta)
-    ok = np.all(xi**2 < H.mu, axis=-1) & (np.abs(omega) < 1.0)
-    bad = pts[~ok]
-    return CheckOutcome(bool(np.all(ok)), [row.tolist() for row in bad[:16]])
+    return _witnesses(pts, np.all(xi**2 < H.mu, axis=-1) & (np.abs(omega) < 1.0))
 
 
-def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int,
-                 tol: float = 1e-8) -> CheckOutcome:
+def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int) -> list:
     """Hit random spectral targets on the radius-c sphere and verify the
     round trip through Phi.
 
@@ -121,15 +115,14 @@ def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int,
         direction /= np.sum(direction)
         deltas[i], ks[i] = delta, k
         xs[i, :k] = np.sqrt((c**2 - delta**2) * direction)
-    base = as_vector(H.domain, xs[:, :, None] * np.eye(r, H.domain.shape[-1]))
-    targets = np.concatenate([base, deltas[:, None]], axis=-1)
+    targets = np.concatenate([frame_point(H.domain, xs), deltas[:, None]], axis=-1)
     zeta, omega = split_vec(H, phi_map_vec(H, phi_inverse(H, targets)))
     want = np.sort(xs, axis=-1)[:, ::-1]
     err = np.maximum(np.max(np.abs(singular_values(H.domain, zeta) - want), axis=-1),
                      np.abs(np.abs(omega) - deltas))
     failures = [{"c": c, "delta": float(deltas[i]), "x": xs[i, :ks[i]].tolist(),
-                 "err": float(err[i])} for i in np.flatnonzero(err > tol)]
-    return CheckOutcome(not failures, failures[:16])
+                 "err": float(err[i])} for i in np.flatnonzero(err > _SWEEP_TOL)]
+    return failures[:16]
 
 
 _DUAL_HEADLINE_NOTE = (
@@ -137,37 +130,40 @@ _DUAL_HEADLINE_NOTE = (
     "the stated mu^2*pi headline does not match the certified bounds and is "
     "reported, not asserted"
 )
+_DUAL_CLAMPED_NOTE = (
+    "for sqrt(mu) <= eps the inner radius is clamped at 0 and the certified "
+    "interval is [0, pi mu]; the stated mu^2*pi headline is reported, not asserted"
+)
 
 
 def capacity_certificate(H: HartogsSpec, side: str, samples: int = 20000,
-                         seed: int = 11, eps: float = 1e-3) -> CapacityCertificate:
+                         seed: int = 11) -> CapacityCertificate:
     """Certified capacity interval for the chosen side.
 
-    flat-hartogs (mu <= 1): inner ball radius 1-eps, outer cylinder radius 1.
-    dual: inner radius max(min(1, sqrt(mu)) - eps, 0) via sphere-target sweeps, outer
+    flat-hartogs (mu <= 1): inner ball radius 1-EPS, outer cylinder radius 1.
+    dual: inner radius max(min(1, sqrt(mu)) - EPS, 0) via sphere-target sweeps, outer
     radius min(1, sqrt(mu)) via the spectral image bounds.
     """
     if side == "flat-hartogs":
         if H.mu > 1.0:
             raise DomainError("flat-side certificate requires mu <= 1")
-        r_in = 1.0 - eps
-        ball = ball_in_hartogs(H, r_in, samples, seed)
-        cyl = hartogs_in_cylinder(H, 1.0, samples, seed + 1)
-        failures = ball.failures + cyl.failures
-        if not ball.passed:
+        r_in = 1.0 - EPS
+        ball_failures = ball_in_hartogs(H, r_in, samples, seed)
+        failures = ball_failures + hartogs_in_cylinder(H, 1.0, samples, seed + 1)
+        if ball_failures:
             r_in = 0.0
-        return CapacityCertificate("flat-hartogs", r_in, 1.0,
-                                   np.pi * r_in**2, np.pi, failures)
+        return CapacityCertificate(r_in, np.pi * r_in**2, np.pi, failures)
     if side == "dual":
         r_bound = float(min(1.0, np.sqrt(H.mu)))
-        r_in = max(r_bound - eps, 0.0)  # sqrt(mu) <= eps: certify only [0, pi mu]
-        sweeps = _dual_sweeps(H, r_in, min(samples, 400), seed)
-        bounds = dual_image_bounds(H, samples, seed + 1)
-        failures = sweeps.failures + bounds.failures
-        if not sweeps.passed:
+        r_in = max(r_bound - EPS, 0.0)  # sqrt(mu) <= EPS: certify only [0, pi mu]
+        sweep_failures = _dual_sweeps(H, r_in, min(samples, 400), seed)
+        bound_failures = dual_image_bounds(H, samples, seed + 1)
+        if sweep_failures:
             r_in = 0.0
-        r_out = r_bound if bounds.passed else np.inf
-        notes = (_DUAL_HEADLINE_NOTE,) if H.mu < 1.0 else ()
-        return CapacityCertificate("dual", r_in, r_out,
-                                   np.pi * r_in**2, np.pi * r_out**2, failures, notes)
+        r_out = np.inf if bound_failures else r_bound
+        notes = ()
+        if H.mu < 1.0:
+            notes = (_DUAL_HEADLINE_NOTE if r_bound > EPS else _DUAL_CLAMPED_NOTE,)
+        return CapacityCertificate(r_in, np.pi * r_in**2, np.pi * r_out**2,
+                                   sweep_failures + bound_failures, notes)
     raise DomainError(f"unknown side: {side!r}")

@@ -1,7 +1,8 @@
 """Configuration-driven verification runs with reproducible reports.
 
 `chverify <check> [flags]` runs one family of checks (or `all`); flags override
-a JSON config file, which overrides the CHVERIFY_SEED environment default.
+a JSON config file, which overrides the CHVERIFY_SEED environment default, and
+the field defaults of `RunConfig` fill in the rest.
 Reports are deterministic given the seed, except for wall-time fields.
 """
 
@@ -14,68 +15,38 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import click
 
-from . import jtsys, measures, verify
+from . import forms, jtsys, measures, verify
 
 ARTIFACT_VERSION = "0.1.0"
 SEED_ENVVAR = "CHVERIFY_SEED"
 
-_DEFAULTS = {
-    "kind": None,
-    "n": None,
-    "p": None,
-    "q": None,
-    "mu": (1.0,),
-    "points": 100,
-    "samples": 200_000,
-    "seed": 0,
-    "fd_step": 1e-5,
-    "tol": 1e-5,
-    "jobs": 1,
-    "fmt": "json",
-    "output": None,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    kind: str
-    n: int | None
-    p: int | None
-    q: int | None
-    mu: tuple[float, ...]
-    checks: tuple[str, ...]
-    points: int
-    samples: int
-    seed: int
-    fd_step: float
-    tol: float
+    """One run; the field defaults are the defaults of every flag and config key."""
+
+    kind: str | None = None
+    n: int | None = None
+    p: int | None = None
+    q: int | None = None
+    mu: tuple[float, ...] = (1.0,)
+    checks: tuple[str, ...] = ()
+    points: int = 100
+    samples: int = 200_000
+    seed: int = 0
+    fd_step: float = forms.DEFAULT_STEP
+    tol: float = 1e-5
     jobs: int = 1
     fmt: str = "json"
     output: str | None = None
 
     @property
     def domain_spec(self) -> jtsys.DomainSpec:
-        return resolve_domain(self.kind, self.n, self.p, self.q)
-
-
-def resolve_domain(kind: str, n: int | None, p: int | None, q: int | None) -> jtsys.DomainSpec:
-    if kind == jtsys.KIND_POLYDISC:
-        if n is None:
-            raise click.UsageError("--domain polydisc needs --n")
-        return jtsys.make_domain(jtsys.KIND_POLYDISC, n=n)
-    if kind == jtsys.KIND_TYPE_I:
-        if p is None or q is None:
-            raise click.UsageError("--domain type-I needs --p and --q")
-        return jtsys.make_domain(jtsys.KIND_TYPE_I, p=p, q=q)
-    if kind == "chn":
-        if n is None:
-            raise click.UsageError("--domain chn needs --n")
-        return jtsys.hyperbolic_space(n)
-    raise click.UsageError(f"unknown domain kind {kind!r} (polydisc | type-I | chn)")
+        return jtsys.make_domain(self.kind, n=self.n, p=self.p, q=self.q)
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -102,7 +73,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
             os.remove(cfg.output)
     try:
         domain = cfg.domain_spec
-    except ValueError as exc:  # dimensions out of range
+    except ValueError as exc:  # unknown kind, missing or out-of-range dimensions
         raise click.UsageError(str(exc))
     if "selberg" in cfg.checks and domain.r > measures.SELBERG_MAX_RANK:
         raise click.UsageError(f"selberg supports base ranks 1..{measures.SELBERG_MAX_RANK}; "
@@ -180,7 +151,7 @@ def _read_config_file(path: str) -> dict:
 def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig:
     from click.core import ParameterSource
 
-    merged = dict(_DEFAULTS)
+    merged = {f.name: f.default for f in fields(RunConfig) if f.name != "checks"}
     if ctx.get_parameter_source("seed") == ParameterSource.ENVIRONMENT:
         merged["seed"] = flags["seed"]
 

@@ -7,7 +7,8 @@ too (`det_dual_hessian`, the paper's product formula).  Jacobians of maps,
 hence pullbacks, are central differences in interleaved real coordinates
 (x1, y1, ..., xm, ym) with step h = step * (1 + ||point||).  The associated
 real two-form (i/2) sum G_jk dz_j ^ dzbar_k is represented by an
-antisymmetric 2m x 2m matrix in the same coordinate order.  Comparisons use the
+antisymmetric 2m x 2m matrix in the same coordinate order; the flat form
+omega_0 = sum_j dx_j ^ dy_j is the one of G = I.  Comparisons use the
 entrywise max norm of the difference.
 """
 
@@ -19,15 +20,6 @@ from .hartogs import HartogsSpec, split_vec
 from .jtsys import log_norm_derivatives, norm_self
 
 DEFAULT_STEP = 1e-5
-
-
-def standard_symplectic(m: int) -> np.ndarray:
-    """omega_0 = sum_j dx_j ^ dy_j in interleaved coordinates."""
-    w = np.zeros((2 * m, 2 * m))
-    idx = np.arange(m)
-    w[2 * idx, 2 * idx + 1] = 1.0
-    w[2 * idx + 1, 2 * idx] = -1.0
-    return w
 
 
 def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:

@@ -15,6 +15,11 @@ membership test takes a packed array of shape (..., n+1) and works on all
 leading axes at once.  Both maps invert in closed form through the same Jordan
 kernel with the sign flipped once more (spectral calculus of B(x, +/-xbar):
 Loos 1977; Faraut-Koranyi 1990), see `_darboux_inverse`.
+
+`ch_member_vec` is the one membership test of M; the capacity ball check and
+the Monte Carlo flat volume both count its hits.  `lift_embedding` carries
+points of the Hartogs domain over Delta^m into M along the canonical frame of
+`jtsys.frame_point`, the hereditary embedding the maps must commute with.
 """
 
 from __future__ import annotations
@@ -67,8 +72,12 @@ def fiber_gap_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def ch_member_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
+    """True where (z, w) lies in M: z in Omega and |w|^2 < N(z, zbar)^mu.
+    The fiber gap is taken on the base members only."""
     z, _ = split_vec(H, pts)
-    return membership(H.domain, z) & (fiber_gap_vec(H, pts) > 0)
+    inside = np.asarray(membership(H.domain, z))
+    inside[inside] = fiber_gap_vec(H, np.asarray(pts)[inside]) > 0
+    return inside
 
 
 def potential_field(H: HartogsSpec, dual: bool = False):
@@ -128,50 +137,12 @@ def phi_inverse(H: HartogsSpec, targets) -> np.ndarray:
     return _darboux_inverse(H, targets, 1)
 
 
-@dataclass(frozen=True)
-class BaseEmbedding:
-    """A generic-norm-preserving triple embedding between supported domains."""
-
-    source: DomainSpec
-    target: DomainSpec
-    kind: str  # "rect-diagonal" | "zero-pad"
-
-
-def polydisc_to_type1(p: int, q: int) -> BaseEmbedding:
-    """Polydisc Delta^p into type-I(p, q) along the rectangular diagonal."""
-    return BaseEmbedding(jtsys.make_domain(jtsys.KIND_POLYDISC, n=p),
-                         jtsys.make_domain(jtsys.KIND_TYPE_I, p=p, q=q),
-                         "rect-diagonal")
-
-
-def polydisc_inclusion(m: int, n: int) -> BaseEmbedding:
-    """Polydisc Delta^m into Delta^n by zero padding."""
-    if m > n:
-        raise ValueError("inclusion needs m <= n")
-    return BaseEmbedding(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m),
-                         jtsys.make_domain(jtsys.KIND_POLYDISC, n=n),
-                         "zero-pad")
-
-
-def embed_base(E: BaseEmbedding, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != E.source.n:
-        raise ShapeError(f"expected last axis {E.source.n}, got {z.shape}")
-    if E.kind == "rect-diagonal":
-        p, q = E.target.shape
-        out = np.zeros(z.shape[:-1] + (p, q), dtype=complex)
-        idx = np.arange(p)
-        out[..., idx, idx] = z
-        return out.reshape(z.shape[:-1] + (E.target.n,))
-    out = np.zeros(z.shape[:-1] + (E.target.n,), dtype=complex)
-    out[..., : E.source.n] = z
-    return out
-
-
-def lift_embedding(E: BaseEmbedding, pts: np.ndarray) -> np.ndarray:
-    """Lift a base embedding to the Hartogs level, (z, w) -> (f(z), w), batched."""
+def lift_embedding(D: DomainSpec, pts: np.ndarray) -> np.ndarray:
+    """Lift the frame embedding of the polydisc Delta^m into Omega (m <= r) to
+    the Hartogs level, (lam, w) -> (frame_point(D, lam), w), batched; it
+    preserves the generic norm, hence M."""
     pts = np.asarray(pts, dtype=complex)
-    return _join(embed_base(E, pts[..., :-1]), pts[..., -1])
+    return _join(jtsys.frame_point(D, pts[..., :-1]), pts[..., -1])
 
 
 def hartogs_isotropy_apply(H: HartogsSpec, tau, pts: np.ndarray) -> np.ndarray:
@@ -204,6 +175,11 @@ def sample_base_points(D: DomainSpec, count: int, rng: np.random.Generator,
 
 # Rounds of the member samplers' rejection loop before ConvergenceError.
 _MAX_SAMPLER_ROUNDS = 1000
+# Least fiber gap N^mu - |w|^2 of an interior member point: keeps finite
+# differences at step 1e-5 well inside their accuracy budget.
+_G_FLOOR = 1e-3
+# Norm cap of the heavy-tailed points.
+_HEAVY_NORM_CAP = 10.0
 
 
 def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
@@ -232,15 +208,13 @@ def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
 
 
 def sample_member_points(H: HartogsSpec, count: int, rng: np.random.Generator,
-                         lam_max: float = 0.55, w_frac: float = 0.40,
-                         g_floor: float = 1e-3) -> np.ndarray:
+                         lam_max: float = 0.55, w_frac: float = 0.40) -> np.ndarray:
     """Member points packed as (count, n+1), kept interior for stable stencils.
 
-    |w|^2 is at most w_frac * N^mu and points with N^mu - |w|^2 < g_floor are
-    rejected; the defaults keep finite differences at step 1e-5 well inside
-    their accuracy budget.  ConvergenceError when almost no draw meets the floor.
+    |w|^2 is at most w_frac * N^mu and points with N^mu - |w|^2 < `_G_FLOOR`
+    are rejected.  ConvergenceError when almost no draw meets the floor.
     """
-    return _sample_members(H, count, rng, lam_max, w_frac, g_floor)
+    return _sample_members(H, count, rng, lam_max, w_frac, _G_FLOOR)
 
 
 def sample_member_points_full(H: HartogsSpec, count: int,
@@ -254,15 +228,15 @@ def sample_member_points_full(H: HartogsSpec, count: int,
     return _sample_members(H, count, rng, 1.0, 1.0, -np.inf)
 
 
-def sample_heavy_points(m: int, count: int, rng: np.random.Generator,
-                        norm_cap: float = 10.0) -> np.ndarray:
-    """Heavy-tailed points of C^m: per-coordinate Cauchy-like radii, norm-capped."""
+def sample_heavy_points(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Heavy-tailed points of C^m: per-coordinate Cauchy-like radii, the norm
+    capped at `_HEAVY_NORM_CAP`."""
     radius = np.abs(np.tan(0.5 * np.pi * rng.uniform(size=(count, m))))
     pts = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(count, m)))
     norms = np.linalg.norm(pts, axis=-1)
-    big = norms > norm_cap
+    big = norms > _HEAVY_NORM_CAP
     if np.any(big):
-        shrink = norm_cap * rng.uniform(size=int(np.sum(big))) ** (1.0 / (2 * m))
+        shrink = _HEAVY_NORM_CAP * rng.uniform(size=int(np.sum(big))) ** (1.0 / (2 * m))
         pts[big] *= (shrink / norms[big])[:, None]
     return pts
 

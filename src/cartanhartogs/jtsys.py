@@ -7,6 +7,12 @@ Two circled realizations are supported:
 * ``type-I``: p-by-q complex matrices of spectral norm < 1 (1 <= p <= q) with
   the matrix triple product, rank p and invariants (a, b) = (2, q - p).
 
+`make_domain` is the one place that resolves a kind name, ``chn`` (complex
+hyperbolic space CH^n = type-I(1, n)) included, and derives the dimension and
+genus from (r, a, b).  `frame_point` places values on the canonical frame of
+orthogonal tripotents (E_jj for type-I, unit vectors for the polydisc), which
+carries Delta^m into Omega for every m <= r.
+
 Every algebraic operator used downstream (Bergman operator, generic norm,
 spectral values, fractional powers of B(z, +/-zbar)) is expressed through
 the matrix realization j(z): a diagonal matrix for the polydisc, the matrix
@@ -24,6 +30,7 @@ from .errors import DomainError, ShapeError
 
 KIND_POLYDISC = "polydisc"
 KIND_TYPE_I = "type-I"
+KIND_CHN = "chn"
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -34,7 +41,7 @@ class DomainSpec:
     kind : "polydisc" or "type-I"
     shape : (n,) for the polydisc, (p, q) for type-I
     r, a, b : rank and root multiplicities
-    n : complex dimension, n = r(b + 1 + (a/2)(r - 1))
+    n : complex dimension, n = r(b + 1) + a r(r - 1)/2
     genus : gamma = 2 + a(r - 1) + b
 
     The Furstenberg-Satake boundary constant is not stored: every volume
@@ -53,25 +60,30 @@ class DomainSpec:
 
 def make_domain(kind: str, *, n: int | None = None, p: int | None = None,
                 q: int | None = None) -> DomainSpec:
-    """Build a DomainSpec for the polydisc (n) or a type-I domain (p, q)."""
+    """Build a DomainSpec for the polydisc (n), a type-I domain (p, q) or
+    chn (n), the type-I(1, n) domain CH^n; ValueError on anything else."""
+    if kind == KIND_CHN:
+        if n is None or n < 1:
+            raise ValueError("chn needs n >= 1")
+        kind, p, q = KIND_TYPE_I, 1, n
     if kind == KIND_POLYDISC:
         if n is None or n < 1:
             raise ValueError("polydisc needs n >= 1")
-        spec = DomainSpec(kind, (n,), r=n, a=0, b=0, n=n, genus=2)
+        shape, r, a, b = (n,), n, 0, 0
     elif kind == KIND_TYPE_I:
         if p is None or q is None or not 1 <= p <= q:
             raise ValueError("type-I needs 1 <= p <= q")
-        spec = DomainSpec(kind, (p, q), r=p, a=2, b=q - p, n=p * q,
-                          genus=2 + 2 * (p - 1) + (q - p))
+        shape, r, a, b = (p, q), p, 2, q - p
     else:
-        raise ValueError(f"unknown domain kind: {kind!r}")
-    assert spec.n == spec.r * (spec.b + 1 + (spec.a / 2) * (spec.r - 1))
-    return spec
+        raise ValueError(f"unknown domain kind {kind!r} "
+                         f"({KIND_POLYDISC} | {KIND_TYPE_I} | {KIND_CHN})")
+    return DomainSpec(kind, shape, r, a, b, n=r * (b + 1) + a * r * (r - 1) // 2,
+                      genus=2 + a * (r - 1) + b)
 
 
 def hyperbolic_space(n: int) -> DomainSpec:
     """Complex hyperbolic space CH^n, i.e. the rank-one domain type-I(1, n)."""
-    return make_domain(KIND_TYPE_I, p=1, q=n)
+    return make_domain(KIND_CHN, n=n)
 
 
 def _check_point(D: DomainSpec, z: np.ndarray) -> np.ndarray:
@@ -100,6 +112,20 @@ def as_vector(D: DomainSpec, m: np.ndarray) -> np.ndarray:
         idx = np.arange(D.n)
         return m[..., idx, idx]
     return m.reshape(m.shape[:-2] + (D.n,))
+
+
+def frame_point(D: DomainSpec, lam) -> np.ndarray:
+    """sum_j lam_j e_j on the first m <= r tripotents e_j of the canonical
+    frame (E_jj for type-I, unit vectors for the polydisc), batched over the
+    leading axes of lam (..., m); ShapeError when m > r."""
+    lam = np.asarray(lam)
+    m = lam.shape[-1]
+    if m > D.r:
+        raise ShapeError(f"the frame has {D.r} tripotents, got {m} values")
+    jz = np.zeros(lam.shape[:-1] + (D.r, D.shape[-1]), dtype=complex)
+    idx = np.arange(m)
+    jz[..., idx, idx] = lam
+    return as_vector(D, jz)
 
 
 def triple_product(D: DomainSpec, x, y, z) -> np.ndarray:

@@ -29,13 +29,17 @@ from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 from .forms import det_dual_hessian
-from .hartogs import HartogsSpec
-from .jtsys import (KIND_POLYDISC, DomainSpec, log_norm_derivatives, membership, norm_self,
-                    singular_values)
+from .hartogs import HartogsSpec, ch_member_vec
+from .jtsys import KIND_POLYDISC, DomainSpec, log_norm_derivatives, norm_self, singular_values
 
 _CHUNK = 1 << 16
 # the tensor quadrature of F(s) is built for ranks 1..SELBERG_MAX_RANK
 SELBERG_MAX_RANK = 3
+# bisection width of `duality_root`
+_ROOT_TOL = 1e-11
+# random points and seed of `fit_genus`
+_GENUS_FIT_POINTS = 12
+_GENUS_FIT_SEED = 20
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -55,12 +59,11 @@ def _chunk_sizes(samples: int):
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo value with its standard error and provenance."""
+    """A Monte Carlo value with its standard error and sample count."""
 
     value: float
     standard_error: float
     samples: int
-    seed: int
 
 
 def log_capital_f(r: int, a: float, b: float, s: float) -> float:
@@ -156,25 +159,23 @@ def dual_flat_ratio_formula(H: HartogsSpec) -> float:
 
 
 def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """Lebesgue volume of M by rejection from the box [-1,1]^(2n) x {|w| <= 1},
-    chunk-deterministic in (seed, chunk-index)."""
+    """Lebesgue volume of M by rejection from the box [-1,1]^(2n) x {|w| <= 1}
+    (hits counted by `ch_member_vec`), chunk-deterministic in (seed, chunk-index)."""
     d = H.domain
     box = 4.0 ** d.n * math.pi
     hits = []
     total = 0
     for index, size in _chunk_sizes(samples):
         rng = _chunk_rng(seed, index)
-        z = rng.uniform(-1.0, 1.0, size=(size, d.n)) + 1j * rng.uniform(-1.0, 1.0, size=(size, d.n))
-        w = np.sqrt(rng.uniform(size=size)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=size))
-        ok = membership(d, z)
-        inside = np.zeros(size, dtype=bool)
-        if np.any(ok):
-            inside[ok] = np.abs(w[ok]) ** 2 < norm_self(d, z[ok]) ** H.mu
-        hits.append(int(np.sum(inside)))
+        pts = np.empty((size, d.n + 1), dtype=complex)
+        pts.real[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
+        pts.imag[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
+        pts[:, -1] = (np.sqrt(rng.uniform(size=size))
+                      * np.exp(1j * rng.uniform(0, 2 * np.pi, size=size)))
+        hits.append(int(np.sum(ch_member_vec(H, pts))))
         total += size
     p = sum(hits) / total
-    return MCEstimate(box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / total),
-                      total, seed)
+    return MCEstimate(box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / total), total)
 
 
 def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
@@ -201,7 +202,7 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         total += size
     mean = math.fsum(sums) / total
     var = max(math.fsum(sqsums) / total - mean * mean, 0.0)
-    return MCEstimate(mean, math.sqrt(var / total), total, seed)
+    return MCEstimate(mean, math.sqrt(var / total), total)
 
 
 def duality_gap(D: DomainSpec, mu: float) -> float:
@@ -211,18 +212,18 @@ def duality_gap(D: DomainSpec, mu: float) -> float:
     return capital_f_ratio(D, mu) - mu ** D.n / (D.n + 1)
 
 
-def duality_root(D: DomainSpec, mu_max: float | None = None,
-                 tol: float = 1e-11) -> float | None:
-    """The unique positive solution of F(mu)/F(0) = mu^n/(n+1), by bisection.
+def duality_root(D: DomainSpec) -> float | None:
+    """The unique positive solution of F(mu)/F(0) = mu^n/(n+1), by bisection
+    on [1e-12, (n+1)^(1/n) + 1].
 
     Returns None when the bracket shows no sign change.
     """
     lo = 1e-12
-    hi = mu_max if mu_max is not None else (D.n + 1.0) ** (1.0 / D.n) + 1.0
+    hi = (D.n + 1.0) ** (1.0 / D.n) + 1.0
     glo, ghi = duality_gap(D, lo), duality_gap(D, hi)
     if not (glo > 0 > ghi):
         return None
-    while hi - lo > tol:
+    while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if duality_gap(D, mid) > 0:
             lo = mid
@@ -251,7 +252,7 @@ def gennaio_check(D: DomainSpec) -> GennaioResult:
     return GennaioResult(value, bound, passed, equality)
 
 
-def fit_genus(D: DomainSpec, points: int = 12, seed: int = 20) -> float:
+def fit_genus(D: DomainSpec) -> float:
     """Fit gamma from det(Hess_z log N(z, -zbar)) = N(z, -zbar)^(-gamma).
 
     Averages the log-ratio over moderate random points (log N* kept away from
@@ -259,10 +260,11 @@ def fit_genus(D: DomainSpec, points: int = 12, seed: int = 20) -> float:
     `jtsys.log_norm_derivatives`, which holds no genus, so the fit
     adjudicates the genus value to rounding.
     """
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(points, D.n)) + 1j * rng.normal(size=(points, D.n))
+    rng = np.random.default_rng(_GENUS_FIT_SEED)
+    g = (rng.normal(size=(_GENUS_FIT_POINTS, D.n))
+         + 1j * rng.normal(size=(_GENUS_FIT_POINTS, D.n)))
     top = singular_values(D, g)[:, 0]
-    z = g * (rng.uniform(0.8, 2.0, size=points) / top)[:, None]
+    z = g * (rng.uniform(0.8, 2.0, size=_GENUS_FIT_POINTS) / top)[:, None]
     dets = np.linalg.det(log_norm_derivatives(D, z, sign=-1)[1]).real
     lognd = np.log(norm_self(D, z, sign=-1))
     return float(np.mean(-np.log(dets) / lognd))

@@ -53,7 +53,7 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray, step: float,
     m = H.domain.n + 1
     mapping = hartogs.phi_map_vec if dual else hartogs.psi_map_vec
     map_r = realify_map(lambda c: mapping(H, c))
-    flat = forms.standard_symplectic(m)
+    flat = forms.hermitian_to_twoform_matrix(np.eye(m))
     out = np.empty(len(pts))
     for start in range(0, len(pts), _DARBOUX_BLOCK):
         block = pts[start:start + _DARBOUX_BLOCK]
@@ -244,9 +244,9 @@ def check_capacity(cfg) -> list[dict]:
 
 
 def check_equivariance(cfg) -> list[dict]:
-    """Isotropy equivariance of both maps, hereditary behavior under norm
-    preserving embeddings, inverse round trips, and the rank-one ball
-    specialization."""
+    """Isotropy equivariance of both maps, hereditary behavior under the lift
+    of the frame embedding of a polydisc, inverse round trips, and the
+    rank-one ball specialization."""
     d = cfg.domain_spec
     out = []
     for mu in cfg.mu:
@@ -265,12 +265,11 @@ def check_equivariance(cfg) -> list[dict]:
                            worst, 1e-10, None, started))
 
         started = time.perf_counter()
-        emb = (hartogs.polydisc_to_type1(*d.shape) if d.kind == jtsys.KIND_TYPE_I
-               else hartogs.polydisc_inclusion(max(1, d.n - 1), d.n))
-        Hs = hartogs.make_hartogs(emb.source, mu)
+        m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)
+        Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
         small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
-        big = hartogs.psi_map_vec(H, hartogs.lift_embedding(emb, small))
-        expect = hartogs.lift_embedding(emb, hartogs.psi_map_vec(Hs, small))
+        big = hartogs.psi_map_vec(H, hartogs.lift_embedding(d, small))
+        expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, small))
         out.append(_result("equivariance", {"mu": mu, "operation": "lift_embedding"},
                            float(np.max(np.abs(big - expect))), 1e-10, None, started))
 

@@ -52,7 +52,7 @@ def test_criterion_2_dual_darboux_pullback():
         for j, mu in enumerate(MUS):
             H = hartogs.make_hartogs(d, mu)
             rng = np.random.default_rng(200 + 10 * i + j)
-            pts = hartogs.sample_heavy_points(d.n + 1, 100, rng, norm_cap=10.0)
+            pts = hartogs.sample_heavy_points(d.n + 1, 100, rng)
             res = verify.darboux_residuals(H, pts, 1e-5, dual=True)
             worst = max(worst, float(res.max()))
     _report(2, "dual darboux pullback", worst <= 1e-5,
@@ -201,14 +201,14 @@ def test_criterion_10_structure_maps():
                 pairs += 1
 
     hered = 0.0
-    for emb in (hartogs.polydisc_to_type1(2, 2), hartogs.polydisc_to_type1(2, 3),
-                hartogs.polydisc_inclusion(1, 3)):
+    # Delta^m on the canonical frame of type-I(2,2), type-I(2,3) and Delta^3
+    for m, target in ((2, GRID_DOMAINS[4]), (2, GRID_DOMAINS[5]), (1, GRID_DOMAINS[2])):
         for mu in (0.5, 2.0):
-            Hs = hartogs.make_hartogs(emb.source, mu)
-            Ht = hartogs.make_hartogs(emb.target, mu)
+            Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
+            Ht = hartogs.make_hartogs(target, mu)
             pts = hartogs.sample_member_points(Hs, 10, rng, lam_max=0.7)
-            big = hartogs.psi_map_vec(Ht, hartogs.lift_embedding(emb, pts))
-            small = hartogs.lift_embedding(emb, hartogs.psi_map_vec(Hs, pts))
+            big = hartogs.psi_map_vec(Ht, hartogs.lift_embedding(target, pts))
+            small = hartogs.lift_embedding(target, hartogs.psi_map_vec(Hs, pts))
             hered = max(hered, float(np.max(np.abs(big - small))))
 
     ball = 0.0

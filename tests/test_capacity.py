@@ -25,18 +25,15 @@ def test_unit_ball_inequality_holds(lams):
 
 def test_ball_in_hartogs():
     H = hartogs.make_hartogs(POLY1, 1.0)
-    ok = capacity.ball_in_hartogs(H, 0.999, 20_000, seed=5)
-    assert ok.passed and not ok.failures
+    assert not capacity.ball_in_hartogs(H, 0.999, 20_000, seed=5)
     # radius beyond 1 must produce witnesses outside the domain
-    bad = capacity.ball_in_hartogs(H, 1.3, 20_000, seed=5)
-    assert not bad.passed and bad.failures
+    assert capacity.ball_in_hartogs(H, 1.3, 20_000, seed=5)
 
 
 def test_ball_in_hartogs_rank_two():
     # for r > 1 the inclusion still holds at radius 1 - eps when mu <= 1
     H = hartogs.make_hartogs(T22, 0.5)
-    ok = capacity.ball_in_hartogs(H, 0.999, 20_000, seed=5)
-    assert ok.passed
+    assert not capacity.ball_in_hartogs(H, 0.999, 20_000, seed=5)
 
 
 @pytest.mark.parametrize("domain", [POLY1, T22], ids=["polydisc-1", "type-I(2,2)"])
@@ -44,18 +41,17 @@ def test_hartogs_in_cylinder(domain):
     # |z_11| <= ||z||_op < 1 on Omega, so radius 1 holds; the sampler does
     # not bound |z_11| by construction, so a smaller radius must fail
     H = hartogs.make_hartogs(domain, 1.0)
-    ok = capacity.hartogs_in_cylinder(H, 1.0, 20_000, seed=6)
-    assert ok.passed and not ok.failures
+    assert not capacity.hartogs_in_cylinder(H, 1.0, 20_000, seed=6)
     bad = capacity.hartogs_in_cylinder(H, 0.5, 20_000, seed=6)
-    assert not bad.passed and bad.failures
-    assert all(abs(row[0]) >= 0.5 for row in bad.failures)
+    assert bad
+    assert all(abs(row[0]) >= 0.5 for row in bad)
 
 
 def test_dual_image_bounds():
     for mu in (4.0, 0.25):
         H = hartogs.make_hartogs(POLY1, mu)
-        ok = capacity.dual_image_bounds(H, 50_000, seed=8)
-        assert ok.passed, ok.failures[:2]
+        failures = capacity.dual_image_bounds(H, 50_000, seed=8)
+        assert not failures, failures[:2]
 
 
 def test_phi_inverse_target_oracle():
@@ -97,12 +93,12 @@ def test_dual_sweeps_detect_a_wrong_map(monkeypatch):
     # the sweeps pull sphere targets back in closed form and push them
     # forward through Phi, so a 1 + 1e-6 slip in Phi fails every sweep
     H = hartogs.make_hartogs(T22, 2.0)
-    assert capacity._dual_sweeps(H, 0.999, 50, seed=3).passed
+    assert not capacity._dual_sweeps(H, 0.999, 50, seed=3)
     good = capacity.phi_map_vec
     monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: (1.0 + 1e-6) * good(H, pts))
     bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
-    assert not bad.passed and len(bad.failures) == 16
-    assert set(bad.failures[0]) == {"c", "delta", "x", "err"}
+    assert len(bad) == 16
+    assert set(bad[0]) == {"c", "delta", "x", "err"}
 
 
 def test_capacity_certificate_flat():
@@ -143,6 +139,8 @@ def test_capacity_certificate_dual_tiny_mu(domain):
     assert cert.r_in == 0.0 and cert.lower == 0.0
     npt.assert_allclose(cert.upper, np.pi * mu)
     assert not cert.failures
+    # the note states the clamped interval, not [pi (sqrt(mu)-eps)^2, pi mu]
+    assert len(cert.notes) == 1 and "[0, pi mu]" in cert.notes[0]
 
 
 def test_capacity_certificate_unknown_side():

@@ -60,7 +60,9 @@ def test_hermitian_to_twoform_oracle():
 def test_flat_kahler_form_is_standard_symplectic():
     g = complex_hessian_batch(_flat_potential, np.array([0.2 + 0.1j, 0.4]))
     got = forms.hermitian_to_twoform_matrix(g)
-    npt.assert_allclose(got, forms.standard_symplectic(2), atol=1e-7)
+    # omega_0 = dx1 ^ dy1 + dx2 ^ dy2 in interleaved coordinates (x1, y1, x2, y2)
+    omega0 = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    npt.assert_allclose(got, omega0, atol=1e-7)
 
 
 def test_jacobian_of_linear_map_is_exact():
@@ -71,7 +73,7 @@ def test_jacobian_of_linear_map_is_exact():
 
 def test_pullback_through_scaling():
     # zeta -> 2 zeta multiplies the flat form by 4
-    target = forms.standard_symplectic(1)
+    target = forms.hermitian_to_twoform_matrix(np.eye(1))
     got = forms.pullback_batch(lambda x: 2.0 * x, np.array([[0.1, 0.2]]), target)
     npt.assert_allclose(got[0], 4.0 * target, atol=1e-9)
 
@@ -81,7 +83,7 @@ def test_pullback_batch_matches_single(rng):
         return np.stack([x[..., 0] + 0.3 * x[..., 1] ** 2,
                          x[..., 1] - 0.1 * x[..., 0] ** 2], axis=-1)
 
-    target = forms.standard_symplectic(1)
+    target = forms.hermitian_to_twoform_matrix(np.eye(1))
     pts = rng.normal(size=(5, 2))
     batched = forms.pullback_batch(warp, pts, target)
     for i in range(len(pts)):
@@ -94,7 +96,8 @@ def test_darboux_pullback_single_point():
     H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
     p = np.array([0.3 + 0.1j, 0.2 - 0.2j])
     pulled = forms.pullback_batch(realify_map(lambda c: hartogs.psi_map_vec(H, c)),
-                                  to_real(p[None]), forms.standard_symplectic(2))[0]
+                                  to_real(p[None]),
+                                  forms.hermitian_to_twoform_matrix(np.eye(2)))[0]
     g = complex_hessian_batch(hartogs.potential_field(H), p)
     want = forms.hermitian_to_twoform_matrix(g)
     assert np.max(np.abs(pulled - want)) < 1e-6

@@ -136,7 +136,7 @@ def test_inverses_batch_equals_spectral_rows(domain, rng):
     for mu in (0.5, 1.0, 2.0):
         H = _hartogs(domain, mu)
         pts = hartogs.sample_member_points(H, 10, rng, lam_max=0.8, w_frac=0.8)
-        far = hartogs.sample_heavy_points(domain.n + 1, 10, rng, norm_cap=10.0)
+        far = hartogs.sample_heavy_points(domain.n + 1, 10, rng)
         cases = ((np.concatenate([hartogs.psi_map_vec(H, pts), far]),
                   hartogs.psi_inverse, _spectral_inverse_psi),
                  (hartogs.phi_map_vec(H, np.concatenate([pts, far])),
@@ -170,7 +170,7 @@ def test_round_trip_detects_a_wrong_map(monkeypatch, dims, name):
 def test_psi_is_onto_far_targets(rng):
     # targets far outside the domain still have preimages
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1.0)
-    targets = hartogs.sample_heavy_points(5, 6, rng, norm_cap=10.0)
+    targets = hartogs.sample_heavy_points(5, 6, rng)
     pre = hartogs.psi_inverse(H, targets)
     assert np.all(hartogs.ch_member_vec(H, pre))
     npt.assert_allclose(hartogs.psi_map_vec(H, pre), targets, atol=1e-8)
@@ -210,30 +210,32 @@ def test_phi_image_spectral_bound(domain, rng):
 
 
 def test_embeddings_preserve_norm(rng):
-    emb = hartogs.polydisc_to_type1(2, 3)
+    # Delta^2 on the frame of type-I(2,3), and Delta^1 on the frame of Delta^3
+    poly2 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
+    t23 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3)
     z = 0.7 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
-    fz = hartogs.embed_base(emb, z)
+    fz = jtsys.frame_point(t23, z)
     for sign in (1, -1):
-        npt.assert_allclose(jtsys.norm_self(emb.target, fz, sign=sign),
-                            jtsys.norm_self(emb.source, z, sign=sign))
+        npt.assert_allclose(jtsys.norm_self(t23, fz, sign=sign),
+                            jtsys.norm_self(poly2, z, sign=sign))
 
-    inc = hartogs.polydisc_inclusion(1, 3)
+    poly1, poly3 = (jtsys.make_domain(jtsys.KIND_POLYDISC, n=k) for k in (1, 3))
     z = np.array([[0.5 + 0.1j]])
-    npt.assert_allclose(jtsys.norm_self(inc.target, hartogs.embed_base(inc, z)),
-                        jtsys.norm_self(inc.source, z))
+    npt.assert_allclose(jtsys.norm_self(poly3, jtsys.frame_point(poly3, z)),
+                        jtsys.norm_self(poly1, z))
 
 
 def test_hereditary_lift(rng):
-    emb = hartogs.polydisc_to_type1(2, 2)
-    Hs = _hartogs(emb.source, 1.5)
-    Ht = _hartogs(emb.target, 1.5)
+    t22 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
+    Hs = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=2), 1.5)
+    Ht = _hartogs(t22, 1.5)
     pts = hartogs.sample_member_points(Hs, 10, rng, lam_max=0.7)
-    big = hartogs.psi_map_vec(Ht, hartogs.lift_embedding(emb, pts))
-    small = hartogs.lift_embedding(emb, hartogs.psi_map_vec(Hs, pts))
+    big = hartogs.psi_map_vec(Ht, hartogs.lift_embedding(t22, pts))
+    small = hartogs.lift_embedding(t22, hartogs.psi_map_vec(Hs, pts))
     npt.assert_allclose(big, small, atol=1e-12)
     # the lift of a batch equals the lifts of its rows
-    rows = np.stack([hartogs.lift_embedding(emb, row) for row in pts[:5]])
-    npt.assert_allclose(hartogs.lift_embedding(emb, pts[:5]), rows, rtol=1e-15)
+    rows = np.stack([hartogs.lift_embedding(t22, row) for row in pts[:5]])
+    npt.assert_allclose(hartogs.lift_embedding(t22, pts[:5]), rows, rtol=1e-15)
 
 
 def test_rank_one_specializes_to_ball_map(rng):
@@ -300,7 +302,7 @@ def test_sample_member_points_full_covers(dims, rng):
 
 
 def test_sample_member_points_gives_up_when_no_draw_is_kept(rng):
-    # at mu = 1e3 every draw has N^mu far below g_floor
+    # at mu = 1e3 every draw has N^mu far below the gap floor
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1e3)
     started = time.perf_counter()
     with pytest.raises(ConvergenceError):
@@ -309,7 +311,7 @@ def test_sample_member_points_gives_up_when_no_draw_is_kept(rng):
 
 
 def test_sample_heavy_points_cap(rng):
-    pts = hartogs.sample_heavy_points(3, 500, rng, norm_cap=10.0)
+    pts = hartogs.sample_heavy_points(3, 500, rng)
     norms = np.linalg.norm(pts, axis=-1)
     assert np.all(norms <= 10.0 + 1e-12)
     assert np.max(norms) > 5.0

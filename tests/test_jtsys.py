@@ -28,6 +28,33 @@ def test_make_domain_rejects_bad_shapes():
         jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=2)
     with pytest.raises(ValueError):
         jtsys.make_domain("nosuch", n=1)
+    with pytest.raises(ValueError):
+        jtsys.make_domain("chn", n=0)
+    with pytest.raises(ValueError):
+        jtsys.make_domain("chn")
+
+
+def test_chn_kind_is_hyperbolic_space():
+    for k in (1, 2, 5):
+        d = jtsys.make_domain("chn", n=k)
+        assert d == jtsys.hyperbolic_space(k) == jtsys.make_domain(jtsys.KIND_TYPE_I, p=1, q=k)
+        assert (d.r, d.n, d.genus) == (1, k, k + 1)
+
+
+def test_frame_point_fixed_arrays():
+    t23 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3)
+    poly3 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
+    # E_11 and E_22 of the 2x3 matrices, row-major
+    npt.assert_array_equal(jtsys.frame_point(t23, [0.5, 0.25j]), [0.5, 0, 0, 0, 0.25j, 0])
+    npt.assert_array_equal(jtsys.frame_point(t23, [[0.5], [-0.1]]),
+                           [[0.5, 0, 0, 0, 0, 0], [-0.1, 0, 0, 0, 0, 0]])
+    # unit vectors of the polydisc: zero padding
+    npt.assert_array_equal(jtsys.frame_point(poly3, [0.5, 0.25]), [0.5, 0.25, 0])
+    npt.assert_array_equal(jtsys.frame_point(poly3, [0.5, 0.25, -0.75j]), [0.5, 0.25, -0.75j])
+    with pytest.raises(ShapeError):
+        jtsys.frame_point(t23, [0.1, 0.2, 0.3])
+    with pytest.raises(ShapeError):
+        jtsys.frame_point(poly3, np.zeros((2, 4)))
 
 
 def test_matrix_vector_round_trip(domain, rng):
