@@ -17,12 +17,11 @@ from .forms import (
     dual_hessian_min_eigs,
     hartogs_hessian,
     hermitian_to_twoform_matrix,
-    jacobian_batch,
-    pullback_batch,
 )
 from .hartogs import (
     HartogsSpec,
     ch_member_vec,
+    darboux_jacobian,
     hartogs_isotropy_apply,
     lift_embedding,
     make_hartogs,

@@ -103,6 +103,82 @@ def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
     return _join(zeta, w / np.sqrt(g))
 
 
+def fiber_ratios(H: HartogsSpec, log_n: np.ndarray, w: np.ndarray, eps: int):
+    """t = u / G and 1/G for u = N^mu = exp(mu log_n) and G = u + eps |w|^2,
+    taken from log N so that u itself is never formed (it overflows on the
+    dual side at large mu): t = 1 / (1 + eps |w|^2 e^(-log u)), 1/G = t e^(-log u)."""
+    inv_u = np.exp(-H.mu * log_n)
+    t = 1.0 / (1.0 + eps * np.abs(w) ** 2 * inv_u)
+    return t, t * inv_u
+
+
+def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:
+    """Closed-form derivatives of Psi (or Phi with dual=True) at packed points
+    (..., n+1): shape (..., 2(n+1), n+1), row a the complex image of real
+    direction a in the interleaved order (x1, y1, ..., x_{n+1}, y_{n+1}).
+
+    With J = j(z) and A = I + eps J J*, the map of `_darboux_map` is
+    (sqrt(mu t) A^(-1/2) J, w / sqrt(G)) with t = u / G and u = (det A)^mu.
+    One Hermitian eigendecomposition A = U diag(lam) U* gives
+
+        d log u     = mu tr(A^-1 dA),   dA = eps (dJ J* + J dJ*),
+        d A^(-1/2)  = U (Delta o U* dA U) U*,
+
+    where Delta holds the divided differences of x^(-1/2) at the eigenvalues
+    (Daleckii-Krein: Bhatia, Matrix Analysis (1997), Thm V.3.3; Higham,
+    Functions of Matrices (2008), Sec. 3.2).  Coordinate j of z sits at one
+    entry (a, b) of J, so dJ = c E_ab with c = 1 or i, and U* dJ J* U is the
+    outer product of conj(U[a, :]) and conj((U* J)[:, b]).  Along z,
+    d log t = (1 - t) d log u and d log(1/G) = -t d log u; along w,
+    d log t = d log(1/G) = -2 eps Re(conj(w) c) / G.  The polydisc takes the
+    same route on its diagonal J.
+    """
+    eps = 1 if dual else -1
+    d = H.domain
+    z, w = split_vec(H, pts)
+    jz = jtsys.as_matrix(d, z)
+    p, q = jz.shape[-2:]
+    lam, u = np.linalg.eigh(np.eye(p) + eps * jz @ np.conj(np.swapaxes(jz, -1, -2)))
+    k = np.conj(np.swapaxes(u, -1, -2)) @ jz
+    root = np.sqrt(lam)
+    inv_root = 1.0 / root
+    # (x^(-1/2) - y^(-1/2)) / (x - y) without cancellation, f'(x) on the diagonal
+    delta = -1.0 / (root[..., :, None] * root[..., None, :]
+                    * (root[..., :, None] + root[..., None, :]))
+    t, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
+    one_minus_t = eps * np.abs(w) ** 2 * inv_g
+    scale = np.sqrt(H.mu * t)
+
+    rows, cols = jtsys.coordinate_entries(d)
+    c = np.array([1.0, 1j])
+    lead = z.shape[:-1]
+    v = np.conj(u[..., rows, :])                             # U* e_a, (..., n, p)
+    y = np.conj(np.swapaxes(k, -1, -2)[..., cols, :])        # conj((U* J)[:, b])
+    cvy = (c[:, None, None] * v[..., :, None, :, None] * y[..., :, None, None, :])
+    cvy = cvy.reshape(lead + (2 * d.n, p, p))                # U* dJ J* U per direction
+    da = eps * (cvy + np.conj(np.swapaxes(cvy, -1, -2)))     # U* dA U
+    dlog_u = H.mu * np.sum(np.diagonal(da, axis1=-2, axis2=-1).real / lam[..., None, :],
+                           axis=-1)
+    inner = delta[..., None, :, :] * da
+    idx = np.arange(p)
+    inner[..., idx, idx] += (0.5 * one_minus_t[..., None] * dlog_u)[..., None] \
+        * inv_root[..., None, :]
+    inner = inner @ k[..., None, :, :]
+    # A^(-1/2) dJ: column b of c U (lam^(-1/2) conj(U[a, :]))
+    column = c[:, None, None] * (inv_root[..., None, :] * v)[..., :, None, :, None] \
+        * np.eye(q)[cols][:, None, None, :]
+    inner += column.reshape(lead + (2 * d.n, p, q))
+
+    out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
+    out[..., :-2, :-1] = scale[..., None, None] * jtsys.as_vector(d, u[..., None, :, :] @ inner)
+    out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
+    dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
+    b_z = jtsys.as_vector(d, u @ (inv_root[..., :, None] * k))   # A^(-1/2) J
+    out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
+    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * (c + 0.5 * w[..., None] * dlog_g)
+    return out
+
+
 def _darboux_inverse(H: HartogsSpec, targets, eps: int) -> np.ndarray:
     """Closed-form inverse of `_darboux_map` at the same eps: with
     fac = 1 - eps |omega|^2 and x = zeta / sqrt(mu fac), z = B(x, eps xbar)^(-1/4) x
@@ -175,8 +251,10 @@ def sample_base_points(D: DomainSpec, count: int, rng: np.random.Generator,
 
 # Rounds of the member samplers' rejection loop before ConvergenceError.
 _MAX_SAMPLER_ROUNDS = 1000
-# Least fiber gap N^mu - |w|^2 of an interior member point: keeps finite
-# differences at step 1e-5 well inside their accuracy budget.
+# Least fiber gap G = N^mu - |w|^2 of an interior member point: the domain
+# Hessian's entries grow like 1/G^2 (its ww entry is N^mu / G^2), and the floor
+# bounds them, hence the rounding error of the darboux residual, far below the
+# check's absolute tolerance.
 _G_FLOOR = 1e-3
 # Norm cap of the heavy-tailed points.
 _HEAVY_NORM_CAP = 10.0

@@ -178,7 +178,7 @@ def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
     return np.real(generic_norm(D, z, None, sign))
 
 
-def _coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of the entry of j(z) that carries each coordinate of z."""
     if D.kind == KIND_POLYDISC:
         idx = np.arange(D.n)
@@ -206,7 +206,7 @@ def log_norm_derivatives(D: DomainSpec, z, sign: int = 1) -> tuple[np.ndarray, n
     jstar = np.conj(np.swapaxes(jz, -1, -2))
     ainv = np.linalg.inv(np.eye(jz.shape[-2]) - sign * jz @ jstar)
     cinv = np.linalg.inv(np.eye(jz.shape[-1]) - sign * jstar @ jz)
-    rows, cols = _coordinate_entries(D)
+    rows, cols = coordinate_entries(D)
     grad = np.conj((ainv @ jz)[..., rows, cols])
     hess = ainv[..., rows[None, :], rows[:, None]] * cinv[..., cols[:, None], cols[None, :]]
     return -sign * grad, -sign * hess

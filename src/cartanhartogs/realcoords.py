@@ -20,12 +20,3 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] % 2:
         raise ValueError("real vector length must be even")
     return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def realify_map(f):
-    """Turn a batched map on C^m into the corresponding map on R^(2m)."""
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        return to_real(f(to_complex(x)))
-
-    return wrapped

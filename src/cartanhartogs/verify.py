@@ -1,11 +1,13 @@
 """Verification battery behind the CLI.
 
 Each check samples points, measures a worst residual against a tolerance, and
-returns dictionaries ready for the JSON report.  darboux and dual-darboux
-honor the configured fd step and tolerance.  det-formula honors the tolerance
-only: it compares two closed forms and takes no step, so --fd-step does not
-reach it.  Structural checks carry their own tolerances (documented per
-function).
+returns dictionaries ready for the JSON report.  darboux and dual-darboux pull
+the flat form back through the closed-form Jacobian of Psi or Phi
+(`hartogs.darboux_jacobian`) and compare it with the closed-form Hessian of
+the potential (`forms.hartogs_hessian`); both sides are exact to rounding, so
+the configured tolerance is the only slack.  No check takes a finite
+difference, so --fd-step reaches none of them.  Structural checks carry their
+own tolerances (documented per function).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import time
 import numpy as np
 
 from . import capacity, forms, hartogs, jtsys, measures
-from .realcoords import realify_map, to_real
 
 # the genus fit runs on the closed-form Hessian, so it lands on the genus to rounding
 FIT_GENUS_TOL = 1e-9
@@ -34,30 +35,29 @@ def _result(name: str, params: dict, worst: float, tol: float,
     }
 
 
-# Points per Jacobian-stencil block in darboux_residuals: the stencil holds 2k
-# rows of k floats per point, k = 2(n+1) (6.4 kB per point on type-I(3,3),
-# before the map's own temporaries), so memory stays bounded whatever --points
-# is; 500 points fit in one block.
+# Points per block in darboux_residuals: a block holds the Jacobian's
+# 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian, a few
+# r x q complex matrices per real direction of z (2.6 kB each per point on
+# type-I(3,3)), so memory stays bounded whatever --points is; 500 points fit
+# in one block.
 _DARBOUX_BLOCK = 1 << 9
 
 
-def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray, step: float,
+def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
                       dual: bool = False) -> np.ndarray:
     """Entrywise gap between the pulled-back flat form and the domain (or dual)
     form at each packed point (B, n+1).
 
-    The pullback differentiates Psi (or Phi) by central differences with the
-    given step; the form it is compared with is the closed-form Hessian of the
-    potential, so the two sides are computed by independent routes.
+    The pullback of omega_0 along real directions a, b is Im <D_a, D_b>, with
+    D the closed-form Jacobian of Psi (or Phi); the form it is compared with is
+    the closed-form Hessian of the potential.  The two sides come from
+    independent routes: the map's derivative and the potential's.
     """
-    m = H.domain.n + 1
-    mapping = hartogs.phi_map_vec if dual else hartogs.psi_map_vec
-    map_r = realify_map(lambda c: mapping(H, c))
-    flat = forms.hermitian_to_twoform_matrix(np.eye(m))
     out = np.empty(len(pts))
     for start in range(0, len(pts), _DARBOUX_BLOCK):
         block = pts[start:start + _DARBOUX_BLOCK]
-        pulled = forms.pullback_batch(map_r, to_real(block), flat, step)
+        jac = hartogs.darboux_jacobian(H, block, dual)
+        pulled = (np.conj(jac) @ np.swapaxes(jac, -1, -2)).imag
         target = forms.hermitian_to_twoform_matrix(forms.hartogs_hessian(H, block, dual))
         out[start:start + len(block)] = np.max(np.abs(pulled - target), axis=(-2, -1))
     return out
@@ -82,9 +82,8 @@ def _check_pullback(cfg, dual: bool) -> list[dict]:
         rng = np.random.default_rng(cfg.seed + int(dual))
         pts = (hartogs.sample_heavy_points(H.domain.n + 1, cfg.points, rng) if dual
                else hartogs.sample_member_points(H, cfg.points, rng))
-        res = darboux_residuals(H, pts, cfg.fd_step, dual)
-        out.append(_result(name, {"mu": mu, "points": cfg.points,
-                                  "fd_step": cfg.fd_step, "operation": "pullback"},
+        res = darboux_residuals(H, pts, dual)
+        out.append(_result(name, {"mu": mu, "points": cfg.points, "operation": "pullback"},
                            float(np.max(res)), cfg.tol,
                            _witness(pts, res, cfg.tol), started))
     return out

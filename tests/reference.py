@@ -1,11 +1,13 @@
 """Reference routes that only the tests use.
 
-The library computes every Hessian and determinant it checks in closed form
-(`forms.hartogs_hessian`, `forms.det_dual_hessian`,
-`jtsys.log_norm_derivatives`).  The tests compare those closed forms with the
-central-difference routes below: the complex Hessian of an arbitrary field,
-taken from the real Hessian in interleaved coordinates (x1, y1, ..., xm, ym)
-with step h = step * (1 + ||point||).
+The library computes every Hessian, determinant and Jacobian it checks in
+closed form (`forms.hartogs_hessian`, `forms.det_dual_hessian`,
+`jtsys.log_norm_derivatives`, `hartogs.darboux_jacobian`).  The tests compare
+those closed forms with the central-difference routes below, taken in
+interleaved real coordinates (x1, y1, ..., xm, ym) with step
+h = step * (1 + ||point||): the real Jacobian of a map and the pullback of a
+two-form through it, and the complex Hessian of an arbitrary field, taken from
+the real Hessian.
 
 The file also holds single-point routes that the library does not need: the
 spectral decomposition over orthogonal tripotents (behind the tests' own
@@ -21,14 +23,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from cartanhartogs.errors import DomainError, ShapeError
-from cartanhartogs.forms import DEFAULT_STEP
 from cartanhartogs.hartogs import HartogsSpec, potential_field
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
                                  norm_self)
 from cartanhartogs.realcoords import to_complex, to_real
 
+DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
 _EIG_TOL = 1e-13
+
+
+def realify_map(f):
+    """Turn a batched map on C^m into the corresponding map on R^(2m)."""
+
+    def wrapped(x: np.ndarray) -> np.ndarray:
+        return to_real(f(to_complex(x)))
+
+    return wrapped
+
+
+def jacobian_batch(map_r, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Real Jacobians of a batched map R^k -> R^k', shape (B, k', k)."""
+    x = np.asarray(x, dtype=float)
+    batch, k = x.shape
+    h = step * (1.0 + np.linalg.norm(x, axis=-1))
+    eye = np.eye(k)
+    plus = x[:, None, :] + h[:, None, None] * eye[None]
+    minus = x[:, None, :] - h[:, None, None] * eye[None]
+    vp = np.asarray(map_r(plus.reshape(-1, k)))
+    vm = np.asarray(map_r(minus.reshape(-1, k)))
+    kout = vp.shape[-1]
+    vp = vp.reshape(batch, k, kout)
+    vm = vm.reshape(batch, k, kout)
+    return np.swapaxes(vp - vm, -1, -2) / (2.0 * h[:, None, None])
+
+
+def pullback_batch(map_r, x: np.ndarray, target: np.ndarray,
+                   step: float = DEFAULT_STEP) -> np.ndarray:
+    """Pullback jac^T target jac of a constant two-form matrix, shape (B, k, k)."""
+    jac = jacobian_batch(map_r, x, step)
+    return np.einsum("bji,jk,bkl->bil", jac, target, jac)
 
 
 def complex_hessian_batch(f, pts: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:

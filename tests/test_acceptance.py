@@ -39,7 +39,7 @@ def test_criterion_1_darboux_pullback():
             H = hartogs.make_hartogs(d, mu)
             rng = np.random.default_rng(100 + 10 * i + j)
             pts = hartogs.sample_member_points(H, 100, rng)
-            res = verify.darboux_residuals(H, pts, 1e-5)
+            res = verify.darboux_residuals(H, pts)
             worst = max(worst, float(res.max()))
     elapsed = time.perf_counter() - started
     _report(1, "darboux pullback", worst <= 1e-5 and elapsed <= 60.0,
@@ -53,7 +53,7 @@ def test_criterion_2_dual_darboux_pullback():
             H = hartogs.make_hartogs(d, mu)
             rng = np.random.default_rng(200 + 10 * i + j)
             pts = hartogs.sample_heavy_points(d.n + 1, 100, rng)
-            res = verify.darboux_residuals(H, pts, 1e-5, dual=True)
+            res = verify.darboux_residuals(H, pts, dual=True)
             worst = max(worst, float(res.max()))
     _report(2, "dual darboux pullback", worst <= 1e-5,
             f"max residual {worst:.3e} (tol 1e-05, heavy tails to norm 10)")

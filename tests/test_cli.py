@@ -57,8 +57,9 @@ def test_volume_example():
 
 def test_failing_check_exits_one(tmp_path):
     out = tmp_path / "report.json"
+    # both sides of darboux are closed forms: only a tolerance below rounding fails
     res = _run(["darboux", "--domain", "polydisc", "--n", "1",
-                "--points", "10", "--tol", "1e-13", "--output", str(out)])
+                "--points", "10", "--tol", "1e-17", "--output", str(out)])
     assert res.exit_code == 1
     report = json.loads(out.read_text())
     assert report["summary"]["overall"] == "fail"
@@ -192,6 +193,30 @@ def test_capacity_rank_three_runs():
         assert check["status"] == "pass"
         npt.assert_allclose(check["parameters"]["interval"], want[side], rtol=1e-12)
 
+
+@pytest.mark.parametrize("family", ["dual-darboux", "psh"])
+def test_large_mu_reports_finite_residuals(tmp_path, family):
+    # N(z, -zbar)^mu overflows at mu = 1e3; the Hessian and the Jacobian are
+    # taken in t = u / G and 1/G, which do not
+    out = tmp_path / "report.json"
+    res = _run([family, "--domain", "type-I", "--p", "2", "--q", "2", "--mu", "1e3",
+                "--points", "50", "--output", str(out)])
+    assert res.exit_code in (0, 1)
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 1
+    assert all(np.isfinite(c["worst_residual"]) for c in checks)
+
+
+def test_fd_step_is_accepted_but_unread():
+    # --fd-step is validated and echoed, and no check reads it
+    base = ["darboux", "--domain", "polydisc", "--n", "2", "--points", "20"]
+    plain = json.loads(_run(base).output)
+    stepped = json.loads(_run(base + ["--fd-step", "1e-3"]).output)
+    assert stepped["config"]["fd_step"] == 1e-3
+    assert all("fd_step" not in c["parameters"] for c in plain["checks"])
+    strip = lambda rep: [{k: v for k, v in c.items() if k != "wall_time_s"}
+                         for c in rep["checks"]]
+    assert strip(plain) == strip(stepped)
 
 
 @pytest.mark.parametrize("args, operations", [
