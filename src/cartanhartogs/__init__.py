@@ -9,7 +9,6 @@ from .capacity import (
     capacity_certificate,
     dual_image_bounds,
     hartogs_in_cylinder,
-    unit_ball_inequality,
 )
 from .errors import ConvergenceError, DomainError, ShapeError
 from .forms import (
@@ -37,19 +36,15 @@ from .jtsys import (
     KIND_POLYDISC,
     KIND_TYPE_I,
     DomainSpec,
-    b_quarter_power_on_z,
-    bergman_apply,
     frame_point,
-    generic_norm,
-    hyperbolic_space,
     isotropy_apply,
+    jordan_frame,
     log_norm_derivatives,
     make_domain,
     membership,
     norm_self,
     random_isotropy,
     singular_values,
-    triple_product,
 )
 from .measures import (
     GennaioResult,

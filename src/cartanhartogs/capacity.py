@@ -53,13 +53,6 @@ class CapacityCertificate:
     notes: tuple[str, ...] = field(default=())
 
 
-def unit_ball_inequality(lams: np.ndarray) -> np.ndarray:
-    """sum_j l_j^2 + prod_j (1 - l_j^2), which is >= 1 on [0, 1)^r; equality
-    needs rank one or at most one nonzero eigenvalue."""
-    lams = np.asarray(lams, dtype=float)
-    return np.sum(lams**2, axis=-1) + np.prod(1.0 - lams**2, axis=-1)
-
-
 def _witnesses(pts: np.ndarray, ok: np.ndarray) -> list:
     return [row.tolist() for row in pts[~ok][:16]]
 

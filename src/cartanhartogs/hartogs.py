@@ -4,17 +4,20 @@ The domain M is {(z, w) in Omega x C : |w|^2 < N(z, zbar)^mu} with Kaehler
 potential phi = -log(N^mu - |w|^2).  Its dual carries the everywhere-defined
 potential phi* = log(N(z, -zbar)^mu + |w|^2) on C^(n+1); flipping the sign in
 B(z, +/-zbar) turns one into the other.  With eps = -1 on the domain and +1 on
-the dual, u = N(z, -eps zbar)^mu and G = u + eps |w|^2, the map
+the dual, u = N(z, -eps zbar)^mu, G = u + eps |w|^2 and t = u / G, the map
 
-    (z, w) -> G^(-1/2) (sqrt(mu u) B(z, -eps zbar)^(-1/4) z, w)
+    (z, w) -> (sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w / sqrt(G))
 
 pulls the flat form back to the domain form (Psi, eps = -1) and to the dual
 form (Phi, eps = +1); `potential_field(H, dual)` is eps log G.  A point is a
 packed complex vector of length n+1 with w last; every map, potential and
 membership test takes a packed array of shape (..., n+1) and works on all
-leading axes at once.  Both maps invert in closed form through the same Jordan
-kernel with the sign flipped once more (spectral calculus of B(x, +/-xbar):
-Loos 1977; Faraut-Koranyi 1990), see `_darboux_inverse`.
+leading axes at once.  The maps, their closed-form inverses (the same Jordan
+kernel with the sign flipped once more) and their Jacobian each take one
+`jtsys.jordan_frame` per point, a single Hermitian eigendecomposition of
+I +/- J J* (spectral calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi
+1990).  t and 1/G come from log N through `fiber_ratios`, so u = N^mu is
+never formed and the maps stay finite at large mu.
 
 `ch_member_vec` is the one membership test of M; the capacity ball check and
 the Monte Carlo flat volume both count its hits.  `lift_embedding` carries
@@ -30,8 +33,7 @@ import numpy as np
 
 from . import jtsys
 from .errors import ConvergenceError, DomainError, ShapeError
-from .jtsys import DomainSpec, b_quarter_power_on_z, membership, norm_self, singular_values
-from .realcoords import to_complex
+from .jtsys import DomainSpec, membership, norm_self, singular_values
 
 
 @dataclass(frozen=True)
@@ -93,16 +95,6 @@ def potential_field(H: HartogsSpec, dual: bool = False):
     return field
 
 
-def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
-    """G^(-1/2) (sqrt(mu u) B(z, -eps zbar)^(-1/4) z, w) with u = N(z, -eps zbar)^mu
-    and G = u + eps |w|^2: Psi at eps = -1, Phi at eps = +1."""
-    z, w = split_vec(H, pts)
-    u = norm_self(H.domain, z, sign=-eps) ** H.mu
-    g = u + eps * np.abs(w) ** 2
-    zeta = np.sqrt(H.mu * u / g)[..., None] * b_quarter_power_on_z(H.domain, z, -eps)
-    return _join(zeta, w / np.sqrt(g))
-
-
 def fiber_ratios(H: HartogsSpec, log_n: np.ndarray, w: np.ndarray, eps: int):
     """t = u / G and 1/G for u = N^mu = exp(mu log_n) and G = u + eps |w|^2,
     taken from log N so that u itself is never formed (it overflows on the
@@ -112,6 +104,17 @@ def fiber_ratios(H: HartogsSpec, log_n: np.ndarray, w: np.ndarray, eps: int):
     return t, t * inv_u
 
 
+def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
+    """(sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w sqrt(1/G)) with t = u / G,
+    u = N(z, -eps zbar)^mu and G = u + eps |w|^2: Psi at eps = -1, Phi at
+    eps = +1.  One `jtsys.jordan_frame` gives B^(-1/4) z and log N = sum log lam,
+    and `fiber_ratios` takes t and 1/G from log N, so u is never formed."""
+    z, w = split_vec(H, pts)
+    lam, _, _, bz = jtsys.jordan_frame(H.domain, z, -eps)
+    t, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
+    return _join(np.sqrt(H.mu * t)[..., None] * bz, w * np.sqrt(inv_g))
+
+
 def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:
     """Closed-form derivatives of Psi (or Phi with dual=True) at packed points
     (..., n+1): shape (..., 2(n+1), n+1), row a the complex image of real
@@ -119,7 +122,7 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
 
     With J = j(z) and A = I + eps J J*, the map of `_darboux_map` is
     (sqrt(mu t) A^(-1/2) J, w / sqrt(G)) with t = u / G and u = (det A)^mu.
-    One Hermitian eigendecomposition A = U diag(lam) U* gives
+    Its `jtsys.jordan_frame` (A = U diag(lam) U*, U* J and A^(-1/2) J) gives
 
         d log u     = mu tr(A^-1 dA),   dA = eps (dJ J* + J dJ*),
         d A^(-1/2)  = U (Delta o U* dA U) U*,
@@ -136,10 +139,8 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     eps = 1 if dual else -1
     d = H.domain
     z, w = split_vec(H, pts)
-    jz = jtsys.as_matrix(d, z)
-    p, q = jz.shape[-2:]
-    lam, u = np.linalg.eigh(np.eye(p) + eps * jz @ np.conj(np.swapaxes(jz, -1, -2)))
-    k = np.conj(np.swapaxes(u, -1, -2)) @ jz
+    lam, u, k, b_z = jtsys.jordan_frame(d, z, -eps)     # b_z = A^(-1/2) J
+    p, q = k.shape[-2:]
     root = np.sqrt(lam)
     inv_root = 1.0 / root
     # (x^(-1/2) - y^(-1/2)) / (x - y) without cancellation, f'(x) on the diagonal
@@ -173,7 +174,6 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     out[..., :-2, :-1] = scale[..., None, None] * jtsys.as_vector(d, u[..., None, :, :] @ inner)
     out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
     dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
-    b_z = jtsys.as_vector(d, u @ (inv_root[..., :, None] * k))   # A^(-1/2) J
     out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
     out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * (c + 0.5 * w[..., None] * dlog_g)
     return out
@@ -182,14 +182,16 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
 def _darboux_inverse(H: HartogsSpec, targets, eps: int) -> np.ndarray:
     """Closed-form inverse of `_darboux_map` at the same eps: with
     fac = 1 - eps |omega|^2 and x = zeta / sqrt(mu fac), z = B(x, eps xbar)^(-1/4) x
-    and w = omega sqrt(N(z, -eps zbar)^mu / fac).  For eps = +1, fac <= 0 or a
-    spectral value x_j >= 1 (in the Jordan kernel) is outside Phi's image: DomainError."""
+    and w = omega sqrt(N(z, -eps zbar)^mu / fac).  Both come from the one
+    `jtsys.jordan_frame` of x: I + eps Z Z* = (I - eps X X*)^-1, so
+    N(z, -eps zbar) = 1 / prod(lam).  For eps = +1, fac <= 0 or a spectral
+    value x_j >= 1 (in the frame) is outside Phi's image: DomainError."""
     zeta, omega = split_vec(H, targets)
     fac = 1.0 - eps * np.abs(omega) ** 2
     if np.any(fac <= 0):
         raise DomainError("target fiber coordinate must have modulus < 1")
-    z = b_quarter_power_on_z(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], eps)
-    return _join(z, omega * np.sqrt(norm_self(H.domain, z, sign=-eps) ** H.mu / fac))
+    lam, _, _, z = jtsys.jordan_frame(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], eps)
+    return _join(z, omega * np.exp(-0.5 * H.mu * np.sum(np.log(lam), axis=-1)) / np.sqrt(fac))
 
 
 def psi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
@@ -325,4 +327,4 @@ def sample_ball_points(m: int, count: int, rng: np.random.Generator,
     g = rng.normal(size=(count, 2 * m))
     g /= np.linalg.norm(g, axis=-1)[:, None]
     g *= radius * rng.uniform(size=count)[:, None] ** (1.0 / (2 * m))
-    return to_complex(g)
+    return g[:, 0::2] + 1j * g[:, 1::2]

@@ -13,11 +13,14 @@ genus from (r, a, b).  `frame_point` places values on the canonical frame of
 orthogonal tripotents (E_jj for type-I, unit vectors for the polydisc), which
 carries Delta^m into Omega for every m <= r.
 
-Every algebraic operator used downstream (Bergman operator, generic norm,
-spectral values, fractional powers of B(z, +/-zbar)) is expressed through
-the matrix realization j(z): a diagonal matrix for the polydisc, the matrix
-itself for type-I.  Points are flat complex vectors of length n; type-I points
-are reshaped to (p, q) row-major when matrix algebra is needed.
+Every algebraic operator used downstream (generic norm, spectral values, the
+spectral frame of B(z, +/-zbar) and its fractional power) is expressed
+through the matrix realization j(z): a diagonal matrix for the polydisc, the
+matrix itself for type-I.  `jordan_frame` is the one factorisation behind the
+Darboux maps, their inverses and their Jacobian, and the one place that
+rejects a base point outside Omega.  Points are flat complex vectors of
+length n; type-I points are reshaped to (p, q) row-major when matrix algebra
+is needed.
 """
 
 from __future__ import annotations
@@ -81,11 +84,6 @@ def make_domain(kind: str, *, n: int | None = None, p: int | None = None,
                       genus=2 + a * (r - 1) + b)
 
 
-def hyperbolic_space(n: int) -> DomainSpec:
-    """Complex hyperbolic space CH^n, i.e. the rank-one domain type-I(1, n)."""
-    return make_domain(KIND_CHN, n=n)
-
-
 def _check_point(D: DomainSpec, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != D.n:
@@ -128,54 +126,21 @@ def frame_point(D: DomainSpec, lam) -> np.ndarray:
     return as_vector(D, jz)
 
 
-def triple_product(D: DomainSpec, x, y, z) -> np.ndarray:
-    """Jordan triple product {x, y, z} (C-linear in x and z, conjugate-linear in y)."""
-    x, y, z = (_check_point(D, v) for v in (x, y, z))
-    if D.kind == KIND_POLYDISC:
-        return 2.0 * x * np.conj(y) * z
-    xm, ym, zm = (as_matrix(D, v) for v in (x, y, z))
-    ystar = np.conj(np.swapaxes(ym, -1, -2))
-    return as_vector(D, xm @ ystar @ zm + zm @ ystar @ xm)
+def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
+    """Generic norm N(z, sign * zbar), real-valued and batched.
 
-
-def bergman_apply(D: DomainSpec, x, y, w) -> np.ndarray:
-    """Apply the Bergman operator B(x, y) to w.
-
-    In the matrix realization, B(x, y) w = (I - j(x) j(y)*) j(w) (I - j(y)* j(x)).
-    """
-    x, y, w = (_check_point(D, v) for v in (x, y, w))
-    if D.kind == KIND_POLYDISC:
-        return (1.0 - x * np.conj(y)) ** 2 * w
-    p, q = D.shape
-    xm, ym, wm = (as_matrix(D, v) for v in (x, y, w))
-    ystar = np.conj(np.swapaxes(ym, -1, -2))
-    left = np.eye(p) - xm @ ystar
-    right = np.eye(q) - ystar @ xm
-    return as_vector(D, left @ wm @ right)
-
-
-def generic_norm(D: DomainSpec, z, y=None, sign: int = 1):
-    """Generic norm N(z, sign * ybar); y defaults to z.
-
-    For the polydisc this is prod_j (1 - sign * z_j * conj(y_j)); for type-I it
-    is det(I_p - sign * j(z) j(y)*).  N(z, zbar) is real and positive on the
-    domain, and N(z, -zbar) >= 1 everywhere.
+    For the polydisc this is prod_j (1 - sign |z_j|^2); for type-I it is
+    det(I_p - sign * j(z) j(z)*).  N(z, zbar) is positive on the domain, and
+    N(z, -zbar) >= 1 everywhere.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
-    y = z if y is None else _check_point(D, y)
     if D.kind == KIND_POLYDISC:
-        return np.prod(1.0 - sign * z * np.conj(y), axis=-1)
-    zm = as_matrix(D, z)
-    ystar = np.conj(np.swapaxes(as_matrix(D, y), -1, -2))
-    p = D.shape[0]
-    return np.linalg.det(np.eye(p) - sign * zm @ ystar)
-
-
-def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
-    """Real-valued N(z, sign * zbar), batched."""
-    return np.real(generic_norm(D, z, None, sign))
+        return np.real(np.prod(1.0 - sign * z * np.conj(z), axis=-1))
+    jz = as_matrix(D, z)
+    return np.real(np.linalg.det(np.eye(D.shape[0])
+                                 - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))))
 
 
 def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -226,27 +191,26 @@ def membership(D: DomainSpec, z) -> np.ndarray:
     return singular_values(D, z)[..., 0] < 1.0
 
 
-def b_quarter_power_on_z(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
-    """B(z, sign * zbar)^(-1/4) applied to z, batched.
+def jordan_frame(D: DomainSpec, z, sign: int):
+    """Spectral frame of B(z, sign * zbar) from one Hermitian eigendecomposition
+    A = I - sign J J* = U diag(lam) U* per point, J = j(z), batched.
 
-    Spectrally this is sum_j lambda_j (1 - sign * lambda_j^2)^(-1/2) c_j; for
-    sign=+1 it requires all lambda_j < 1.
+    Returns (lam, U, U* J, B(z, sign * zbar)^(-1/4) z), the last as a point.
+    Since J C = A J for C = I - sign J* J, the fractional power
+    A^(-1/4) J C^(-1/4) equals A^(-1/2) J = U lam^(-1/2) U* J (spectral
+    calculus of B(z, +/-zbar): Loos 1977; Faraut-Koranyi 1990), and
+    N(z, sign * zbar) = prod(lam).  The polydisc takes the same route on its
+    diagonal J.  With sign=+1 every lam must be positive, i.e. z in Omega:
+    DomainError otherwise.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    z = _check_point(D, z)
-    if D.kind == KIND_POLYDISC:
-        fac = 1.0 - sign * np.abs(z) ** 2
-        if np.any(fac <= 0):
-            raise DomainError("eigenvalue >= 1 with sign=+1")
-        return z / np.sqrt(fac)
-    p, q = D.shape
-    u, s, vh = np.linalg.svd(z.reshape(z.shape[:-1] + (p, q)), full_matrices=False)
-    fac = 1.0 - sign * s**2
-    if np.any(fac <= 0):
-        raise DomainError("eigenvalue >= 1 with sign=+1")
-    scaled = u * (s / np.sqrt(fac))[..., None, :]
-    return as_vector(D, scaled @ vh)
+    jz = as_matrix(D, z)
+    lam, u = np.linalg.eigh(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
+    if sign == 1 and np.any(lam <= 0):
+        raise DomainError("spectral value >= 1 with sign=+1")
+    k = np.conj(np.swapaxes(u, -1, -2)) @ jz
+    return lam, u, k, as_vector(D, u @ ((1.0 / np.sqrt(lam))[..., :, None] * k))
 
 
 @dataclass(frozen=True)

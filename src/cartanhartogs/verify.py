@@ -23,11 +23,14 @@ FIT_GENUS_TOL = 1e-9
 
 
 def _result(name: str, params: dict, worst: float, tol: float,
-            witnesses: list | None = None, started: float | None = None) -> dict:
+            witnesses: list | None = None, started: float | None = None,
+            strict: bool = False) -> dict:
+    """A report entry; it passes when worst <= tol, or worst < tol if strict."""
+    passed = worst < tol if strict else worst <= tol
     return {
         "name": name,
         "parameters": params,
-        "status": "pass" if worst <= tol else "fail",
+        "status": "pass" if passed else "fail",
         "worst_residual": float(worst),
         "tolerance": float(tol),
         "witnesses": witnesses or [],
@@ -63,10 +66,11 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
     return out
 
 
-def _witness(pts: np.ndarray, residuals: np.ndarray, tol: float) -> list:
+def _witness(pts: np.ndarray, residuals: np.ndarray, failed: np.ndarray) -> list:
+    """The failing points among the four with the largest residuals."""
     bad = np.argsort(-residuals)[:4]
     return [{"point": _pack(pts[i]), "residual": float(residuals[i])}
-            for i in bad if residuals[i] > tol]
+            for i in bad if failed[i]]
 
 
 def _pack(vec: np.ndarray) -> list:
@@ -85,7 +89,7 @@ def _check_pullback(cfg, dual: bool) -> list[dict]:
         res = darboux_residuals(H, pts, dual)
         out.append(_result(name, {"mu": mu, "points": cfg.points, "operation": "pullback"},
                            float(np.max(res)), cfg.tol,
-                           _witness(pts, res, cfg.tol), started))
+                           _witness(pts, res, res > cfg.tol), started))
     return out
 
 
@@ -98,8 +102,9 @@ def check_dual_darboux(cfg) -> list[dict]:
 
 
 def check_psh(cfg) -> list[dict]:
-    """Strict plurisubharmonicity: smallest dual Hessian eigenvalue must stay
-    positive (tolerance 0 on its negative part)."""
+    """Strict plurisubharmonicity: the smallest dual Hessian eigenvalue must be
+    positive at every point.  The residual is its negative, and the gate is
+    strict (residual < 0), so a zero eigenvalue fails."""
     out = []
     for mu in cfg.mu:
         started = time.perf_counter()
@@ -110,7 +115,8 @@ def check_psh(cfg) -> list[dict]:
         worst = float(np.max(-eigs))
         out.append(_result("psh", {"mu": mu, "points": cfg.points,
                                    "operation": "is_positive_definite"},
-                           worst, 0.0, _witness(pts, -eigs, 0.0), started))
+                           worst, 0.0, _witness(pts, -eigs, eigs <= 0), started,
+                           strict=True))
     return out
 
 
@@ -133,7 +139,7 @@ def check_det_formula(cfg) -> list[dict]:
         out.append(_result("det-formula", {"mu": mu, "points": npts,
                                            "operation": "det_dual_hessian"},
                            float(np.max(rel)), cfg.tol,
-                           _witness(pts, rel, cfg.tol), started))
+                           _witness(pts, rel, rel > cfg.tol), started))
     started = time.perf_counter()
     fitted = measures.fit_genus(cfg.domain_spec)
     out.append(_result("det-formula", {"operation": "fit_genus", "fitted": fitted},

@@ -9,10 +9,16 @@ h = step * (1 + ||point||): the real Jacobian of a map and the pullback of a
 two-form through it, and the complex Hessian of an arbitrary field, taken from
 the real Hessian.
 
-The file also holds single-point routes that the library does not need: the
-spectral decomposition over orthogonal tripotents (behind the tests' own
-spectral inverses of Psi and Phi), the operator form of B(z, +/-zbar)^(-1/4),
-and the symmetrized Selberg quadrature.
+The file also holds routes that the library does not need: the interleaved
+real coordinates themselves, the Jordan triple product and the Bergman
+operator, the rank inequality behind the flat capacity ball, the spectral
+decomposition over orthogonal tripotents (behind the tests' own spectral
+inverses of Psi and Phi), and the symmetrized Selberg quadrature.  The
+operator form of B(z, +/-zbar)^(-1/4) is the independent route for
+`jtsys.jordan_frame`: it takes A^(-1/4) J C^(-1/4) from two separate
+eigendecompositions where the frame uses one, and with the generic norm from
+`jtsys.norm_self` (a determinant) it rebuilds Psi and Phi from the defining
+formula, with u = N^mu formed.
 """
 
 from __future__ import annotations
@@ -26,11 +32,27 @@ from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.hartogs import HartogsSpec, potential_field
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
                                  norm_self)
-from cartanhartogs.realcoords import to_complex, to_real
 
 DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
 _EIG_TOL = 1e-13
+
+
+def to_real(z: np.ndarray) -> np.ndarray:
+    """(..., m) complex -> (..., 2m) real, interleaving re/im per coordinate."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
+    return out
+
+
+def to_complex(x: np.ndarray) -> np.ndarray:
+    """(..., 2m) real -> (..., m) complex."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] % 2:
+        raise ValueError("real vector length must be even")
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def realify_map(f):
@@ -149,6 +171,33 @@ def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
     return out
 
 
+def triple_product(D: DomainSpec, x, y, z) -> np.ndarray:
+    """Jordan triple product {x, y, z} = j(x) j(y)* j(z) + j(z) j(y)* j(x)
+    (C-linear in x and z, conjugate-linear in y); on the diagonal j(z) of the
+    polydisc this is 2 x ybar z componentwise."""
+    xm, ym, zm = (as_matrix(D, v) for v in (x, y, z))
+    ystar = np.conj(np.swapaxes(ym, -1, -2))
+    return as_vector(D, xm @ ystar @ zm + zm @ ystar @ xm)
+
+
+def bergman_apply(D: DomainSpec, x, y, w) -> np.ndarray:
+    """The Bergman operator B(x, y) applied to w,
+    (I - j(x) j(y)*) j(w) (I - j(y)* j(x)); (1 - x ybar)^2 w on the polydisc."""
+    xm, ym, wm = (as_matrix(D, v) for v in (x, y, w))
+    ystar = np.conj(np.swapaxes(ym, -1, -2))
+    left = np.eye(xm.shape[-2]) - xm @ ystar
+    right = np.eye(xm.shape[-1]) - ystar @ xm
+    return as_vector(D, left @ wm @ right)
+
+
+def unit_ball_inequality(lams: np.ndarray) -> np.ndarray:
+    """sum_j l_j^2 + prod_j (1 - l_j^2), which is >= 1 on [0, 1)^r; equality
+    needs rank one or at most one nonzero eigenvalue.  It is why the flat
+    capacity ball B(1) sits inside M for mu <= 1."""
+    lams = np.asarray(lams, dtype=float)
+    return np.sum(lams**2, axis=-1) + np.prod(1.0 - lams**2, axis=-1)
+
+
 def _single_point(D: DomainSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape != (D.n,):
@@ -208,7 +257,8 @@ def _herm_inv_quarter(m: np.ndarray) -> np.ndarray:
 
 
 def b_quarter_power_operator(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
-    """Independent route for `jtsys.b_quarter_power_on_z` on a single point.
+    """Independent route for the B(z, sign * zbar)^(-1/4) z of
+    `jtsys.jordan_frame`, on a single point.
 
     Applies the honest operator fractional power: with J = j(z), A = I - sign J J*
     and C = I - sign J* J, the result is j^(-1)(A^(-1/4) J C^(-1/4)).
@@ -217,6 +267,19 @@ def b_quarter_power_operator(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
     a = np.eye(jz.shape[0]) - sign * jz @ np.conj(jz.T)
     c = np.eye(jz.shape[1]) - sign * np.conj(jz.T) @ jz
     return as_vector(D, _herm_inv_quarter(a) @ jz @ _herm_inv_quarter(c))
+
+
+def darboux_map_operator(H: HartogsSpec, pt, eps: int) -> np.ndarray:
+    """Independent route for Psi (eps = -1) and Phi (eps = +1) at one packed
+    point: u = N(z, -eps zbar)^mu from the determinant of `jtsys.norm_self`,
+    G = u + eps |w|^2 and the operator power above,
+    G^(-1/2) (sqrt(mu u) B(z, -eps zbar)^(-1/4) z, w)."""
+    pt = np.asarray(pt, dtype=complex)
+    z, w = pt[:-1], pt[-1]
+    u = norm_self(H.domain, z, sign=-eps) ** H.mu
+    g = u + eps * abs(w) ** 2
+    zeta = np.sqrt(H.mu * u / g) * b_quarter_power_operator(H.domain, z, -eps)
+    return np.append(zeta, w / np.sqrt(g))
 
 
 def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,

@@ -144,7 +144,7 @@ def test_criterion_8_duality_characterization():
     details = []
     ok = True
     for n in (1, 2, 3):
-        root = measures.duality_root(jtsys.hyperbolic_space(n))
+        root = measures.duality_root(jtsys.make_domain(jtsys.KIND_CHN, n=n))
         ok &= abs(root - 1.0) <= 1e-9
         details.append(f"CH^{n}: {root:.10f}")
     for d in (jtsys.make_domain(jtsys.KIND_POLYDISC, n=2),
@@ -213,7 +213,7 @@ def test_criterion_10_structure_maps():
 
     ball = 0.0
     for n in (1, 2, 3):
-        H = hartogs.make_hartogs(jtsys.hyperbolic_space(n), 1.0)
+        H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_CHN, n=n), 1.0)
         pts = hartogs.sample_ball_points(n + 1, 200, rng, 0.97)
         gap = np.abs(hartogs.psi_map_vec(H, pts) - hartogs.unit_ball_darboux(pts))
         ball = max(ball, float(gap.max()))

@@ -3,9 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from cartanhartogs import cli, forms, hartogs, jtsys, verify
-from cartanhartogs.realcoords import to_complex, to_real
+from conftest import GRID_AND_T33
 from reference import (base_restriction_matches, complex_hessian_batch, det_dual_hessian_fd,
-                       jacobian_batch, pullback_batch, realify_map)
+                       jacobian_batch, pullback_batch, realify_map, to_complex, to_real)
 
 
 def _flat_potential(pts):
@@ -154,17 +154,6 @@ def test_darboux_residuals_blocks_match_one_shot(monkeypatch):
                         rtol=1e-14)
 
 
-JACOBIAN_DOMAINS = {
-    "polydisc-1": dict(kind=jtsys.KIND_POLYDISC, n=1),
-    "polydisc-2": dict(kind=jtsys.KIND_POLYDISC, n=2),
-    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
-    "type-I(1,2)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=2),
-    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
-    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
-    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
-}
-
-
 def _jacobian_gap(H, pts, dual, mapping):
     """Worst entrywise gap between darboux_jacobian and the central-difference
     Jacobian of `mapping`, relative to 1 + |entry|."""
@@ -180,11 +169,11 @@ def _map_cases(H, rng):
             (True, hartogs.phi_map_vec, hartogs.sample_heavy_points(m, 20, rng))]
 
 
-@pytest.mark.parametrize("name", list(JACOBIAN_DOMAINS))
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
 def test_darboux_jacobian_matches_stencil(name):
     # the acceptance grid plus type-I(3,3): the closed-form Jacobian is the
     # derivative of the public maps Psi and Phi
-    d = jtsys.make_domain(**JACOBIAN_DOMAINS[name])
+    d = jtsys.make_domain(**GRID_AND_T33[name])
     rng = np.random.default_rng(11)
     for mu in (0.5, 1.0, 2.0):
         H = hartogs.make_hartogs(d, mu)
@@ -300,6 +289,17 @@ def test_dual_hessian_min_eigs_positive(domain, rng):
     pts = hartogs.sample_ball_points(domain.n + 1, 50, rng, 10.0)
     eigs = forms.dual_hessian_min_eigs(H, pts)
     assert np.all(eigs > 0)
+
+
+def test_psh_fails_a_zero_eigenvalue(monkeypatch):
+    # strict plurisubharmonicity: a smallest eigenvalue of exactly 0 is not > 0
+    cfg = cli.RunConfig(kind=jtsys.KIND_POLYDISC, n=2, mu=(0.5, 1.0, 2.0), checks=("psh",),
+                        points=20, samples=1000, seed=0, fd_step=1e-5, tol=1e-5)
+    assert [c["status"] for c in verify.check_psh(cfg)] == ["pass"] * 3
+    monkeypatch.setattr(forms, "dual_hessian_min_eigs", lambda H, pts: np.zeros(len(pts)))
+    entries = verify.check_psh(cfg)
+    assert [c["status"] for c in entries] == ["fail"] * 3
+    assert all(c["tolerance"] == 0.0 and len(c["witnesses"]) == 4 for c in entries)
 
 
 def test_base_restriction(domain, rng):

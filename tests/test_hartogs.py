@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from cartanhartogs import cli, hartogs, jtsys, verify
 from cartanhartogs.errors import ConvergenceError, DomainError, ShapeError
-from reference import spectral_decompose
+from conftest import GRID_AND_T33
+from reference import darboux_map_operator, spectral_decompose
 
 
 def _hartogs(domain, mu):
@@ -100,6 +101,60 @@ def test_phi_rank_one_oracle():
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
     out = hartogs.phi_map_vec(H, np.array([1.0, 0.0]))
     npt.assert_allclose(out, [1 / np.sqrt(2), 0.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+def test_maps_match_operator_route(name):
+    # the one-eigh frame with fiber ratios in log space against the
+    # determinant, two operator quarter powers and u = N^mu formed
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    rng = np.random.default_rng(3)
+    for mu in (0.5, 1.0, 2.0):
+        H = _hartogs(d, mu)
+        pts = hartogs.sample_member_points(H, 30, rng, lam_max=0.9, w_frac=0.9)
+        heavy = hartogs.sample_heavy_points(d.n + 1, 30, rng)
+        for mapping, eps, rows in ((hartogs.psi_map_vec, -1, pts),
+                                   (hartogs.phi_map_vec, 1, np.concatenate([pts, heavy]))):
+            want = np.stack([darboux_map_operator(H, row, eps) for row in rows])
+            npt.assert_allclose(mapping(H, rows), want, rtol=1e-13, atol=1e-13)
+
+
+def test_phi_map_finite_at_large_mu():
+    # N(z, -zbar)^mu overflows at mu = 1e3; the map never forms it
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1e3)
+    pts = hartogs.sample_heavy_points(5, 50, np.random.default_rng(0))
+    assert np.all(np.isfinite(hartogs.phi_map_vec(H, pts)))
+
+
+def test_psi_and_its_jacobian_reject_points_outside_omega():
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1.0)
+    pts = np.array([[0.3, 0, 0, 0.2, 0.1], [0.5, 0, 0, 1.2, 0.0]])
+    with pytest.raises(DomainError):
+        hartogs.psi_map_vec(H, pts)
+    with pytest.raises(DomainError):
+        hartogs.darboux_jacobian(H, pts)
+
+
+def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
+    # no determinant, no SVD: a raising norm_self, singular_values, det or svd
+    # is reached by none of the maps, inverses or Jacobians
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.5)
+    pts = hartogs.sample_member_points(H, 8, rng)
+    images = (hartogs.psi_map_vec(H, pts), hartogs.phi_map_vec(H, pts))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Jordan frame route took a det or an SVD")
+
+    for module, name in ((jtsys, "norm_self"), (jtsys, "singular_values"),
+                         (hartogs, "norm_self"), (hartogs, "singular_values"),
+                         (np.linalg, "det"), (np.linalg, "svd")):
+        monkeypatch.setattr(module, name, refuse)
+    npt.assert_array_equal(hartogs.psi_map_vec(H, pts), images[0])
+    npt.assert_array_equal(hartogs.phi_map_vec(H, pts), images[1])
+    npt.assert_allclose(hartogs.psi_inverse(H, images[0]), pts, atol=1e-12)
+    npt.assert_allclose(hartogs.phi_inverse(H, images[1]), pts, atol=1e-12)
+    for dual in (False, True):
+        assert np.all(np.isfinite(hartogs.darboux_jacobian(H, pts, dual)))
 
 
 def test_psi_matches_spectral_inverse(domain, rng):
@@ -240,7 +295,7 @@ def test_hereditary_lift(rng):
 
 def test_rank_one_specializes_to_ball_map(rng):
     for n in (1, 2):
-        H = _hartogs(jtsys.hyperbolic_space(n), 1.0)
+        H = _hartogs(jtsys.make_domain(jtsys.KIND_CHN, n=n), 1.0)
         pts = hartogs.sample_ball_points(n + 1, 50, rng, 0.95)
         npt.assert_allclose(hartogs.psi_map_vec(H, pts),
                             hartogs.unit_ball_darboux(pts), atol=1e-12)

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
-from reference import b_quarter_power_operator, isotropy_draws, spectral_decompose
+from reference import (b_quarter_power_operator, bergman_apply, isotropy_draws,
+                       spectral_decompose, triple_product)
 
 
 def test_make_domain_invariants():
@@ -17,7 +18,7 @@ def test_make_domain_invariants():
     # dimension identity n = r(b + 1 + (a/2)(r-1))
     assert d.n == d.r * (d.b + 1 + (d.a / 2) * (d.r - 1))
 
-    d = jtsys.hyperbolic_space(4)
+    d = jtsys.make_domain(jtsys.KIND_CHN, n=4)
     assert (d.r, d.a, d.b, d.n, d.genus) == (1, 2, 3, 4, 5)
 
 
@@ -37,7 +38,7 @@ def test_make_domain_rejects_bad_shapes():
 def test_chn_kind_is_hyperbolic_space():
     for k in (1, 2, 5):
         d = jtsys.make_domain("chn", n=k)
-        assert d == jtsys.hyperbolic_space(k) == jtsys.make_domain(jtsys.KIND_TYPE_I, p=1, q=k)
+        assert d == jtsys.make_domain(jtsys.KIND_TYPE_I, p=1, q=k)
         assert (d.r, d.n, d.genus) == (1, k, k + 1)
 
 
@@ -77,7 +78,7 @@ def test_triple_product_polydisc_oracle():
     x = np.array([1.0 + 1j, 2.0])
     y = np.array([0.5, 1j])
     # componentwise 2 x ybar z
-    npt.assert_allclose(jtsys.triple_product(d, x, y, x),
+    npt.assert_allclose(triple_product(d, x, y, x),
                         2.0 * x * np.conj(y) * x)
 
 
@@ -86,16 +87,16 @@ def test_triple_product_type1_oracle():
     x = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # E11
     y = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)  # E22
     # {E11, E22, E11} = E11 E22* E11 + E11 E22* E11 = 0
-    npt.assert_allclose(jtsys.triple_product(d, x, y, x), np.zeros(4))
+    npt.assert_allclose(triple_product(d, x, y, x), np.zeros(4))
     # {E11, E11, E11} = 2 E11 (tripotent)
-    npt.assert_allclose(jtsys.triple_product(d, x, x, x), 2.0 * x)
+    npt.assert_allclose(triple_product(d, x, x, x), 2.0 * x)
 
 
 def test_tripotent_law_from_spectral(domain, rng):
     z = 0.7 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
     dec = spectral_decompose(domain, z)
     for c in dec.tripotents:
-        npt.assert_allclose(jtsys.triple_product(domain, c, c, c), 2.0 * c,
+        npt.assert_allclose(triple_product(domain, c, c, c), 2.0 * c,
                             atol=1e-12)
 
 
@@ -104,36 +105,28 @@ def test_bergman_apply_oracle():
     u = np.array([0.75, 0, 0, 0], dtype=complex)
     w = np.array([1.0, 0, 0, 0], dtype=complex)
     # (I - uu*) E11 (I - u*u) = (1 - 0.5625)^2 E11
-    npt.assert_allclose(jtsys.bergman_apply(d, u, u, w),
+    npt.assert_allclose(bergman_apply(d, u, u, w),
                         (1 - 0.5625) ** 2 * w)
     dp = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
-    npt.assert_allclose(jtsys.bergman_apply(dp, np.array([0.5j]),
-                                            np.array([0.5j]), np.array([2.0])),
+    npt.assert_allclose(bergman_apply(dp, np.array([0.5j]),
+                                      np.array([0.5j]), np.array([2.0])),
                         np.array([(1 - 0.25) ** 2 * 2.0]))
 
 
 def test_generic_norm_oracles():
     dp = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
     z = np.array([0.3, 0.4j])
-    assert jtsys.generic_norm(dp, z, z) == pytest.approx((1 - 0.09) * (1 - 0.16))
-    assert jtsys.generic_norm(dp, z, z, sign=-1) == pytest.approx((1 + 0.09) * (1 + 0.16))
+    assert jtsys.norm_self(dp, z) == pytest.approx((1 - 0.09) * (1 - 0.16))
+    assert jtsys.norm_self(dp, z, sign=-1) == pytest.approx((1 + 0.09) * (1 + 0.16))
 
-    dh = jtsys.hyperbolic_space(2)
+    dh = jtsys.make_domain(jtsys.KIND_CHN, n=2)
     z = np.array([0.3, 0.4j])
-    assert jtsys.generic_norm(dh, z, z) == pytest.approx(1 - 0.25)
+    assert jtsys.norm_self(dh, z) == pytest.approx(1 - 0.25)
 
     dt = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
     z = np.array([0.5, 0.1, 0.2, 0.3], dtype=complex)
     want = np.linalg.det(np.eye(2) - z.reshape(2, 2) @ z.reshape(2, 2).conj().T)
-    assert jtsys.generic_norm(dt, z, z) == pytest.approx(want.real)
-
-
-def test_generic_norm_hermitian_symmetry(domain, rng):
-    z = 0.5 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
-    y = 0.5 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
-    for sign in (1, -1):
-        npt.assert_allclose(jtsys.generic_norm(domain, z, y, sign=sign),
-                            np.conj(jtsys.generic_norm(domain, y, z, sign=sign)))
+    assert jtsys.norm_self(dt, z) == pytest.approx(want.real)
 
 
 def test_generic_norm_spectral_product(domain, rng):
@@ -166,26 +159,37 @@ def test_membership_and_distance():
 
 
 def test_b_quarter_power_two_routes(domain, rng):
+    # the one-eigh frame against two separate operator quarter powers
     z = 0.8 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
     z /= max(1.0, jtsys.singular_values(domain, z)[0] / 0.9)
-    npt.assert_allclose(jtsys.b_quarter_power_on_z(domain, z),
-                        b_quarter_power_operator(domain, z), atol=1e-12)
-    npt.assert_allclose(jtsys.b_quarter_power_on_z(domain, z, sign=-1),
-                        b_quarter_power_operator(domain, z, sign=-1),
-                        atol=1e-12)
+    jz = jtsys.as_matrix(domain, z)
+    for sign in (1, -1):
+        lam, u, k, bz = jtsys.jordan_frame(domain, z, sign)
+        npt.assert_allclose(bz, b_quarter_power_operator(domain, z, sign=sign), atol=1e-12)
+        # the frame itself: A = U diag(lam) U*, k = U* J, prod(lam) = N(z, sign zbar)
+        npt.assert_allclose((u * lam) @ u.conj().T,
+                            np.eye(len(lam)) - sign * jz @ jz.conj().T, atol=1e-12)
+        npt.assert_allclose(k, u.conj().T @ jz, atol=1e-12)
+        npt.assert_allclose(np.prod(lam), jtsys.norm_self(domain, z, sign=sign), rtol=1e-12)
 
 
 def test_b_quarter_power_rejects_boundary():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
     with pytest.raises(DomainError):
-        jtsys.b_quarter_power_on_z(d, np.array([1.0 + 0j]))
+        jtsys.jordan_frame(d, np.array([1.0 + 0j]), 1)
+    t22 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
+    with pytest.raises(DomainError):  # one point of the batch outside Omega
+        jtsys.jordan_frame(t22, np.array([[0.5, 0, 0, 0.5], [0.5, 0, 0, 1.01]]), 1)
+    # sign -1 is defined everywhere
+    assert np.all(jtsys.jordan_frame(t22, np.array([3.0, 0, 0, 1.01]), -1)[0] > 1)
 
 
 @given(st.floats(min_value=1e-3, max_value=0.99))
 def test_b_quarter_power_rank_one_formula(lam):
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
-    out = jtsys.b_quarter_power_on_z(d, np.array([lam + 0j]))
+    frame_lam, _, _, out = jtsys.jordan_frame(d, np.array([lam + 0j]), 1)
     npt.assert_allclose(out, [lam / np.sqrt(1 - lam**2)], rtol=1e-12)
+    npt.assert_allclose(frame_lam, [1 - lam**2], rtol=1e-12)
 
 
 def test_isotropy_preserves_norm(domain, rng):

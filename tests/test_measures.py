@@ -11,6 +11,7 @@ from reference import selberg_quadrature_symmetrized
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
 POLY2 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
 T22 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
+CH2 = jtsys.make_domain(jtsys.KIND_CHN, n=2)
 
 
 def test_capital_f_rank_one_beta():
@@ -19,7 +20,7 @@ def test_capital_f_rank_one_beta():
     assert measures.capital_f(POLY1, 1.0) == pytest.approx(0.25)
     assert measures.capital_f(POLY1, 2.5) == pytest.approx(1.0 / 7.0)
     # r=1, b = n-1 (complex hyperbolic): F(s) = Gamma(n)Gamma(s+1)/(2 Gamma(s+n+1))
-    ch3 = jtsys.hyperbolic_space(3)
+    ch3 = jtsys.make_domain(jtsys.KIND_CHN, n=3)
     assert measures.capital_f(ch3, 0.0) == pytest.approx(2.0 / (2 * 6))
     assert measures.capital_f(ch3, 1.0) == pytest.approx(2.0 / (2 * 24))
 
@@ -36,7 +37,7 @@ def test_capital_f_rejects_negative_s():
 
 def test_capital_f_ratio_product_form():
     # F(1)/F(0) = prod_j (1 + (j-1) a/2) / (b + 2 + (r+j-2) a/2)
-    for d in (POLY1, POLY2, T22, jtsys.hyperbolic_space(2),
+    for d in (POLY1, POLY2, T22, CH2,
               jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3)):
         j = np.arange(1, d.r + 1)
         want = np.prod((1 + (j - 1) * d.a / 2)
@@ -53,7 +54,7 @@ def test_log_route_matches_direct():
 
 
 def test_selberg_quadrature_rank_one():
-    for d, s in ((POLY1, 0.0), (POLY1, 2.5), (jtsys.hyperbolic_space(2), 1.0)):
+    for d, s in ((POLY1, 0.0), (POLY1, 2.5), (CH2, 1.0)):
         quad = measures.selberg_quadrature(d.r, d.a, d.b, s, resolution=80)
         npt.assert_allclose(quad, measures.capital_f(d, s), rtol=1e-9)
 
@@ -85,7 +86,7 @@ def test_flat_volume_exact_oracles():
     H = hartogs.make_hartogs(POLY2, 2.0)
     assert measures.flat_volume_exact(H) == pytest.approx(np.pi**3 / 9)
     # complex hyperbolic: pi^(n+1) Gamma(mu+1) / Gamma(mu+n+1)
-    H = hartogs.make_hartogs(jtsys.hyperbolic_space(2), 0.5)
+    H = hartogs.make_hartogs(CH2, 0.5)
     want = np.pi**3 * math.gamma(1.5) / math.gamma(3.5)
     assert measures.flat_volume_exact(H) == pytest.approx(want)
     # no closed form for higher-rank type-I
@@ -111,7 +112,7 @@ def test_mc_volume_deterministic():
 def test_dual_flat_ratio_rank_one_mu_one_is_one():
     # CH^n at mu = 1 is self-dual: the ratio formula collapses to 1
     for n in (1, 2, 3):
-        H = hartogs.make_hartogs(jtsys.hyperbolic_space(n), 1.0)
+        H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_CHN, n=n), 1.0)
         npt.assert_allclose(measures.dual_flat_ratio_formula(H), 1.0, rtol=1e-12)
 
 
@@ -137,7 +138,7 @@ def test_duality_gap_signs():
 
 def test_duality_root_rank_one_is_one():
     for n in (1, 2, 3):
-        root = measures.duality_root(jtsys.hyperbolic_space(n))
+        root = measures.duality_root(jtsys.make_domain(jtsys.KIND_CHN, n=n))
         assert abs(root - 1.0) < 1e-9
 
 
@@ -151,7 +152,7 @@ def test_duality_root_higher_rank_interior():
 
 
 def test_gennaio_equality_iff_rank_one():
-    for d, want in ((POLY1, True), (jtsys.hyperbolic_space(3), True),
+    for d, want in ((POLY1, True), (jtsys.make_domain(jtsys.KIND_CHN, n=3), True),
                     (POLY2, False), (T22, False)):
         res = measures.gennaio_check(d)
         assert res.passed
@@ -163,7 +164,7 @@ def test_fit_genus_adjudication():
     # Hessian puts it there to rounding
     assert abs(measures.fit_genus(T22) - 4.0) < 1e-9
     assert abs(measures.fit_genus(POLY2) - 2.0) < 1e-9
-    assert abs(measures.fit_genus(jtsys.hyperbolic_space(2)) - 3.0) < 1e-9
+    assert abs(measures.fit_genus(CH2) - 3.0) < 1e-9
 
 
 @pytest.mark.parametrize("shift", [1.0, -1.0, 1e-8])
