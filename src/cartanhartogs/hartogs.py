@@ -20,9 +20,12 @@ I +/- J J* (spectral calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi
 never formed and the maps stay finite at large mu.
 
 `ch_member_vec` is the one membership test of M; the capacity ball check and
-the Monte Carlo flat volume both count its hits.  `lift_embedding` carries
-points of the Hartogs domain over Delta^m into M along the canonical frame of
-`jtsys.frame_point`, the hereditary embedding the maps must commute with.
+the Monte Carlo flat volume both count its hits.  It reads both "z in Omega"
+and log N from one `jtsys.gram_pivots` call and compares 2 log|w| with
+mu log N, so it takes no SVD or determinant and N^mu is never formed.
+`lift_embedding` carries points of the Hartogs domain over Delta^m into M
+along the canonical frame of `jtsys.frame_point`, the hereditary embedding
+the maps must commute with.
 """
 
 from __future__ import annotations
@@ -64,21 +67,31 @@ def _join(zeta: np.ndarray, omega: np.ndarray) -> np.ndarray:
 def fiber_gap_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """g = N(z, zbar)^mu - |w|^2, positive exactly on the open domain.
 
-    Where N <= 0 the fractional power is undefined and the gap is -inf.
+    Where z is not in Omega (some `jtsys.gram_pivots` <= 0) the fractional
+    power is not taken and the gap is -inf.
     """
     z, w = split_vec(H, pts)
-    nbase = norm_self(H.domain, z)
-    good = nbase > 0
-    nmu = np.where(good, np.where(good, nbase, 1.0) ** H.mu, -np.inf)
+    pivots = jtsys.gram_pivots(H.domain, z, 1)
+    inside = np.asarray(np.all(pivots > 0, axis=-1))
+    nmu = np.full(inside.shape, -np.inf)
+    nmu[inside] = np.prod(pivots[inside], axis=-1) ** H.mu
     return nmu - np.abs(w) ** 2
 
 
 def ch_member_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """True where (z, w) lies in M: z in Omega and |w|^2 < N(z, zbar)^mu.
-    The fiber gap is taken on the base members only."""
-    z, _ = split_vec(H, pts)
-    inside = np.asarray(membership(H.domain, z))
-    inside[inside] = fiber_gap_vec(H, np.asarray(pts)[inside]) > 0
+
+    One `jtsys.gram_pivots` call gives both: z is in Omega when every pivot
+    is positive, and then log N = sum log pivots.  The fiber test is taken in
+    log space, 2 log|w| < mu log N, on the base members only, so a member
+    whose N^mu underflows (large mu) is still counted.
+    """
+    z, w = split_vec(H, pts)
+    pivots = jtsys.gram_pivots(H.domain, z, 1)
+    inside = np.asarray(np.all(pivots > 0, axis=-1))
+    log_n = np.sum(np.log(pivots[inside]), axis=-1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0 is a member
+        inside[inside] = 2.0 * np.log(np.abs(w[inside])) < H.mu * log_n
     return inside
 
 

@@ -16,11 +16,14 @@ carries Delta^m into Omega for every m <= r.
 Every algebraic operator used downstream (generic norm, spectral values, the
 spectral frame of B(z, +/-zbar) and its fractional power) is expressed
 through the matrix realization j(z): a diagonal matrix for the polydisc, the
-matrix itself for type-I.  `jordan_frame` is the one factorisation behind the
-Darboux maps, their inverses and their Jacobian, and the one place that
-rejects a base point outside Omega.  Points are flat complex vectors of
-length n; type-I points are reshaped to (p, q) row-major when matrix algebra
-is needed.
+matrix itself for type-I.  `gram_pivots` is the one kernel behind the generic
+norm and membership of Omega: the pivots of an unpivoted LDL* factorisation
+of I -/+ j(z) j(z)*, computed elementwise over the batch, so neither
+`norm_self` nor `membership` takes a per-point LAPACK call (SVD or det).
+`jordan_frame` is the one factorisation behind the Darboux maps, their
+inverses and their Jacobian, and the one place that rejects a base point
+outside Omega.  Points are flat complex vectors of length n; type-I points
+are reshaped to (p, q) row-major when matrix algebra is needed.
 """
 
 from __future__ import annotations
@@ -126,21 +129,53 @@ def frame_point(D: DomainSpec, lam) -> np.ndarray:
     return as_vector(D, jz)
 
 
-def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
-    """Generic norm N(z, sign * zbar), real-valued and batched.
+def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
+    """Pivots (..., r) of the unpivoted LDL* factorisation of the Hermitian
+    A = I - sign * j(z) j(z)*, batched.
 
-    For the polydisc this is prod_j (1 - sign |z_j|^2); for type-I it is
-    det(I_p - sign * j(z) j(z)*).  N(z, zbar) is positive on the domain, and
-    N(z, -zbar) >= 1 everywhere.
+    Cholesky without square roots (Golub-Van Loan, Matrix Computations,
+    Sec. 4.1-4.2), written elementwise over the batch: a loop over the r rows
+    of j(z), numpy across the batch axis, no per-matrix LAPACK call.  Column k
+    of the Schur complement is divided by pivot k only where that pivot is
+    nonzero, so prod(pivots) = det A wherever the leading minors are nonzero,
+    off Omega too.  By Sylvester's criterion A > 0 exactly when every pivot is
+    positive; there the factorisation is Cholesky, hence backward stable, which
+    covers all of Omega at sign = +1 and every point at sign = -1.  The
+    polydisc's A is the diagonal 1 - sign |z_j|^2 itself.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
-        return np.real(np.prod(1.0 - sign * z * np.conj(z), axis=-1))
-    jz = as_matrix(D, z)
-    return np.real(np.linalg.det(np.eye(D.shape[0])
-                                 - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))))
+        return 1.0 - sign * (z * np.conj(z)).real
+    p, q = D.shape
+    # rows of j(z) with the batch last: (p, q, ...)
+    rows = np.ascontiguousarray(np.moveaxis(z.reshape(z.shape[:-1] + (p, q)), (-2, -1), (0, 1)))
+    conj = np.conj(rows)
+    # lower triangle of the Schur complement, s[i][k] = A_ik to start with
+    s = [[float(i == k) - sign * np.einsum("l...,l...->...", rows[i], conj[k])
+          for k in range(i + 1)] for i in range(p)]
+    pivots = np.empty((p,) + rows.shape[2:])
+    for k in range(p):
+        pivot = s[k][k].real
+        pivots[k] = pivot
+        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot != 0)
+        for i in range(k + 1, p):
+            ratio = s[i][k] * inv
+            for j in range(k + 1, i + 1):
+                s[i][j] = s[i][j] - ratio * np.conj(s[j][k])
+    return np.moveaxis(pivots, 0, -1)
+
+
+def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
+    """Generic norm N(z, sign * zbar), real-valued and batched: the product
+    of the `gram_pivots` of I - sign * j(z) j(z)*.
+
+    For the polydisc this is prod_j (1 - sign |z_j|^2); for type-I it is
+    det(I_p - sign * j(z) j(z)*).  N(z, zbar) is positive on the domain, and
+    N(z, -zbar) >= 1 everywhere.
+    """
+    return np.prod(gram_pivots(D, z, sign), axis=-1)
 
 
 def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +222,10 @@ def singular_values(D: DomainSpec, z) -> np.ndarray:
 
 
 def membership(D: DomainSpec, z) -> np.ndarray:
-    """True when the largest spectral eigenvalue is < 1, batched."""
-    return singular_values(D, z)[..., 0] < 1.0
+    """True when z lies in Omega, batched: every `gram_pivots` of
+    I - j(z) j(z)* is positive (Sylvester's criterion), i.e. the largest
+    spectral eigenvalue is < 1."""
+    return np.all(gram_pivots(D, z, 1) > 0, axis=-1)
 
 
 def jordan_frame(D: DomainSpec, z, sign: int):

@@ -12,10 +12,14 @@ evaluated in closed form through log-Gamma,
                                     / (G(s+b+2+(r+j-2)a/2) G(a/2+1)).
 
 Flat and dual volumes are Monte Carlo estimates of Lebesgue measure and of the
-integral of the closed-form dual Hessian determinant.  Absolute volume
-formulas carry the boundary constant int_F Theta, which is never computed;
-every tested quantity is either a polydisc/rank-one case with an analytic
-value or a dual/flat ratio in which the constant cancels.
+integral of the closed-form dual Hessian determinant.  Both evaluate the
+generic norm through `jtsys.gram_pivots` (the hit test `ch_member_vec` and
+`forms.det_dual_hessian`), so a chunk makes no per-point LAPACK call, and
+both write the polar parts r cos(theta), r sin(theta) of their draws in place
+(the same values as r e^(i theta), without the complex exponential).
+Absolute volume formulas carry the boundary constant int_F Theta, which is
+never computed; every tested quantity is either a polydisc/rank-one case
+with an analytic value or a dual/flat ratio in which the constant cancels.
 """
 
 from __future__ import annotations
@@ -170,8 +174,10 @@ def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         pts = np.empty((size, d.n + 1), dtype=complex)
         pts.real[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
         pts.imag[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
-        pts[:, -1] = (np.sqrt(rng.uniform(size=size))
-                      * np.exp(1j * rng.uniform(0, 2 * np.pi, size=size)))
+        radius = np.sqrt(rng.uniform(size=size))
+        theta = rng.uniform(0, 2 * np.pi, size=size)
+        pts.real[:, -1] = radius * np.cos(theta)
+        pts.imag[:, -1] = radius * np.sin(theta)
         hits.append(int(np.sum(ch_member_vec(H, pts))))
         total += size
     p = sum(hits) / total
@@ -194,7 +200,9 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         t = rng.uniform(size=(size, m))
         theta = rng.uniform(0, 2 * np.pi, size=(size, m))
         rho = t / (1.0 - t)
-        pts = rho * np.exp(1j * theta)
+        pts = np.empty((size, m), dtype=complex)
+        pts.real = rho * np.cos(theta)
+        pts.imag = rho * np.sin(theta)
         weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
         vals = det_dual_hessian(H, pts) * weight
         sums.append(float(np.sum(vals)))

@@ -17,8 +17,11 @@ inverses of Psi and Phi), and the symmetrized Selberg quadrature.  The
 operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 `jtsys.jordan_frame`: it takes A^(-1/4) J C^(-1/4) from two separate
 eigendecompositions where the frame uses one, and with the generic norm from
-`jtsys.norm_self` (a determinant) it rebuilds Psi and Phi from the defining
-formula, with u = N^mu formed.
+`jtsys.norm_self` (the product of the LDL* pivots of A, not of the frame's
+eigenvalues) it rebuilds Psi and Phi from the defining formula, with
+u = N^mu formed.  Membership of Omega through the SVD (`membership_svd`, the
+largest singular value of j(z) below 1) is the reference for
+`jtsys.membership`, which reads it from the signs of those pivots.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.hartogs import HartogsSpec, potential_field
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
-                                 norm_self)
+                                 norm_self, singular_values)
 
 DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
@@ -188,6 +191,12 @@ def bergman_apply(D: DomainSpec, x, y, w) -> np.ndarray:
     left = np.eye(xm.shape[-2]) - xm @ ystar
     right = np.eye(xm.shape[-1]) - ystar @ xm
     return as_vector(D, left @ wm @ right)
+
+
+def membership_svd(D: DomainSpec, z) -> np.ndarray:
+    """z in Omega through the SVD, batched: the largest spectral eigenvalue
+    is < 1."""
+    return singular_values(D, z)[..., 0] < 1.0
 
 
 def unit_ball_inequality(lams: np.ndarray) -> np.ndarray:

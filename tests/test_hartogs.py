@@ -77,6 +77,30 @@ def test_membership_boundary():
     assert hartogs.ch_member_vec(H, pts).tolist() == [True, False, False]
 
 
+def test_membership_in_log_space_at_large_mu():
+    # N = 0.36 * 0.99 at z = diag(0.8, 0.1), so N^mu ~ 1e-448 underflows to 0 at
+    # mu = 1e3; the test 2 log|w| < mu log N keeps these points in M
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1e3)
+    edge = np.exp(0.5 * H.mu * np.log(0.36 * 0.99))   # |w| on the boundary, ~1e-224
+    w = np.array([0.0, 1e-300, 0.999 * edge, 1.001 * edge])
+    pts = np.zeros((4, 5), dtype=complex)
+    pts[:, 0], pts[:, 3], pts[:, 4] = 0.8, 0.1, w
+    assert hartogs.ch_member_vec(H, pts).tolist() == [True, True, True, False]
+
+
+def test_fiber_gap_is_minus_inf_off_omega():
+    # N(z, zbar) = (1 - 2.25)^2 > 0 at z = diag(1.5, 1.5), but z is not in Omega
+    for d, z in ((jtsys.make_domain(jtsys.KIND_POLYDISC, n=2), [1.5, 1.5]),
+                 (jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), [1.5, 0, 0, 1.5])):
+        H = _hartogs(d, 0.5)
+        assert jtsys.norm_self(d, np.array(z)) > 0
+        pts = np.array([z + [0.0], [0.0] * d.n + [0.5]], dtype=complex)
+        gap = hartogs.fiber_gap_vec(H, pts)
+        assert gap[0] == -np.inf
+        assert gap[1] == pytest.approx(0.75)
+        assert hartogs.ch_member_vec(H, pts).tolist() == [False, True]
+
+
 def test_psi_rank_one_oracle():
     # mu = 1, z = 0.6, w = 0: Psi = (0.6 / (1 - 0.36), 0) = (0.75, 0)
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)

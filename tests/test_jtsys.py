@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, strategies as st
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
 from reference import (b_quarter_power_operator, bergman_apply, isotropy_draws,
-                       spectral_decompose, triple_product)
+                       membership_svd, spectral_decompose, triple_product)
 
 
 def test_make_domain_invariants():
@@ -156,6 +158,79 @@ def test_membership_and_distance():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
     assert jtsys.membership(d, np.array([0.9, 0.9j]))
     assert not jtsys.membership(d, np.array([1.0, 0.0]))
+
+
+PIVOT_DOMAINS = {
+    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
+    "chn-3": dict(kind=jtsys.KIND_CHN, n=3),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+}
+
+
+def _with_spectral_values(d, lam, rng):
+    """Points whose spectral values are the rows of lam (count, r), moved off
+    the canonical frame by one Haar isotropy element per point."""
+    tau = jtsys.random_isotropy(d, rng, len(lam))
+    return jtsys.isotropy_apply(d, tau, jtsys.frame_point(d, lam))
+
+
+def _det_oracle(d, z, sign):
+    jz = jtsys.as_matrix(d, z)
+    return np.linalg.det(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))).real
+
+
+@pytest.mark.parametrize("name", list(PIVOT_DOMAINS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gram_pivots_product_is_the_determinant(name, sign):
+    d = jtsys.make_domain(**PIVOT_DOMAINS[name])
+    rng = np.random.default_rng(31)
+    on_omega = _with_spectral_values(d, rng.uniform(0.0, 0.99, size=(200, d.r)), rng)
+    # off Omega: every point has a spectral value in [1.25, 2], the others
+    # anywhere in [0, 2] away from 1
+    lam = np.where(rng.uniform(size=(200, d.r)) < 0.5, rng.uniform(0.0, 0.8, size=(200, d.r)),
+                   rng.uniform(1.25, 2.0, size=(200, d.r)))
+    lam[:, 0] = rng.uniform(1.25, 2.0, size=200)
+    off_omega = _with_spectral_values(d, lam, rng)
+    for z, rtol in ((on_omega, 1e-12), (off_omega, 1e-10)):
+        pivots = jtsys.gram_pivots(d, z, sign)
+        assert pivots.shape == (200, d.r)
+        npt.assert_allclose(np.prod(pivots, axis=-1), _det_oracle(d, z, sign), rtol=rtol)
+        npt.assert_array_equal(jtsys.norm_self(d, z, sign), np.prod(pivots, axis=-1))
+    # the pivots of a positive definite A are positive (Sylvester)
+    assert np.all(jtsys.gram_pivots(d, on_omega if sign == 1 else off_omega, sign) > 0)
+
+
+@pytest.mark.parametrize("name", list(PIVOT_DOMAINS))
+def test_membership_matches_the_svd_oracle_at_the_boundary(name):
+    d = jtsys.make_domain(**PIVOT_DOMAINS[name])
+    rng = np.random.default_rng(32)
+    lam = rng.uniform(0.0, 1.0, size=(400, d.r))
+    lam[:, 0] = np.where(np.arange(400) % 2 == 0, 1.0 - 1e-9, 1.0 + 1e-9)
+    z = _with_spectral_values(d, lam, rng)
+    got = jtsys.membership(d, z)
+    npt.assert_array_equal(got, membership_svd(d, z))
+    npt.assert_array_equal(got, np.arange(400) % 2 == 0)
+    # and on generic draws across the boundary
+    g = rng.normal(size=(2000, d.n)) + 1j * rng.normal(size=(2000, d.n))
+    g *= (rng.uniform(0.2, 2.0, size=2000) / np.linalg.norm(g, axis=-1))[:, None]
+    npt.assert_array_equal(jtsys.membership(d, g), membership_svd(d, g))
+
+
+def test_membership_at_a_zero_pivot():
+    # first row (1, 0, 0): the leading pivot 1 - |row 1|^2 is exactly 0, which
+    # is not divided by; no RuntimeWarning, and the point is not in Omega
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3)
+    z = np.array([[1.0, 0, 0, 0.2, 0.1, 0.3j], [0.5, 0, 0, 0.2, 0.1, 0.3j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pivots = jtsys.gram_pivots(d, z, 1)
+        member = jtsys.membership(d, z)
+    assert pivots[0, 0] == 0.0
+    assert np.all(np.isfinite(pivots))
+    npt.assert_array_equal(member, [False, True])
+    npt.assert_array_equal(member, membership_svd(d, z))
+    assert np.all(jtsys.gram_pivots(d, z, -1) > 0)
 
 
 def test_b_quarter_power_two_routes(domain, rng):

@@ -109,6 +109,30 @@ def test_mc_volume_deterministic():
     assert c.value != a.value
 
 
+def test_monte_carlo_takes_no_lapack_call(monkeypatch):
+    # the hit test and both volume estimators run with numpy.linalg's svd,
+    # det, eigh and eigvalsh refusing, and give the values they gave before
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.0)
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.6, 0.6, size=(2000, 7)) + 1j * rng.uniform(-0.6, 0.6, size=(2000, 7))
+
+    def run():
+        return (hartogs.ch_member_vec(H, pts), measures.mc_volume_flat(H, 2000, 3),
+                measures.mc_volume_dual(H, 2000, 3))
+
+    want = run()
+    assert 0 < np.sum(want[0]) < len(pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-point LAPACK call on the Monte Carlo path")
+
+    for name in ("svd", "det", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = run()
+    npt.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
 def test_dual_flat_ratio_rank_one_mu_one_is_one():
     # CH^n at mu = 1 is self-dual: the ratio formula collapses to 1
     for n in (1, 2, 3):
