@@ -39,10 +39,10 @@ from .jtsys import (
     frame_point,
     isotropy_apply,
     jordan_frame,
+    log_norm,
     log_norm_derivatives,
     make_domain,
     membership,
-    norm_self,
     random_isotropy,
     singular_values,
 )

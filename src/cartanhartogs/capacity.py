@@ -129,8 +129,8 @@ _DUAL_CLAMPED_NOTE = (
 )
 
 
-def capacity_certificate(H: HartogsSpec, side: str, samples: int = 20000,
-                         seed: int = 11) -> CapacityCertificate:
+def capacity_certificate(H: HartogsSpec, side: str, samples: int,
+                         seed: int) -> CapacityCertificate:
     """Certified capacity interval for the chosen side.
 
     flat-hartogs (mu <= 1): inner ball radius 1-EPS, outer cylinder radius 1.

@@ -3,9 +3,10 @@
 A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k.
 The two Hartogs potentials have it in closed form from the Jordan data of the
 base (`hartogs_hessian`), and the dual one has its determinant in closed form
-too (`det_dual_hessian`, the paper's product formula).  Both are written in
-t = u / G and 1/G, or in log space, so no power N^mu is formed and large mu
-neither overflows nor cancels.  The associated real two-form
+too (`det_dual_hessian`, the paper's product formula).  Both take log N from
+`jtsys.log_norm` and are written in the fiber ratios t = u / G, |w|^2 / G and
+1/G of `hartogs.fiber_ratios`, or in log space, so no power N^mu is formed
+and large mu neither overflows nor cancels.  The associated real two-form
 (i/2) sum G_jk dz_j ^ dzbar_k is represented by an antisymmetric 2m x 2m
 matrix in interleaved real coordinates (x1, y1, ..., xm, ym); the flat form
 omega_0 = sum_j dx_j ^ dy_j is the one of G = I.  The pullbacks the darboux
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hartogs import HartogsSpec, fiber_ratios, split_vec
-from .jtsys import log_norm_derivatives, norm_self
+from .jtsys import log_norm, log_norm_derivatives
 
 
 def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
@@ -48,7 +49,7 @@ def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """
     d = H.domain
     z, w = split_vec(H, pts)
-    log_nd = np.log(norm_self(d, z, sign=-1))
+    log_nd = log_norm(d, z, -1)
     with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0 is what logaddexp needs
         log_g = np.logaddexp(H.mu * log_nd, np.log(np.abs(w) ** 2))
     return np.exp(d.n * np.log(H.mu) + (H.mu * (d.n + 1) - d.genus) * log_nd
@@ -62,7 +63,7 @@ def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.n
 
     With eps = -1 on the domain and +1 on the dual, u = N(z, -eps zbar)^mu,
     G = u + eps |w|^2 and l = log N(z, -eps zbar), the chain rule gives, in
-    t = u / G and 1/G (`hartogs.fiber_ratios`, which never form u),
+    t = u / G, |w|^2 / G and 1/G (`hartogs.fiber_ratios`, which never form u),
 
         zz:  eps mu t l_jk + mu^2 t (|w|^2 / G) l_j conj(l_k),
         zw:  -mu t w l_j / G,
@@ -75,11 +76,11 @@ def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.n
     d = H.domain
     z, w = split_vec(H, pts)
     grad, hess = log_norm_derivatives(d, z, sign=-eps)
-    t, inv_g = fiber_ratios(H, np.log(norm_self(d, z, sign=-eps)), w, eps)
+    t, w2_g, inv_g = fiber_ratios(H, log_norm(d, z, -eps), w, eps)
     mu_t = H.mu * t
     out = np.empty(grad.shape[:-1] + (d.n + 1, d.n + 1), dtype=complex)
     out[..., :-1, :-1] = ((eps * mu_t)[..., None, None] * hess
-                          + (H.mu * mu_t * np.abs(w) ** 2 * inv_g)[..., None, None]
+                          + (H.mu * mu_t * w2_g)[..., None, None]
                           * grad[..., :, None] * np.conj(grad[..., None, :]))
     out[..., :-1, -1] = -(mu_t * w * inv_g)[..., None] * grad
     out[..., -1, :-1] = np.conj(out[..., :-1, -1])

@@ -16,16 +16,13 @@ leading axes at once.  The maps, their closed-form inverses (the same Jordan
 kernel with the sign flipped once more) and their Jacobian each take one
 `jtsys.jordan_frame` per point, a single Hermitian eigendecomposition of
 I +/- J J* (spectral calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi
-1990).  t and 1/G come from log N through `fiber_ratios`, so u = N^mu is
-never formed and the maps stay finite at large mu.
-
-`ch_member_vec` is the one membership test of M; the capacity ball check and
-the Monte Carlo flat volume both count its hits.  It reads both "z in Omega"
-and log N from one `jtsys.gram_pivots` call and compares 2 log|w| with
-mu log N, so it takes no SVD or determinant and N^mu is never formed.
-`lift_embedding` carries points of the Hartogs domain over Delta^m into M
-along the canonical frame of `jtsys.frame_point`, the hereditary embedding
-the maps must commute with.
+1990).  Every relation between |w|^2 and N^mu is taken in
+s = 2 log|w| - mu log N, so u = N^mu is never formed and large mu neither
+under- nor overflows: `fiber_ratios` is the one home of t, |w|^2/G and 1/G,
+`ch_member_vec`, the one membership test of M, is s < 0, and the member
+samplers draw s <= log(w_frac).  `lift_embedding` carries points of the
+Hartogs domain over Delta^m into M along the canonical frame of
+`jtsys.frame_point`, the hereditary embedding the maps must commute with.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from . import jtsys
 from .errors import ConvergenceError, DomainError, ShapeError
-from .jtsys import DomainSpec, membership, norm_self, singular_values
+from .jtsys import DomainSpec, log_norm, membership, singular_values
 
 
 @dataclass(frozen=True)
@@ -64,68 +61,55 @@ def _join(zeta: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.concatenate([zeta, omega[..., None]], axis=-1)
 
 
-def fiber_gap_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
-    """g = N(z, zbar)^mu - |w|^2, positive exactly on the open domain.
-
-    Where z is not in Omega (some `jtsys.gram_pivots` <= 0) the fractional
-    power is not taken and the gap is -inf.
-    """
-    z, w = split_vec(H, pts)
-    pivots = jtsys.gram_pivots(H.domain, z, 1)
-    inside = np.asarray(np.all(pivots > 0, axis=-1))
-    nmu = np.full(inside.shape, -np.inf)
-    nmu[inside] = np.prod(pivots[inside], axis=-1) ** H.mu
-    return nmu - np.abs(w) ** 2
-
-
 def ch_member_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
-    """True where (z, w) lies in M: z in Omega and |w|^2 < N(z, zbar)^mu.
-
-    One `jtsys.gram_pivots` call gives both: z is in Omega when every pivot
-    is positive, and then log N = sum log pivots.  The fiber test is taken in
-    log space, 2 log|w| < mu log N, on the base members only, so a member
-    whose N^mu underflows (large mu) is still counted.
-    """
+    """True where (z, w) lies in M: 2 log|w| < mu log N(z, zbar), with
+    `jtsys.log_norm` = -inf for z outside Omega, so that no w passes there."""
     z, w = split_vec(H, pts)
-    pivots = jtsys.gram_pivots(H.domain, z, 1)
-    inside = np.asarray(np.all(pivots > 0, axis=-1))
-    log_n = np.sum(np.log(pivots[inside]), axis=-1)
     with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0 is a member
-        inside[inside] = 2.0 * np.log(np.abs(w[inside])) < H.mu * log_n
-    return inside
+        return 2.0 * np.log(np.abs(w)) < H.mu * log_norm(H.domain, z, 1)
 
 
 def potential_field(H: HartogsSpec, dual: bool = False):
     """phi = -log(N^mu - |w|^2) as a batched field on the open domain, or with
     dual=True phi* = log(N(z, -zbar)^mu + |w|^2), smooth on all of C^(n+1):
-    eps log G with eps = -1 on the domain and +1 on the dual."""
+    eps log G with eps = -1 on the domain and +1 on the dual.  The tests
+    difference it, so it forms N^mu from the `jtsys.gram_pivots`: exp(mu log N)
+    would add |mu log N| ulps to it, which second differences magnify."""
     eps = 1 if dual else -1
 
     def field(pts: np.ndarray) -> np.ndarray:
         z, w = split_vec(H, pts)
-        return eps * np.log(norm_self(H.domain, z, sign=-eps) ** H.mu + eps * np.abs(w) ** 2)
+        u = np.prod(jtsys.gram_pivots(H.domain, z, -eps), axis=-1) ** H.mu
+        return eps * np.log(u + eps * np.abs(w) ** 2)
 
     return field
 
 
 def fiber_ratios(H: HartogsSpec, log_n: np.ndarray, w: np.ndarray, eps: int):
-    """t = u / G and 1/G for u = N^mu = exp(mu log_n) and G = u + eps |w|^2,
-    taken from log N so that u itself is never formed (it overflows on the
-    dual side at large mu): t = 1 / (1 + eps |w|^2 e^(-log u)), 1/G = t e^(-log u)."""
-    inv_u = np.exp(-H.mu * log_n)
-    t = 1.0 / (1.0 + eps * np.abs(w) ** 2 * inv_u)
-    return t, t * inv_u
+    """(t, |w|^2 / G, 1 / G) for u = N^mu = e^(mu log_n) and G = u + eps |w|^2,
+    in s = 2 log|w| - mu log_n: t = 1 / (1 + eps e^s), |w|^2 / G = e^s t and
+    1 / G = t e^(-mu log_n).  t and |w|^2/G stay finite where u under- or
+    overflows; only 1/G can leave the float range, and there it is inf."""
+    with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0
+        s = 2.0 * np.log(np.abs(w)) - H.mu * log_n
+    e_s = np.exp(s)
+    t = 1.0 / (1.0 + eps * e_s)
+    with np.errstate(over="ignore"):
+        inv_g = t * np.exp(-H.mu * log_n)
+    return t, e_s * t, inv_g
 
 
 def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
-    """(sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w sqrt(1/G)) with t = u / G,
+    """(sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w / sqrt(G)) with t = u / G,
     u = N(z, -eps zbar)^mu and G = u + eps |w|^2: Psi at eps = -1, Phi at
     eps = +1.  One `jtsys.jordan_frame` gives B^(-1/4) z and log N = sum log lam,
-    and `fiber_ratios` takes t and 1/G from log N, so u is never formed."""
+    `fiber_ratios` t and |w|^2/G, and w / sqrt(G) = (w / |w|) sqrt(|w|^2 / G)."""
     z, w = split_vec(H, pts)
     lam, _, _, bz = jtsys.jordan_frame(H.domain, z, -eps)
-    t, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
-    return _join(np.sqrt(H.mu * t)[..., None] * bz, w * np.sqrt(inv_g))
+    t, w2_g, _ = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
+    modulus = np.abs(w)
+    phase = np.divide(w, modulus, out=np.zeros_like(w), where=modulus > 0)
+    return _join(np.sqrt(H.mu * t)[..., None] * bz, phase * np.sqrt(w2_g))
 
 
 def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:
@@ -159,8 +143,7 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     # (x^(-1/2) - y^(-1/2)) / (x - y) without cancellation, f'(x) on the diagonal
     delta = -1.0 / (root[..., :, None] * root[..., None, :]
                     * (root[..., :, None] + root[..., None, :]))
-    t, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
-    one_minus_t = eps * np.abs(w) ** 2 * inv_g
+    t, w2_g, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
     scale = np.sqrt(H.mu * t)
 
     rows, cols = jtsys.coordinate_entries(d)
@@ -175,7 +158,7 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
                            axis=-1)
     inner = delta[..., None, :, :] * da
     idx = np.arange(p)
-    inner[..., idx, idx] += (0.5 * one_minus_t[..., None] * dlog_u)[..., None] \
+    inner[..., idx, idx] += (0.5 * eps * w2_g[..., None] * dlog_u)[..., None] \
         * inv_root[..., None, :]
     inner = inner @ k[..., None, :, :]
     # A^(-1/2) dJ: column b of c U (lam^(-1/2) conj(U[a, :]))
@@ -266,19 +249,15 @@ def sample_base_points(D: DomainSpec, count: int, rng: np.random.Generator,
 
 # Rounds of the member samplers' rejection loop before ConvergenceError.
 _MAX_SAMPLER_ROUNDS = 1000
-# Least fiber gap G = N^mu - |w|^2 of an interior member point: the domain
-# Hessian's entries grow like 1/G^2 (its ww entry is N^mu / G^2), and the floor
-# bounds them, hence the rounding error of the darboux residual, far below the
-# check's absolute tolerance.
-_G_FLOOR = 1e-3
 # Norm cap of the heavy-tailed points.
 _HEAVY_NORM_CAP = 10.0
 
 
 def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
-                    lam_max: float, w_frac: float, g_floor: float) -> np.ndarray:
-    """Rejection loop of both member samplers: base points of Omega below lam_max,
-    |w|^2 uniform up to w_frac * N^mu, kept where N^mu - |w|^2 >= g_floor."""
+                    lam_max: float, w_frac: float) -> np.ndarray:
+    """Rejection loop of both member samplers: base points of Omega below
+    lam_max, and |w|^2 uniform up to w_frac * N^mu, drawn in log space as
+    2 log|w| = log(w_frac * uniform) + mu log N."""
     out = np.empty((count, H.domain.n + 1), dtype=complex)
     filled = 0
     for _ in range(_MAX_SAMPLER_ROUNDS):
@@ -286,14 +265,12 @@ def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
             break
         z = sample_base_points(H.domain, count - filled, rng, lam_max)
         z = z[membership(H.domain, z)]
-        nmu = norm_self(H.domain, z) ** H.mu
-        w = np.sqrt(w_frac * rng.uniform(size=len(z)) * nmu) \
-            * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(z)))
-        keep = nmu - np.abs(w) ** 2 >= g_floor
-        got = int(np.sum(keep))
-        out[filled:filled + got, :-1] = z[keep]
-        out[filled:filled + got, -1] = w[keep]
-        filled += got
+        with np.errstate(divide="ignore"):  # a uniform 0 draws w = 0
+            log_w2 = np.log(w_frac * rng.uniform(size=len(z))) + H.mu * log_norm(H.domain, z, 1)
+        w = np.exp(0.5 * log_w2) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(z)))
+        out[filled:filled + len(z), :-1] = z
+        out[filled:filled + len(z), -1] = w
+        filled += len(z)
     if filled < count:
         raise ConvergenceError(f"member sampler kept {filled} of {count} points "
                                f"in {_MAX_SAMPLER_ROUNDS} rounds")
@@ -302,12 +279,13 @@ def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
 
 def sample_member_points(H: HartogsSpec, count: int, rng: np.random.Generator,
                          lam_max: float = 0.55, w_frac: float = 0.40) -> np.ndarray:
-    """Member points packed as (count, n+1), kept interior for stable stencils.
+    """Member points packed as (count, n+1), kept interior for stable closed forms.
 
-    |w|^2 is at most w_frac * N^mu and points with N^mu - |w|^2 < `_G_FLOOR`
-    are rejected.  ConvergenceError when almost no draw meets the floor.
+    Spectral eigenvalues stay below lam_max and |w|^2 at most w_frac * N^mu,
+    so G = N^mu - |w|^2 >= (1 - w_frac) N^mu: a bound relative to N^mu that
+    holds at every mu, where N^mu itself may underflow.
     """
-    return _sample_members(H, count, rng, lam_max, w_frac, _G_FLOOR)
+    return _sample_members(H, count, rng, lam_max, w_frac)
 
 
 def sample_member_points_full(H: HartogsSpec, count: int,
@@ -318,7 +296,7 @@ def sample_member_points_full(H: HartogsSpec, count: int,
     filter only drops the rare draw whose top eigenvalue rounds onto the
     boundary.
     """
-    return _sample_members(H, count, rng, 1.0, 1.0, -np.inf)
+    return _sample_members(H, count, rng, 1.0, 1.0)
 
 
 def sample_heavy_points(m: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ through the matrix realization j(z): a diagonal matrix for the polydisc, the
 matrix itself for type-I.  `gram_pivots` is the one kernel behind the generic
 norm and membership of Omega: the pivots of an unpivoted LDL* factorisation
 of I -/+ j(z) j(z)*, computed elementwise over the batch, so neither
-`norm_self` nor `membership` takes a per-point LAPACK call (SVD or det).
+`log_norm` nor `membership` takes a per-point LAPACK call (SVD or det).
 `jordan_frame` is the one factorisation behind the Darboux maps, their
 inverses and their Jacobian, and the one place that rejects a base point
 outside Omega.  Points are flat complex vectors of length n; type-I points
@@ -167,15 +167,17 @@ def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
     return np.moveaxis(pivots, 0, -1)
 
 
-def norm_self(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
-    """Generic norm N(z, sign * zbar), real-valued and batched: the product
-    of the `gram_pivots` of I - sign * j(z) j(z)*.
+def log_norm(D: DomainSpec, z, sign: int) -> np.ndarray:
+    """log N(z, sign * zbar), batched: the log of the product of the
+    `gram_pivots` of I - sign * j(z) j(z)*, one log per row, and -inf where
+    some pivot is <= 0 (at sign = +1: z not in Omega, even where N > 0).
 
-    For the polydisc this is prod_j (1 - sign |z_j|^2); for type-I it is
-    det(I_p - sign * j(z) j(z)*).  N(z, zbar) is positive on the domain, and
-    N(z, -zbar) >= 1 everywhere.
+    N is prod_j (1 - sign |z_j|^2) on the polydisc and det(I_p - sign * j(z)
+    j(z)*) on type-I; N(z, -zbar) >= 1 everywhere.
     """
-    return np.prod(gram_pivots(D, z, sign), axis=-1)
+    pivots = gram_pivots(D, z, sign)
+    inside = np.all(pivots > 0, axis=-1)
+    return np.log(np.prod(pivots, axis=-1), out=np.full(inside.shape, -np.inf), where=inside)
 
 
 def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +188,7 @@ def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(D.n), D.shape[1])
 
 
-def log_norm_derivatives(D: DomainSpec, z, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def log_norm_derivatives(D: DomainSpec, z, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form derivatives of log N(z, sign * zbar), batched.
 
     With J = j(z), A = I - sign J J* and C = I - sign J* J (Loos 1977;

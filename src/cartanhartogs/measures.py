@@ -12,11 +12,12 @@ evaluated in closed form through log-Gamma,
                                     / (G(s+b+2+(r+j-2)a/2) G(a/2+1)).
 
 Flat and dual volumes are Monte Carlo estimates of Lebesgue measure and of the
-integral of the closed-form dual Hessian determinant.  Both evaluate the
-generic norm through `jtsys.gram_pivots` (the hit test `ch_member_vec` and
-`forms.det_dual_hessian`), so a chunk makes no per-point LAPACK call, and
-both write the polar parts r cos(theta), r sin(theta) of their draws in place
-(the same values as r e^(i theta), without the complex exponential).
+integral of the closed-form dual Hessian determinant.  Both take the log of
+the generic norm from `jtsys.log_norm` (the hit test `ch_member_vec` and
+`forms.det_dual_hessian`), so a chunk makes no per-point LAPACK call and
+forms no power of N, and both write the polar parts r cos(theta),
+r sin(theta) of their draws in place (the same values as r e^(i theta),
+without the complex exponential).
 Absolute volume formulas carry the boundary constant int_F Theta, which is
 never computed; every tested quantity is either a polydisc/rank-one case
 with an analytic value or a dual/flat ratio in which the constant cancels.
@@ -34,11 +35,14 @@ from scipy.special import gammaln
 from .errors import ConvergenceError, DomainError
 from .forms import det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
-from .jtsys import KIND_POLYDISC, DomainSpec, log_norm_derivatives, norm_self, singular_values
+from .jtsys import KIND_POLYDISC, DomainSpec, log_norm, log_norm_derivatives, singular_values
 
 _CHUNK = 1 << 16
 # the tensor quadrature of F(s) is built for ranks 1..SELBERG_MAX_RANK
 SELBERG_MAX_RANK = 3
+# first resolution and resolution budget of `selberg_quadrature_auto`
+_QUAD_START = 40
+_QUAD_MAX_RESOLUTION = 1500
 # bisection width of `duality_root`
 _ROOT_TOL = 1e-11
 # random points and seed of `fit_genus`
@@ -98,7 +102,7 @@ def _gauss01(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int = 64) -> float:
+def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int) -> float:
     """Tensor Gauss-Legendre value of the ordered-simplex integral F(s).
 
     The ordering map l_j = u_1 ... u_j (u in (0,1)^r) carries the simplex to the
@@ -125,13 +129,12 @@ def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int = 6
     return float(np.sum(integrand))
 
 
-def selberg_quadrature_auto(r: int, a: float, b: float, s: float,
-                            rtol: float = 1e-8, start: int = 40,
-                            max_resolution: int = 1500) -> float:
-    """Double the resolution until two successive estimates agree to rtol."""
-    res = start
+def selberg_quadrature_auto(r: int, a: float, b: float, s: float, rtol: float) -> float:
+    """Double the resolution from `_QUAD_START` until two successive estimates
+    agree to rtol; ConvergenceError past `_QUAD_MAX_RESOLUTION`."""
+    res = _QUAD_START
     prev = selberg_quadrature(r, a, b, s, res)
-    while 2 * res <= max_resolution:
+    while 2 * res <= _QUAD_MAX_RESOLUTION:
         res *= 2
         cur = selberg_quadrature(r, a, b, s, res)
         if abs(cur - prev) <= rtol * abs(cur):
@@ -274,5 +277,5 @@ def fit_genus(D: DomainSpec) -> float:
     top = singular_values(D, g)[:, 0]
     z = g * (rng.uniform(0.8, 2.0, size=_GENUS_FIT_POINTS) / top)[:, None]
     dets = np.linalg.det(log_norm_derivatives(D, z, sign=-1)[1]).real
-    lognd = np.log(norm_self(D, z, sign=-1))
+    lognd = log_norm(D, z, -1)
     return float(np.mean(-np.log(dets) / lognd))

@@ -23,8 +23,7 @@ FIT_GENUS_TOL = 1e-9
 
 
 def _result(name: str, params: dict, worst: float, tol: float,
-            witnesses: list | None = None, started: float | None = None,
-            strict: bool = False) -> dict:
+            witnesses: list | None, started: float, strict: bool = False) -> dict:
     """A report entry; it passes when worst <= tol, or worst < tol if strict."""
     passed = worst < tol if strict else worst <= tol
     return {
@@ -34,7 +33,7 @@ def _result(name: str, params: dict, worst: float, tol: float,
         "worst_residual": float(worst),
         "tolerance": float(tol),
         "witnesses": witnesses or [],
-        "wall_time_s": 0.0 if started is None else round(time.perf_counter() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
 
 

@@ -16,9 +16,9 @@ decomposition over orthogonal tripotents (behind the tests' own spectral
 inverses of Psi and Phi), and the symmetrized Selberg quadrature.  The
 operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 `jtsys.jordan_frame`: it takes A^(-1/4) J C^(-1/4) from two separate
-eigendecompositions where the frame uses one, and with the generic norm from
-`jtsys.norm_self` (the product of the LDL* pivots of A, not of the frame's
-eigenvalues) it rebuilds Psi and Phi from the defining formula, with
+eigendecompositions where the frame uses one, and with the generic norm
+`norm_det` (det A by LAPACK, not the LDL* pivots of `jtsys.log_norm` nor the
+frame's eigenvalues) it rebuilds Psi and Phi from the defining formula, with
 u = N^mu formed.  Membership of Omega through the SVD (`membership_svd`, the
 largest singular value of j(z) below 1) is the reference for
 `jtsys.membership`, which reads it from the signs of those pivots.
@@ -34,11 +34,18 @@ import numpy as np
 from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.hartogs import HartogsSpec, potential_field
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
-                                 norm_self, singular_values)
+                                 singular_values)
 
 DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
 _EIG_TOL = 1e-13
+
+
+def norm_det(D: DomainSpec, z, sign: int) -> np.ndarray:
+    """Generic norm N(z, sign * zbar) = det(I - sign j(z) j(z)*), batched,
+    through LAPACK's determinant."""
+    jz = as_matrix(D, z)
+    return np.linalg.det(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))).real
 
 
 def to_real(z: np.ndarray) -> np.ndarray:
@@ -146,7 +153,7 @@ def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAUL
     big = complex_hessian_batch(potential_field(H, dual=True), pt, step)
 
     def base_field(zz: np.ndarray) -> np.ndarray:
-        return H.mu * np.log(norm_self(H.domain, zz, sign=-1))
+        return H.mu * np.log(norm_det(H.domain, zz, -1))
 
     small = complex_hessian_batch(base_field, z, step)
     n = H.domain.n
@@ -280,12 +287,12 @@ def b_quarter_power_operator(D: DomainSpec, z, sign: int = 1) -> np.ndarray:
 
 def darboux_map_operator(H: HartogsSpec, pt, eps: int) -> np.ndarray:
     """Independent route for Psi (eps = -1) and Phi (eps = +1) at one packed
-    point: u = N(z, -eps zbar)^mu from the determinant of `jtsys.norm_self`,
+    point: u = N(z, -eps zbar)^mu from the determinant `norm_det`,
     G = u + eps |w|^2 and the operator power above,
     G^(-1/2) (sqrt(mu u) B(z, -eps zbar)^(-1/4) z, w)."""
     pt = np.asarray(pt, dtype=complex)
     z, w = pt[:-1], pt[-1]
-    u = norm_self(H.domain, z, sign=-eps) ** H.mu
+    u = norm_det(H.domain, z, -eps) ** H.mu
     g = u + eps * abs(w) ** 2
     zeta = np.sqrt(H.mu * u / g) * b_quarter_power_operator(H.domain, z, -eps)
     return np.append(zeta, w / np.sqrt(g))

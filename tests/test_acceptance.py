@@ -166,16 +166,16 @@ def test_criterion_9_capacity_certificates():
     details = []
     for mu in (0.5, 1.0):
         cert = capacity.capacity_certificate(hartogs.make_hartogs(d, mu),
-                                             "flat-hartogs", samples=50_000)
+                                             "flat-hartogs", samples=50_000, seed=11)
         ok &= (not cert.failures and cert.lower == np.pi * (1 - 1e-3) ** 2
                and cert.upper == np.pi)
         details.append(f"flat mu={mu}: [{cert.lower:.4f}, {cert.upper:.4f}]")
     cert = capacity.capacity_certificate(hartogs.make_hartogs(d, 4.0), "dual",
-                                         samples=50_000)
+                                         samples=50_000, seed=11)
     ok &= not cert.failures and cert.r_in >= 1.0 - 1e-3
     details.append(f"dual mu=4: r_in={cert.r_in:.4f}")
     cert = capacity.capacity_certificate(hartogs.make_hartogs(d, 0.25), "dual",
-                                         samples=100_000)
+                                         samples=100_000, seed=11)
     ok &= not cert.failures and cert.r_in >= 0.5 - 1e-3
     ok &= bool(cert.notes)  # headline discrepancy reported, not asserted
     details.append(f"dual mu=0.25: r_in={cert.r_in:.4f}, xi-bound 0.25 on 1e5 samples,"

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cartanhartogs import cli, hartogs, jtsys, verify
-from cartanhartogs.errors import ConvergenceError, DomainError, ShapeError
+from cartanhartogs.errors import DomainError, ShapeError
 from conftest import GRID_AND_T33
-from reference import darboux_map_operator, spectral_decompose
+from reference import darboux_map_operator, norm_det, spectral_decompose
 
 
 def _hartogs(domain, mu):
@@ -30,7 +31,7 @@ the z-part; independent of `hartogs.psi_inverse`, which calls the Jordan kernel.
     t = dec.eigenvalues**2 / (H.mu * (1.0 + abs(omega) ** 2))
     lam = np.sqrt(t / (1.0 + t))
     z = np.tensordot(lam, dec.tripotents, axes=(0, 0))
-    nmu = jtsys.norm_self(d, z) ** H.mu
+    nmu = norm_det(d, z, 1) ** H.mu
     w = omega * np.sqrt(nmu) / np.sqrt(1.0 + abs(omega) ** 2)
     return np.concatenate([z, [w]])
 
@@ -45,7 +46,7 @@ def _spectral_inverse_phi(H, target):
     s = dec.eigenvalues**2 / (H.mu * (1.0 - abs(omega) ** 2))
     lam = np.sqrt(s / (1.0 - s))
     z = np.tensordot(lam, dec.tripotents, axes=(0, 0))
-    nd = jtsys.norm_self(d, z, sign=-1) ** H.mu
+    nd = norm_det(d, z, -1) ** H.mu
     w = omega * np.sqrt(nd) / np.sqrt(1.0 - abs(omega) ** 2)
     return np.concatenate([z, [w]])
 
@@ -88,17 +89,37 @@ def test_membership_in_log_space_at_large_mu():
     assert hartogs.ch_member_vec(H, pts).tolist() == [True, True, True, False]
 
 
-def test_fiber_gap_is_minus_inf_off_omega():
+def test_log_norm_is_minus_inf_off_omega():
     # N(z, zbar) = (1 - 2.25)^2 > 0 at z = diag(1.5, 1.5), but z is not in Omega
     for d, z in ((jtsys.make_domain(jtsys.KIND_POLYDISC, n=2), [1.5, 1.5]),
                  (jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), [1.5, 0, 0, 1.5])):
         H = _hartogs(d, 0.5)
-        assert jtsys.norm_self(d, np.array(z)) > 0
+        assert norm_det(d, np.array(z), 1) > 0
+        assert jtsys.log_norm(d, np.array(z), 1) == -np.inf
         pts = np.array([z + [0.0], [0.0] * d.n + [0.5]], dtype=complex)
-        gap = hartogs.fiber_gap_vec(H, pts)
-        assert gap[0] == -np.inf
-        assert gap[1] == pytest.approx(0.75)
         assert hartogs.ch_member_vec(H, pts).tolist() == [False, True]
+
+
+def test_maps_finite_where_n_mu_underflows():
+    # N = 0.36 * 0.99 at z = diag(0.8, 0.1), so N^mu ~ 1e-446 at mu = 1e3 and
+    # 1/G overflows; Psi and Phi take t and |w|^2/G in log space instead
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1e3)
+    pts = np.zeros((2, 5), dtype=complex)
+    pts[:, 0], pts[:, 3], pts[:, 4] = 0.8, 0.1, [0.0, 1e-300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = hartogs.psi_map_vec(H, pts)
+        phi = hartogs.phi_map_vec(H, pts)
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(phi))
+    # w / sqrt(G) = w N^(-mu/2) to first order: 0, and 1e-300 * e^(-mu log(N) / 2)
+    omega = np.exp(np.log(1e-300) - 0.5 * H.mu * np.log(0.36 * 0.99))
+    npt.assert_allclose(psi[:, -1], [0.0, omega], rtol=1e-10)
+    assert np.all(np.abs(phi[:, -1]) <= 1e-300)
+    # t = 1 to rounding, so the base parts are sqrt(mu) lam / sqrt(1 -/+ lam^2)
+    lam = np.array([0.8, 0.1])
+    for image, eps in ((psi, -1), (phi, 1)):
+        npt.assert_allclose(image[:, [0, 3]], np.broadcast_to(
+            np.sqrt(H.mu) * lam / np.sqrt(1 + eps * lam**2), (2, 2)), rtol=1e-12)
 
 
 def test_psi_rank_one_oracle():
@@ -160,8 +181,9 @@ def test_psi_and_its_jacobian_reject_points_outside_omega():
 
 
 def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
-    # no determinant, no SVD: a raising norm_self, singular_values, det or svd
-    # is reached by none of the maps, inverses or Jacobians
+    # no determinant, no SVD, no LDL* pivots: a raising log_norm, gram_pivots,
+    # singular_values, det or svd is reached by none of the maps, inverses or
+    # Jacobians
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.5)
     pts = hartogs.sample_member_points(H, 8, rng)
     images = (hartogs.psi_map_vec(H, pts), hartogs.phi_map_vec(H, pts))
@@ -169,8 +191,9 @@ def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("the Jordan frame route took a det or an SVD")
 
-    for module, name in ((jtsys, "norm_self"), (jtsys, "singular_values"),
-                         (hartogs, "norm_self"), (hartogs, "singular_values"),
+    for module, name in ((jtsys, "log_norm"), (jtsys, "gram_pivots"),
+                         (jtsys, "singular_values"), (hartogs, "log_norm"),
+                         (hartogs, "singular_values"),
                          (np.linalg, "det"), (np.linalg, "svd")):
         monkeypatch.setattr(module, name, refuse)
     npt.assert_array_equal(hartogs.psi_map_vec(H, pts), images[0])
@@ -295,13 +318,12 @@ def test_embeddings_preserve_norm(rng):
     z = 0.7 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
     fz = jtsys.frame_point(t23, z)
     for sign in (1, -1):
-        npt.assert_allclose(jtsys.norm_self(t23, fz, sign=sign),
-                            jtsys.norm_self(poly2, z, sign=sign))
+        npt.assert_allclose(norm_det(t23, fz, sign), norm_det(poly2, z, sign))
 
     poly1, poly3 = (jtsys.make_domain(jtsys.KIND_POLYDISC, n=k) for k in (1, 3))
     z = np.array([[0.5 + 0.1j]])
-    npt.assert_allclose(jtsys.norm_self(poly3, jtsys.frame_point(poly3, z)),
-                        jtsys.norm_self(poly1, z))
+    npt.assert_allclose(jtsys.log_norm(poly3, jtsys.frame_point(poly3, z), 1),
+                        jtsys.log_norm(poly1, z, 1))
 
 
 def test_hereditary_lift(rng):
@@ -358,10 +380,11 @@ def test_stacked_isotropy_moves_each_row_by_its_element(dims):
 
 
 def test_sample_member_points_respects_floor(domain, rng):
+    # G = N^mu - |w|^2 >= (1 - w_frac) N^mu, i.e. 2 log|w| <= log(w_frac) + mu log N
     H = _hartogs(domain, 0.5)
-    pts = hartogs.sample_member_points(H, 200, rng)
-    gap = hartogs.fiber_gap_vec(H, pts)
-    assert np.all(gap >= 1e-3)
+    pts = hartogs.sample_member_points(H, 200, rng, w_frac=0.4)
+    log_n = np.log(norm_det(domain, pts[:, :-1], 1))
+    assert np.all(2.0 * np.log(np.abs(pts[:, -1])) <= np.log(0.4) + H.mu * log_n + 1e-12)
     lam = jtsys.singular_values(domain, pts[:, :-1])
     assert np.all(lam <= 0.55 + 1e-12)
 
@@ -377,16 +400,18 @@ def test_sample_member_points_full_covers(dims, rng):
     assert np.all(hartogs.ch_member_vec(H, pts))
     # near-boundary points do occur, in the base and in the fiber
     assert np.max(jtsys.singular_values(d, pts[:, :-1])[:, 0]) > 0.99
-    assert np.min(hartogs.fiber_gap_vec(H, pts)) < 5e-3
+    assert np.min(norm_det(d, pts[:, :-1], 1) - np.abs(pts[:, -1]) ** 2) < 5e-3
 
 
-def test_sample_member_points_gives_up_when_no_draw_is_kept(rng):
-    # at mu = 1e3 every draw has N^mu far below the gap floor
+def test_sample_member_points_fill_at_large_mu(rng):
+    # at mu = 1e3 N^mu underflows for most draws; |w| is drawn in log space,
+    # so every draw is kept and is a member
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1e3)
     started = time.perf_counter()
-    with pytest.raises(ConvergenceError):
-        hartogs.sample_member_points(H, 20, rng)
+    pts = hartogs.sample_member_points(H, 20, rng)
     assert time.perf_counter() - started < 1.0
+    assert pts.shape == (20, 5)
+    assert np.all(hartogs.ch_member_vec(H, pts))
 
 
 def test_sample_heavy_points_cap(rng):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
 from reference import (b_quarter_power_operator, bergman_apply, isotropy_draws,
-                       membership_svd, spectral_decompose, triple_product)
+                       membership_svd, norm_det, spectral_decompose, triple_product)
 
 
 def test_make_domain_invariants():
@@ -118,24 +118,25 @@ def test_bergman_apply_oracle():
 def test_generic_norm_oracles():
     dp = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
     z = np.array([0.3, 0.4j])
-    assert jtsys.norm_self(dp, z) == pytest.approx((1 - 0.09) * (1 - 0.16))
-    assert jtsys.norm_self(dp, z, sign=-1) == pytest.approx((1 + 0.09) * (1 + 0.16))
+    assert jtsys.log_norm(dp, z, 1) == pytest.approx(np.log((1 - 0.09) * (1 - 0.16)))
+    assert jtsys.log_norm(dp, z, -1) == pytest.approx(np.log((1 + 0.09) * (1 + 0.16)))
 
     dh = jtsys.make_domain(jtsys.KIND_CHN, n=2)
     z = np.array([0.3, 0.4j])
-    assert jtsys.norm_self(dh, z) == pytest.approx(1 - 0.25)
+    assert jtsys.log_norm(dh, z, 1) == pytest.approx(np.log(1 - 0.25))
 
     dt = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
     z = np.array([0.5, 0.1, 0.2, 0.3], dtype=complex)
     want = np.linalg.det(np.eye(2) - z.reshape(2, 2) @ z.reshape(2, 2).conj().T)
-    assert jtsys.norm_self(dt, z) == pytest.approx(want.real)
+    assert jtsys.log_norm(dt, z, 1) == pytest.approx(np.log(want.real))
 
 
 def test_generic_norm_spectral_product(domain, rng):
     z = 0.6 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
     lam = jtsys.singular_values(domain, z)
-    npt.assert_allclose(jtsys.norm_self(domain, z), np.prod(1 - lam**2))
-    npt.assert_allclose(jtsys.norm_self(domain, z, sign=-1), np.prod(1 + lam**2))
+    npt.assert_allclose(np.exp(jtsys.log_norm(domain, z, 1)),
+                        np.prod(1 - lam**2) if np.all(lam < 1) else 0.0)
+    npt.assert_allclose(jtsys.log_norm(domain, z, -1), np.log(np.prod(1 + lam**2)))
 
 
 def test_spectral_decompose_reconstructs(domain, rng):
@@ -175,11 +176,6 @@ def _with_spectral_values(d, lam, rng):
     return jtsys.isotropy_apply(d, tau, jtsys.frame_point(d, lam))
 
 
-def _det_oracle(d, z, sign):
-    jz = jtsys.as_matrix(d, z)
-    return np.linalg.det(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))).real
-
-
 @pytest.mark.parametrize("name", list(PIVOT_DOMAINS))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_gram_pivots_product_is_the_determinant(name, sign):
@@ -195,8 +191,16 @@ def test_gram_pivots_product_is_the_determinant(name, sign):
     for z, rtol in ((on_omega, 1e-12), (off_omega, 1e-10)):
         pivots = jtsys.gram_pivots(d, z, sign)
         assert pivots.shape == (200, d.r)
-        npt.assert_allclose(np.prod(pivots, axis=-1), _det_oracle(d, z, sign), rtol=rtol)
-        npt.assert_array_equal(jtsys.norm_self(d, z, sign), np.prod(pivots, axis=-1))
+        npt.assert_allclose(np.prod(pivots, axis=-1), norm_det(d, z, sign), rtol=rtol)
+        # log_norm is the log of that product, -inf where a pivot is <= 0
+        positive = np.all(pivots > 0, axis=-1)
+        log_n = jtsys.log_norm(d, z, sign)
+        npt.assert_array_equal(log_n[positive], np.log(np.prod(pivots[positive], axis=-1)))
+        assert np.all(log_n[~positive] == -np.inf)
+    # off Omega at sign +1 no point has a finite log norm; at sign -1 every point does
+    assert np.all(np.isfinite(jtsys.log_norm(d, off_omega, -1)))
+    if sign == 1:
+        assert np.all(jtsys.log_norm(d, off_omega, 1) == -np.inf)
     # the pivots of a positive definite A are positive (Sylvester)
     assert np.all(jtsys.gram_pivots(d, on_omega if sign == 1 else off_omega, sign) > 0)
 
@@ -245,7 +249,7 @@ def test_b_quarter_power_two_routes(domain, rng):
         npt.assert_allclose((u * lam) @ u.conj().T,
                             np.eye(len(lam)) - sign * jz @ jz.conj().T, atol=1e-12)
         npt.assert_allclose(k, u.conj().T @ jz, atol=1e-12)
-        npt.assert_allclose(np.prod(lam), jtsys.norm_self(domain, z, sign=sign), rtol=1e-12)
+        npt.assert_allclose(np.prod(lam), np.exp(jtsys.log_norm(domain, z, sign)), rtol=1e-12)
 
 
 def test_b_quarter_power_rejects_boundary():
@@ -272,8 +276,8 @@ def test_isotropy_preserves_norm(domain, rng):
     tau = jtsys.random_isotropy(domain, rng)
     moved = jtsys.isotropy_apply(domain, tau, z)
     for sign in (1, -1):
-        npt.assert_allclose(jtsys.norm_self(domain, moved, sign=sign),
-                            jtsys.norm_self(domain, z, sign=sign))
+        npt.assert_allclose(jtsys.log_norm(domain, moved, sign),
+                            jtsys.log_norm(domain, z, sign))
 
 
 def test_isotropy_rejects_non_unitary():

@@ -70,14 +70,15 @@ def test_selberg_symmetrized_agrees():
     npt.assert_allclose(symmetrized, ordered, rtol=1e-3)
 
 
-def test_selberg_auto_converges():
+def test_selberg_auto_converges(monkeypatch):
     val = measures.selberg_quadrature_auto(2, 2, 0, 0.0, rtol=1e-5)
     npt.assert_allclose(val, 1.0 / 48.0, rtol=1e-4)
+    monkeypatch.setattr(measures, "_QUAD_START", 8)
+    monkeypatch.setattr(measures, "_QUAD_MAX_RESOLUTION", 16)
     with pytest.raises(ConvergenceError):
         # fractional s keeps the integrand non-polynomial, so this tiny
         # resolution budget cannot reach 1e-13
-        measures.selberg_quadrature_auto(2, 2, 0, 2.5, rtol=1e-13,
-                                         start=8, max_resolution=16)
+        measures.selberg_quadrature_auto(2, 2, 0, 2.5, rtol=1e-13)
 
 
 def test_flat_volume_exact_oracles():
