@@ -46,15 +46,19 @@ _SWEEP_TOL = 1e-8
 class CapacityCertificate:
     """A certified capacity interval [lower, upper] = [pi r_in^2, pi r_out^2]."""
 
-    r_in: float
     lower: float
     upper: float
     failures: list
     notes: tuple[str, ...] = field(default=())
 
 
+def pack_point(vec: np.ndarray) -> list:
+    """A complex point as JSON-ready [[re, im], ...] pairs."""
+    return [[float(c.real), float(c.imag)] for c in np.asarray(vec, dtype=complex)]
+
+
 def _witnesses(pts: np.ndarray, ok: np.ndarray) -> list:
-    return [row.tolist() for row in pts[~ok][:16]]
+    return [pack_point(row) for row in pts[~ok][:16]]
 
 
 def ball_in_hartogs(H: HartogsSpec, radius: float, samples: int, seed: int) -> list:
@@ -96,18 +100,12 @@ def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int) -> list:
     """
     rng = np.random.default_rng(seed)
     r = H.domain.r
-    deltas = np.empty(sweeps)
-    ks = np.empty(sweeps, dtype=int)
-    xs = np.zeros((sweeps, r))
-    for i in range(sweeps):
-        delta = c * rng.uniform() ** 2  # bias toward small delta, edge included below
-        if rng.uniform() < 0.1:
-            delta = c * (1.0 - 1e-6)
-        k = int(rng.integers(1, r + 1))
-        direction = rng.uniform(size=k)
-        direction /= np.sum(direction)
-        deltas[i], ks[i] = delta, k
-        xs[i, :k] = np.sqrt((c**2 - delta**2) * direction)
+    deltas = c * rng.uniform(size=sweeps) ** 2  # bias toward small delta
+    deltas[rng.uniform(size=sweeps) < 0.1] = c * (1.0 - 1e-6)  # the edge, in 10 % of sweeps
+    ks = rng.integers(1, r + 1, size=sweeps)
+    direction = rng.uniform(size=(sweeps, r)) * (np.arange(r) < ks[:, None])
+    direction /= np.sum(direction, axis=-1, keepdims=True)
+    xs = np.sqrt((c**2 - deltas**2)[:, None] * direction)
     targets = np.concatenate([frame_point(H.domain, xs), deltas[:, None]], axis=-1)
     zeta, omega = split_vec(H, phi_map_vec(H, phi_inverse(H, targets)))
     want = np.sort(xs, axis=-1)[:, ::-1]
@@ -143,20 +141,17 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int,
         r_in = 1.0 - EPS
         ball_failures = ball_in_hartogs(H, r_in, samples, seed)
         failures = ball_failures + hartogs_in_cylinder(H, 1.0, samples, seed + 1)
-        if ball_failures:
-            r_in = 0.0
-        return CapacityCertificate(r_in, np.pi * r_in**2, np.pi, failures)
+        lower = 0.0 if ball_failures else np.pi * r_in**2
+        return CapacityCertificate(lower, np.pi, failures)
     if side == "dual":
         r_bound = float(min(1.0, np.sqrt(H.mu)))
         r_in = max(r_bound - EPS, 0.0)  # sqrt(mu) <= EPS: certify only [0, pi mu]
         sweep_failures = _dual_sweeps(H, r_in, min(samples, 400), seed)
         bound_failures = dual_image_bounds(H, samples, seed + 1)
-        if sweep_failures:
-            r_in = 0.0
-        r_out = np.inf if bound_failures else r_bound
+        lower = 0.0 if sweep_failures else np.pi * r_in**2
+        upper = np.inf if bound_failures else np.pi * r_bound**2
         notes = ()
         if H.mu < 1.0:
             notes = (_DUAL_HEADLINE_NOTE if r_bound > EPS else _DUAL_CLAMPED_NOTE,)
-        return CapacityCertificate(r_in, np.pi * r_in**2, np.pi * r_out**2,
-                                   sweep_failures + bound_failures, notes)
+        return CapacityCertificate(lower, upper, sweep_failures + bound_failures, notes)
     raise DomainError(f"unknown side: {side!r}")

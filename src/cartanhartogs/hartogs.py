@@ -99,6 +99,12 @@ def fiber_ratios(H: HartogsSpec, log_n: np.ndarray, w: np.ndarray, eps: int):
     return t, e_s * t, inv_g
 
 
+def _phase(w: np.ndarray) -> np.ndarray:
+    """w / |w|, and 0 at w = 0."""
+    modulus = np.abs(w)
+    return np.divide(w, modulus, out=np.zeros_like(w), where=modulus > 0)
+
+
 def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
     """(sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w / sqrt(G)) with t = u / G,
     u = N(z, -eps zbar)^mu and G = u + eps |w|^2: Psi at eps = -1, Phi at
@@ -107,9 +113,7 @@ def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
     z, w = split_vec(H, pts)
     lam, _, _, bz = jtsys.jordan_frame(H.domain, z, -eps)
     t, w2_g, _ = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
-    modulus = np.abs(w)
-    phase = np.divide(w, modulus, out=np.zeros_like(w), where=modulus > 0)
-    return _join(np.sqrt(H.mu * t)[..., None] * bz, phase * np.sqrt(w2_g))
+    return _join(np.sqrt(H.mu * t)[..., None] * bz, _phase(w) * np.sqrt(w2_g))
 
 
 def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:
@@ -181,13 +185,18 @@ def _darboux_inverse(H: HartogsSpec, targets, eps: int) -> np.ndarray:
     and w = omega sqrt(N(z, -eps zbar)^mu / fac).  Both come from the one
     `jtsys.jordan_frame` of x: I + eps Z Z* = (I - eps X X*)^-1, so
     N(z, -eps zbar) = 1 / prod(lam).  For eps = +1, fac <= 0 or a spectral
-    value x_j >= 1 (in the frame) is outside Phi's image: DomainError."""
+    value x_j >= 1 (in the frame) is outside Phi's image: DomainError.  The
+    modulus of w is exp(log|omega| + mu log N / 2 - log fac / 2), so N^mu is
+    never formed and w = 0 at omega = 0."""
     zeta, omega = split_vec(H, targets)
     fac = 1.0 - eps * np.abs(omega) ** 2
     if np.any(fac <= 0):
         raise DomainError("target fiber coordinate must have modulus < 1")
     lam, _, _, z = jtsys.jordan_frame(H.domain, zeta / np.sqrt(H.mu * fac)[..., None], eps)
-    return _join(z, omega * np.exp(-0.5 * H.mu * np.sum(np.log(lam), axis=-1)) / np.sqrt(fac))
+    with np.errstate(divide="ignore"):  # log 0 = -inf at omega = 0
+        log_w = np.log(np.abs(omega)) - 0.5 * (H.mu * np.sum(np.log(lam), axis=-1)
+                                                + np.log(fac))
+    return _join(z, _phase(omega) * np.exp(log_w))
 
 
 def psi_map_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:

@@ -14,12 +14,14 @@ orthogonal tripotents (E_jj for type-I, unit vectors for the polydisc), which
 carries Delta^m into Omega for every m <= r.
 
 Every algebraic operator used downstream (generic norm, spectral values, the
-spectral frame of B(z, +/-zbar) and its fractional power) is expressed
-through the matrix realization j(z): a diagonal matrix for the polydisc, the
-matrix itself for type-I.  `gram_pivots` is the one kernel behind the generic
-norm and membership of Omega: the pivots of an unpivoted LDL* factorisation
-of I -/+ j(z) j(z)*, computed elementwise over the batch, so neither
-`log_norm` nor `membership` takes a per-point LAPACK call (SVD or det).
+spectral frame of B(z, +/-zbar) and its fractional power, the isotropy action
+j(z) -> U j(z) V* of a unitary pair) is expressed through the matrix
+realization j(z): a diagonal matrix for the polydisc, the matrix itself for
+type-I.  For isotropy a kind differs only in how `random_isotropy` draws its
+pairs.  `gram_pivots` is the one kernel behind the generic norm and
+membership of Omega: the pivots of an unpivoted LDL* factorisation of
+I -/+ j(z) j(z)*, computed elementwise over the batch, so neither `log_norm`
+nor `membership` takes a per-point LAPACK call (SVD or det).
 `jordan_frame` is the one factorisation behind the Darboux maps, their
 inverses and their Jacobian, and the one place that rejects a base point
 outside Omega.  Points are flat complex vectors of length n; type-I points
@@ -253,33 +255,14 @@ def jordan_frame(D: DomainSpec, z, sign: int):
 
 
 @dataclass(frozen=True)
-class PolydiscIsotropy:
-    """Coordinate permutation composed with unimodular phases: z -> (phases*z)[perm].
+class Isotropy:
+    """Unitary pair acting on the matrix realization by j(z) -> U j(z) V*
+    (Loos 1977): Haar pairs for type-I, monomial pairs U = P diag(phases),
+    V = P with P a permutation matrix for the polydisc.
 
-    perm and phases have shape (n,) for one element, or (k, n) for a stack of
-    k elements whose row i acts on point i.
-    """
-
-    perm: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm)
-        n = perm.shape[-1]
-        if (not np.issubdtype(perm.dtype, np.integer)
-                or np.any(np.sort(perm, axis=-1) != np.arange(n))):
-            raise ValueError("perm is not a permutation")
-        phases = np.asarray(self.phases, dtype=complex)
-        if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-10:
-            raise ValueError("phases must be unimodular")
-
-
-@dataclass(frozen=True)
-class TypeIIsotropy:
-    """Unitary pair acting by z -> U z V*.
-
-    u and v have shapes (p, p) and (q, q) for one element, or (k, p, p) and
-    (k, q, q) for a stack of k elements whose slice i acts on point i.
+    With j(z) of size p x q (n x n on the polydisc), u and v have shapes
+    (p, p) and (q, q) for one element, or (k, p, p) and (k, q, q) for a stack
+    of k elements whose slice i acts on point i.
     """
 
     u: np.ndarray
@@ -300,50 +283,47 @@ def _check_unitary(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return m
 
 
-def isotropy_apply(D: DomainSpec, tau, z) -> np.ndarray:
-    """Apply an origin-fixing triple automorphism, batched over points; a
-    stacked tau moves point i by its element i (the arrays broadcast)."""
-    z = _check_point(D, z)
-    if D.kind == KIND_POLYDISC:
-        if not isinstance(tau, PolydiscIsotropy):
-            raise TypeError("polydisc expects PolydiscIsotropy")
-        perm = np.asarray(tau.perm)
-        if perm.shape[-1] != D.n:
-            raise ShapeError("perm length does not match the domain dimension")
-        moved = np.asarray(tau.phases, dtype=complex) * z
-        return np.take_along_axis(moved, np.broadcast_to(perm, moved.shape), axis=-1)
-    if not isinstance(tau, TypeIIsotropy):
-        raise TypeError("type-I expects TypeIIsotropy")
+def isotropy_apply(D: DomainSpec, tau: Isotropy, z) -> np.ndarray:
+    """Apply an origin-fixing triple automorphism, j(z) -> U j(z) V*, batched
+    over points; a stacked tau moves point i by its element i (the arrays
+    broadcast).  ShapeError when U or V does not fit j(z); ValueError when the
+    image is not exactly a point of the realization (on the polydisc, a pair
+    that is not monomial)."""
+    jz = as_matrix(D, z)
     u = np.asarray(tau.u, dtype=complex)
     v = np.asarray(tau.v, dtype=complex)
-    return as_vector(D, u @ as_matrix(D, z) @ np.conj(np.swapaxes(v, -1, -2)))
+    if u.shape[-1] != jz.shape[-2] or v.shape[-1] != jz.shape[-1]:
+        raise ShapeError(f"U and V must act on {jz.shape[-2]} x {jz.shape[-1]} matrices")
+    image = u @ jz @ np.conj(np.swapaxes(v, -1, -2))
+    moved = as_vector(D, image)
+    if not np.array_equal(as_matrix(D, moved), image, equal_nan=True):
+        raise ValueError("the pair does not map the realization into itself")
+    return moved
 
 
-def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int | None = None):
-    """Draw Haar random isotropy elements (QR-based unitaries for type-I).
+def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isotropy:
+    """Draw a stack of count Haar random isotropy elements.
 
-    With count=None one element; otherwise one stacked element of count rows,
-    drawn from the generator in the order of count single calls (per element
-    the Gaussians of U, then those of V), followed by one batched QR.
+    Polydisc: per element a permutation, then the phases, built into
+    U = P diag(phases), V = P.  Type-I: per element the Gaussians of U, then
+    those of V, followed by one batched QR.
     """
-    k = 1 if count is None else count
-    pick = (lambda a: a[0]) if count is None else (lambda a: a)
     if D.kind == KIND_POLYDISC:
         perms, phases = [], []
-        for _ in range(k):
+        for _ in range(count):
             perms.append(rng.permutation(D.n))
             phases.append(np.exp(1j * rng.uniform(0, 2 * np.pi, D.n)))
-        return PolydiscIsotropy(pick(np.array(perms, dtype=np.intp).reshape(k, D.n)),
-                                pick(np.array(phases).reshape(k, D.n)))
+        pmat = np.eye(D.n)[np.array(perms, dtype=np.intp).reshape(count, D.n)]
+        return Isotropy(pmat * np.array(phases).reshape(count, 1, D.n), pmat)
 
     p, q = D.shape
     # per element: real and imaginary parts of U, then of V
-    g = rng.normal(size=(k, 2 * (p * p + q * q)))
+    g = rng.normal(size=(count, 2 * (p * p + q * q)))
 
     def haar(re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
-        qm, rm = np.linalg.qr((re + 1j * im).reshape(k, size, size))
+        qm, rm = np.linalg.qr((re + 1j * im).reshape(count, size, size))
         diag = np.diagonal(rm, axis1=-2, axis2=-1)
         return qm * (diag / np.abs(diag))[..., None, :]
 
     u_re, u_im, v_re, v_im = np.split(g, [p * p, 2 * p * p, 2 * p * p + q * q], axis=1)
-    return TypeIIsotropy(pick(haar(u_re, u_im, p)), pick(haar(v_re, v_im, q)))
+    return Isotropy(haar(u_re, u_im, p), haar(v_re, v_im, q))

@@ -223,17 +223,15 @@ def duality_gap(D: DomainSpec, mu: float) -> float:
     return capital_f_ratio(D, mu) - mu ** D.n / (D.n + 1)
 
 
-def duality_root(D: DomainSpec) -> float | None:
+def duality_root(D: DomainSpec) -> float:
     """The unique positive solution of F(mu)/F(0) = mu^n/(n+1), by bisection
     on [1e-12, (n+1)^(1/n) + 1].
 
-    Returns None when the bracket shows no sign change.
+    The bracket always changes sign: F(mu)/F(0) <= 1 < hi^n/(n+1) at the top,
+    and the gap at 1e-12 is F(1e-12)/F(0) - 1e-12^n/(n+1) > 0.
     """
     lo = 1e-12
     hi = (D.n + 1.0) ** (1.0 / D.n) + 1.0
-    glo, ghi = duality_gap(D, lo), duality_gap(D, hi)
-    if not (glo > 0 > ghi):
-        return None
     while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if duality_gap(D, mid) > 0:

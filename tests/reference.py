@@ -161,10 +161,11 @@ def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAUL
 
 
 def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
-    """count isotropy elements drawn one at a time, as (perm, phases) for the
-    polydisc or (U, V) for type-I: per element a permutation and then the
-    phases, or the real and imaginary Gaussians of U, a QR, then those of V
-    and a QR, with the phases of R's diagonal moved into Q."""
+    """count isotropy elements drawn one at a time, as unitary pairs (U, V):
+    per element a permutation P and then the phases, U = P diag(phases) and
+    V = P, for the polydisc; the real and imaginary Gaussians of U, a QR, then
+    those of V and a QR, with the phases of R's diagonal moved into Q, for
+    type-I."""
     def haar(k: int) -> np.ndarray:
         g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         qm, rm = np.linalg.qr(g)
@@ -173,8 +174,8 @@ def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
     out = []
     for _ in range(count):
         if D.kind == "polydisc":
-            perm = rng.permutation(D.n)
-            out.append((perm, np.exp(1j * rng.uniform(0, 2 * np.pi, D.n))))
+            pmat = np.eye(D.n)[rng.permutation(D.n)]
+            out.append((pmat @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, D.n))), pmat))
         else:
             p, q = D.shape
             out.append((haar(p), haar(q)))

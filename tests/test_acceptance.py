@@ -172,13 +172,13 @@ def test_criterion_9_capacity_certificates():
         details.append(f"flat mu={mu}: [{cert.lower:.4f}, {cert.upper:.4f}]")
     cert = capacity.capacity_certificate(hartogs.make_hartogs(d, 4.0), "dual",
                                          samples=50_000, seed=11)
-    ok &= not cert.failures and cert.r_in >= 1.0 - 1e-3
-    details.append(f"dual mu=4: r_in={cert.r_in:.4f}")
+    ok &= not cert.failures and cert.lower >= np.pi * (1.0 - 1e-3) ** 2
+    details.append(f"dual mu=4: lower={cert.lower:.4f}")
     cert = capacity.capacity_certificate(hartogs.make_hartogs(d, 0.25), "dual",
                                          samples=100_000, seed=11)
-    ok &= not cert.failures and cert.r_in >= 0.5 - 1e-3
+    ok &= not cert.failures and cert.lower >= np.pi * (0.5 - 1e-3) ** 2
     ok &= bool(cert.notes)  # headline discrepancy reported, not asserted
-    details.append(f"dual mu=0.25: r_in={cert.r_in:.4f}, xi-bound 0.25 on 1e5 samples,"
+    details.append(f"dual mu=0.25: lower={cert.lower:.4f}, xi-bound 0.25 on 1e5 samples,"
                    " headline noted")
     _report(9, "capacity certificates", ok, "; ".join(details))
 
@@ -191,8 +191,8 @@ def test_criterion_10_structure_maps():
         for mu in (0.5, 2.0):
             H = hartogs.make_hartogs(d, mu)
             pts = hartogs.sample_member_points(H, 9, rng, lam_max=0.8)
-            for row in pts:
-                tau = jtsys.random_isotropy(d, rng)
+            for row in pts[:, None]:
+                tau = jtsys.random_isotropy(d, rng, 1)
                 moved = hartogs.hartogs_isotropy_apply(H, tau, row)
                 for mapping in (hartogs.psi_map_vec, hartogs.phi_map_vec):
                     lhs = mapping(H, moved)

@@ -45,7 +45,7 @@ def test_hartogs_in_cylinder(domain):
     assert not capacity.hartogs_in_cylinder(H, 1.0, 20_000, seed=6)
     bad = capacity.hartogs_in_cylinder(H, 0.5, 20_000, seed=6)
     assert bad
-    assert all(abs(row[0]) >= 0.5 for row in bad)
+    assert all(np.hypot(*row[0]) >= 0.5 for row in bad)  # row: [re, im] pairs
 
 
 def test_dual_image_bounds():
@@ -94,7 +94,18 @@ def test_dual_sweeps_detect_a_wrong_map(monkeypatch):
     # the sweeps pull sphere targets back in closed form and push them
     # forward through Phi, so a 1 + 1e-6 slip in Phi fails every sweep
     H = hartogs.make_hartogs(T22, 2.0)
+    targets = []
+    inverse = capacity.phi_inverse
+    monkeypatch.setattr(capacity, "phi_inverse",
+                        lambda H, pts: targets.append(pts) or inverse(H, pts))
     assert not capacity._dual_sweeps(H, 0.999, 50, seed=3)
+    # every target lies on the radius-c sphere, 1 <= k <= r spectral values on
+    # the frame (E_11, E_22 of the row-major 2x2 matrix), some at the fiber edge
+    (pts,) = targets
+    npt.assert_allclose(np.linalg.norm(pts, axis=-1), 0.999, rtol=1e-14)
+    assert np.all(pts[:, [1, 2]] == 0) and np.all(pts[:, 0] > 0)
+    assert 0 < np.sum(pts[:, 3] == 0) < 50
+    assert 0 < np.sum(pts[:, -1] == 0.999 * (1 - 1e-6)) < 50
     good = capacity.phi_map_vec
     monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: (1.0 + 1e-6) * good(H, pts))
     bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
@@ -116,7 +127,7 @@ def test_capacity_certificate_flat():
 def test_capacity_certificate_dual_large_mu():
     H = hartogs.make_hartogs(POLY1, 4.0)
     cert = capacity.capacity_certificate(H, "dual", samples=20_000, seed=11)
-    assert cert.r_in >= 1.0 - 1e-3
+    assert cert.lower >= np.pi * (1.0 - 1e-3) ** 2
     npt.assert_allclose(cert.upper, np.pi)
     assert not cert.failures
     assert cert.notes == ()
@@ -125,7 +136,7 @@ def test_capacity_certificate_dual_large_mu():
 def test_capacity_certificate_dual_small_mu():
     H = hartogs.make_hartogs(POLY1, 0.25)
     cert = capacity.capacity_certificate(H, "dual", samples=20_000, seed=11)
-    assert cert.r_in >= 0.5 - 1e-3
+    assert cert.lower >= np.pi * (0.5 - 1e-3) ** 2
     npt.assert_allclose(cert.upper, np.pi * 0.25)
     assert not cert.failures
     # the headline constant mismatch is reported, never asserted
@@ -138,7 +149,7 @@ def test_capacity_certificate_dual_tiny_mu(domain):
     mu = 1e-7
     cert = capacity.capacity_certificate(hartogs.make_hartogs(domain, mu), "dual",
                                          samples=100, seed=11)
-    assert cert.r_in == 0.0 and cert.lower == 0.0
+    assert cert.lower == 0.0
     npt.assert_allclose(cert.upper, np.pi * mu)
     assert not cert.failures
     # the note states the clamped interval, not [pi (sqrt(mu)-eps)^2, pi mu]
@@ -154,5 +165,5 @@ def test_capacity_certificate_unknown_side():
 def test_dual_certificate_higher_rank():
     H = hartogs.make_hartogs(T22, 2.0)
     cert = capacity.capacity_certificate(H, "dual", samples=10_000, seed=11)
-    assert cert.r_in >= 1.0 - 1e-3
+    assert cert.lower >= np.pi * (1.0 - 1e-3) ** 2
     assert not cert.failures

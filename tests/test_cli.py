@@ -1,12 +1,13 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
-from cartanhartogs import cli
+from cartanhartogs import capacity, cli, hartogs
 
 
 def _run(args, env=None):
@@ -227,6 +228,51 @@ def test_member_sampler_runs_at_large_mu(tmp_path, family):
     assert res.exit_code in (0, 1)
     checks = json.loads(out.read_text())["checks"]
     assert checks and all(np.isfinite(c["worst_residual"]) for c in checks)
+
+
+def test_equivariance_round_trip_finite_at_huge_mu(tmp_path):
+    # at mu = 1e4 N(z, -zbar)^mu overflows; the inverse takes the fiber
+    # factor in log space, so the round trip stays finite and warns nothing
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _run(["equivariance", "--domain", "type-I", "--p", "2", "--q", "3",
+                    "--mu", "1e4", "--points", "40", "--output", str(out)])
+    assert not caught
+    assert res.exit_code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(np.isfinite(c["worst_residual"]) for c in checks)
+
+
+def test_nan_round_trip_fails(tmp_path, monkeypatch):
+    # a NaN residual must reach the gate, not be dropped by a reduction
+    monkeypatch.setattr(hartogs, "phi_inverse",
+                        lambda H, targets: np.full_like(targets, np.nan))
+    out = tmp_path / "report.json"
+    res = _run(["equivariance", "--domain", "polydisc", "--n", "2", "--mu", "1",
+                "--points", "20", "--output", str(out)])
+    assert res.exit_code == 1
+    checks = json.loads(out.read_text())["checks"]
+    trip = [c for c in checks if c["parameters"]["operation"] == "psi_inverse"]
+    assert trip and all(c["status"] == "fail" for c in trip)
+
+
+def test_failing_capacity_witnesses_serialize(tmp_path, monkeypatch):
+    # a ball of radius 1.5 leaves M: the flat side fails, and its complex
+    # witness points are written as [re, im] pairs
+    ball = capacity.ball_in_hartogs
+    monkeypatch.setattr(capacity, "ball_in_hartogs",
+                        lambda H, radius, samples, seed: ball(H, 1.5, samples, seed))
+    out = tmp_path / "report.json"
+    res = _run(["capacity", "--domain", "polydisc", "--n", "1", "--mu", "0.5",
+                "--samples", "400", "--output", str(out)])
+    assert res.exit_code == 1
+    checks = json.loads(out.read_text())["checks"]
+    flat = [c for c in checks if c["parameters"]["side"] == "flat-hartogs"]
+    assert len(flat) == 1 and flat[0]["status"] == "fail"
+    assert flat[0]["witnesses"]
+    assert all(len(pair) == 2 and all(isinstance(x, float) for x in pair)
+               for point in flat[0]["witnesses"] for pair in point)
 
 
 def test_fd_step_is_accepted_but_unread():

@@ -350,15 +350,16 @@ def test_rank_one_specializes_to_ball_map(rng):
 def test_isotropy_equivariance(domain, rng):
     H = _hartogs(domain, 2.0)
     pts = hartogs.sample_member_points(H, 10, rng, lam_max=0.8)
-    for row in pts:
-        tau = jtsys.random_isotropy(domain, rng)
+    for row in pts[:, None]:
+        tau = jtsys.random_isotropy(domain, rng, 1)
         moved = hartogs.hartogs_isotropy_apply(H, tau, row)
         for mapping in (hartogs.psi_map_vec, hartogs.phi_map_vec):
             npt.assert_allclose(mapping(H, moved),
                                 hartogs.hartogs_isotropy_apply(H, tau, mapping(H, row)),
                                 atol=1e-12)
     # one tau on a 5-point batch equals the same tau row by row
-    rows = np.stack([hartogs.hartogs_isotropy_apply(H, tau, row) for row in pts[:5]])
+    rows = np.concatenate([hartogs.hartogs_isotropy_apply(H, tau, row)
+                           for row in pts[:5, None]])
     npt.assert_allclose(hartogs.hartogs_isotropy_apply(H, tau, pts[:5]), rows, rtol=1e-15)
 
 
@@ -373,9 +374,9 @@ def test_stacked_isotropy_moves_each_row_by_its_element(dims):
     stack = jtsys.random_isotropy(H.domain, rng, len(pts))
     rng = np.random.default_rng(11)
     hartogs.sample_member_points(H, 9, rng, lam_max=0.8)
-    singles = [jtsys.random_isotropy(H.domain, rng) for _ in pts]
-    rows = np.stack([hartogs.hartogs_isotropy_apply(H, tau, row)
-                     for tau, row in zip(singles, pts)])
+    singles = [jtsys.random_isotropy(H.domain, rng, 1) for _ in pts]
+    rows = np.concatenate([hartogs.hartogs_isotropy_apply(H, tau, row)
+                           for tau, row in zip(singles, pts[:, None])])
     npt.assert_allclose(hartogs.hartogs_isotropy_apply(H, stack, pts), rows, rtol=1e-15)
 
 

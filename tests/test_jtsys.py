@@ -273,7 +273,7 @@ def test_b_quarter_power_rank_one_formula(lam):
 
 def test_isotropy_preserves_norm(domain, rng):
     z = 0.6 * (rng.normal(size=(8, domain.n)) + 1j * rng.normal(size=(8, domain.n)))
-    tau = jtsys.random_isotropy(domain, rng)
+    tau = jtsys.random_isotropy(domain, rng, 1)
     moved = jtsys.isotropy_apply(domain, tau, z)
     for sign in (1, -1):
         npt.assert_allclose(jtsys.log_norm(domain, moved, sign),
@@ -284,7 +284,7 @@ def test_isotropy_rejects_non_unitary():
     d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
     bad = np.eye(2) * 2.0
     with pytest.raises(ValueError):
-        jtsys.TypeIIsotropy(bad, np.eye(2))
+        jtsys.Isotropy(bad, np.eye(2))
 
 
 BATCH_DOMAINS = {
@@ -299,7 +299,7 @@ BATCH_DOMAINS = {
 def test_random_isotropy_batch_equals_single_draws(name, seed):
     d = jtsys.make_domain(**BATCH_DOMAINS[name])
     rng = np.random.default_rng(seed)
-    singles = [jtsys.random_isotropy(d, rng) for _ in range(6)]
+    singles = [jtsys.random_isotropy(d, rng, 1) for _ in range(6)]
     after_singles = rng.normal()
     rng = np.random.default_rng(seed)
     stack = jtsys.random_isotropy(d, rng, 6)
@@ -307,10 +307,9 @@ def test_random_isotropy_batch_equals_single_draws(name, seed):
     rng = np.random.default_rng(seed)
     one_by_one = isotropy_draws(d, rng, 6)
     assert rng.normal() == after_singles
-    fields = ("perm", "phases") if d.kind == jtsys.KIND_POLYDISC else ("u", "v")
-    for i, field in enumerate(fields):
+    for i, field in enumerate(("u", "v")):
         want = np.stack([draw[i] for draw in one_by_one])
-        for got in (getattr(stack, field), np.stack([getattr(t, field) for t in singles])):
+        for got in (getattr(stack, field), np.concatenate([getattr(t, field) for t in singles])):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -321,23 +320,32 @@ def test_isotropy_stack_rejects_one_bad_slice():
     u = unitaries.u.copy()
     u[2] = 2.0 * np.eye(2)
     with pytest.raises(ValueError):
-        jtsys.TypeIIsotropy(u, unitaries.v)
+        jtsys.Isotropy(u, unitaries.v)
     v = unitaries.v.copy()
     v[3, 0, 0] += 1e-6
     with pytest.raises(ValueError):
-        jtsys.TypeIIsotropy(unitaries.u, v)
-    perm = np.array([[1, 0, 2], [0, 0, 2], [2, 1, 0]])
-    with pytest.raises(ValueError):
-        jtsys.PolydiscIsotropy(perm, np.ones((3, 3), dtype=complex))
-    phases = np.ones((3, 3), dtype=complex)
-    phases[1, 2] = 1.1
-    with pytest.raises(ValueError):
-        jtsys.PolydiscIsotropy(np.array([[1, 0, 2], [0, 1, 2], [2, 1, 0]]), phases)
+        jtsys.Isotropy(unitaries.u, v)
+    # polydisc-3: a phase off the unit circle makes U = P diag(phases) non-unitary
+    poly3 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
+    monomial = jtsys.random_isotropy(poly3, np.random.default_rng(2), 3)
+    u = monomial.u.copy()
+    u[1] = u[1] @ np.diag([1.0, 1.0, 1.1])
+    with pytest.raises(ValueError, match="not unitary"):
+        jtsys.Isotropy(u, monomial.v)
+    # a unitary pair that is not monomial moves diag(z) off the diagonal
+    haar = jtsys.random_isotropy(jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3),
+                                 np.random.default_rng(2), 3)
+    z = np.full((3, 3), 0.1 + 0.2j)
+    with pytest.raises(ValueError, match="realization"):
+        jtsys.isotropy_apply(poly3, jtsys.Isotropy(haar.u, monomial.v), z)
+    # a pair sized for another realization
+    with pytest.raises(ShapeError):
+        jtsys.isotropy_apply(poly3, unitaries, z)
 
 
 def test_polydisc_isotropy_oracle():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
-    tau = jtsys.PolydiscIsotropy(perm=np.array([1, 0]),
-                                 phases=np.array([1j, 1.0]))
+    # perm (1, 0) with phases (1j, 1): U = P diag(1j, 1), V = P
+    tau = jtsys.Isotropy(u=np.array([[0, 1], [1j, 0]]), v=np.array([[0, 1], [1, 0]]))
     npt.assert_allclose(jtsys.isotropy_apply(d, tau, np.array([0.5, 0.2j])),
                         np.array([0.2j, 0.5j]))

@@ -159,6 +159,13 @@ def test_duality_gap_signs():
     assert measures.duality_gap(d, 2.0) < 0
     with pytest.raises(DomainError):
         measures.duality_gap(d, 0.0)
+    # the bisection bracket of duality_root changes sign on every grid domain
+    grid = [jtsys.make_domain(jtsys.KIND_POLYDISC, n=n) for n in (1, 2, 3)]
+    grid += [jtsys.make_domain(jtsys.KIND_TYPE_I, p=p, q=q)
+             for p, q in ((1, 2), (2, 2), (2, 3), (3, 3))]
+    for d in grid:
+        assert measures.duality_gap(d, 1e-12) > 0
+        assert measures.duality_gap(d, (d.n + 1.0) ** (1.0 / d.n) + 1.0) < 0
 
 
 def test_duality_root_rank_one_is_one():
