@@ -78,6 +78,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if "selberg" in cfg.checks and domain.r > measures.SELBERG_MAX_RANK:
         raise click.UsageError(f"selberg supports base ranks 1..{measures.SELBERG_MAX_RANK}; "
                                f"this domain has rank {domain.r}")
+    # the volume formulas take mu^n, which leaves the float range near 1e308
+    if "volume" in cfg.checks and any(domain.n * math.log10(m) > 300 for m in cfg.mu):
+        raise click.UsageError(f"volume supports mu^n <= 1e300; this domain has n = {domain.n}")
     return cfg
 
 

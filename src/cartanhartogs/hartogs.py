@@ -229,9 +229,11 @@ def lift_embedding(D: DomainSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def hartogs_isotropy_apply(H: HartogsSpec, tau, pts: np.ndarray) -> np.ndarray:
-    """Lifted isotropy action (z, w) -> (tau z, w), batched; fixes the generic norm."""
+    """Lifted isotropy action (z, w) -> (tau z, w), batched, w taking the
+    leading shape of tau z; fixes the generic norm."""
     z, w = split_vec(H, pts)
-    return _join(jtsys.isotropy_apply(H.domain, tau, z), w)
+    moved = jtsys.isotropy_apply(H.domain, tau, z)
+    return _join(moved, np.broadcast_to(w, moved.shape[:-1]))
 
 
 def unit_ball_darboux(pts: np.ndarray) -> np.ndarray:

@@ -6,14 +6,15 @@ F(s) is the ordered-simplex integral
     F(s) = int_{1 > l_1 > ... > l_r > 0} prod_j (1 - l_j^2)^s l_j^(2b+1)
            prod_{j<k} (l_j^2 - l_k^2)^a  dl,
 
-evaluated in closed form through log-Gamma,
+evaluated in closed form through log-Gamma (`math.lgamma`),
 
     F(s) = 1/(2^r r!) prod_{j=1}^r  G(b+1+(j-1)a/2) G(s+1+(j-1)a/2) G(ja/2+1)
                                     / (G(s+b+2+(r+j-2)a/2) G(a/2+1)).
 
-Flat and dual volumes are Monte Carlo estimates of Lebesgue measure and of the
-integral of the closed-form dual Hessian determinant.  Both take the log of
-the generic norm from `jtsys.log_norm` (the hit test `ch_member_vec` and
+Flat and dual volumes are Monte Carlo estimates of Lebesgue measure (the mean
+of box * 1{hit}) and of the integral of the closed-form dual Hessian
+determinant, two integrands of the one estimator `_mc_mean`.  Both take the
+log of the generic norm from `jtsys.log_norm` (the hit test `ch_member_vec` and
 `forms.det_dual_hessian`), so a chunk makes no per-point LAPACK call and
 forms no power of N, and both write the polar parts r cos(theta),
 r sin(theta) of their draws in place (the same values as r e^(i theta),
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 from .forms import det_dual_hessian
@@ -50,21 +51,6 @@ _GENUS_FIT_POINTS = 12
 _GENUS_FIT_SEED = 20
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    # keyed by (seed, chunk-index): results do not depend on worker count
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-
-
-def _chunk_sizes(samples: int):
-    index = 0
-    left = int(samples)
-    while left > 0:
-        size = min(_CHUNK, left)
-        yield index, size
-        index += 1
-        left -= size
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     """A Monte Carlo value with its standard error and sample count."""
@@ -77,14 +63,14 @@ class MCEstimate:
 def log_capital_f(r: int, a: float, b: float, s: float) -> float:
     if s < 0:
         raise DomainError("s must be nonnegative")
-    total = -r * math.log(2.0) - gammaln(r + 1)
+    total = -r * math.log(2.0) - lgamma(r + 1)
     for j in range(1, r + 1):
-        total += gammaln(b + 1 + (j - 1) * a / 2)
-        total += gammaln(s + 1 + (j - 1) * a / 2)
-        total += gammaln(j * a / 2 + 1)
-        total -= gammaln(s + b + 2 + (r + j - 2) * a / 2)
-        total -= gammaln(a / 2 + 1)
-    return float(total)
+        total += lgamma(b + 1 + (j - 1) * a / 2)
+        total += lgamma(s + 1 + (j - 1) * a / 2)
+        total += lgamma(j * a / 2 + 1)
+        total -= lgamma(s + b + 2 + (r + j - 2) * a / 2)
+        total -= lgamma(a / 2 + 1)
+    return total
 
 
 def capital_f(D: DomainSpec, s: float) -> float:
@@ -154,7 +140,7 @@ def flat_volume_exact(H: HartogsSpec) -> float | None:
     if d.kind == KIND_POLYDISC:
         return math.pi ** (d.n + 1) / (mu + 1.0) ** d.n
     if d.r == 1:
-        return math.pi ** (d.n + 1) * math.exp(gammaln(mu + 1) - gammaln(mu + d.n + 1))
+        return math.pi ** (d.n + 1) * math.exp(lgamma(mu + 1) - lgamma(mu + d.n + 1))
     return None
 
 
@@ -165,15 +151,30 @@ def dual_flat_ratio_formula(H: HartogsSpec) -> float:
     return H.mu ** d.n / ((d.n + 1) * capital_f_ratio(d, H.mu))
 
 
+def _mc_mean(samples: int, seed: int, draw) -> MCEstimate:
+    """Mean and standard error (sample SD / sqrt(samples)) of the integrand
+    values draw(rng, size), drawn in chunks of at most `_CHUNK` rows, chunk k
+    from a generator keyed by (seed, k); chunk sums are added compensated."""
+    samples = int(samples)
+    sums, sqsums = [], []
+    for index, start in enumerate(range(0, samples, _CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
+        vals = draw(rng, min(_CHUNK, samples - start))
+        sums.append(float(np.sum(vals)))
+        sqsums.append(float(np.sum(vals**2)))
+    mean = math.fsum(sums) / samples
+    var = max(math.fsum(sqsums) / samples - mean * mean, 0.0)
+    return MCEstimate(mean, math.sqrt(var / samples), samples)
+
+
 def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """Lebesgue volume of M by rejection from the box [-1,1]^(2n) x {|w| <= 1}
-    (hits counted by `ch_member_vec`), chunk-deterministic in (seed, chunk-index)."""
+    """Lebesgue volume of M as the mean of box * 1{hit} over uniform draws
+    from the box [-1,1]^(2n) x {|w| <= 1} (hits counted by `ch_member_vec`);
+    its standard error is box sqrt(p (1 - p) / samples) for the hit ratio p."""
     d = H.domain
     box = 4.0 ** d.n * math.pi
-    hits = []
-    total = 0
-    for index, size in _chunk_sizes(samples):
-        rng = _chunk_rng(seed, index)
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         pts = np.empty((size, d.n + 1), dtype=complex)
         pts.real[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
         pts.imag[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
@@ -181,25 +182,20 @@ def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         theta = rng.uniform(0, 2 * np.pi, size=size)
         pts.real[:, -1] = radius * np.cos(theta)
         pts.imag[:, -1] = radius * np.sin(theta)
-        hits.append(int(np.sum(ch_member_vec(H, pts))))
-        total += size
-    p = sum(hits) / total
-    return MCEstimate(box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / total), total)
+        return box * ch_member_vec(H, pts)
+
+    return _mc_mean(samples, seed, draw)
 
 
 def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     """Dual volume int_{C^(n+1)} det(Hess phi*) dLeb by importance sampling.
 
     Each complex coordinate is drawn through rho = t/(1-t), t uniform on [0,1),
-    which bounds the weighted integrand for all supported mu; aggregation is
-    compensated summation over fixed chunks.
+    which bounds the weighted integrand for all supported mu.
     """
-    d = H.domain
-    m = d.n + 1
-    sums, sqsums = [], []
-    total = 0
-    for index, size in _chunk_sizes(samples):
-        rng = _chunk_rng(seed, index)
+    m = H.domain.n + 1
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         t = rng.uniform(size=(size, m))
         theta = rng.uniform(0, 2 * np.pi, size=(size, m))
         rho = t / (1.0 - t)
@@ -207,13 +203,9 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         pts.real = rho * np.cos(theta)
         pts.imag = rho * np.sin(theta)
         weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
-        vals = det_dual_hessian(H, pts) * weight
-        sums.append(float(np.sum(vals)))
-        sqsums.append(float(np.sum(vals**2)))
-        total += size
-    mean = math.fsum(sums) / total
-    var = max(math.fsum(sqsums) / total - mean * mean, 0.0)
-    return MCEstimate(mean, math.sqrt(var / total), total)
+        return det_dual_hessian(H, pts) * weight
+
+    return _mc_mean(samples, seed, draw)
 
 
 def duality_gap(D: DomainSpec, mu: float) -> float:

@@ -111,6 +111,29 @@ def test_dual_sweeps_detect_a_wrong_map(monkeypatch):
     bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
     assert len(bad) == 16
     assert set(bad[0]) == {"c", "delta", "x", "err"}
+    # slips that keep the spectra and |omega|: the round trip is compared
+    # point by point, so a turned fiber phase or a conjugated base fails too
+    for slip in (lambda img: np.concatenate([img[:, :-1], np.exp(0.1j) * img[:, -1:]], axis=-1),
+                 lambda img: np.concatenate([1j * np.conj(img[:, :-1]), img[:, -1:]], axis=-1)):
+        monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: slip(good(H, pts)))
+        bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
+        assert len(bad) == 16
+        assert set(bad[0]) == {"c", "delta", "x", "err"}
+
+
+def test_dual_certificate_takes_no_svd(monkeypatch):
+    # the image bounds test zeta / sqrt(mu) by the Gram pivots and the sweeps
+    # compare points, so the dual certificate is the same with every SVD refused
+    H = hartogs.make_hartogs(T22, 2.0)
+    want = capacity.capacity_certificate(H, "dual", samples=2_000, seed=11)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dual certificate took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(jtsys, "singular_values", refuse)
+    assert capacity.capacity_certificate(H, "dual", samples=2_000, seed=11) == want
+    assert not want.failures
 
 
 def test_capacity_certificate_flat():

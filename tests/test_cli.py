@@ -104,6 +104,21 @@ def test_out_of_range_inputs_exit_two(args):
     assert "Error:" in res.output
 
 
+@pytest.mark.parametrize("args", [["--n", "1", "--mu", "1e306"], ["--n", "2", "--mu", "1e200"]],
+                         ids=["lgamma-overflow", "mu-power-overflow"])
+def test_volume_rejects_mu_power_past_the_float_range(args):
+    # math.lgamma raises OverflowError past ~2.55e305, and mu^n (a float
+    # power) past ~1e308: such mu are usage errors for volume, not tracebacks
+    res = _run(["volume", "--domain", "polydisc", *args, "--samples", "1000"])
+    assert res.exit_code == 2
+    assert "volume supports mu^n <= 1e300" in res.output
+    # mu^n = 1e300 still runs and reports (no flat hit: fail)
+    res = _run(["volume", "--domain", "polydisc", "--n", "1", "--mu", "1e300",
+                "--samples", "1000"])
+    assert res.exit_code == 1
+    assert len(json.loads(res.output)["checks"]) == 2
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": "polydisc", "n": 2, "mu": [2.0],

@@ -363,6 +363,20 @@ def test_isotropy_equivariance(domain, rng):
     npt.assert_allclose(hartogs.hartogs_isotropy_apply(H, tau, pts[:5]), rows, rtol=1e-15)
 
 
+def test_isotropy_moves_a_single_packed_point(domain, rng):
+    # a stack of one element moves a single (n+1,) point to a (1, n+1) row,
+    # the row it gives for the same point passed as (1, n+1), keeping w and
+    # the generic norm
+    H = _hartogs(domain, 2.0)
+    pt = hartogs.sample_member_points(H, 1, rng, lam_max=0.8)[0]
+    tau = jtsys.random_isotropy(domain, rng, 1)
+    moved = hartogs.hartogs_isotropy_apply(H, tau, pt)
+    npt.assert_array_equal(moved, hartogs.hartogs_isotropy_apply(H, tau, pt[None]))
+    assert moved.shape == (1, domain.n + 1) and moved[0, -1] == pt[-1]
+    npt.assert_allclose(jtsys.log_norm(domain, moved[:, :-1], 1),
+                        jtsys.log_norm(domain, pt[None, :-1], 1), rtol=1e-12)
+
+
 @pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_POLYDISC, n=3),
                                   dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
                                   dict(kind=jtsys.KIND_TYPE_I, p=3, q=3)],

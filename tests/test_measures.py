@@ -110,6 +110,17 @@ def test_mc_volume_deterministic():
     assert c.value != a.value
 
 
+def test_mc_volume_flat_error_is_the_binomial_error():
+    # the sample SD of box * 1{hit} over N draws is box sqrt(p (1 - p) / N)
+    H = hartogs.make_hartogs(POLY2, 0.5)
+    est = measures.mc_volume_flat(H, 150_000, seed=3)
+    box = 16.0 * math.pi
+    p = est.value / box
+    assert 0.1 < p < 0.9
+    npt.assert_allclose(est.standard_error, box * math.sqrt(p * (1 - p) / est.samples),
+                        rtol=1e-12)
+
+
 def test_monte_carlo_takes_no_lapack_call(monkeypatch):
     # the hit test and both volume estimators run with numpy.linalg's svd,
     # det, eigh and eigvalsh refusing, and give the values they gave before

@@ -4,8 +4,11 @@ its modules or is named in README.md, so dead public API cannot build up."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cartanhartogs
@@ -67,3 +70,13 @@ def test_the_surface_check_sees_a_dead_name(monkeypatch):
     orphan_helper.__module__ = jtsys.__name__
     monkeypatch.setattr(jtsys, "orphan_helper", orphan_helper, raising=False)
     assert _unused_public_names() == ["jtsys.orphan_helper"]
+
+
+def test_the_package_imports_without_scipy():
+    # the library runs on numpy, click and the standard library
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "import cartanhartogs, cartanhartogs.cli")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
