@@ -11,14 +11,21 @@ evaluated in closed form through log-Gamma (`math.lgamma`),
     F(s) = 1/(2^r r!) prod_{j=1}^r  G(b+1+(j-1)a/2) G(s+1+(j-1)a/2) G(ja/2+1)
                                     / (G(s+b+2+(r+j-2)a/2) G(a/2+1)).
 
+F(mu)/F(0) and the rank-one flat volume need lgamma(x + k) - lgamma(x) only
+for integer shifts k, which `_log_rising` sums as logs, so neither cancels
+at large mu.
+
 Flat and dual volumes are Monte Carlo estimates of Lebesgue measure (the mean
 of box * 1{hit}) and of the integral of the closed-form dual Hessian
-determinant, two integrands of the one estimator `_mc_mean`.  Both take the
-log of the generic norm from `jtsys.log_norm` (the hit test `ch_member_vec` and
-`forms.det_dual_hessian`), so a chunk makes no per-point LAPACK call and
-forms no power of N, and both write the polar parts r cos(theta),
-r sin(theta) of their draws in place (the same values as r e^(i theta),
-without the complex exponential).
+determinant, two integrands of the one estimator `_mc_mean`.  The draws are
+fixed per (seed, chunk): each chunk of `_CHUNK` rows is drawn whole, and the
+integrand then runs on blocks of `_BLOCK` = 2^13 rows, so its temporaries stay
+in cache; the results repeat bit for bit on one numpy build.  Both integrands
+take the log of the generic norm from `jtsys.log_norm` (the hit test
+`ch_member_vec` and `forms.det_dual_hessian`), so a block makes no per-point
+LAPACK call and forms no power of N, and both write the polar parts
+r cos(theta), r sin(theta) of their draws in place (the same values as
+r e^(i theta), without the complex exponential).
 Absolute volume formulas carry the boundary constant int_F Theta, which is
 never computed; every tested quantity is either a polydisc/rank-one case
 with an analytic value or a dual/flat ratio in which the constant cancels.
@@ -39,6 +46,8 @@ from .hartogs import HartogsSpec, ch_member_vec
 from .jtsys import KIND_POLYDISC, DomainSpec, log_norm, log_norm_derivatives, singular_values
 
 _CHUNK = 1 << 16
+# rows per integrand call: a block's temporaries fit in a core's L2 cache
+_BLOCK = 1 << 13
 # the tensor quadrature of F(s) is built for ranks 1..SELBERG_MAX_RANK
 SELBERG_MAX_RANK = 3
 # first resolution and resolution budget of `selberg_quadrature_auto`
@@ -78,9 +87,23 @@ def capital_f(D: DomainSpec, s: float) -> float:
     return math.exp(log_capital_f(D.r, D.a, D.b, s))
 
 
+def _log_rising(x: float, k: int) -> float:
+    """lgamma(x + k) - lgamma(x) for an integer k >= 0, as the compensated sum
+    of log(x + i), i < k: no two large log-Gamma values cancel."""
+    return math.fsum(math.log(x + i) for i in range(k))
+
+
 def capital_f_ratio(D: DomainSpec, mu: float) -> float:
-    """F(mu)/F(0), evaluated as a difference of log-Gamma sums."""
-    return math.exp(log_capital_f(D.r, D.a, D.b, mu) - log_capital_f(D.r, D.a, D.b, 0.0))
+    """F(mu)/F(0).  The Gamma arguments of F(s) that hold s differ by the
+    integer k = b + 1 + (r-1)a/2 = n/r, so the ratio is
+
+        prod_j Gamma(c_j + k) Gamma(mu + c_j) / (Gamma(c_j) Gamma(mu + c_j + k)),
+
+    c_j = 1 + (j-1)a/2, summed in logs by `_log_rising`."""
+    k = D.n // D.r
+    cs = [1 + (j - 1) * D.a / 2 for j in range(1, D.r + 1)]
+    return math.exp(math.fsum([_log_rising(c, k) for c in cs]
+                              + [-_log_rising(mu + c, k) for c in cs]))
 
 
 def _gauss01(resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +163,7 @@ def flat_volume_exact(H: HartogsSpec) -> float | None:
     if d.kind == KIND_POLYDISC:
         return math.pi ** (d.n + 1) / (mu + 1.0) ** d.n
     if d.r == 1:
-        return math.pi ** (d.n + 1) * math.exp(lgamma(mu + 1) - lgamma(mu + d.n + 1))
+        return math.pi ** (d.n + 1) * math.exp(-_log_rising(mu + 1, d.n))
     return None
 
 
@@ -151,17 +174,30 @@ def dual_flat_ratio_formula(H: HartogsSpec) -> float:
     return H.mu ** d.n / ((d.n + 1) * capital_f_ratio(d, H.mu))
 
 
-def _mc_mean(samples: int, seed: int, draw) -> MCEstimate:
-    """Mean and standard error (sample SD / sqrt(samples)) of the integrand
-    values draw(rng, size), drawn in chunks of at most `_CHUNK` rows, chunk k
-    from a generator keyed by (seed, k); chunk sums are added compensated."""
+def _mc_mean(samples: int, seed: int, draw, integrand) -> MCEstimate:
+    """Mean and standard error (sample SD / sqrt(samples)) of the integrand.
+
+    Chunk k of at most `_CHUNK` rows is drawn whole, draw(rng, size) with a
+    generator keyed by (seed, k), so the draws do not depend on the blocking;
+    draw may return views of buffers it reuses for every chunk.
+    integrand(*block) maps `_BLOCK` rows of those arrays to their values,
+    which fill one buffer reused by every chunk; the chunk sums are taken over
+    the whole chunk and added compensated.  DomainError when samples < 1."""
     samples = int(samples)
+    if samples < 1:
+        raise DomainError("Monte Carlo needs samples >= 1")
+    vals = np.empty(_CHUNK)
     sums, sqsums = [], []
     for index, start in enumerate(range(0, samples, _CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
-        vals = draw(rng, min(_CHUNK, samples - start))
-        sums.append(float(np.sum(vals)))
-        sqsums.append(float(np.sum(vals**2)))
+        size = min(_CHUNK, samples - start)
+        drawn = draw(rng, size)
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            vals[lo:hi] = integrand(*(a[lo:hi] for a in drawn))
+        chunk = vals[:size]
+        sums.append(float(np.sum(chunk)))
+        sqsums.append(float(np.sum(chunk**2)))
     mean = math.fsum(sums) / samples
     var = max(math.fsum(sqsums) / samples - mean * mean, 0.0)
     return MCEstimate(mean, math.sqrt(var / samples), samples)
@@ -173,18 +209,31 @@ def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     its standard error is box sqrt(p (1 - p) / samples) for the hit ratio p."""
     d = H.domain
     box = 4.0 ** d.n * math.pi
+    bufs = (np.empty((_CHUNK, d.n)), np.empty((_CHUNK, d.n)), np.empty(_CHUNK),
+            np.empty(_CHUNK))
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        pts = np.empty((size, d.n + 1), dtype=complex)
-        pts.real[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
-        pts.imag[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
-        radius = np.sqrt(rng.uniform(size=size))
-        theta = rng.uniform(0, 2 * np.pi, size=size)
+    def draw(rng: np.random.Generator, size: int) -> tuple:
+        # uniform(-1, 1), uniform(-1, 1), uniform(), uniform(0, 2 pi), bit for bit
+        re, im, u, theta = (b[:size] for b in bufs)
+        for part in (re, im):
+            rng.random(out=part)
+            part *= 2.0
+            part -= 1.0
+        rng.random(out=u)
+        rng.random(out=theta)
+        theta *= 2 * np.pi
+        return re, im, u, theta
+
+    def integrand(re, im, u, theta) -> np.ndarray:
+        pts = np.empty((len(u), d.n + 1), dtype=complex)
+        pts.real[:, :-1] = re
+        pts.imag[:, :-1] = im
+        radius = np.sqrt(u)
         pts.real[:, -1] = radius * np.cos(theta)
         pts.imag[:, -1] = radius * np.sin(theta)
         return box * ch_member_vec(H, pts)
 
-    return _mc_mean(samples, seed, draw)
+    return _mc_mean(samples, seed, draw, integrand)
 
 
 def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
@@ -194,18 +243,25 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     which bounds the weighted integrand for all supported mu.
     """
     m = H.domain.n + 1
+    bufs = (np.empty((_CHUNK, m)), np.empty((_CHUNK, m)))
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        t = rng.uniform(size=(size, m))
-        theta = rng.uniform(0, 2 * np.pi, size=(size, m))
+    def draw(rng: np.random.Generator, size: int) -> tuple:
+        # uniform() and uniform(0, 2 pi), bit for bit
+        t, theta = (b[:size] for b in bufs)
+        rng.random(out=t)
+        rng.random(out=theta)
+        theta *= 2 * np.pi
+        return t, theta
+
+    def integrand(t, theta) -> np.ndarray:
         rho = t / (1.0 - t)
-        pts = np.empty((size, m), dtype=complex)
+        pts = np.empty(t.shape, dtype=complex)
         pts.real = rho * np.cos(theta)
         pts.imag = rho * np.sin(theta)
         weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
         return det_dual_hessian(H, pts) * weight
 
-    return _mc_mean(samples, seed, draw)
+    return _mc_mean(samples, seed, draw, integrand)
 
 
 def duality_gap(D: DomainSpec, mu: float) -> float:

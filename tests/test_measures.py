@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,12 +7,14 @@ import pytest
 
 from cartanhartogs import cli, hartogs, jtsys, measures, verify
 from cartanhartogs.errors import ConvergenceError, DomainError
-from reference import selberg_quadrature_symmetrized
+from reference import (mc_volume_dual_whole_chunk, mc_volume_flat_whole_chunk,
+                       selberg_quadrature_symmetrized)
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
 POLY2 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
 T22 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
 CH2 = jtsys.make_domain(jtsys.KIND_CHN, n=2)
+T33 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3)
 
 
 def test_capital_f_rank_one_beta():
@@ -51,6 +54,20 @@ def test_log_route_matches_direct():
             np.exp(measures.log_capital_f(2, 2, 1, s)),
             measures.capital_f(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), s),
             rtol=1e-12)
+
+
+def test_gamma_ratios_hold_at_huge_mu():
+    # F(mu)/F(0) and the rank-one flat volume are ratios of rising factorials;
+    # as differences of log-Gamma values they cancel away at large mu
+    ch3 = jtsys.make_domain(jtsys.KIND_CHN, n=3)
+    for k in range(101):
+        mu = 10.0**k
+        cubic = (mu + 1) * (mu + 2) * (mu + 3)
+        npt.assert_allclose(measures.capital_f_ratio(ch3, mu), 6 / cubic, rtol=1e-13)
+        npt.assert_allclose(measures.capital_f_ratio(POLY2, mu), 1 / (mu + 1) ** 2,
+                            rtol=1e-13)
+        npt.assert_allclose(measures.flat_volume_exact(hartogs.make_hartogs(ch3, mu)),
+                            math.pi**4 / cubic, rtol=1e-13)
 
 
 def test_selberg_quadrature_rank_one():
@@ -121,16 +138,56 @@ def test_mc_volume_flat_error_is_the_binomial_error():
                         rtol=1e-12)
 
 
+@pytest.mark.parametrize("estimator", [measures.mc_volume_flat, measures.mc_volume_dual])
+def test_monte_carlo_rejects_no_samples(estimator):
+    H = hartogs.make_hartogs(POLY2, 1.0)
+    for samples in (0, -5):
+        with pytest.raises(DomainError):
+            estimator(H, samples, 0)
+
+
+@pytest.mark.parametrize("domain", [POLY2, T22, T33], ids=["polydisc-2", "type-I(2,2)",
+                                                           "type-I(3,3)"])
+def test_blocking_changes_no_draw(domain):
+    # the blocked estimator draws each chunk as the whole-chunk reference
+    # does; the flat hits are the same bits, the dual values may differ in
+    # the last bit, where einsum's summation order follows the batch shape
+    H = hartogs.make_hartogs(domain, 1.0)
+    for samples in (1, measures._BLOCK - 1, measures._BLOCK + 1, measures._CHUNK + 1):
+        assert (measures.mc_volume_flat(H, samples, 5)
+                == mc_volume_flat_whole_chunk(H, samples, 5))
+        got = measures.mc_volume_dual(H, samples, 6)
+        want = mc_volume_dual_whole_chunk(H, samples, 6)
+        npt.assert_allclose([got.value, got.standard_error],
+                            [want.value, want.standard_error], rtol=1e-14)
+        assert got.samples == samples
+
+
+@pytest.mark.parametrize("estimator", [measures.mc_volume_flat, measures.mc_volume_dual])
+def test_monte_carlo_memory_is_bounded(estimator):
+    # the integrand's temporaries scale with a block, not with a chunk
+    H = hartogs.make_hartogs(T33, 1.0)
+    tracemalloc.start()
+    try:
+        estimator(H, 2 * measures._CHUNK, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_monte_carlo_takes_no_lapack_call(monkeypatch):
-    # the hit test and both volume estimators run with numpy.linalg's svd,
-    # det, eigh and eigvalsh refusing, and give the values they gave before
+    # the hit test and both volume estimators, over more than one block, run
+    # with numpy.linalg's svd, det, eigh and eigvalsh refusing, and give the
+    # values they gave before
     H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.0)
     rng = np.random.default_rng(8)
     pts = rng.uniform(-0.6, 0.6, size=(2000, 7)) + 1j * rng.uniform(-0.6, 0.6, size=(2000, 7))
+    samples = 2 * measures._BLOCK + 1
 
     def run():
-        return (hartogs.ch_member_vec(H, pts), measures.mc_volume_flat(H, 2000, 3),
-                measures.mc_volume_dual(H, 2000, 3))
+        return (hartogs.ch_member_vec(H, pts), measures.mc_volume_flat(H, samples, 3),
+                measures.mc_volume_dual(H, samples, 3))
 
     want = run()
     assert 0 < np.sum(want[0]) < len(pts)
