@@ -286,19 +286,29 @@ def _check_unitary(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def isotropy_apply(D: DomainSpec, tau: Isotropy, z) -> np.ndarray:
     """Apply an origin-fixing triple automorphism, j(z) -> U j(z) V*, batched
     over points; a stacked tau moves point i by its element i (the arrays
-    broadcast).  ShapeError when U or V does not fit j(z); ValueError when the
-    image is not exactly a point of the realization (on the polydisc, a pair
-    that is not monomial)."""
+    broadcast).  ShapeError when U or V does not fit j(z).
+
+    On the polydisc the pair maps the diagonal realization into itself exactly
+    when |U| and |V| are the same permutation matrix P, which is decided from
+    U and V alone (ValueError otherwise).  Coordinate k then moves to
+    U_kl z_l conj(V_kl), l = P(k): the terms off the support are masked, not
+    multiplied by 0 as in a matrix product, so a NaN or inf stays in its own
+    coordinate."""
     jz = as_matrix(D, z)
     u = np.asarray(tau.u, dtype=complex)
     v = np.asarray(tau.v, dtype=complex)
     if u.shape[-1] != jz.shape[-2] or v.shape[-1] != jz.shape[-1]:
         raise ShapeError(f"U and V must act on {jz.shape[-2]} x {jz.shape[-1]} matrices")
-    image = u @ jz @ np.conj(np.swapaxes(v, -1, -2))
-    moved = as_vector(D, image)
-    if not np.array_equal(as_matrix(D, moved), image, equal_nan=True):
+    if D.kind != KIND_POLYDISC:
+        return as_vector(D, u @ jz @ np.conj(np.swapaxes(v, -1, -2)))
+    support = u != 0
+    # no row of a unitary U is zero, so n nonzeros per n * n block means one
+    # per row: a permutation pattern
+    if not (np.count_nonzero(support) * D.n == support.size
+            and np.array_equal(support, v != 0)):
         raise ValueError("the pair does not map the realization into itself")
-    return moved
+    terms = u * _check_point(D, z)[..., None, :] * np.conj(v)
+    return np.where(support, terms, 0).sum(axis=-1)
 
 
 def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isotropy:

@@ -11,9 +11,9 @@ evaluated in closed form through log-Gamma (`math.lgamma`),
     F(s) = 1/(2^r r!) prod_{j=1}^r  G(b+1+(j-1)a/2) G(s+1+(j-1)a/2) G(ja/2+1)
                                     / (G(s+b+2+(r+j-2)a/2) G(a/2+1)).
 
-F(mu)/F(0) and the rank-one flat volume need lgamma(x + k) - lgamma(x) only
-for integer shifts k, which `_log_rising` sums as logs, so neither cancels
-at large mu.
+F(mu)/F(0) and the rank-one flat volume are ratios Gamma(x + k)/Gamma(x) for
+integer shifts k only, formed as products of rational factors, so neither
+cancels at large mu.
 
 Flat and dual volumes are Monte Carlo estimates of Lebesgue measure (the mean
 of box * 1{hit}) and of the integral of the closed-form dual Hessian
@@ -23,9 +23,11 @@ integrand then runs on blocks of `_BLOCK` = 2^13 rows, so its temporaries stay
 in cache; the results repeat bit for bit on one numpy build.  Both integrands
 take the log of the generic norm from `jtsys.log_norm` (the hit test
 `ch_member_vec` and `forms.det_dual_hessian`), so a block makes no per-point
-LAPACK call and forms no power of N, and both write the polar parts
-r cos(theta), r sin(theta) of their draws in place (the same values as
-r e^(i theta), without the complex exponential).
+LAPACK call and forms no power of N.  Both integrands are invariant under the
+maximal torus of the isotropy group and depend on w only through |w|, so
+cos and sin are taken only of the phases that survive the torus: none on the
+flat side, (p-1)(q-1) on the dual side of type-I, none on the polydisc or in
+rank one (`_torus_reduced_points`).
 Absolute volume formulas carry the boundary constant int_F Theta, which is
 never computed; every tested quantity is either a polydisc/rank-one case
 with an analytic value or a dual/flat ratio in which the constant cancels.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import lgamma
 from typing import NamedTuple
 
@@ -43,7 +46,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .forms import det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
-from .jtsys import KIND_POLYDISC, DomainSpec, log_norm, log_norm_derivatives, singular_values
+from .jtsys import (KIND_POLYDISC, DomainSpec, coordinate_entries, log_norm,
+                     log_norm_derivatives, singular_values)
 
 _CHUNK = 1 << 16
 # rows per integrand call: a block's temporaries fit in a core's L2 cache
@@ -87,23 +91,19 @@ def capital_f(D: DomainSpec, s: float) -> float:
     return math.exp(log_capital_f(D.r, D.a, D.b, s))
 
 
-def _log_rising(x: float, k: int) -> float:
-    """lgamma(x + k) - lgamma(x) for an integer k >= 0, as the compensated sum
-    of log(x + i), i < k: no two large log-Gamma values cancel."""
-    return math.fsum(math.log(x + i) for i in range(k))
-
-
 def capital_f_ratio(D: DomainSpec, mu: float) -> float:
     """F(mu)/F(0).  The Gamma arguments of F(s) that hold s differ by the
     integer k = b + 1 + (r-1)a/2 = n/r, so the ratio is
 
-        prod_j Gamma(c_j + k) Gamma(mu + c_j) / (Gamma(c_j) Gamma(mu + c_j + k)),
+        prod_j Gamma(c_j + k) Gamma(mu + c_j) / (Gamma(c_j) Gamma(mu + c_j + k))
+          = prod_j prod_{i<k} (c_j + i) / (mu + c_j + i),
 
-    c_j = 1 + (j-1)a/2, summed in logs by `_log_rising`."""
+    c_j = 1 + (j-1)a/2: a product of r k rational factors, each rounded once,
+    none above 1, so no partial product overflows."""
     k = D.n // D.r
-    cs = [1 + (j - 1) * D.a / 2 for j in range(1, D.r + 1)]
-    return math.exp(math.fsum([_log_rising(c, k) for c in cs]
-                              + [-_log_rising(mu + c, k) for c in cs]))
+    return math.prod((c + i) / (mu + c + i)
+                     for c in (1 + (j - 1) * D.a / 2 for j in range(1, D.r + 1))
+                     for i in range(k))
 
 
 def _gauss01(resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,14 +156,14 @@ def flat_volume_exact(H: HartogsSpec) -> float | None:
     """Analytic Lebesgue volume of the Hartogs domain where one exists.
 
     Polydisc base: pi^(n+1)/(mu+1)^n.  Rank-one base (the complex hyperbolic
-    ball): pi^(n+1) Gamma(mu+1)/Gamma(mu+n+1).  Other bases would need the
-    boundary constant and return None.
+    ball): pi^(n+1) Gamma(mu+1)/Gamma(mu+n+1) = pi^(n+1) prod_{i<n} 1/(mu+1+i).
+    Other bases would need the boundary constant and return None.
     """
     d, mu = H.domain, H.mu
     if d.kind == KIND_POLYDISC:
         return math.pi ** (d.n + 1) / (mu + 1.0) ** d.n
     if d.r == 1:
-        return math.pi ** (d.n + 1) * math.exp(-_log_rising(mu + 1, d.n))
+        return math.pi ** (d.n + 1) * math.prod(1.0 / (mu + 1 + i) for i in range(d.n))
     return None
 
 
@@ -206,43 +206,95 @@ def _mc_mean(samples: int, seed: int, draw, integrand) -> MCEstimate:
 def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     """Lebesgue volume of M as the mean of box * 1{hit} over uniform draws
     from the box [-1,1]^(2n) x {|w| <= 1} (hits counted by `ch_member_vec`);
-    its standard error is box sqrt(p (1 - p) / samples) for the hit ratio p."""
+    its standard error is box sqrt(p (1 - p) / samples) for the hit ratio p.
+
+    M is a Hartogs domain, invariant under the torus circle w -> e^(i alpha) w,
+    so a hit depends on w only through |w|: w is placed at its radius sqrt(u)
+    on the real axis, which has the law of |w| for w uniform in the unit
+    disc, and no phase is drawn or taken.  `volume` is blind to a slip that
+    broke this torus invariance; `equivariance` is the family that would
+    catch one."""
     d = H.domain
     box = 4.0 ** d.n * math.pi
-    bufs = (np.empty((_CHUNK, d.n)), np.empty((_CHUNK, d.n)), np.empty(_CHUNK),
-            np.empty(_CHUNK))
+    bufs = (np.empty((_CHUNK, d.n)), np.empty((_CHUNK, d.n)), np.empty(_CHUNK))
 
     def draw(rng: np.random.Generator, size: int) -> tuple:
-        # uniform(-1, 1), uniform(-1, 1), uniform(), uniform(0, 2 pi), bit for bit
-        re, im, u, theta = (b[:size] for b in bufs)
+        # uniform(-1, 1), uniform(-1, 1), uniform(), bit for bit
+        re, im, u = (b[:size] for b in bufs)
         for part in (re, im):
             rng.random(out=part)
             part *= 2.0
             part -= 1.0
         rng.random(out=u)
-        rng.random(out=theta)
-        theta *= 2 * np.pi
-        return re, im, u, theta
+        return re, im, u
 
-    def integrand(re, im, u, theta) -> np.ndarray:
+    def integrand(re, im, u) -> np.ndarray:
         pts = np.empty((len(u), d.n + 1), dtype=complex)
         pts.real[:, :-1] = re
         pts.imag[:, :-1] = im
-        radius = np.sqrt(u)
-        pts.real[:, -1] = radius * np.cos(theta)
-        pts.imag[:, -1] = radius * np.sin(theta)
+        pts.real[:, -1] = np.sqrt(u)
+        pts.imag[:, -1] = 0.0
         return box * ch_member_vec(H, pts)
 
     return _mc_mean(samples, seed, draw, integrand)
+
+
+def _torus_phase_table(D: DomainSpec) -> np.ndarray:
+    """Rows (k, k_i0, k_0j, k_00), shape (c, 4): coordinate k sits at entry
+    (i, j) of j(z) with i, j >= 1, and entries (i, 0), (0, j) and (0, 0) carry
+    the coordinates k_i0, k_0j and k_00.  Type-I has (p-1)(q-1) rows; the
+    polydisc and rank one have none."""
+    at = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(*coordinate_entries(D)))}
+    rows = [(k, at[i, 0], at[0, j], at[0, 0]) for (i, j), k in at.items()
+            if i and j and (i, 0) in at and (0, j) in at and (0, 0) in at]
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def _torus_reduced_points(table: np.ndarray, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The packed points (..., n+1) with moduli rho and phases theta, moved by
+    the torus element j(z) -> U j(z) V*, U = diag(e^(-i(theta_i0 - theta_00))),
+    V = diag(e^(i theta_0j)), with w turned by e^(-i theta_w): every coordinate
+    is the real rho except those of `_torus_phase_table`, which take
+    rho e^(i phi), phi = theta_ij - theta_i0 - theta_0j + theta_00.  Only those
+    columns pay for cos and sin."""
+    k, i0, j0, c = table.T
+    phi = theta[..., k] - theta[..., i0] - theta[..., j0] + theta[..., c]
+    pts = np.empty(rho.shape, dtype=complex)
+    pts.real = rho
+    pts.imag = 0.0
+    pts.real[..., k] = rho[..., k] * np.cos(phi)
+    pts.imag[..., k] = rho[..., k] * np.sin(phi)
+    return pts
+
+
+def _dual_integrand(H: HartogsSpec, table: np.ndarray, t: np.ndarray,
+                    theta: np.ndarray) -> np.ndarray:
+    """det(Hess phi*) at the `_torus_reduced_points` of rho = t/(1-t), times
+    the importance weight (2 pi)^(n+1) prod rho/(1-t)^2."""
+    inv = 1.0 / (1.0 - t)
+    rho = t * inv
+    weight = (2.0 * np.pi) ** t.shape[-1] * np.prod(rho * inv * inv, axis=-1)
+    del inv  # not held while the determinant runs
+    return det_dual_hessian(H, _torus_reduced_points(table, rho, theta)) * weight
 
 
 def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     """Dual volume int_{C^(n+1)} det(Hess phi*) dLeb by importance sampling.
 
     Each complex coordinate is drawn through rho = t/(1-t), t uniform on [0,1),
-    which bounds the weighted integrand for all supported mu.
+    and a phase theta uniform on [0, 2 pi), which bounds the weighted integrand
+    for all supported mu.  The integrand is invariant under the maximal torus
+    of the isotropy group, j(z) -> diag(e^(i alpha)) j(z) diag(e^(-i beta))
+    (Loos 1977; Faraut-Koranyi 1990), and depends on w only through |w|, so it
+    is evaluated at the drawn point moved by one such element
+    (`_torus_reduced_points`): cos and sin are taken of the (p-1)(q-1) phases
+    that survive on type-I and of none on the polydisc, in rank one or for w.
+    `volume` evaluates the integrand at reduced points only, so it cannot see
+    a slip that breaks this invariance; `equivariance` is the family that
+    would catch one.
     """
     m = H.domain.n + 1
+    table = _torus_phase_table(H.domain)
     bufs = (np.empty((_CHUNK, m)), np.empty((_CHUNK, m)))
 
     def draw(rng: np.random.Generator, size: int) -> tuple:
@@ -253,15 +305,7 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         theta *= 2 * np.pi
         return t, theta
 
-    def integrand(t, theta) -> np.ndarray:
-        rho = t / (1.0 - t)
-        pts = np.empty(t.shape, dtype=complex)
-        pts.real = rho * np.cos(theta)
-        pts.imag = rho * np.sin(theta)
-        weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
-        return det_dual_hessian(H, pts) * weight
-
-    return _mc_mean(samples, seed, draw, integrand)
+    return _mc_mean(samples, seed, draw, partial(_dual_integrand, H, table))
 
 
 def duality_gap(D: DomainSpec, mu: float) -> float:

@@ -13,9 +13,11 @@ The file also holds routes that the library does not need: the interleaved
 real coordinates themselves, the Jordan triple product and the Bergman
 operator, the rank inequality behind the flat capacity ball, the spectral
 decomposition over orthogonal tripotents (behind the tests' own spectral
-inverses of Psi and Phi), the symmetrized Selberg quadrature, and the
+inverses of Psi and Phi), the symmetrized Selberg quadrature, the
 whole-chunk Monte Carlo volumes (the integrand evaluated on every row of a
-chunk at once, the reference for the library's blocked estimator).  The
+chunk at once, the reference for the library's blocked estimator), and the
+full-phase dual volume: the same draws with cos and sin of every phase taken,
+the route the library's torus-reduced integrand is held to.  The
 operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 `jtsys.jordan_frame`: it takes A^(-1/4) J C^(-1/4) from two separate
 eigendecompositions where the frame uses one, and with the generic norm
@@ -38,7 +40,7 @@ from cartanhartogs.forms import det_dual_hessian
 from cartanhartogs.hartogs import HartogsSpec, ch_member_vec, potential_field
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
                                  singular_values)
-from cartanhartogs.measures import _CHUNK, MCEstimate
+from cartanhartogs.measures import _CHUNK, MCEstimate, _dual_integrand, _torus_phase_table
 
 DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
@@ -342,7 +344,8 @@ def _mc_mean_whole_chunk(samples: int, seed: int, draw) -> MCEstimate:
 
 
 def mc_volume_flat_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """`measures.mc_volume_flat` with each chunk's hit test on all its rows."""
+    """`measures.mc_volume_flat` with each chunk's hit test on all its rows,
+    and w = sqrt(u) e^(i theta) with its phase drawn and taken."""
     d = H.domain
     box = 4.0 ** d.n * math.pi
 
@@ -362,14 +365,34 @@ def mc_volume_flat_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEst
 def mc_volume_dual_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     """`measures.mc_volume_dual` with each chunk's integrand on all its rows."""
     m = H.domain.n + 1
+    table = _torus_phase_table(H.domain)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         t = rng.uniform(size=(size, m))
         theta = rng.uniform(0, 2 * np.pi, size=(size, m))
-        rho = t / (1.0 - t)
-        pts = np.empty((size, m), dtype=complex)
-        pts.real = rho * np.cos(theta)
-        pts.imag = rho * np.sin(theta)
+        return _dual_integrand(H, table, t, theta)
+
+    return _mc_mean_whole_chunk(samples, seed, draw)
+
+
+def full_phase_points(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The packed points rho e^(i theta), every phase taken."""
+    pts = np.empty(rho.shape, dtype=complex)
+    pts.real = rho * np.cos(theta)
+    pts.imag = rho * np.sin(theta)
+    return pts
+
+
+def mc_volume_dual_full_phase(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
+    """The dual volume from the same draws as `measures.mc_volume_dual`, with
+    the integrand at the drawn points themselves, cos and sin of every phase
+    taken (no torus element applied), in whole chunks."""
+    m = H.domain.n + 1
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        t = rng.uniform(size=(size, m))
+        theta = rng.uniform(0, 2 * np.pi, size=(size, m))
+        pts = full_phase_points(t / (1.0 - t), theta)
         weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
         return det_dual_hessian(H, pts) * weight
 

@@ -343,6 +343,26 @@ def test_isotropy_stack_rejects_one_bad_slice():
         jtsys.isotropy_apply(poly3, unitaries, z)
 
 
+def test_polydisc_isotropy_keeps_a_nan_in_its_coordinate():
+    # a monomial pair is recognised from U and V, not from an image where
+    # 0 * NaN would spread the NaN into every entry
+    d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
+    z = np.array([0.1, np.nan, 0.2])
+    # perm (2, 0, 1) with phases (1j, -1, 1): U = P diag(1j, -1, 1), V = P
+    perm = np.eye(3)[[2, 0, 1]]
+    tau = jtsys.Isotropy(perm * np.array([1j, -1.0, 1.0]), perm)
+    moved = jtsys.isotropy_apply(d, tau, z)
+    npt.assert_array_equal(moved, [0.2, 0.1j, np.nan])
+    # a unitary pair that is not monomial is refused, with or without a NaN
+    rot = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
+    for point in (z, np.array([0.1, 0.3, 0.2])):
+        with pytest.raises(ValueError, match="realization"):
+            jtsys.isotropy_apply(d, jtsys.Isotropy(rot, np.eye(3)), point)
+    # the same support on both sides is needed, not only a monomial U
+    with pytest.raises(ValueError, match="realization"):
+        jtsys.isotropy_apply(d, jtsys.Isotropy(perm, np.eye(3)), z)
+
+
 def test_polydisc_isotropy_oracle():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
     # perm (1, 0) with phases (1j, 1): U = P diag(1j, 1), V = P

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +9,8 @@ import pytest
 
 from cartanhartogs import cli, hartogs, jtsys, measures, verify
 from cartanhartogs.errors import ConvergenceError, DomainError
-from reference import (mc_volume_dual_whole_chunk, mc_volume_flat_whole_chunk,
+from reference import (full_phase_points, mc_volume_dual_full_phase,
+                       mc_volume_dual_whole_chunk, mc_volume_flat_whole_chunk,
                        selberg_quadrature_symmetrized)
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
@@ -56,18 +59,35 @@ def test_log_route_matches_direct():
             rtol=1e-12)
 
 
+def _rising_ratio(D, mu) -> Fraction:
+    """F(mu)/F(0) = prod_j prod_{i<k} (c_j + i)/(mu + c_j + i) in exact rationals,
+    k = n/r, c_j = 1 + (j-1)a/2."""
+    out = Fraction(1)
+    for j in range(1, D.r + 1):
+        c = 1 + Fraction((j - 1) * D.a, 2)
+        for i in range(D.n // D.r):
+            out *= (c + i) / (Fraction(mu) + c + i)
+    return out
+
+
 def test_gamma_ratios_hold_at_huge_mu():
-    # F(mu)/F(0) and the rank-one flat volume are ratios of rising factorials;
-    # as differences of log-Gamma values they cancel away at large mu
+    # F(mu)/F(0) and the rank-one flat volume are ratios of rising factorials,
+    # formed as products of rational factors: held to exact rationals up to
+    # mu = 1e100 (below the smallest normal double, only an absolute margin
+    # of 1e-14 of it is representable)
     ch3 = jtsys.make_domain(jtsys.KIND_CHN, n=3)
+    tiny = 1e-14 * sys.float_info.min
+    for d in (ch3, POLY2, *(jtsys.make_domain(jtsys.KIND_TYPE_I, p=p, q=q)
+                            for p, q in ((2, 3), (3, 3), (2, 4)))):
+        for k in range(101):
+            mu = 10.0**k
+            npt.assert_allclose(measures.capital_f_ratio(d, mu), float(_rising_ratio(d, mu)),
+                                rtol=1e-14, atol=tiny)
     for k in range(101):
-        mu = 10.0**k
-        cubic = (mu + 1) * (mu + 2) * (mu + 3)
-        npt.assert_allclose(measures.capital_f_ratio(ch3, mu), 6 / cubic, rtol=1e-13)
-        npt.assert_allclose(measures.capital_f_ratio(POLY2, mu), 1 / (mu + 1) ** 2,
-                            rtol=1e-13)
-        npt.assert_allclose(measures.flat_volume_exact(hartogs.make_hartogs(ch3, mu)),
-                            math.pi**4 / cubic, rtol=1e-13)
+        mu = Fraction(10.0**k)
+        exact = Fraction(math.pi) ** 4 / ((mu + 1) * (mu + 2) * (mu + 3))
+        npt.assert_allclose(measures.flat_volume_exact(hartogs.make_hartogs(ch3, 10.0**k)),
+                            float(exact), rtol=1e-14)
 
 
 def test_selberg_quadrature_rank_one():
@@ -150,8 +170,9 @@ def test_monte_carlo_rejects_no_samples(estimator):
                                                            "type-I(3,3)"])
 def test_blocking_changes_no_draw(domain):
     # the blocked estimator draws each chunk as the whole-chunk reference
-    # does; the flat hits are the same bits, the dual values may differ in
-    # the last bit, where einsum's summation order follows the batch shape
+    # does; the flat hits are the same bits as the reference's, which still
+    # takes the phase of w; the dual values may differ in the last bit, where
+    # einsum's summation order follows the batch shape
     H = hartogs.make_hartogs(domain, 1.0)
     for samples in (1, measures._BLOCK - 1, measures._BLOCK + 1, measures._CHUNK + 1):
         assert (measures.mc_volume_flat(H, samples, 5)
@@ -161,6 +182,64 @@ def test_blocking_changes_no_draw(domain):
         npt.assert_allclose([got.value, got.standard_error],
                             [want.value, want.standard_error], rtol=1e-14)
         assert got.samples == samples
+
+
+TORUS_DOMAINS = {
+    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
+    "type-I(1,3)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=3),
+    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+}
+
+
+def _torus_pair(d, theta):
+    """The per-row diagonal pair that carries rho e^(i theta) to the reduced
+    point: U = diag(e^(-i(theta_i0 - theta_00))), V = diag(e^(i theta_0j)) on
+    type-I, U = diag(e^(-i theta_kk)), V = I on the polydisc."""
+    if d.kind == jtsys.KIND_POLYDISC:
+        u, v = np.exp(-1j * theta[:, :-1]), np.ones((len(theta), d.n))
+    else:
+        p, q = d.shape
+        phases = theta[:, :-1].reshape(-1, p, q)
+        u = np.exp(-1j * (phases[:, :, 0] - phases[:, :1, 0]))
+        v = np.exp(1j * phases[:, 0, :])
+    return jtsys.Isotropy(u[:, :, None] * np.eye(u.shape[1]), v[:, :, None] * np.eye(v.shape[1]))
+
+
+@pytest.mark.parametrize("name", list(TORUS_DOMAINS))
+def test_torus_reduced_point_is_an_isotropy_image(name):
+    # the dual integrand's point is the full-phase point moved by a diagonal
+    # isotropy pair, with w turned onto the real axis
+    d = jtsys.make_domain(**TORUS_DOMAINS[name])
+    rng = np.random.default_rng(4)
+    rho = rng.random((300, d.n + 1)) / rng.random((300, d.n + 1))
+    theta = 2 * np.pi * rng.random((300, d.n + 1))
+    reduced = measures._torus_reduced_points(measures._torus_phase_table(d), rho, theta)
+    full = full_phase_points(rho, theta)
+    npt.assert_allclose(reduced[:, :-1],
+                        jtsys.isotropy_apply(d, _torus_pair(d, theta), full[:, :-1]),
+                        rtol=1e-14)
+    npt.assert_allclose(reduced[:, -1], full[:, -1] * np.exp(-1j * theta[:, -1]), rtol=1e-14)
+    # cos and sin are taken of (p-1)(q-1) phases on type-I, of none otherwise
+    complex_cols = np.flatnonzero(np.any(reduced.imag != 0, axis=0))
+    want = (d.shape[0] - 1) * (d.shape[1] - 1) if d.kind == jtsys.KIND_TYPE_I else 0
+    assert len(complex_cols) == want
+
+
+@pytest.mark.parametrize("domain", [POLY2, T22, T33, jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=4)],
+                         ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)", "type-I(2,4)"])
+def test_torus_reduction_keeps_the_dual_estimate(domain):
+    # against the full-phase route over more than one chunk: the rows agree
+    # to rounding, amplified by the Gram pivots at large rho (up to ~7e-11 on
+    # type-I(2,4)); the estimates moved by at most 5.8e-15 and their standard
+    # errors by 5.2e-14 relative over polydisc-2/3, type-I(1,3), (2,2), (2,3),
+    # (3,3), (2,4), mu 0.5, 1, 2 and seeds 0, 6
+    H = hartogs.make_hartogs(domain, 1.0)
+    got = measures.mc_volume_dual(H, measures._CHUNK + 1, 6)
+    want = mc_volume_dual_full_phase(H, measures._CHUNK + 1, 6)
+    npt.assert_allclose(got.value, want.value, rtol=2e-14)
+    npt.assert_allclose(got.standard_error, want.standard_error, rtol=2e-13)
 
 
 @pytest.mark.parametrize("estimator", [measures.mc_volume_flat, measures.mc_volume_dual])
