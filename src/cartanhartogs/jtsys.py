@@ -143,7 +143,10 @@ def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
     off Omega too.  By Sylvester's criterion A > 0 exactly when every pivot is
     positive; there the factorisation is Cholesky, hence backward stable, which
     covers all of Omega at sign = +1 and every point at sign = -1.  The
-    polydisc's A is the diagonal 1 - sign |z_j|^2 itself.
+    polydisc's A is the diagonal 1 - sign |z_j|^2 itself.  Any memory layout
+    of z gives the same bits; the transposed view of a coordinate-major
+    (n, N) array is already in the row layout below and is used without a
+    copy, where other layouts are copied into it.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")

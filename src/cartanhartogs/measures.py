@@ -23,11 +23,18 @@ integrand then runs on blocks of `_BLOCK` = 2^13 rows, so its temporaries stay
 in cache; the results repeat bit for bit on one numpy build.  Both integrands
 take the log of the generic norm from `jtsys.log_norm` (the hit test
 `ch_member_vec` and `forms.det_dual_hessian`), so a block makes no per-point
-LAPACK call and forms no power of N.  Both integrands are invariant under the
+LAPACK call and forms no power of N.  Each integrand assembles its block
+coordinate-major, one contiguous row (N,) per coordinate, and hands the
+kernels the transposed view (N, n+1): `jtsys.gram_pivots` wants the entries
+of j(z) as rows across the batch, so it takes that view without a copy, and
+the products over coordinates (the dual weight, `log_norm`'s product of
+pivots) run across whole rows instead of along a short contiguous axis.  The
+draws stay row-major, the generator's order, and the values are the same bits
+as on row-major points.  Both integrands are invariant under the
 maximal torus of the isotropy group and depend on w only through |w|, so
 cos and sin are taken only of the phases that survive the torus: none on the
 flat side, (p-1)(q-1) on the dual side of type-I, none on the polydisc or in
-rank one (`_torus_reduced_points`).
+rank one (`_torus_reduced_points`), where no phase is drawn either.
 Absolute volume formulas carry the boundary constant int_F Theta, which is
 never computed; every tested quantity is either a polydisc/rank-one case
 with an analytic value or a dual/flat ratio in which the constant cancels.
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import lgamma
 from typing import NamedTuple
 
@@ -106,9 +113,16 @@ def capital_f_ratio(D: DomainSpec, mu: float) -> float:
                      for i in range(k))
 
 
+@lru_cache(maxsize=16)
 def _gauss01(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (0, 1), cached per resolution
+    (`selberg_quadrature_auto` visits six) and shared by every caller, hence
+    read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(resolution)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    out = 0.5 * (nodes + 1.0), 0.5 * weights
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int) -> float:
@@ -180,9 +194,11 @@ def _mc_mean(samples: int, seed: int, draw, integrand) -> MCEstimate:
     Chunk k of at most `_CHUNK` rows is drawn whole, draw(rng, size) with a
     generator keyed by (seed, k), so the draws do not depend on the blocking;
     draw may return views of buffers it reuses for every chunk.
-    integrand(*block) maps `_BLOCK` rows of those arrays to their values,
-    which fill one buffer reused by every chunk; the chunk sums are taken over
-    the whole chunk and added compensated.  DomainError when samples < 1."""
+    integrand(*block) maps `_BLOCK` rows of those arrays, as drawn (row-major
+    views), to their values, which fill one buffer reused by every chunk; it
+    may lay the block out coordinate-major for its kernels.  The chunk sums
+    are taken over the whole chunk and added compensated.  DomainError when
+    samples < 1."""
     samples = int(samples)
     if samples < 1:
         raise DomainError("Monte Carlo needs samples >= 1")
@@ -229,12 +245,12 @@ def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
         return re, im, u
 
     def integrand(re, im, u) -> np.ndarray:
-        pts = np.empty((len(u), d.n + 1), dtype=complex)
-        pts.real[:, :-1] = re
-        pts.imag[:, :-1] = im
-        pts.real[:, -1] = np.sqrt(u)
-        pts.imag[:, -1] = 0.0
-        return box * ch_member_vec(H, pts)
+        pts = np.empty((d.n + 1, len(u)), dtype=complex)  # coordinate-major
+        pts.real[:-1] = re.T
+        pts.imag[:-1] = im.T
+        pts.real[-1] = np.sqrt(u)
+        pts.imag[-1] = 0.0
+        return box * ch_member_vec(H, pts.T)
 
     return _mc_mean(samples, seed, draw, integrand)
 
@@ -250,32 +266,41 @@ def _torus_phase_table(D: DomainSpec) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
 
-def _torus_reduced_points(table: np.ndarray, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The packed points (..., n+1) with moduli rho and phases theta, moved by
-    the torus element j(z) -> U j(z) V*, U = diag(e^(-i(theta_i0 - theta_00))),
-    V = diag(e^(i theta_0j)), with w turned by e^(-i theta_w): every coordinate
-    is the real rho except those of `_torus_phase_table`, which take
+def _torus_reduced_points(table: np.ndarray, rho: np.ndarray,
+                          theta: np.ndarray | None) -> np.ndarray:
+    """The coordinate-major points (n+1, N) with moduli rho (n+1, N) and the
+    phases theta (N, n+1) as drawn, moved by the torus element
+    j(z) -> U j(z) V*, U = diag(e^(-i(theta_i0 - theta_00))),
+    V = diag(e^(i theta_0j)), with w turned by e^(-i theta_w): every
+    coordinate is the real rho except those of `_torus_phase_table`, which take
     rho e^(i phi), phi = theta_ij - theta_i0 - theta_0j + theta_00.  Only those
-    columns pay for cos and sin."""
-    k, i0, j0, c = table.T
-    phi = theta[..., k] - theta[..., i0] - theta[..., j0] + theta[..., c]
+    rows pay for cos and sin, and theta is read only through the table (None
+    where it is empty), one whole row of its transpose at a time."""
     pts = np.empty(rho.shape, dtype=complex)
     pts.real = rho
     pts.imag = 0.0
-    pts.real[..., k] = rho[..., k] * np.cos(phi)
-    pts.imag[..., k] = rho[..., k] * np.sin(phi)
+    if len(table):
+        rows = theta.T
+        for k, i0, j0, c in table.tolist():
+            phi = rows[k] - rows[i0] - rows[j0] + rows[c]
+            pts.real[k] = rho[k] * np.cos(phi)
+            pts.imag[k] = rho[k] * np.sin(phi)
     return pts
 
 
 def _dual_integrand(H: HartogsSpec, table: np.ndarray, t: np.ndarray,
-                    theta: np.ndarray) -> np.ndarray:
+                    theta: np.ndarray | None = None) -> np.ndarray:
     """det(Hess phi*) at the `_torus_reduced_points` of rho = t/(1-t), times
-    the importance weight (2 pi)^(n+1) prod rho/(1-t)^2."""
+    the importance weight (2 pi)^(n+1) prod rho/(1-t)^2, for rows of the draws
+    t and theta (N, n+1); theta is None where no phase survives.  t is
+    transposed once, so 1/(1-t), rho and the weight are formed on contiguous
+    coordinate rows and the product runs across them."""
+    t = np.ascontiguousarray(t.T)
     inv = 1.0 / (1.0 - t)
     rho = t * inv
-    weight = (2.0 * np.pi) ** t.shape[-1] * np.prod(rho * inv * inv, axis=-1)
+    weight = (2.0 * np.pi) ** len(t) * np.prod(rho * inv * inv, axis=0)
     del inv  # not held while the determinant runs
-    return det_dual_hessian(H, _torus_reduced_points(table, rho, theta)) * weight
+    return det_dual_hessian(H, _torus_reduced_points(table, rho, theta).T) * weight
 
 
 def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
@@ -289,18 +314,25 @@ def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
     is evaluated at the drawn point moved by one such element
     (`_torus_reduced_points`): cos and sin are taken of the (p-1)(q-1) phases
     that survive on type-I and of none on the polydisc, in rank one or for w.
+    Where none survives, theta is not drawn at all: t is the chunk's first
+    draw, so its bits do not depend on it.
     `volume` evaluates the integrand at reduced points only, so it cannot see
     a slip that breaks this invariance; `equivariance` is the family that
     would catch one.
     """
     m = H.domain.n + 1
     table = _torus_phase_table(H.domain)
-    bufs = (np.empty((_CHUNK, m)), np.empty((_CHUNK, m)))
+    t_buf = np.empty((_CHUNK, m))
+    theta_buf = np.empty((_CHUNK, m)) if len(table) else None
 
     def draw(rng: np.random.Generator, size: int) -> tuple:
-        # uniform() and uniform(0, 2 pi), bit for bit
-        t, theta = (b[:size] for b in bufs)
+        # uniform() and uniform(0, 2 pi), bit for bit; theta only where a
+        # phase survives
+        t = t_buf[:size]
         rng.random(out=t)
+        if theta_buf is None:
+            return (t,)
+        theta = theta_buf[:size]
         rng.random(out=theta)
         theta *= 2 * np.pi
         return t, theta

@@ -363,7 +363,9 @@ def mc_volume_flat_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEst
 
 
 def mc_volume_dual_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """`measures.mc_volume_dual` with each chunk's integrand on all its rows."""
+    """`measures.mc_volume_dual` with each chunk's integrand on all its rows,
+    and theta drawn after t on every domain, also where the library draws
+    none because no phase survives the torus."""
     m = H.domain.n + 1
     table = _torus_phase_table(H.domain)
 

@@ -9,6 +9,7 @@ import pytest
 
 from cartanhartogs import cli, hartogs, jtsys, measures, verify
 from cartanhartogs.errors import ConvergenceError, DomainError
+from cartanhartogs.forms import det_dual_hessian
 from reference import (full_phase_points, mc_volume_dual_full_phase,
                        mc_volume_dual_whole_chunk, mc_volume_flat_whole_chunk,
                        selberg_quadrature_symmetrized)
@@ -171,17 +172,48 @@ def test_monte_carlo_rejects_no_samples(estimator):
 def test_blocking_changes_no_draw(domain):
     # the blocked estimator draws each chunk as the whole-chunk reference
     # does; the flat hits are the same bits as the reference's, which still
-    # takes the phase of w; the dual values may differ in the last bit, where
-    # einsum's summation order follows the batch shape
+    # takes the phase of w; the dual estimate too, although the reference
+    # draws theta after t where the library draws none (polydisc-2), so
+    # skipping that draw leaves t as it was
     H = hartogs.make_hartogs(domain, 1.0)
     for samples in (1, measures._BLOCK - 1, measures._BLOCK + 1, measures._CHUNK + 1):
         assert (measures.mc_volume_flat(H, samples, 5)
                 == mc_volume_flat_whole_chunk(H, samples, 5))
-        got = measures.mc_volume_dual(H, samples, 6)
-        want = mc_volume_dual_whole_chunk(H, samples, 6)
-        npt.assert_allclose([got.value, got.standard_error],
-                            [want.value, want.standard_error], rtol=1e-14)
-        assert got.samples == samples
+        assert (measures.mc_volume_dual(H, samples, 6)
+                == mc_volume_dual_whole_chunk(H, samples, 6))
+
+
+@pytest.mark.parametrize("domain, calls", [(POLY2, 1), (CH2, 1), (T22, 2), (T33, 2)],
+                         ids=["polydisc-2", "chn-2", "type-I(2,2)", "type-I(3,3)"])
+def test_dual_draws_theta_only_where_a_phase_survives(monkeypatch, domain, calls):
+    # one generator call per chunk (t) where no phase survives the torus,
+    # two (t, then theta) on type-I of rank >= 2
+    made = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+            made.append(self)
+
+        def random(self, *args, **kwargs):
+            self.calls += 1
+            return self.rng.random(*args, **kwargs)
+
+    rng_of = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: Counting(rng_of(*args)))
+    measures.mc_volume_dual(hartogs.make_hartogs(domain, 1.0), measures._CHUNK + 1, 0)
+    assert [c.calls for c in made] == [calls, calls]
+
+
+def test_gauss_legendre_nodes_are_cached_read_only():
+    first = measures._gauss01(37)
+    again = measures._gauss01(37)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(37)
+    npt.assert_array_equal(first[0], 0.5 * (want_nodes + 1.0))
+    npt.assert_array_equal(first[1], 0.5 * want_weights)
 
 
 TORUS_DOMAINS = {
@@ -191,6 +223,27 @@ TORUS_DOMAINS = {
     "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
     "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
 }
+LAYOUT_DOMAINS = {**TORUS_DOMAINS, "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4)}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_DOMAINS))
+def test_kernels_ignore_memory_layout(name):
+    # the Monte Carlo integrands hand the kernels the transpose of a
+    # coordinate-major block; every kernel gives the same bits on it as on
+    # C-ordered points
+    d = jtsys.make_domain(**LAYOUT_DOMAINS[name])
+    H = hartogs.make_hartogs(d, 1.0)
+    rng = np.random.default_rng(9)
+    shape = (3000, d.n + 1)
+    pts = rng.uniform(-0.7, 0.7, size=shape) + 1j * rng.uniform(-0.7, 0.7, size=shape)
+    major = np.ascontiguousarray(pts.T).T
+    assert major.flags.f_contiguous and not major.flags.c_contiguous
+    z, z_major = pts[:, :-1], major[:, :-1]
+    for sign in (1, -1):
+        npt.assert_array_equal(jtsys.gram_pivots(d, z_major, sign), jtsys.gram_pivots(d, z, sign))
+        npt.assert_array_equal(jtsys.log_norm(d, z_major, sign), jtsys.log_norm(d, z, sign))
+    npt.assert_array_equal(hartogs.ch_member_vec(H, major), hartogs.ch_member_vec(H, pts))
+    npt.assert_array_equal(det_dual_hessian(H, major), det_dual_hessian(H, pts))
 
 
 def _torus_pair(d, theta):
@@ -215,7 +268,8 @@ def test_torus_reduced_point_is_an_isotropy_image(name):
     rng = np.random.default_rng(4)
     rho = rng.random((300, d.n + 1)) / rng.random((300, d.n + 1))
     theta = 2 * np.pi * rng.random((300, d.n + 1))
-    reduced = measures._torus_reduced_points(measures._torus_phase_table(d), rho, theta)
+    # coordinate-major moduli, phases as drawn
+    reduced = measures._torus_reduced_points(measures._torus_phase_table(d), rho.T, theta).T
     full = full_phase_points(rho, theta)
     npt.assert_allclose(reduced[:, :-1],
                         jtsys.isotropy_apply(d, _torus_pair(d, theta), full[:, :-1]),
