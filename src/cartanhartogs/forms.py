@@ -38,20 +38,30 @@ def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
     return w
 
 
+def _log_add_exp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log(e^x + e^y) = max(x, y) + log1p(exp(-|x - y|)), elementwise, with
+    -|x - y| taken as min(x, y) - max(x, y) (the same float); y = -inf
+    gives x, without a warning."""
+    hi = np.maximum(x, y)
+    return hi + np.log1p(np.exp(np.minimum(x, y) - hi))
+
+
 def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     """Closed-form determinant of the dual potential's complex Hessian at packed
     points (..., n+1),
 
     mu^n N*^(mu(n+1) - gamma) / (N*^mu + |w|^2)^(n+2),  N* = N(z, -zbar),
 
-    assembled in log space, log G = logaddexp(mu log N*, log |w|^2), so no
-    power of N* is formed.
+    assembled in log space, log G = `_log_add_exp`(mu log N*, log |w|^2), so
+    no power of N* is formed.  Every step is elementwise, and log N* comes
+    from the row-exact `jtsys.log_norm`, so a row's value does not depend on
+    the rows around it.
     """
     d = H.domain
     z, w = split_vec(H, pts)
     log_nd = log_norm(d, z, -1)
-    with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0 is what logaddexp needs
-        log_g = np.logaddexp(H.mu * log_nd, np.log(np.abs(w) ** 2))
+    with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0, where log G = mu log N*
+        log_g = _log_add_exp(H.mu * log_nd, np.log(np.abs(w) ** 2))
     return np.exp(d.n * np.log(H.mu) + (H.mu * (d.n + 1) - d.genus) * log_nd
                   - (d.n + 2) * log_g)
 

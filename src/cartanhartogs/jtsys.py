@@ -20,8 +20,14 @@ realization j(z): a diagonal matrix for the polydisc, the matrix itself for
 type-I.  For isotropy a kind differs only in how `random_isotropy` draws its
 pairs.  `gram_pivots` is the one kernel behind the generic norm and
 membership of Omega: the pivots of an unpivoted LDL* factorisation of
-I -/+ j(z) j(z)*, computed elementwise over the batch, so neither `log_norm`
-nor `membership` takes a per-point LAPACK call (SVD or det).
+I -/+ j(z) j(z)*, computed elementwise over the batch by real multiply-adds
+on contiguous real and imaginary planes of the rows of j(z), so neither
+`log_norm` nor `membership` takes a per-point LAPACK call (SVD or det).  The
+kernel is row-exact: a row's pivots have the same bits whatever the batch
+size, the block boundaries, the memory layout or the alignment.  At sign +1
+on type-I of rank >= 2, `log_norm` and `membership` first read the Gram
+diagonal and finish only the rows that Sylvester's criterion has not
+already put out of Omega (`_sylvester_rows`).
 `jordan_frame` is the one factorisation behind the Darboux maps, their
 inverses and their Jacobian, and the one place that rejects a base point
 outside Omega.  Points are flat complex vectors of length n; type-I points
@@ -131,58 +137,145 @@ def frame_point(D: DomainSpec, lam) -> np.ndarray:
     return as_vector(D, jz)
 
 
+def _row_planes(D: DomainSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views (p, q, N) of the real and imaginary parts of j(z) on type-I, the
+    batch flattened to N rows and placed last."""
+    p, q = D.shape
+    jz = z.reshape(-1, p, q)
+    return jz.real.transpose(1, 2, 0), jz.imag.transpose(1, 2, 0)
+
+
+def _row_sums(prod: np.ndarray) -> np.ndarray:
+    """sum_l prod[:, l] of an (m, q, N) array, added in order of l."""
+    acc = prod[:, 0].copy()
+    for l in range(1, prod.shape[1]):
+        acc += prod[:, l]
+    return acc
+
+
+def _gram_diagonal(re: np.ndarray, im: np.ndarray, sign: int) -> np.ndarray:
+    """The diagonal (p, N) of A = I - sign * j(z) j(z)*, A_ii = 1 - sign *
+    sum_l (re_il^2 + im_il^2), from the (p, q, N) planes or views of them."""
+    sq = re * re
+    sq += im * im
+    diag = _row_sums(sq)
+    diag *= -sign
+    diag += 1.0
+    return diag
+
+
+def _schur_pivots(re: np.ndarray, im: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
+    """The pivots (p, N) of A from the contiguous (p, q, N) planes and the
+    diagonal, which is overwritten: column by column, the real and imaginary
+    parts of the Gram entries A_ik below the diagonal, then the Schur
+    updates, all real multiply-adds across the batch."""
+    p = len(re)
+    # column k below the diagonal, rows i = k+1..p-1:
+    # A_ik = -sign * sum_l j_il conj(j_kl), as real and imaginary parts
+    col_re, col_im = [], []
+    for k in range(p - 1):
+        below_re, below_im = re[k + 1:], im[k + 1:]
+        prod = below_re * re[k]
+        prod += below_im * im[k]
+        col_re.append(-sign * _row_sums(prod))
+        np.multiply(below_im, re[k], out=prod)
+        prod -= below_re * im[k]
+        col_im.append(-sign * _row_sums(prod))
+    pivots = diag
+    for k in range(p - 1):
+        pivot = pivots[k]
+        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot != 0)
+        a_re, a_im = col_re[k], col_im[k]
+        r_re, r_im = a_re * inv, a_im * inv
+        # A_ij -= (A_ik / pivot_k) conj(A_jk) for i > j > k
+        for j in range(k + 1, p - 1):
+            b_re, b_im = a_re[j - k - 1], a_im[j - k - 1]
+            col_re[j] -= r_re[j - k:] * b_re + r_im[j - k:] * b_im
+            col_im[j] -= r_im[j - k:] * b_re - r_re[j - k:] * b_im
+        # A_ii -= |A_ik|^2 / pivot_k for i > k, two products >= 0 where pivot_k > 0
+        np.subtract(pivots[k + 1:], r_re * a_re + r_im * a_im, out=pivots[k + 1:])
+    return pivots
+
+
 def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
     """Pivots (..., r) of the unpivoted LDL* factorisation of the Hermitian
     A = I - sign * j(z) j(z)*, batched.
 
     Cholesky without square roots (Golub-Van Loan, Matrix Computations,
-    Sec. 4.1-4.2), written elementwise over the batch: a loop over the r rows
-    of j(z), numpy across the batch axis, no per-matrix LAPACK call.  Column k
-    of the Schur complement is divided by pivot k only where that pivot is
-    nonzero, so prod(pivots) = det A wherever the leading minors are nonzero,
-    off Omega too.  By Sylvester's criterion A > 0 exactly when every pivot is
-    positive; there the factorisation is Cholesky, hence backward stable, which
-    covers all of Omega at sign = +1 and every point at sign = -1.  The
-    polydisc's A is the diagonal 1 - sign |z_j|^2 itself.  Any memory layout
-    of z gives the same bits; the transposed view of a coordinate-major
-    (n, N) array is already in the row layout below and is used without a
-    copy, where other layouts are copied into it.
+    Sec. 4.1-4.2), written elementwise over the batch: the real and imaginary
+    parts of the rows of j(z) are copied once into contiguous (p, q, N)
+    planes, and the Gram entries and the Schur updates are real
+    multiply-adds across the batch, no complex multiply and no per-matrix
+    LAPACK call.  Column k of the Schur complement is divided by pivot k only
+    where that pivot is nonzero, so prod(pivots) = det A wherever the leading
+    minors are nonzero, off Omega too.  By Sylvester's criterion A > 0
+    exactly when every pivot is positive; there the factorisation is
+    Cholesky, hence backward stable, which covers all of Omega at sign = +1
+    and every point at sign = -1.  The polydisc's A is the diagonal
+    1 - sign |z_j|^2 itself.
+
+    The kernel is row-exact: each row's pivots are a fixed sequence of
+    IEEE additions, multiplications and divisions of that row's entries, so
+    they have the same bits whatever the batch size, the row's place in the
+    batch, the block boundaries, the memory layout or the alignment of z.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
-        return 1.0 - sign * (z * np.conj(z)).real
-    p, q = D.shape
-    # rows of j(z) with the batch last: (p, q, ...)
-    rows = np.ascontiguousarray(np.moveaxis(z.reshape(z.shape[:-1] + (p, q)), (-2, -1), (0, 1)))
-    conj = np.conj(rows)
-    # lower triangle of the Schur complement, s[i][k] = A_ik to start with
-    s = [[float(i == k) - sign * np.einsum("l...,l...->...", rows[i], conj[k])
-          for k in range(i + 1)] for i in range(p)]
-    pivots = np.empty((p,) + rows.shape[2:])
-    for k in range(p):
-        pivot = s[k][k].real
-        pivots[k] = pivot
-        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot != 0)
-        for i in range(k + 1, p):
-            ratio = s[i][k] * inv
-            for j in range(k + 1, i + 1):
-                s[i][j] = s[i][j] - ratio * np.conj(s[j][k])
-    return np.moveaxis(pivots, 0, -1)
+        return 1.0 - sign * (z.real**2 + z.imag**2)
+    re, im = (np.ascontiguousarray(a) for a in _row_planes(D, z))
+    pivots = _schur_pivots(re, im, _gram_diagonal(re, im, sign), sign)
+    return np.moveaxis(pivots.reshape((D.r,) + z.shape[:-1]), 0, -1)
+
+
+def _sylvester_rows(D: DomainSpec, z, sign: int) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(rows, pivots): the `gram_pivots` (r, k) of the rows `rows` of the
+    flattened batch that may have every pivot positive; the other rows have
+    some pivot <= 0 or NaN.
+
+    rows is every row (a slice), except on type-I of rank >= 2 at sign = +1,
+    where the kernel's own diagonal A_ii (`_gram_diagonal`, the same code,
+    hence the same bits) is formed first and only the rows with every
+    A_ii > 0 (an index array, unless that is every row) are compacted and
+    finished by `_schur_pivots`.  That leaves no row of Omega
+    out: while every earlier pivot is positive, each Schur update subtracts
+    a nonnegative |A_ik|^2 / pivot_k, and rounding is monotone, so
+    fl(a - b) <= a and pivot_i <= A_ii in floating point too; a row with some
+    A_ii <= 0 (or NaN) therefore has some pivot <= 0 (or NaN).  Row-exactness
+    makes the compacted rows' pivots the bits of the full batch's.  In rank
+    one the diagonal is the pivot, and nothing is skipped.
+    """
+    if sign != 1 or D.kind == KIND_POLYDISC or D.r == 1:
+        return slice(None), gram_pivots(D, z, sign).reshape(-1, D.r).T
+    re, im = _row_planes(D, _check_point(D, z))
+    diag = _gram_diagonal(re, im, sign)
+    keep = np.all(diag > 0, axis=0)
+    rows = slice(None) if keep.all() else np.flatnonzero(keep)
+    return rows, _schur_pivots(np.ascontiguousarray(re[..., rows]),
+                               np.ascontiguousarray(im[..., rows]), diag[:, rows], sign)
 
 
 def log_norm(D: DomainSpec, z, sign: int) -> np.ndarray:
     """log N(z, sign * zbar), batched: the log of the product of the
     `gram_pivots` of I - sign * j(z) j(z)*, one log per row, and -inf where
     some pivot is <= 0 (at sign = +1: z not in Omega, even where N > 0).
+    At sign = +1 the rows that Sylvester's criterion rejects from the Gram
+    diagonal alone skip the rest of the kernel (`_sylvester_rows`); the
+    values are those of the full kernel, bit for bit.
 
     N is prod_j (1 - sign |z_j|^2) on the polydisc and det(I_p - sign * j(z)
     j(z)*) on type-I; N(z, -zbar) >= 1 everywhere.
     """
-    pivots = gram_pivots(D, z, sign)
-    inside = np.all(pivots > 0, axis=-1)
-    return np.log(np.prod(pivots, axis=-1), out=np.full(inside.shape, -np.inf), where=inside)
+    z = _check_point(D, z)
+    rows, pivots = _sylvester_rows(D, z, sign)
+    prod = pivots[0]
+    for pivot in pivots[1:]:
+        prod = prod * pivot
+    out = np.full(z.shape[:-1], -np.inf)
+    out.reshape(-1)[rows] = np.log(prod, out=np.full(prod.shape, -np.inf),
+                                   where=np.all(pivots > 0, axis=0))
+    return out
 
 
 def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +324,14 @@ def singular_values(D: DomainSpec, z) -> np.ndarray:
 def membership(D: DomainSpec, z) -> np.ndarray:
     """True when z lies in Omega, batched: every `gram_pivots` of
     I - j(z) j(z)* is positive (Sylvester's criterion), i.e. the largest
-    spectral eigenvalue is < 1."""
-    return np.all(gram_pivots(D, z, 1) > 0, axis=-1)
+    spectral eigenvalue is < 1.  It shares `log_norm`'s path at sign = +1
+    (`_sylvester_rows`): rows with some Gram diagonal entry A_ii <= 0 are
+    rejected before the off-diagonal work, with the full kernel's answer."""
+    z = _check_point(D, z)
+    rows, pivots = _sylvester_rows(D, z, 1)
+    out = np.zeros(z.shape[:-1], dtype=bool)
+    out.reshape(-1)[rows] = np.all(pivots > 0, axis=0)
+    return out[()]  # a numpy bool for a single point
 
 
 def jordan_frame(D: DomainSpec, z, sign: int):

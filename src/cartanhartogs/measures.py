@@ -25,16 +25,18 @@ take the log of the generic norm from `jtsys.log_norm` (the hit test
 `ch_member_vec` and `forms.det_dual_hessian`), so a block makes no per-point
 LAPACK call and forms no power of N.  Each integrand assembles its block
 coordinate-major, one contiguous row (N,) per coordinate, and hands the
-kernels the transposed view (N, n+1): `jtsys.gram_pivots` wants the entries
-of j(z) as rows across the batch, so it takes that view without a copy, and
-the products over coordinates (the dual weight, `log_norm`'s product of
-pivots) run across whole rows instead of along a short contiguous axis.  The
-draws stay row-major, the generator's order, and the values are the same bits
-as on row-major points.  Both integrands are invariant under the
-maximal torus of the isotropy group and depend on w only through |w|, so
-cos and sin are taken only of the phases that survive the torus: none on the
-flat side, (p-1)(q-1) on the dual side of type-I, none on the polydisc or in
-rank one (`_torus_reduced_points`), where no phase is drawn either.
+kernels the transposed view (N, n+1): `jtsys.gram_pivots` reads the entries
+of j(z) as rows across the batch, and the products over coordinates (the
+dual weight, `log_norm`'s product of pivots) run across whole rows instead
+of along a short contiguous axis.  The draws stay row-major, the generator's
+order.  Every kernel on this path is row-exact (real IEEE arithmetic and
+elementwise float64 transcendentals, no complex multiply), so a row's value
+is the same bits on row-major points, in any block and at any alignment.
+Both integrands are invariant under the maximal torus of the isotropy group
+and depend on w only through |w|, so cos and sin are taken only of the
+phases that survive the torus: none on the flat side, (p-1)(q-1) on the dual
+side of type-I, none on the polydisc or in rank one (`_torus_reduced_points`),
+where no phase is drawn either.
 Absolute volume formulas carry the boundary constant int_F Theta, which is
 never computed; every tested quantity is either a polydisc/rank-one case
 with an analytic value or a dual/flat ratio in which the constant cancels.

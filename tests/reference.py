@@ -54,6 +54,12 @@ def norm_det(D: DomainSpec, z, sign: int) -> np.ndarray:
     return np.linalg.det(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))).real
 
 
+def log_add_exp(x, y) -> np.ndarray:
+    """log(e^x + e^y) by numpy's own logaddexp, the oracle for the library's
+    log G = log(N*^mu + |w|^2)."""
+    return np.logaddexp(x, y)
+
+
 def to_real(z: np.ndarray) -> np.ndarray:
     """(..., m) complex -> (..., 2m) real, interleaving re/im per coordinate."""
     z = np.asarray(z, dtype=complex)

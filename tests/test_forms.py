@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,8 @@ import pytest
 from cartanhartogs import cli, forms, hartogs, jtsys, verify
 from conftest import GRID_AND_T33
 from reference import (base_restriction_matches, complex_hessian_batch, det_dual_hessian_fd,
-                       jacobian_batch, pullback_batch, realify_map, to_complex, to_real)
+                       jacobian_batch, log_add_exp, pullback_batch, realify_map, to_complex,
+                       to_real)
 
 
 def _flat_potential(pts):
@@ -284,6 +287,34 @@ def test_det_dual_hessian_far_out_stays_finite():
     npt.assert_allclose(np.log(det), want, rtol=1e-12)
 
 
+def test_log_g_agrees_with_logaddexp():
+    # det_dual_hessian's log G = log(N*^mu + |w|^2) is np.logaddexp's within
+    # a few ulps at w = 0, at x = y exactly, at |w| = 1e150 and at mu = 1e3,
+    # and neither it nor the determinant raises a RuntimeWarning there (at
+    # |w| = 1e150 the determinant underflows to 0 on both routes)
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3)
+    rng = np.random.default_rng(14)
+    count = 64
+    z = 0.5 * (rng.normal(size=(count, d.n)) + 1j * rng.normal(size=(count, d.n)))
+    phase = np.exp(2j * np.pi * rng.random(count))
+    cases = {"w = 0": (1.5, z, np.zeros(count)), "|w| = 1e150": (1.5, z, 1e150 * phase),
+             "mu = 1e3": (1e3, 0.05 * z, 3.0 * phase)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (mu, zs, w) in cases.items():
+            x = mu * jtsys.log_norm(d, zs, -1)
+            with np.errstate(divide="ignore"):  # log 0 at w = 0
+                y = np.log(np.abs(w) ** 2)
+            npt.assert_array_max_ulp(forms._log_add_exp(x, y), log_add_exp(x, y), maxulp=4)
+            H = hartogs.make_hartogs(d, mu)
+            pts = np.concatenate([zs, w[:, None]], axis=1)
+            npt.assert_allclose(forms.det_dual_hessian(H, pts), _product_formula(H, pts),
+                                rtol=1e-11, err_msg=name)
+        x = 1.5 * jtsys.log_norm(d, z, -1)
+        npt.assert_array_equal(forms._log_add_exp(x, np.full(count, -np.inf)), x)
+        npt.assert_array_max_ulp(forms._log_add_exp(x, x), log_add_exp(x, x), maxulp=4)
+
+
 def test_dual_hessian_min_eigs_positive(domain, rng):
     H = hartogs.make_hartogs(domain, 0.5)
     pts = hartogs.sample_ball_points(domain.n + 1, 50, rng, 10.0)
@@ -315,7 +346,7 @@ def _product_formula(H, pts, genus_shift=0, exponent_shift=0, scale=1.0):
     z, w = hartogs.split_vec(H, pts)
     log_nd = jtsys.log_norm(d, z, -1)
     with np.errstate(divide="ignore"):
-        log_g = np.logaddexp(H.mu * log_nd, np.log(np.abs(w) ** 2))
+        log_g = log_add_exp(H.mu * log_nd, np.log(np.abs(w) ** 2))
     return scale * np.exp(d.n * np.log(H.mu)
                           + (H.mu * (d.n + 1) - (d.genus + genus_shift)) * log_nd
                           - (d.n + 2 + exponent_shift) * log_g)

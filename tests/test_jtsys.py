@@ -237,6 +237,82 @@ def test_membership_at_a_zero_pivot():
     assert np.all(jtsys.gram_pivots(d, z, -1) > 0)
 
 
+EARLY_OUT_DOMAINS = {
+    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+    "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4),
+}
+
+
+def _box_draws(d, rng, count):
+    """Uniform draws from the box [-1, 1]^(2n), as the flat volume draws z."""
+    return rng.uniform(-1, 1, size=(count, d.n)) + 1j * rng.uniform(-1, 1, size=(count, d.n))
+
+
+def _edge_rows(d, rng):
+    """Points whose row i of j(z) is (0.6, 0.8, 0, ...) (squared norm exactly
+    1), (1 - 2^-53, 0, ...) (squared norm 1 - 2^-52), or holds a NaN or an
+    inf, for every i; the other rows are small box draws."""
+    p, q = d.shape
+    specials = np.zeros((4, q), dtype=complex)
+    specials[0, :2] = 0.6, 0.8
+    specials[1, 0] = np.nextafter(1.0, 0.0)
+    specials[2, 0] = np.nan
+    specials[3, 0] = np.inf
+    pts = []
+    for i in range(p):
+        for row in specials:
+            jz = 0.3 * _box_draws(d, rng, 1).reshape(p, q)
+            jz[i] = row
+            pts.append(jz.reshape(d.n))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", list(EARLY_OUT_DOMAINS))
+def test_sylvester_early_out_is_exact(name):
+    # membership and log_norm at sign +1 skip the rows whose Gram diagonal
+    # already has an entry <= 0; their answers are those of the full kernel,
+    # bit for bit, on box draws (nearly all out of Omega), on smaller draws
+    # (many in it) and on edge rows of j(z)
+    d = jtsys.make_domain(**EARLY_OUT_DOMAINS[name])
+    rng = np.random.default_rng(33)
+    z = np.concatenate([_box_draws(d, rng, 8192), 0.4 * _box_draws(d, rng, 512),
+                        _edge_rows(d, rng)])
+    with np.errstate(invalid="ignore"):  # the full kernel meets 0 * inf on the inf rows
+        pivots = jtsys.gram_pivots(d, z, 1)
+    positive = np.all(pivots > 0, axis=-1)
+    want = np.full(len(z), -np.inf)
+    want[positive] = np.log(np.prod(pivots[positive], axis=-1))
+    assert 0 < np.sum(positive) < len(z)
+    npt.assert_array_equal(jtsys.membership(d, z), positive)
+    npt.assert_array_equal(jtsys.log_norm(d, z, 1).view(np.int64), want.view(np.int64))
+    # the edge rows: a row of norm 1 or with a NaN or an inf is out of Omega
+    edge = positive[-4 * d.r:].reshape(d.r, 4)
+    assert not np.any(edge[:, [0, 2, 3]])
+
+
+def test_sylvester_early_out_skips_most_box_rows(monkeypatch):
+    # on a type-I(3,3) box block fewer than 1% of the rows reach the
+    # off-diagonal work at sign +1; at sign -1 every row does
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3)
+    z = _box_draws(d, np.random.default_rng(34), 8192)
+    seen = []
+    finish = jtsys._schur_pivots
+
+    def counting(re, im, diag, sign):
+        seen.append(re.shape[-1])
+        return finish(re, im, diag, sign)
+
+    monkeypatch.setattr(jtsys, "_schur_pivots", counting)
+    jtsys.membership(d, z)
+    jtsys.log_norm(d, z, 1)
+    assert len(seen) == 2 and max(seen) < 0.01 * len(z)
+    seen.clear()
+    jtsys.log_norm(d, z, -1)
+    assert seen == [len(z)]
+
+
 def test_b_quarter_power_two_routes(domain, rng):
     # the one-eigh frame against two separate operator quarter powers
     z = 0.8 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))

@@ -246,6 +246,47 @@ def test_kernels_ignore_memory_layout(name):
     npt.assert_array_equal(det_dual_hessian(H, major), det_dual_hessian(H, pts))
 
 
+def _at_shifted_offset(a):
+    """A copy of a that starts one element into a fresh buffer."""
+    buf = np.empty(a.size + 1, dtype=a.dtype)
+    out = buf[1:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_DOMAINS))
+def test_kernels_are_row_exact(name):
+    # each row's value has the same bits in one 65536-row batch, in the
+    # 8192-row blocks of the Monte Carlo estimators and in a copy at a
+    # shifted memory offset
+    d = jtsys.make_domain(**LAYOUT_DOMAINS[name])
+    H = hartogs.make_hartogs(d, 1.0)
+    rng = np.random.default_rng(6)
+    rows, block = 1 << 16, measures._BLOCK
+    shape = (rows, d.n + 1)
+    scale = rng.uniform(0.0, 1.5, size=(rows, 1)) / np.sqrt(d.n / d.r)
+    pts = scale * (rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape))
+    inside = jtsys.membership(d, pts[:, :-1])
+    assert 0.1 * rows < np.sum(inside) < 0.9 * rows
+    t = rng.random(shape)
+    table = measures._torus_phase_table(d)
+    theta = 2 * np.pi * rng.random(shape) if len(table) else None
+    kernels = [lambda p, *_: hartogs.ch_member_vec(H, p),
+               lambda p, *_: det_dual_hessian(H, p),
+               lambda _, t, theta: measures._dual_integrand(H, table, t, theta)]
+    for sign in (1, -1):
+        kernels += [lambda p, *_, s=sign: jtsys.gram_pivots(d, p[:, :-1], s),
+                    lambda p, *_, s=sign: jtsys.log_norm(d, p[:, :-1], s)]
+    args = (pts, t, theta)
+    shifted = tuple(None if a is None else _at_shifted_offset(a) for a in args)
+    for kernel in kernels:
+        whole = kernel(*args)
+        blocks = [kernel(*(None if a is None else a[lo:lo + block] for a in args))
+                  for lo in range(0, rows, block)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert np.array_equal(kernel(*shifted), whole)
+
+
 def _torus_pair(d, theta):
     """The per-row diagonal pair that carries rho e^(i theta) to the reduced
     point: U = diag(e^(-i(theta_i0 - theta_00))), V = diag(e^(i theta_0j)) on
@@ -330,6 +371,34 @@ def test_monte_carlo_takes_no_lapack_call(monkeypatch):
 
     for name in ("svd", "det", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    got = run()
+    npt.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("domain", [POLY2, T22, T33], ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)"])
+def test_monte_carlo_takes_no_einsum_or_logaddexp(monkeypatch, domain):
+    # the hit test and both volume estimators, over more than one block, run
+    # with np.einsum and np.logaddexp refusing, and give the values they gave
+    # before
+    H = hartogs.make_hartogs(domain, 1.0)
+    rng = np.random.default_rng(8)
+    shape = (2000, domain.n + 1)
+    pts = rng.uniform(-0.6, 0.6, size=shape) + 1j * rng.uniform(-0.6, 0.6, size=shape)
+    samples = 2 * measures._BLOCK + 1
+
+    def run():
+        return (hartogs.ch_member_vec(H, pts), measures.mc_volume_flat(H, samples, 3),
+                measures.mc_volume_dual(H, samples, 3))
+
+    want = run()
+    assert 0 < np.sum(want[0]) < len(pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar-loop route on the Monte Carlo path")
+
+    for name in ("einsum", "logaddexp"):
+        monkeypatch.setattr(np, name, refuse)
     got = run()
     npt.assert_array_equal(got[0], want[0])
     assert got[1:] == want[1:]
