@@ -255,7 +255,8 @@ def _register(check_name: str, help_text: str) -> None:
     @click.option("--fd-step", "fd_step", type=float, default=None,
                   help="finite-difference step scale; accepted and validated, "
                        "but no check reads it")
-    @click.option("--tol", type=float, default=None, help="residual tolerance")
+    @click.option("--tol", type=float, default=None,
+                  help="residual tolerance (relative to the form for the darboux families)")
     @click.option("--output", type=click.Path(), default=None,
                   help="report path (stdout when omitted)")
     @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),

@@ -52,16 +52,16 @@ def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
 
     mu^n N*^(mu(n+1) - gamma) / (N*^mu + |w|^2)^(n+2),  N* = N(z, -zbar),
 
-    assembled in log space, log G = `_log_add_exp`(mu log N*, log |w|^2), so
-    no power of N* is formed.  Every step is elementwise, and log N* comes
-    from the row-exact `jtsys.log_norm`, so a row's value does not depend on
-    the rows around it.
+    assembled in log space, log G = `_log_add_exp`(mu log N*, 2 log |w|), so
+    neither a power of N* nor |w|^2 is formed and no |w| overflows.  Every
+    step is elementwise, and log N* comes from the row-exact
+    `jtsys.log_norm`, so a row's value does not depend on the rows around it.
     """
     d = H.domain
     z, w = split_vec(H, pts)
     log_nd = log_norm(d, z, -1)
     with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0, where log G = mu log N*
-        log_g = _log_add_exp(H.mu * log_nd, np.log(np.abs(w) ** 2))
+        log_g = _log_add_exp(H.mu * log_nd, 2.0 * np.log(np.abs(w)))
     return np.exp(d.n * np.log(H.mu) + (H.mu * (d.n + 1) - d.genus) * log_nd
                   - (d.n + 2) * log_g)
 

@@ -16,13 +16,15 @@ leading axes at once.  The maps, their closed-form inverses (the same Jordan
 kernel with the sign flipped once more) and their Jacobian each take one
 `jtsys.jordan_frame` per point, a single Hermitian eigendecomposition of
 I +/- J J* (spectral calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi
-1990).  Every relation between |w|^2 and N^mu is taken in
-s = 2 log|w| - mu log N, so u = N^mu is never formed and large mu neither
-under- nor overflows: `fiber_ratios` is the one home of t, |w|^2/G and 1/G,
-`ch_member_vec`, the one membership test of M, is s < 0, and the member
-samplers draw s <= log(w_frac).  `lift_embedding` carries points of the
-Hartogs domain over Delta^m into M along the canonical frame of
-`jtsys.frame_point`, the hereditary embedding the maps must commute with.
+1990); the Jacobian reads all 2n real directions of z off two small matrix
+products per point (the Daleckii-Krein formula, factored through
+Delta o (v y^T) = diag(v) Delta diag(y)).  Every relation between |w|^2 and
+N^mu is taken in s = 2 log|w| - mu log N, so u = N^mu is never formed and
+large mu neither under- nor overflows: `fiber_ratios` is the one home of t,
+|w|^2/G and 1/G, `ch_member_vec`, the one membership test of M, is s < 0,
+and the member samplers draw s <= log(w_frac).  `lift_embedding` carries
+points of the Hartogs domain over Delta^m into M along the canonical frame
+of `jtsys.frame_point`, the hereditary embedding the maps must commute with.
 """
 
 from __future__ import annotations
@@ -123,59 +125,60 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
 
     With J = j(z) and A = I + eps J J*, the map of `_darboux_map` is
     (sqrt(mu t) A^(-1/2) J, w / sqrt(G)) with t = u / G and u = (det A)^mu.
-    Its `jtsys.jordan_frame` (A = U diag(lam) U*, U* J and A^(-1/2) J) gives
+    From its `jtsys.jordan_frame` (A = U diag(lam) U*, K = U* J, A^(-1/2) J),
+    d A^(-1/2) = U (Delta o U* dA U) U*, dA = eps (dJ J* + J dJ*), with Delta
+    the divided differences of x^(-1/2) at the eigenvalues (Daleckii-Krein:
+    Bhatia, Matrix Analysis (1997), Thm V.3.3; Higham, Functions of Matrices
+    (2008), Sec. 3.2).  Coordinate j of z sits at one entry (a, b) of J, so
+    dJ = c E_ab with c = 1 or i, and Delta o (v y^T) = diag(v) Delta diag(y)
+    gives d(A^(-1/2) J) at entry (i, j) as c T1[i,a,b,j] + conj(c) T2[i,b,a,j],
+    from two products per point that every direction shares:
 
-        d log u     = mu tr(A^-1 dA),   dA = eps (dJ J* + J dJ*),
-        d A^(-1/2)  = U (Delta o U* dA U) U*,
+        T1[(i,a),(b,j)] = sum_kl U_ik conj(U_ak) (eps Delta_kl conj(K_lb) K_lj
+                                                  + lam_k^(-1/2) [b = j]),
+        T2[(i,b),(a,j)] = eps sum_kl U_ik K_kb Delta_kl U_al K_lj.
 
-    where Delta holds the divided differences of x^(-1/2) at the eigenvalues
-    (Daleckii-Krein: Bhatia, Matrix Analysis (1997), Thm V.3.3; Higham,
-    Functions of Matrices (2008), Sec. 3.2).  Coordinate j of z sits at one
-    entry (a, b) of J, so dJ = c E_ab with c = 1 or i, and U* dJ J* U is the
-    outer product of conj(U[a, :]) and conj((U* J)[:, b]).  Along z,
-    d log t = (1 - t) d log u and d log(1/G) = -t d log u; along w,
-    d log t = d log(1/G) = -2 eps Re(conj(w) c) / G.  The polydisc takes the
-    same route on its diagonal J.
+    d log u = mu tr(A^-1 dA) = mu eps (c conj(g_ab) + conj(c) g_ab), g = A^-1 J,
+    splits the same way, and with it the term d sqrt(mu t) A^(-1/2) J.  Along z,
+    d log t = (1 - t) d log u and d log(1/G) = -t d log u; along w, d log t =
+    d log(1/G) = -2 eps Re(conj(w) c) / G.  The polydisc takes the same route.
     """
     eps = 1 if dual else -1
     d = H.domain
     z, w = split_vec(H, pts)
     lam, u, k, b_z = jtsys.jordan_frame(d, z, -eps)     # b_z = A^(-1/2) J
     p, q = k.shape[-2:]
-    root = np.sqrt(lam)
-    inv_root = 1.0 / root
-    # (x^(-1/2) - y^(-1/2)) / (x - y) without cancellation, f'(x) on the diagonal
-    delta = -1.0 / (root[..., :, None] * root[..., None, :]
-                    * (root[..., :, None] + root[..., None, :]))
+    lead = z.shape[:-1]
     t, w2_g, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
     scale = np.sqrt(H.mu * t)
-
-    rows, cols = jtsys.coordinate_entries(d)
-    c = np.array([1.0, 1j])
-    lead = z.shape[:-1]
-    v = np.conj(u[..., rows, :])                             # U* e_a, (..., n, p)
-    y = np.conj(np.swapaxes(k, -1, -2)[..., cols, :])        # conj((U* J)[:, b])
-    cvy = (c[:, None, None] * v[..., :, None, :, None] * y[..., :, None, None, :])
-    cvy = cvy.reshape(lead + (2 * d.n, p, p))                # U* dJ J* U per direction
-    da = eps * (cvy + np.conj(np.swapaxes(cvy, -1, -2)))     # U* dA U
-    dlog_u = H.mu * np.sum(np.diagonal(da, axis1=-2, axis2=-1).real / lam[..., None, :],
-                           axis=-1)
-    inner = delta[..., None, :, :] * da
-    idx = np.arange(p)
-    inner[..., idx, idx] += (0.5 * eps * w2_g[..., None] * dlog_u)[..., None] \
-        * inv_root[..., None, :]
-    inner = inner @ k[..., None, :, :]
-    # A^(-1/2) dJ: column b of c U (lam^(-1/2) conj(U[a, :]))
-    column = c[:, None, None] * (inv_root[..., None, :] * v)[..., :, None, :, None] \
-        * np.eye(q)[cols][:, None, None, :]
-    inner += column.reshape(lead + (2 * d.n, p, q))
-
+    root = np.sqrt(lam)
+    # eps sqrt(mu t) Delta, without cancellation and f'(x) on the diagonal
+    delta = (-eps * scale)[..., None, None] / (root[..., :, None] * root[..., None, :]
+                                               * (root[..., :, None] + root[..., None, :]))
+    y1 = delta @ (np.conj(k)[..., :, :, None] * k[..., :, None, :]).reshape(lead + (p, q * q))
+    diag = np.arange(q)
+    y1.reshape(lead + (p, q, q))[..., diag, diag] += (scale[..., None] / root)[..., None]
+    t1 = (u[..., :, None, :] * np.conj(u)[..., None, :, :]).reshape(lead + (p * p, p)) @ y1
+    x2 = (u[..., :, None, :] * np.swapaxes(k, -1, -2)[..., None, :, :]).reshape(lead + (p * q, p))
+    y2 = (np.swapaxes(u, -1, -2)[..., :, :, None] * k[..., :, None, :]).reshape(lead + (p, p * q))
+    t2 = x2 @ (delta @ y2)
+    i, j = jtsys.coordinate_entries(d)   # entry (i, j) of the image, (a, b) of the direction
+    a, b = i[:, None], j[:, None]
+    s1 = t1.reshape(lead + (p, p, q, q))[..., i, a, b, j]
+    s2 = t2.reshape(lead + (p, q, p, q))[..., i, b, a, j]
+    g = jtsys.as_vector(d, (x2 @ (1.0 / lam)[..., :, None]).reshape(lead + (p, q)))
+    dlog_u = (2.0 * eps * H.mu * np.stack([g.real, g.imag], axis=-1)).reshape(lead + (2 * d.n,))
+    fiber = (0.5 * H.mu * w2_g * scale)[..., None] * g     # (1 - t) = eps |w|^2 / G
+    s1 += np.conj(fiber)[..., :, None] * b_z[..., None, :]
+    s2 += fiber[..., :, None] * b_z[..., None, :]
     out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
-    out[..., :-2, :-1] = scale[..., None, None] * jtsys.as_vector(d, u[..., None, :, :] @ inner)
+    np.add(s1, s2, out=out[..., 0:-2:2, :-1])        # c = 1
+    s1 -= s2
+    np.multiply(s1, 1j, out=out[..., 1:-2:2, :-1])   # c = i
     out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
     dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
     out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
-    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * (c + 0.5 * w[..., None] * dlog_g)
+    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * ([1.0, 1j] + 0.5 * w[..., None] * dlog_g)
     return out
 
 

@@ -4,10 +4,12 @@ Each check samples points, measures a worst residual against a tolerance, and
 returns dictionaries ready for the JSON report.  darboux and dual-darboux pull
 the flat form back through the closed-form Jacobian of Psi or Phi
 (`hartogs.darboux_jacobian`) and compare it with the closed-form Hessian of
-the potential (`forms.hartogs_hessian`); both sides are exact to rounding, so
-the configured tolerance is the only slack.  No check takes a finite
-difference, so --fd-step reaches none of them.  Structural checks carry their
-own tolerances (documented per function).
+the potential (`forms.hartogs_hessian`), entrywise and relative to the form's
+largest entry at each point, so the same tolerance holds at every mu, where
+the domain form's fiber entries grow like N^(-mu); both sides are exact to
+rounding, so the configured tolerance is the only slack.  No check takes a
+finite difference, so --fd-step reaches none of them.  Structural checks
+carry their own tolerances (documented per function).
 """
 
 from __future__ import annotations
@@ -38,30 +40,35 @@ def _result(name: str, params: dict, worst: float, tol: float,
 
 
 # Points per block in darboux_residuals: a block holds the Jacobian's
-# 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian, a few
-# r x q complex matrices per real direction of z (2.6 kB each per point on
-# type-I(3,3)), so memory stays bounded whatever --points is; 500 points fit
-# in one block.
+# 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian, the
+# two products T1 and T2 that all directions share, p^2 q^2 complex entries
+# each (2 x 81 values, 2.6 kB per point on type-I(3,3)), so memory stays
+# bounded whatever --points is; 500 points fit in one block.
 _DARBOUX_BLOCK = 1 << 9
 
 
 def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
                       dual: bool = False) -> np.ndarray:
-    """Entrywise gap between the pulled-back flat form and the domain (or dual)
-    form at each packed point (B, n+1).
+    """Gap between the pulled-back flat form and the domain (or dual) form at
+    each packed point (B, n+1), relative to the form's scale there:
+    max|pulled - target| / max|target| over the entries.
 
     The pullback of omega_0 along real directions a, b is Im <D_a, D_b>, with
-    D the closed-form Jacobian of Psi (or Phi); the form it is compared with is
-    the closed-form Hessian of the potential.  The two sides come from
-    independent routes: the map's derivative and the potential's.
+    D = X + iY the closed-form Jacobian of Psi (or Phi), so it is
+    X Y^T - Y X^T, one real product and its transpose; the form it is
+    compared with is the closed-form Hessian of the potential.  The two
+    sides come from independent routes: the map's derivative and the
+    potential's.
     """
     out = np.empty(len(pts))
     for start in range(0, len(pts), _DARBOUX_BLOCK):
         block = pts[start:start + _DARBOUX_BLOCK]
         jac = hartogs.darboux_jacobian(H, block, dual)
-        pulled = (np.conj(jac) @ np.swapaxes(jac, -1, -2)).imag
+        # contiguous planes, which numpy's matmul hands to BLAS
+        xy = np.ascontiguousarray(jac.real) @ np.ascontiguousarray(np.swapaxes(jac.imag, -1, -2))
         target = forms.hermitian_to_twoform_matrix(forms.hartogs_hessian(H, block, dual))
-        out[start:start + len(block)] = np.max(np.abs(pulled - target), axis=(-2, -1))
+        gap = np.max(np.abs(xy - np.swapaxes(xy, -1, -2) - target), axis=(-2, -1))
+        out[start:start + len(block)] = gap / np.max(np.abs(target), axis=(-2, -1))
     return out
 
 

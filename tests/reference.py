@@ -25,7 +25,11 @@ eigendecompositions where the frame uses one, and with the generic norm
 frame's eigenvalues) it rebuilds Psi and Phi from the defining formula, with
 u = N^mu formed.  Membership of Omega through the SVD (`membership_svd`, the
 largest singular value of j(z) below 1) is the reference for
-`jtsys.membership`, which reads it from the signs of those pivots.
+`jtsys.membership`, which reads it from the signs of those pivots.  The
+per-direction Daleckii-Krein assembly (`darboux_jacobian_per_direction`,
+one (p, p) tensor per real direction) is the reference for the factored
+`hartogs.darboux_jacobian`, which reads every direction off two products
+per point.
 """
 
 from __future__ import annotations
@@ -35,9 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.forms import det_dual_hessian
-from cartanhartogs.hartogs import HartogsSpec, ch_member_vec, potential_field
+from cartanhartogs.hartogs import (HartogsSpec, ch_member_vec, fiber_ratios, potential_field,
+                                   split_vec)
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
                                  singular_values)
 from cartanhartogs.measures import _CHUNK, MCEstimate, _dual_integrand, _torus_phase_table
@@ -309,6 +315,59 @@ def darboux_map_operator(H: HartogsSpec, pt, eps: int) -> np.ndarray:
     g = u + eps * abs(w) ** 2
     zeta = np.sqrt(H.mu * u / g) * b_quarter_power_operator(H.domain, z, -eps)
     return np.append(zeta, w / np.sqrt(g))
+
+
+def darboux_jacobian_per_direction(H: HartogsSpec, pts: np.ndarray,
+                                    dual: bool = False) -> np.ndarray:
+    """The Daleckii-Krein assembly of `hartogs.darboux_jacobian` one real
+    direction at a time, the reference the factored library form is held to.
+
+    Per direction (a, b, c) it forms U* dA U = eps (c v y^T + its adjoint)
+    with v = conj(U[a, :]) and y = conj((U* J)[:, b]) as a (..., 2n, p, p)
+    tensor, multiplies it entrywise by the divided differences Delta of
+    x^(-1/2), adds the fiber term on the diagonal and the column
+    c A^(-1/2) e_a in column b, and takes U (.) U* J by two batched matmuls.
+    """
+    eps = 1 if dual else -1
+    d = H.domain
+    z, w = split_vec(H, pts)
+    lam, u, k, b_z = jtsys.jordan_frame(d, z, -eps)     # b_z = A^(-1/2) J
+    p, q = k.shape[-2:]
+    root = np.sqrt(lam)
+    inv_root = 1.0 / root
+    # (x^(-1/2) - y^(-1/2)) / (x - y) without cancellation, f'(x) on the diagonal
+    delta = -1.0 / (root[..., :, None] * root[..., None, :]
+                    * (root[..., :, None] + root[..., None, :]))
+    t, w2_g, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
+    scale = np.sqrt(H.mu * t)
+
+    rows, cols = jtsys.coordinate_entries(d)
+    c = np.array([1.0, 1j])
+    lead = z.shape[:-1]
+    v = np.conj(u[..., rows, :])                             # U* e_a, (..., n, p)
+    y = np.conj(np.swapaxes(k, -1, -2)[..., cols, :])        # conj((U* J)[:, b])
+    cvy = (c[:, None, None] * v[..., :, None, :, None] * y[..., :, None, None, :])
+    cvy = cvy.reshape(lead + (2 * d.n, p, p))                # U* dJ J* U per direction
+    da = eps * (cvy + np.conj(np.swapaxes(cvy, -1, -2)))     # U* dA U
+    dlog_u = H.mu * np.sum(np.diagonal(da, axis1=-2, axis2=-1).real / lam[..., None, :],
+                           axis=-1)
+    inner = delta[..., None, :, :] * da
+    idx = np.arange(p)
+    inner[..., idx, idx] += (0.5 * eps * w2_g[..., None] * dlog_u)[..., None] \
+        * inv_root[..., None, :]
+    inner = inner @ k[..., None, :, :]
+    # A^(-1/2) dJ: column b of c U (lam^(-1/2) conj(U[a, :]))
+    column = c[:, None, None] * (inv_root[..., None, :] * v)[..., :, None, :, None] \
+        * np.eye(q)[cols][:, None, None, :]
+    inner += column.reshape(lead + (2 * d.n, p, q))
+
+    out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
+    out[..., :-2, :-1] = scale[..., None, None] * jtsys.as_vector(d, u[..., None, :, :] @ inner)
+    out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
+    dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
+    out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
+    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * (c + 0.5 * w[..., None] * dlog_g)
+    return out
 
 
 def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,

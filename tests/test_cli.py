@@ -236,11 +236,13 @@ def test_large_mu_reports_finite_residuals(tmp_path, family):
 def test_member_sampler_runs_at_large_mu(tmp_path, family):
     # N^mu falls to ~1e-31 (darboux) and ~1e-89 (equivariance) on the sampled
     # base points at mu = 1e2; |w| is drawn in log space, so both write a
-    # report instead of ending in the sampler's ConvergenceError
+    # report instead of ending in the sampler's ConvergenceError.  darboux
+    # takes its residual relative to the form, whose fiber entries grow like
+    # N^(-mu), so it passes there
     out = tmp_path / "report.json"
     res = _run([family, "--domain", "type-I", "--p", "2", "--q", "2", "--mu", "1e2",
                 "--points", "20", "--output", str(out)])
-    assert res.exit_code in (0, 1)
+    assert res.exit_code in {"darboux": (0,), "equivariance": (0, 1)}[family]
     checks = json.loads(out.read_text())["checks"]
     assert checks and all(np.isfinite(c["worst_residual"]) for c in checks)
 

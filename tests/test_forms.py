@@ -6,9 +6,9 @@ import pytest
 
 from cartanhartogs import cli, forms, hartogs, jtsys, verify
 from conftest import GRID_AND_T33
-from reference import (base_restriction_matches, complex_hessian_batch, det_dual_hessian_fd,
-                       jacobian_batch, log_add_exp, pullback_batch, realify_map, to_complex,
-                       to_real)
+from reference import (base_restriction_matches, complex_hessian_batch,
+                       darboux_jacobian_per_direction, det_dual_hessian_fd, jacobian_batch,
+                       log_add_exp, pullback_batch, realify_map, to_complex, to_real)
 
 
 def _flat_potential(pts):
@@ -172,11 +172,18 @@ def _map_cases(H, rng):
             (True, hartogs.phi_map_vec, hartogs.sample_heavy_points(m, 20, rng))]
 
 
-@pytest.mark.parametrize("name", list(GRID_AND_T33))
+# the acceptance grid plus type-I(3,3), and shapes with p != q at rank one and two
+JACOBIAN_DOMAINS = {**GRID_AND_T33,
+                    "type-I(1,3)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=3),
+                    "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4)}
+
+
+@pytest.mark.parametrize("name", list(JACOBIAN_DOMAINS))
 def test_darboux_jacobian_matches_stencil(name):
-    # the acceptance grid plus type-I(3,3): the closed-form Jacobian is the
-    # derivative of the public maps Psi and Phi
-    d = jtsys.make_domain(**GRID_AND_T33[name])
+    # the acceptance grid plus type-I(3,3), (1,3) and (2,4): the closed-form
+    # Jacobian is the derivative of the public maps Psi and Phi; with p != q,
+    # reading T1 or T2 with the (a, b) and (i, j) axes swapped fails here
+    d = jtsys.make_domain(**JACOBIAN_DOMAINS[name])
     rng = np.random.default_rng(11)
     for mu in (0.5, 1.0, 2.0):
         H = hartogs.make_hartogs(d, mu)
@@ -188,6 +195,21 @@ def test_darboux_jacobian_matches_stencil(name):
             for row, want in zip(pts[:3], closed[:3]):
                 npt.assert_allclose(hartogs.darboux_jacobian(H, row, dual), want,
                                     rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", list(JACOBIAN_DOMAINS))
+def test_darboux_jacobian_matches_per_direction_assembly(name):
+    # the factored Jacobian (two products per point shared by all directions)
+    # against the Daleckii-Krein assembly one direction at a time, to rounding
+    # relative to each point's largest entry, on both sides and up to mu = 1e2
+    d = jtsys.make_domain(**JACOBIAN_DOMAINS[name])
+    rng = np.random.default_rng(15)
+    for mu in (0.5, 1.0, 2.0, 1e2):
+        H = hartogs.make_hartogs(d, mu)
+        for dual, _, pts in _map_cases(H, rng):
+            want = darboux_jacobian_per_direction(H, pts, dual)
+            gap = np.max(np.abs(hartogs.darboux_jacobian(H, pts, dual) - want), axis=(-2, -1))
+            assert np.all(gap <= 1e-13 * np.max(np.abs(want), axis=(-2, -1))), (mu, dual)
 
 
 def test_darboux_jacobian_stencil_sees_a_scaled_map():
@@ -287,6 +309,20 @@ def test_det_dual_hessian_far_out_stays_finite():
     npt.assert_allclose(np.log(det), want, rtol=1e-12)
 
 
+def test_det_dual_hessian_at_huge_w_stays_finite():
+    # log G takes 2 log|w|, so |w|^2 is never formed: at |w| = 1e200 it would
+    # overflow; the determinant underflows to 0 instead, without a warning
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
+    H = hartogs.make_hartogs(d, 1.0)
+    rng = np.random.default_rng(16)
+    pts = 0.3 * (rng.normal(size=(8, d.n + 1)) + 1j * rng.normal(size=(8, d.n + 1)))
+    pts[:, -1] = 1e200 * np.exp(2j * np.pi * rng.random(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det = forms.det_dual_hessian(H, pts)
+    assert np.all(np.isfinite(det)) and np.all(det >= 0)
+
+
 def test_log_g_agrees_with_logaddexp():
     # det_dual_hessian's log G = log(N*^mu + |w|^2) is np.logaddexp's within
     # a few ulps at w = 0, at x = y exactly, at |w| = 1e150 and at mu = 1e3,
@@ -346,7 +382,7 @@ def _product_formula(H, pts, genus_shift=0, exponent_shift=0, scale=1.0):
     z, w = hartogs.split_vec(H, pts)
     log_nd = jtsys.log_norm(d, z, -1)
     with np.errstate(divide="ignore"):
-        log_g = log_add_exp(H.mu * log_nd, np.log(np.abs(w) ** 2))
+        log_g = log_add_exp(H.mu * log_nd, 2.0 * np.log(np.abs(w)))
     return scale * np.exp(d.n * np.log(H.mu)
                           + (H.mu * (d.n + 1) - (d.genus + genus_shift)) * log_nd
                           - (d.n + 2 + exponent_shift) * log_g)

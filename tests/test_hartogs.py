@@ -181,27 +181,34 @@ def test_psi_and_its_jacobian_reject_points_outside_omega():
 
 
 def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
-    # no determinant, no SVD, no LDL* pivots: a raising log_norm, gram_pivots,
-    # singular_values, det or svd is reached by none of the maps, inverses or
-    # Jacobians
+    # no determinant, no SVD, no LDL* pivots, no inverse: a raising log_norm,
+    # gram_pivots, singular_values or LAPACK call other than the frame's one
+    # eigh is reached by none of the maps, inverses or Jacobians, and a
+    # Jacobian takes its frame once
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.5)
     pts = hartogs.sample_member_points(H, 8, rng)
     images = (hartogs.psi_map_vec(H, pts), hartogs.phi_map_vec(H, pts))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the Jordan frame route took a det or an SVD")
+        raise AssertionError("the Jordan frame route took a det, an SVD or an inverse")
 
     for module, name in ((jtsys, "log_norm"), (jtsys, "gram_pivots"),
                          (jtsys, "singular_values"), (hartogs, "log_norm"),
                          (hartogs, "singular_values"),
-                         (np.linalg, "det"), (np.linalg, "svd")):
+                         (np.linalg, "det"), (np.linalg, "svd"), (np.linalg, "inv"),
+                         (np.linalg, "solve"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, refuse)
     npt.assert_array_equal(hartogs.psi_map_vec(H, pts), images[0])
     npt.assert_array_equal(hartogs.phi_map_vec(H, pts), images[1])
     npt.assert_allclose(hartogs.psi_inverse(H, images[0]), pts, atol=1e-12)
     npt.assert_allclose(hartogs.phi_inverse(H, images[1]), pts, atol=1e-12)
+    frames = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: frames.append(m.shape) or eigh(m))
     for dual in (False, True):
+        frames.clear()
         assert np.all(np.isfinite(hartogs.darboux_jacobian(H, pts, dual)))
+        assert frames == [(8, 2, 2)]
 
 
 def test_psi_matches_spectral_inverse(domain, rng):
