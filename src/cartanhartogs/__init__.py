@@ -48,18 +48,16 @@ from .jtsys import (
 )
 from .measures import (
     GennaioResult,
-    MCEstimate,
     capital_f,
     capital_f_ratio,
     dual_flat_ratio_formula,
+    dual_volume_quadrature,
     duality_gap,
     duality_root,
     fit_genus,
     flat_volume_exact,
+    flat_volume_quadrature,
     gennaio_check,
     log_capital_f,
-    mc_volume_dual,
-    mc_volume_flat,
     selberg_quadrature,
-    selberg_quadrature_auto,
 )

@@ -225,7 +225,15 @@ def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
     if D.kind == KIND_POLYDISC:
         return 1.0 - sign * (z.real**2 + z.imag**2)
     re, im = (np.ascontiguousarray(a) for a in _row_planes(D, z))
-    pivots = _schur_pivots(re, im, _gram_diagonal(re, im, sign), sign)
+    pivots = _gram_diagonal(re, im, sign)
+    finite = np.all(np.isfinite(pivots), axis=0)
+    if finite.all():
+        pivots = _schur_pivots(re, im, pivots, sign)
+    else:
+        # a point with an inf or NaN entry keeps its Gram diagonal as its
+        # pivots, so the Schur updates meet no 0 * inf
+        pivots[:, finite] = _schur_pivots(re[..., finite], im[..., finite],
+                                          pivots[:, finite], sign)
     return np.moveaxis(pivots.reshape((D.r,) + z.shape[:-1]), 0, -1)
 
 

@@ -15,71 +15,56 @@ F(mu)/F(0) and the rank-one flat volume are ratios Gamma(x + k)/Gamma(x) for
 integer shifts k only, formed as products of rational factors, so neither
 cancels at large mu.
 
-Flat and dual volumes are Monte Carlo estimates of Lebesgue measure (the mean
-of box * 1{hit}) and of the integral of the closed-form dual Hessian
-determinant, two integrands of the one estimator `_mc_mean`.  The draws are
-fixed per (seed, chunk): each chunk of `_CHUNK` rows is drawn whole, and the
-integrand then runs on blocks of `_BLOCK` = 2^13 rows, so its temporaries stay
-in cache; the results repeat bit for bit on one numpy build.  Both integrands
-take the log of the generic norm from `jtsys.log_norm` (the hit test
-`ch_member_vec` and `forms.det_dual_hessian`), so a block makes no per-point
-LAPACK call and forms no power of N.  Each integrand assembles its block
-coordinate-major, one contiguous row (N,) per coordinate, and hands the
-kernels the transposed view (N, n+1): `jtsys.gram_pivots` reads the entries
-of j(z) as rows across the batch, and the products over coordinates (the
-dual weight, `log_norm`'s product of pivots) run across whole rows instead
-of along a short contiguous axis.  The draws stay row-major, the generator's
-order.  Every kernel on this path is row-exact (real IEEE arithmetic and
-elementwise float64 transcendentals, no complex multiply), so a row's value
-is the same bits on row-major points, in any block and at any alignment.
-Both integrands are invariant under the maximal torus of the isotropy group
-and depend on w only through |w|, so cos and sin are taken only of the
-phases that survive the torus: none on the flat side, (p-1)(q-1) on the dual
-side of type-I, none on the polydisc or in rank one (`_torus_reduced_points`),
-where no phase is drawn either.
-Absolute volume formulas carry the boundary constant int_F Theta, which is
-never computed; every tested quantity is either a polydisc/rank-one case
-with an analytic value or a dual/flat ratio in which the constant cancels.
+Both volumes are exact spectral quadratures.  In polar coordinates
+z = k(sum_j l_j e_j), k Haar in the isotropy group K (Faraut-Koranyi,
+Analysis on Symmetric Cones, 1990), Lebesgue measure on Omega is
+c prod_j l_j^(2b+1) prod_{j<k} (l_j^2 - l_k^2)^a dl dk, the weight of F(s).
+The polar constant c is never computed: both volumes are taken over pi c,
+and every tested quantity is F(mu), F(0) mu^n/(n+1) or their ratio.  In
+x_j = l_j^2 the Vandermonde power prod (x_j - x_k)^a is a polynomial (a is 0
+or 2), so each volume is a Jacobi weight times a polynomial, and a tensor
+Gauss rule with a fixed node count per axis integrates it exactly, to
+rounding (nodes by Golub-Welsch, Math. Comp. 23, 1969):
+
+    flat  vol(M) / (pi c)         = F(mu)             Gauss-Jacobi in x,
+                                                       weight (1-x)^mu x^b;
+    dual  vol*(C^(n+1)) / (pi c)  = F(0) mu^n / (n+1)  Gauss-Legendre in
+                                                       y = x/(1+x), v = |w|^2/G.
+
+The integrands are symmetric in x, so the tensor rule is summed over sorted
+node tuples with their multiplicities (`_polar_rule`).  The library is
+evaluated at assembled points: each node is `jtsys.frame_point(D, sqrt x)`
+moved by a Haar isotropy pair of its own, with a random phase for w, so a
+slip that breaks K-invariance moves the value too.  The dual side takes
+`forms.det_dual_hessian` at the node's full (z, w).  The flat side takes
+N^mu / prod (1 - x_j)^mu from `jtsys.log_norm`.  What the flat side does not
+test: the fiber length pi N^mu is integrated in closed form, so the fiber
+half of `hartogs.ch_member_vec` is only probed at its boundary, with |w|^2
+just inside and just outside N^mu at each node.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from collections import Counter
+from functools import lru_cache
 from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .forms import det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
-from .jtsys import (KIND_POLYDISC, DomainSpec, coordinate_entries, log_norm,
-                     log_norm_derivatives, singular_values)
+from .jtsys import (KIND_POLYDISC, DomainSpec, frame_point, isotropy_apply, log_norm,
+                    log_norm_derivatives, random_isotropy, singular_values)
 
-_CHUNK = 1 << 16
-# rows per integrand call: a block's temporaries fit in a core's L2 cache
-_BLOCK = 1 << 13
-# the tensor quadrature of F(s) is built for ranks 1..SELBERG_MAX_RANK
-SELBERG_MAX_RANK = 3
-# first resolution and resolution budget of `selberg_quadrature_auto`
-_QUAD_START = 40
-_QUAD_MAX_RESOLUTION = 1500
-# bisection width of `duality_root`
-_ROOT_TOL = 1e-11
+# relative offset delta of the flat side's fiber probes, |w|^2 = (1 -/+ delta) N^mu
+_FIBER_PROBE = 1e-9
 # random points and seed of `fit_genus`
 _GENUS_FIT_POINTS = 12
 _GENUS_FIT_SEED = 20
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """A Monte Carlo value with its standard error and sample count."""
-
-    value: float
-    standard_error: float
-    samples: int
 
 
 def log_capital_f(r: int, a: float, b: float, s: float) -> float:
@@ -117,9 +102,8 @@ def capital_f_ratio(D: DomainSpec, mu: float) -> float:
 
 @lru_cache(maxsize=16)
 def _gauss01(resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (0, 1), cached per resolution
-    (`selberg_quadrature_auto` visits six) and shared by every caller, hence
-    read-only."""
+    """Gauss-Legendre nodes and weights on (0, 1), cached per resolution and
+    shared by every caller, hence read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(resolution)
     out = 0.5 * (nodes + 1.0), 0.5 * weights
     for a in out:
@@ -127,45 +111,142 @@ def _gauss01(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def selberg_quadrature(r: int, a: float, b: float, s: float, resolution: int) -> float:
-    """Tensor Gauss-Legendre value of the ordered-simplex integral F(s).
-
-    The ordering map l_j = u_1 ... u_j (u in (0,1)^r) carries the simplex to the
-    cube with Jacobian prod_i u_i^(r-i).
-    """
-    if r < 1 or r > SELBERG_MAX_RANK:
-        raise DomainError(f"supported ranks are 1..{SELBERG_MAX_RANK}")
-    nodes, weights = _gauss01(resolution)
-    grids = np.meshgrid(*([nodes] * r), indexing="ij", sparse=True)
-    wgrids = np.meshgrid(*([weights] * r), indexing="ij", sparse=True)
-    lam = []
-    running = 1.0
-    for j in range(r):
-        running = running * grids[j]
-        lam.append(running)
-    integrand = 1.0
-    for j in range(r):
-        integrand = integrand * (1.0 - lam[j] ** 2) ** s * lam[j] ** (2 * b + 1)
-        integrand = integrand * grids[j] ** (r - 1 - j)  # ordering-map Jacobian
-        integrand = integrand * wgrids[j]
-    for j in range(r):
-        for k in range(j + 1, r):
-            integrand = integrand * (lam[j] ** 2 - lam[k] ** 2) ** a
-    return float(np.sum(integrand))
+def _gauss_jacobi01(m: int, alpha: float, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss rule on (0, 1) for the weight (1-x)^alpha x^b, b a
+    nonnegative integer, by Golub-Welsch: the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the weight's orthogonal
+    polynomials, the weights the squared first eigenvector components times
+    the mass B(alpha+1, b+1).  Every entry is built from ratios no larger
+    than 1, with no difference taken, and the mass is
+    b! / prod_{i<=b} (alpha+1+i), a product of rational factors, so nothing
+    cancels or overflows at large alpha."""
+    k = np.arange(m, dtype=float)
+    s = 2 * k + alpha + b
+    diag = (k + b + 1) / (s + 1) * ((k + alpha + b + 1) / (s + 2))
+    k, s = k[1:], s[1:]
+    diag[1:] += k / s * ((k + alpha) / (s + 1))
+    off = (np.sqrt(k / s * ((k + alpha) / s))
+           * np.sqrt((k + b) / (s + 1) * ((k + alpha + b) / (s - 1))))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mass = math.prod(i / (alpha + 1 + i) for i in range(1, b + 1)) / (alpha + 1)
+    return nodes, mass * vectors[0] ** 2
 
 
-def selberg_quadrature_auto(r: int, a: float, b: float, s: float, rtol: float) -> float:
-    """Double the resolution from `_QUAD_START` until two successive estimates
-    agree to rtol; ConvergenceError past `_QUAD_MAX_RESOLUTION`."""
-    res = _QUAD_START
-    prev = selberg_quadrature(r, a, b, s, res)
-    while 2 * res <= _QUAD_MAX_RESOLUTION:
-        res *= 2
-        cur = selberg_quadrature(r, a, b, s, res)
-        if abs(cur - prev) <= rtol * abs(cur):
-            return cur
-        prev = cur
-    raise ConvergenceError("quadrature resolution budget exhausted before agreement")
+def _polar_rule(nodes: np.ndarray, weights: np.ndarray, r: int,
+                a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-fold tensor rule of the rule (nodes, weights), each node tuple
+    weighted by prod_{j<k} (x_j - x_k)^a / (2^r r!), summed over sorted
+    tuples: (x (T, r), w (T,)) with sum_t w_t f(x_t) equal to the full tensor
+    sum for every symmetric f.  A tuple stands for its r! / prod(c!)
+    orderings, c the multiplicities of its nodes; where a > 0 the tuples
+    with a repeated node are left out, since the Vandermonde power vanishes
+    on them."""
+    tuples, share = [], []
+    for idx in itertools.combinations_with_replacement(range(len(nodes)), r):
+        counts = Counter(idx).values()
+        if a and max(counts) > 1:
+            continue
+        tuples.append(idx)
+        share.append(1.0 / math.prod(map(math.factorial, counts)))  # orderings / r!
+    tuples = np.array(tuples, dtype=np.intp)
+    x = nodes[tuples]
+    w = np.array(share) * np.prod(weights[tuples], axis=1) / 2.0 ** r
+    for j, k in itertools.combinations(range(r), 2):
+        w *= (x[:, j] - x[:, k]) ** a
+    return x, w
+
+
+def _jacobi_polar_rule(r: int, a: int, b: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor rule of F(s): Gauss-Jacobi with weight (1-x)^s x^b and
+    floor(a(r-1)/2) + 1 nodes per axis.  The rest of the integrand,
+    prod_{j<k} (x_j - x_k)^a, has degree a(r-1) in each x_j, so the rule
+    integrates it exactly."""
+    return _polar_rule(*_gauss_jacobi01(a * (r - 1) // 2 + 1, s, b), r, a)
+
+
+def selberg_quadrature(r: int, a: int, b: int, s: float) -> float:
+    """F(s) by the exact tensor Gauss-Jacobi rule in x_j = l_j^2
+    (`_jacobi_polar_rule`), whose only closed-form input is the Jacobi mass
+    B(s+1, b+1), a product of rational factors.  In rank one the rule is one
+    node carrying that mass, so there it is the Beta closed form itself;
+    rank one is pinned by the Gauss-Legendre route of
+    `dual_volume_quadrature` and by `flat_volume_exact`."""
+    if s < 0:
+        raise DomainError("s must be nonnegative")
+    return float(np.sum(_jacobi_polar_rule(r, a, b, s)[1]))
+
+
+def _rotated_frame_points(D: DomainSpec, x: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Points (T, n) with spectral values sqrt(x) (T, r): `frame_point`, each
+    row moved by a fresh Haar isotropy pair drawn from rng."""
+    return isotropy_apply(D, random_isotropy(D, rng, len(x)), frame_point(D, np.sqrt(x)))
+
+
+def _packed(z: np.ndarray, log_w2: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Packed points (z, w) with |w|^2 = e^(log_w2) and w of phase theta."""
+    pts = np.empty((len(z), z.shape[-1] + 1), dtype=complex)
+    pts[:, :-1] = z
+    with np.errstate(over="ignore"):  # |w| = inf where mu log N* leaves the float range
+        modulus = np.exp(0.5 * log_w2)
+    pts.real[:, -1] = modulus * np.cos(theta)
+    pts.imag[:, -1] = modulus * np.sin(theta)
+    return pts
+
+
+def flat_volume_quadrature(H: HartogsSpec, rng: np.random.Generator) -> float:
+    """vol(M) / (pi c) = F(mu) by the rule of `selberg_quadrature` at s = mu,
+    through the library.  Each node weight is multiplied by
+    N^mu / prod_j (1 - x_j)^mu = exp(mu (log_norm(z, +1) - log N)) at its
+    rotated point z, log N = sum_j log(1 - x_j), and by the fiber probes
+    1{(z, w) in M} 1{(z, w') not in M} of `ch_member_vec` at
+    2 log|w| = mu log N + log(1 - delta), 2 log|w'| = mu log N + log(1 + delta),
+    delta = `_FIBER_PROBE`, w and w' sharing a random phase.  Each factor is
+    1 to rounding; a slip in either half of the membership test zeroes a
+    node.  The Haar pairs, then the phases, come from rng."""
+    d, mu = H.domain, H.mu
+    x, weight = _jacobi_polar_rule(d.r, d.a, d.b, mu)
+    z = _rotated_frame_points(d, x, rng)
+    theta = rng.uniform(0.0, 2 * np.pi, size=len(x))
+    log_n = np.sum(np.log1p(-x), axis=-1)
+    factor = np.exp(mu * (log_norm(d, z, 1) - log_n))
+    inside, outside = (ch_member_vec(H, _packed(z, mu * log_n + math.log1p(delta), theta))
+                       for delta in (-_FIBER_PROBE, _FIBER_PROBE))
+    return float(np.sum(weight * factor * (inside & ~outside)))
+
+
+def dual_volume_quadrature(H: HartogsSpec, rng: np.random.Generator) -> float:
+    """vol*(C^(n+1)) / (pi c) = F(0) mu^n / (n+1), the integral of
+    `det_dual_hessian` over C^(n+1), by Gauss-Legendre rules in
+    y_j = x_j / (1 + x_j), floor((b + a(r-1))/2) + 2 nodes per axis, and in
+    v = |w|^2 / G, floor(n/2) + 2 nodes.
+
+    With N* = N(z, -zbar) = prod_j 1 / (1 - y_j) and |w|^2 = v N*^mu / (1 - v),
+    the measure over pi c is prod_j y_j^b prod_{j<k} (y_j - y_k)^a N*^gamma dy
+    times N*^mu dv / (1 - v)^2 (the phase of w and the rotation averaged),
+    and the determinant times N*^(mu + gamma) / (1 - v)^2 is mu^n (1 - v)^n: a
+    polynomial of degree b + a(r-1) in each y_j and n in v, so the rule is
+    exact.  Each (y, v) node is a rotated frame point with a fresh Haar pair
+    and w at log|w| = (log v - log(1 - v) + mu log N*) / 2 with a random phase,
+    log N* = -sum_j log(1 - y_j); its weight is formed in log space,
+    exp(log det + (mu + gamma) log N* - 2 log(1 - v)), so no N*^mu is formed.
+    A node whose determinant underflows adds 0.  The Haar pairs, then the
+    phases, come from rng."""
+    d, mu = H.domain, H.mu
+    y1, wy1 = _gauss01((d.b + d.a * (d.r - 1)) // 2 + 2)
+    y, weight = _polar_rule(y1, wy1 * y1 ** d.b, d.r, d.a)
+    v1, wv1 = _gauss01(d.n // 2 + 2)
+    # every (y tuple, v) pair, y-major
+    y, v = np.repeat(y, len(v1), axis=0), np.tile(v1, len(weight))
+    weight = np.outer(weight, wv1).ravel()
+    log_nd = -np.sum(np.log1p(-y), axis=-1)
+    log_1v = np.log1p(-v)
+    z = _rotated_frame_points(d, y / (1.0 - y), rng)
+    theta = rng.uniform(0.0, 2 * np.pi, size=len(y))
+    pts = _packed(z, np.log(v) - log_1v + mu * log_nd, theta)
+    with np.errstate(divide="ignore"):  # log 0 = -inf where the determinant underflows
+        log_det = np.log(det_dual_hessian(H, pts))
+    return float(np.sum(weight * np.exp(log_det + (mu + d.genus) * log_nd - 2.0 * log_1v)))
 
 
 def flat_volume_exact(H: HartogsSpec) -> float | None:
@@ -190,158 +271,6 @@ def dual_flat_ratio_formula(H: HartogsSpec) -> float:
     return H.mu ** d.n / ((d.n + 1) * capital_f_ratio(d, H.mu))
 
 
-def _mc_mean(samples: int, seed: int, draw, integrand) -> MCEstimate:
-    """Mean and standard error (sample SD / sqrt(samples)) of the integrand.
-
-    Chunk k of at most `_CHUNK` rows is drawn whole, draw(rng, size) with a
-    generator keyed by (seed, k), so the draws do not depend on the blocking;
-    draw may return views of buffers it reuses for every chunk.
-    integrand(*block) maps `_BLOCK` rows of those arrays, as drawn (row-major
-    views), to their values, which fill one buffer reused by every chunk; it
-    may lay the block out coordinate-major for its kernels.  The chunk sums
-    are taken over the whole chunk and added compensated.  DomainError when
-    samples < 1."""
-    samples = int(samples)
-    if samples < 1:
-        raise DomainError("Monte Carlo needs samples >= 1")
-    vals = np.empty(_CHUNK)
-    sums, sqsums = [], []
-    for index, start in enumerate(range(0, samples, _CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
-        size = min(_CHUNK, samples - start)
-        drawn = draw(rng, size)
-        for lo in range(0, size, _BLOCK):
-            hi = min(lo + _BLOCK, size)
-            vals[lo:hi] = integrand(*(a[lo:hi] for a in drawn))
-        chunk = vals[:size]
-        sums.append(float(np.sum(chunk)))
-        sqsums.append(float(np.sum(chunk**2)))
-    mean = math.fsum(sums) / samples
-    var = max(math.fsum(sqsums) / samples - mean * mean, 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples)
-
-
-def mc_volume_flat(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """Lebesgue volume of M as the mean of box * 1{hit} over uniform draws
-    from the box [-1,1]^(2n) x {|w| <= 1} (hits counted by `ch_member_vec`);
-    its standard error is box sqrt(p (1 - p) / samples) for the hit ratio p.
-
-    M is a Hartogs domain, invariant under the torus circle w -> e^(i alpha) w,
-    so a hit depends on w only through |w|: w is placed at its radius sqrt(u)
-    on the real axis, which has the law of |w| for w uniform in the unit
-    disc, and no phase is drawn or taken.  `volume` is blind to a slip that
-    broke this torus invariance; `equivariance` is the family that would
-    catch one."""
-    d = H.domain
-    box = 4.0 ** d.n * math.pi
-    bufs = (np.empty((_CHUNK, d.n)), np.empty((_CHUNK, d.n)), np.empty(_CHUNK))
-
-    def draw(rng: np.random.Generator, size: int) -> tuple:
-        # uniform(-1, 1), uniform(-1, 1), uniform(), bit for bit
-        re, im, u = (b[:size] for b in bufs)
-        for part in (re, im):
-            rng.random(out=part)
-            part *= 2.0
-            part -= 1.0
-        rng.random(out=u)
-        return re, im, u
-
-    def integrand(re, im, u) -> np.ndarray:
-        pts = np.empty((d.n + 1, len(u)), dtype=complex)  # coordinate-major
-        pts.real[:-1] = re.T
-        pts.imag[:-1] = im.T
-        pts.real[-1] = np.sqrt(u)
-        pts.imag[-1] = 0.0
-        return box * ch_member_vec(H, pts.T)
-
-    return _mc_mean(samples, seed, draw, integrand)
-
-
-def _torus_phase_table(D: DomainSpec) -> np.ndarray:
-    """Rows (k, k_i0, k_0j, k_00), shape (c, 4): coordinate k sits at entry
-    (i, j) of j(z) with i, j >= 1, and entries (i, 0), (0, j) and (0, 0) carry
-    the coordinates k_i0, k_0j and k_00.  Type-I has (p-1)(q-1) rows; the
-    polydisc and rank one have none."""
-    at = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(*coordinate_entries(D)))}
-    rows = [(k, at[i, 0], at[0, j], at[0, 0]) for (i, j), k in at.items()
-            if i and j and (i, 0) in at and (0, j) in at and (0, 0) in at]
-    return np.array(rows, dtype=np.intp).reshape(-1, 4)
-
-
-def _torus_reduced_points(table: np.ndarray, rho: np.ndarray,
-                          theta: np.ndarray | None) -> np.ndarray:
-    """The coordinate-major points (n+1, N) with moduli rho (n+1, N) and the
-    phases theta (N, n+1) as drawn, moved by the torus element
-    j(z) -> U j(z) V*, U = diag(e^(-i(theta_i0 - theta_00))),
-    V = diag(e^(i theta_0j)), with w turned by e^(-i theta_w): every
-    coordinate is the real rho except those of `_torus_phase_table`, which take
-    rho e^(i phi), phi = theta_ij - theta_i0 - theta_0j + theta_00.  Only those
-    rows pay for cos and sin, and theta is read only through the table (None
-    where it is empty), one whole row of its transpose at a time."""
-    pts = np.empty(rho.shape, dtype=complex)
-    pts.real = rho
-    pts.imag = 0.0
-    if len(table):
-        rows = theta.T
-        for k, i0, j0, c in table.tolist():
-            phi = rows[k] - rows[i0] - rows[j0] + rows[c]
-            pts.real[k] = rho[k] * np.cos(phi)
-            pts.imag[k] = rho[k] * np.sin(phi)
-    return pts
-
-
-def _dual_integrand(H: HartogsSpec, table: np.ndarray, t: np.ndarray,
-                    theta: np.ndarray | None = None) -> np.ndarray:
-    """det(Hess phi*) at the `_torus_reduced_points` of rho = t/(1-t), times
-    the importance weight (2 pi)^(n+1) prod rho/(1-t)^2, for rows of the draws
-    t and theta (N, n+1); theta is None where no phase survives.  t is
-    transposed once, so 1/(1-t), rho and the weight are formed on contiguous
-    coordinate rows and the product runs across them."""
-    t = np.ascontiguousarray(t.T)
-    inv = 1.0 / (1.0 - t)
-    rho = t * inv
-    weight = (2.0 * np.pi) ** len(t) * np.prod(rho * inv * inv, axis=0)
-    del inv  # not held while the determinant runs
-    return det_dual_hessian(H, _torus_reduced_points(table, rho, theta).T) * weight
-
-
-def mc_volume_dual(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """Dual volume int_{C^(n+1)} det(Hess phi*) dLeb by importance sampling.
-
-    Each complex coordinate is drawn through rho = t/(1-t), t uniform on [0,1),
-    and a phase theta uniform on [0, 2 pi), which bounds the weighted integrand
-    for all supported mu.  The integrand is invariant under the maximal torus
-    of the isotropy group, j(z) -> diag(e^(i alpha)) j(z) diag(e^(-i beta))
-    (Loos 1977; Faraut-Koranyi 1990), and depends on w only through |w|, so it
-    is evaluated at the drawn point moved by one such element
-    (`_torus_reduced_points`): cos and sin are taken of the (p-1)(q-1) phases
-    that survive on type-I and of none on the polydisc, in rank one or for w.
-    Where none survives, theta is not drawn at all: t is the chunk's first
-    draw, so its bits do not depend on it.
-    `volume` evaluates the integrand at reduced points only, so it cannot see
-    a slip that breaks this invariance; `equivariance` is the family that
-    would catch one.
-    """
-    m = H.domain.n + 1
-    table = _torus_phase_table(H.domain)
-    t_buf = np.empty((_CHUNK, m))
-    theta_buf = np.empty((_CHUNK, m)) if len(table) else None
-
-    def draw(rng: np.random.Generator, size: int) -> tuple:
-        # uniform() and uniform(0, 2 pi), bit for bit; theta only where a
-        # phase survives
-        t = t_buf[:size]
-        rng.random(out=t)
-        if theta_buf is None:
-            return (t,)
-        theta = theta_buf[:size]
-        rng.random(out=theta)
-        theta *= 2 * np.pi
-        return t, theta
-
-    return _mc_mean(samples, seed, draw, partial(_dual_integrand, H, table))
-
-
 def duality_gap(D: DomainSpec, mu: float) -> float:
     """g(mu) = F(mu)/F(0) - mu^n/(n+1); strictly decreasing in mu."""
     if not mu > 0:
@@ -351,20 +280,22 @@ def duality_gap(D: DomainSpec, mu: float) -> float:
 
 def duality_root(D: DomainSpec) -> float:
     """The unique positive solution of F(mu)/F(0) = mu^n/(n+1), by bisection
-    on [1e-12, (n+1)^(1/n) + 1].
+    on [1e-12, (n+1)^(1/n) + 1] until no float lies strictly inside the
+    bracket, so that the two volumes agree at the root to rounding.
 
     The bracket always changes sign: F(mu)/F(0) <= 1 < hi^n/(n+1) at the top,
     and the gap at 1e-12 is F(1e-12)/F(0) - 1e-12^n/(n+1) > 0.
     """
     lo = 1e-12
     hi = (D.n + 1.0) ** (1.0 / D.n) + 1.0
-    while hi - lo > _ROOT_TOL:
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         if duality_gap(D, mid) > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 class GennaioResult(NamedTuple):

@@ -8,8 +8,10 @@ the potential (`forms.hartogs_hessian`), entrywise and relative to the form's
 largest entry at each point, so the same tolerance holds at every mu, where
 the domain form's fiber entries grow like N^(-mu); both sides are exact to
 rounding, so the configured tolerance is the only slack.  No check takes a
-finite difference, so --fd-step reaches none of them.  Structural checks
-carry their own tolerances (documented per function).
+finite difference, so --fd-step reaches none of them.  volume, selberg and
+the duality family's volume identity evaluate exact quadratures
+(`measures`) and gate them at `QUADRATURE_TOL`.  Structural checks carry
+their own tolerances (documented per function).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from . import capacity, forms, hartogs, jtsys, measures
 
 # the genus fit runs on the closed-form Hessian, so it lands on the genus to rounding
 FIT_GENUS_TOL = 1e-9
+# the volume and Selberg quadratures are exact, so they land on their closed forms
+# to rounding
+QUADRATURE_TOL = 1e-12
 
 
 def _result(name: str, params: dict, worst: float, tol: float,
@@ -150,59 +155,54 @@ def check_det_formula(cfg) -> list[dict]:
 
 
 def check_volume(cfg) -> list[dict]:
-    """Flat volume against the analytic value (when one exists) and the
-    dual/flat ratio against the Gamma-product formula, both as z-scores."""
+    """The exact quadratures of both volumes (`measures`), in units of the
+    polar constant pi c: the flat volume against F(mu) = F(0) F(mu)/F(0) and
+    the dual/flat ratio against the Gamma-product formula, both relative at
+    `QUADRATURE_TOL`.  The Haar pairs and phases of the nodes come from the
+    seed."""
+    d = cfg.domain_spec
     out = []
     for mu in cfg.mu:
-        H = hartogs.make_hartogs(cfg.domain_spec, mu)
+        H = hartogs.make_hartogs(d, mu)
+        rng = np.random.default_rng(cfg.seed)
         started = time.perf_counter()
-        flat = measures.mc_volume_flat(H, cfg.samples, cfg.seed)
-        exact = measures.flat_volume_exact(H)
-        if exact is not None:
-            # zero hits, or all hits, give a zero binomial error: no z-score
-            z = (abs(flat.value - exact) / flat.standard_error
-                 if flat.standard_error > 0 else float("inf"))
-            out.append(_result("volume", {"mu": mu, "samples": cfg.samples,
-                                          "estimate": flat.value, "exact": exact,
-                                          "operation": "mc_volume_flat"},
-                               z, 3.0, None, started))
+        flat = measures.flat_volume_quadrature(H, rng)
+        # F(mu)/F(0) is a product of rational factors, exact at every mu
+        exact = measures.capital_f(d, 0.0) * measures.capital_f_ratio(d, mu)
+        out.append(_result("volume", {"mu": mu, "estimate": flat, "exact": exact,
+                                      "operation": "flat_volume_quadrature"},
+                           abs(flat - exact) / exact, QUADRATURE_TOL, None, started))
         started = time.perf_counter()
-        dual = measures.mc_volume_dual(H, cfg.samples, cfg.seed + 1)
+        dual = measures.dual_volume_quadrature(H, rng)
+        ratio = dual / flat if flat > 0 else float("inf")
         want = measures.dual_flat_ratio_formula(H)
-        if flat.value > 0:
-            ratio = dual.value / flat.value
-            se = ratio * np.hypot(dual.standard_error / dual.value,
-                                  flat.standard_error / flat.value)
-        else:  # no flat hit: the ratio is unbounded
-            ratio, se = float("inf"), 0.0
-        z = abs(ratio - want) / se if se > 0 else float("inf")
-        out.append(_result("volume", {"mu": mu, "samples": cfg.samples,
-                                      "ratio": ratio, "formula": want,
-                                      "operation": "mc_volume_dual"},
-                           z, 3.0, None, started))
+        out.append(_result("volume", {"mu": mu, "ratio": ratio, "formula": want,
+                                      "operation": "dual_volume_quadrature"},
+                           abs(ratio - want) / want, QUADRATURE_TOL, None, started))
     return out
 
 
 def check_selberg(cfg) -> list[dict]:
-    """Quadrature vs the Gamma product, relative error; tolerance 1e-6 in rank
-    one and 1e-3 otherwise."""
+    """The exact Gauss-Jacobi quadrature of F(s) against the Gamma product,
+    relative at `QUADRATURE_TOL`, for s in (0, 0.5, 1, 2.5).  In rank one the
+    rule is the Beta closed form itself (see `measures.selberg_quadrature`)."""
     d = cfg.domain_spec
-    tol = 1e-6 if d.r == 1 else 1e-3
     out = []
-    for s in (0.0, 1.0, 2.5):
+    for s in (0.0, 0.5, 1.0, 2.5):
         started = time.perf_counter()
-        quad = measures.selberg_quadrature_auto(d.r, d.a, d.b, s, rtol=tol / 10)
+        quad = measures.selberg_quadrature(d.r, d.a, d.b, s)
         closed = measures.capital_f(d, s)
-        rel = abs(quad - closed) / closed
         out.append(_result("selberg", {"s": s, "r": d.r, "a": d.a, "b": d.b,
                                        "operation": "selberg_quadrature"},
-                           rel, tol, None, started))
+                           abs(quad - closed) / closed, QUADRATURE_TOL, None, started))
     return out
 
 
 def check_duality(cfg) -> list[dict]:
     """Root of the duality equation: exactly 1 in rank one, inside (0,1)
-    otherwise; plus the rank-one equality case of the product bound."""
+    otherwise; the rank-one equality case of the product bound; and the
+    identity itself: the flat and dual quadrature volumes equal at the root,
+    relative at `QUADRATURE_TOL`."""
     d = cfg.domain_spec
     started = time.perf_counter()
     root = measures.duality_root(d)
@@ -217,10 +217,20 @@ def check_duality(cfg) -> list[dict]:
     gen = measures.gennaio_check(d)
     want_equality = d.r == 1
     ok = gen.passed and gen.equality == want_equality
-    return [res, _result("duality", {"operation": "gennaio_check",
-                                     "value": gen.value, "bound": gen.bound,
-                                     "equality": gen.equality},
-                         0.0 if ok else 1.0, 0.5, None, started)]
+    out = [res, _result("duality", {"operation": "gennaio_check",
+                                    "value": gen.value, "bound": gen.bound,
+                                    "equality": gen.equality},
+                        0.0 if ok else 1.0, 0.5, None, started)]
+    started = time.perf_counter()
+    H = hartogs.make_hartogs(d, root)
+    rng = np.random.default_rng(cfg.seed)
+    flat = measures.flat_volume_quadrature(H, rng)
+    dual = measures.dual_volume_quadrature(H, rng)
+    out.append(_result("duality", {"operation": "volume_identity", "root": root,
+                                   "flat": flat, "dual": dual},
+                       abs(dual - flat) / flat if flat > 0 else float("inf"),
+                       QUADRATURE_TOL, None, started))
+    return out
 
 
 def check_capacity(cfg) -> list[dict]:

@@ -13,11 +13,7 @@ The file also holds routes that the library does not need: the interleaved
 real coordinates themselves, the Jordan triple product and the Bergman
 operator, the rank inequality behind the flat capacity ball, the spectral
 decomposition over orthogonal tripotents (behind the tests' own spectral
-inverses of Psi and Phi), the symmetrized Selberg quadrature, the
-whole-chunk Monte Carlo volumes (the integrand evaluated on every row of a
-chunk at once, the reference for the library's blocked estimator), and the
-full-phase dual volume: the same draws with cos and sin of every phase taken,
-the route the library's torus-reduced integrand is held to.  The
+inverses of Psi and Phi) and the symmetrized Selberg quadrature.  The
 operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 `jtsys.jordan_frame`: it takes A^(-1/4) J C^(-1/4) from two separate
 eigendecompositions where the frame uses one, and with the generic norm
@@ -41,12 +37,9 @@ import numpy as np
 
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
-from cartanhartogs.forms import det_dual_hessian
-from cartanhartogs.hartogs import (HartogsSpec, ch_member_vec, fiber_ratios, potential_field,
-                                   split_vec)
+from cartanhartogs.hartogs import HartogsSpec, fiber_ratios, potential_field, split_vec
 from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
                                  singular_values)
-from cartanhartogs.measures import _CHUNK, MCEstimate, _dual_integrand, _torus_phase_table
 
 DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
@@ -390,77 +383,3 @@ def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,
         for k in range(j + 1, r):
             integrand = integrand * (grids[j] ** 2 - grids[k] ** 2) ** a
     return float(np.sum(integrand)) / math.factorial(r)
-
-
-def _mc_mean_whole_chunk(samples: int, seed: int, draw) -> MCEstimate:
-    """Mean and standard error of the values draw(rng, size), drawn and
-    evaluated in whole chunks of at most `_CHUNK` rows, chunk k from a
-    generator keyed by (seed, k); chunk sums are added compensated."""
-    samples = int(samples)
-    sums, sqsums = [], []
-    for index, start in enumerate(range(0, samples, _CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
-        vals = draw(rng, min(_CHUNK, samples - start))
-        sums.append(float(np.sum(vals)))
-        sqsums.append(float(np.sum(vals**2)))
-    mean = math.fsum(sums) / samples
-    var = max(math.fsum(sqsums) / samples - mean * mean, 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples)
-
-
-def mc_volume_flat_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """`measures.mc_volume_flat` with each chunk's hit test on all its rows,
-    and w = sqrt(u) e^(i theta) with its phase drawn and taken."""
-    d = H.domain
-    box = 4.0 ** d.n * math.pi
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        pts = np.empty((size, d.n + 1), dtype=complex)
-        pts.real[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
-        pts.imag[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, d.n))
-        radius = np.sqrt(rng.uniform(size=size))
-        theta = rng.uniform(0, 2 * np.pi, size=size)
-        pts.real[:, -1] = radius * np.cos(theta)
-        pts.imag[:, -1] = radius * np.sin(theta)
-        return box * ch_member_vec(H, pts)
-
-    return _mc_mean_whole_chunk(samples, seed, draw)
-
-
-def mc_volume_dual_whole_chunk(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """`measures.mc_volume_dual` with each chunk's integrand on all its rows,
-    and theta drawn after t on every domain, also where the library draws
-    none because no phase survives the torus."""
-    m = H.domain.n + 1
-    table = _torus_phase_table(H.domain)
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        t = rng.uniform(size=(size, m))
-        theta = rng.uniform(0, 2 * np.pi, size=(size, m))
-        return _dual_integrand(H, table, t, theta)
-
-    return _mc_mean_whole_chunk(samples, seed, draw)
-
-
-def full_phase_points(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The packed points rho e^(i theta), every phase taken."""
-    pts = np.empty(rho.shape, dtype=complex)
-    pts.real = rho * np.cos(theta)
-    pts.imag = rho * np.sin(theta)
-    return pts
-
-
-def mc_volume_dual_full_phase(H: HartogsSpec, samples: int, seed: int) -> MCEstimate:
-    """The dual volume from the same draws as `measures.mc_volume_dual`, with
-    the integrand at the drawn points themselves, cos and sin of every phase
-    taken (no torus element applied), in whole chunks."""
-    m = H.domain.n + 1
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        t = rng.uniform(size=(size, m))
-        theta = rng.uniform(0, 2 * np.pi, size=(size, m))
-        pts = full_phase_points(t / (1.0 - t), theta)
-        weight = np.prod(2.0 * np.pi * t / (1.0 - t) ** 3, axis=-1)
-        return det_dual_hessian(H, pts) * weight
-
-    return _mc_mean_whole_chunk(samples, seed, draw)

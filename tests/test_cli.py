@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
-from cartanhartogs import capacity, cli, hartogs
+from cartanhartogs import capacity, cli, hartogs, measures
 
 
 def _run(args, env=None):
@@ -47,13 +47,14 @@ def test_report_schema():
 
 
 def test_volume_example():
-    res = _run(["volume", "--domain", "polydisc", "--n", "1", "--mu", "1",
-                "--samples", "1e5", "--seed", "7"])
+    res = _run(["volume", "--domain", "polydisc", "--n", "1", "--mu", "1", "--seed", "7"])
     assert res.exit_code == 0
     report = json.loads(res.output)
     flat = report["checks"][0]["parameters"]
-    assert flat["samples"] == 100_000
-    assert abs(flat["estimate"] - np.pi**2 / 2) < 0.1
+    assert flat["operation"] == "flat_volume_quadrature"
+    # the estimate is vol(M) / (pi c), c = 2 pi on the unit disc
+    npt.assert_allclose(2 * np.pi**2 * flat["estimate"], np.pi**2 / 2, rtol=1e-12)
+    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
 
 
 def test_failing_check_exits_one(tmp_path):
@@ -91,14 +92,15 @@ def test_usage_errors_exit_two(tmp_path):
     ["selberg", "--domain", "polydisc", "--n", "1", "--tol", "nan"],
     ["darboux", "--domain", "polydisc", "--n", "1", "--fd-step", "nan"],
     ["volume", "--domain", "polydisc", "--n", "1", "--samples", "inf"],
-    ["selberg", "--domain", "type-I", "--p", "4", "--q", "4"],
-    ["all", "--domain", "type-I", "--p", "4", "--q", "4"],
+    ["selberg", "--domain", "type-I", "--p", "4", "--q", "4", "--mu", "0"],
+    ["all", "--domain", "type-I", "--p", "4", "--q", "4", "--mu", "1e19"],
 ], ids=["polydisc-n0", "type-I-p0", "chn-n0", "mu-nan", "mu-inf", "selberg-mu-inf",
         "selberg-tol-nan", "fd-step-nan", "samples-inf", "selberg-rank4", "all-rank4"])
 def test_out_of_range_inputs_exit_two(args):
     # out-of-range dimensions and non-finite numbers are usage errors, not
     # tracebacks, silent passes or (mu = inf: N^mu = 0) a sampler that never ends;
-    # so is a base rank the selberg quadrature does not cover
+    # a rank-4 base runs, but not at mu = 0, nor (all takes volume) at
+    # mu^16 = 1e304
     res = _run(args)
     assert res.exit_code == 2
     assert "Error:" in res.output
@@ -112,7 +114,9 @@ def test_volume_rejects_mu_power_past_the_float_range(args):
     res = _run(["volume", "--domain", "polydisc", *args, "--samples", "1000"])
     assert res.exit_code == 2
     assert "volume supports mu^n <= 1e300" in res.output
-    # mu^n = 1e300 still runs and reports (no flat hit: fail)
+    # mu^n = 1e300 still runs and reports; it fails: log N at the flat nodes
+    # (1 - 1e-300 rounds to 1) is 0 while mu log N is -1, so the fiber probe
+    # just outside N^mu lands inside M
     res = _run(["volume", "--domain", "polydisc", "--n", "1", "--mu", "1e300",
                 "--samples", "1000"])
     assert res.exit_code == 1
@@ -165,7 +169,7 @@ def test_csv_output():
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert lines[0].startswith("name,status,worst_residual")
-    assert len(lines) == 4  # header + s in {0, 1, 2.5}
+    assert len(lines) == 5  # header + s in {0, 0.5, 1, 2.5}
     assert all(line.split(",")[1] == "pass" for line in lines[1:])
 
 
@@ -177,8 +181,8 @@ def test_all_with_jobs_matches_serial(tmp_path):
     serial = _strip_times(_run(["all", "--config", str(cfg)]).output)
     parallel = _strip_times(_run(["all", "--config", str(cfg),
                                   "--jobs", "3"]).output)
-    # duality yields 2 results, selberg 3, capacity 2 (flat + dual at mu = 1)
-    assert json.loads(serial)["summary"]["total"] == 7
+    # duality yields 3 results, selberg 4, capacity 2 (flat + dual at mu = 1)
+    assert json.loads(serial)["summary"]["total"] == 9
     # jobs is echoed in the config, so compare checks and summary only
     sa, pa = json.loads(serial), json.loads(parallel)
     assert sa["checks"] == pa["checks"]
@@ -304,20 +308,46 @@ def test_fd_step_is_accepted_but_unread():
     assert strip(plain) == strip(stepped)
 
 
-@pytest.mark.parametrize("args, operations", [
-    (["--domain", "type-I", "--p", "3", "--q", "3", "--mu", "1", "--samples", "2000"],
-     ["mc_volume_dual"]),
-    (["--domain", "polydisc", "--n", "1", "--mu", "1", "--samples", "1"],
-     ["mc_volume_flat", "mc_volume_dual"]),
-], ids=["no-flat-hit", "one-sample"])
-def test_volume_zero_error_reports_fail(args, operations):
-    # no flat hit on the rank-3 domain, or a single sample, leaves a zero
-    # standard error and no z-score: the check must fail in the report, not raise
-    res = _run(["volume"] + args)
+def test_volume_with_no_member_node_reports_fail(monkeypatch):
+    # a membership test that rejects every fiber probe zeroes the flat
+    # quadrature; the ratio is then unbounded, and both entries fail in the
+    # report instead of raising
+    monkeypatch.setattr(measures, "ch_member_vec",
+                        lambda H, pts: np.zeros(len(pts), dtype=bool))
+    res = _run(["volume", "--domain", "type-I", "--p", "2", "--q", "2"])
     assert res.exit_code == 1
-    report = json.loads(res.output)
-    assert [c["parameters"]["operation"] for c in report["checks"]] == operations
-    for check in report["checks"]:
-        assert check["status"] == "fail"
-        assert check["worst_residual"] == float("inf")
-    assert report["checks"][-1]["parameters"]["ratio"] > 0
+    checks = json.loads(res.output)["checks"]
+    assert [c["parameters"]["operation"] for c in checks] == ["flat_volume_quadrature",
+                                                              "dual_volume_quadrature"]
+    assert [c["status"] for c in checks] == ["fail", "fail"]
+    assert checks[0]["parameters"]["estimate"] == 0.0
+    assert checks[1]["parameters"]["ratio"] == float("inf")
+
+
+def test_selberg_runs_at_rank_four(tmp_path):
+    # the exact rule covers every rank: rank 4 is no longer a usage error
+    out = tmp_path / "report.json"
+    res = _run(["selberg", "--domain", "type-I", "--p", "4", "--q", "4", "--output", str(out)])
+    assert res.exit_code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 4 and all(c["status"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("shape", [("3", "3"), ("2", "4")], ids=["type-I(3,3)", "type-I(2,4)"])
+def test_all_passes_on_rank_three_bases(shape):
+    res = _run(["all", "--domain", "type-I", "--p", shape[0], "--q", shape[1],
+                "--mu", "0.5", "--mu", "1", "--mu", "2", "--points", "20", "--samples", "2000"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["summary"]["failed"] == 0
+
+
+def test_volume_at_mu_100_writes_a_report(tmp_path):
+    # both quadratures run at mu = 1e2 without a warning or traceback, and
+    # pass there (ratio error 7.6e-14); from mu ~ 1e3 the determinant
+    # underflows at the dual nodes
+    out = tmp_path / "report.json"
+    res = _run(["volume", "--domain", "type-I", "--p", "2", "--q", "2", "--mu", "100",
+                "--output", str(out)])
+    assert res.exit_code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 2 and all(np.isfinite(c["worst_residual"]) for c in checks)

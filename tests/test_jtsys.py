@@ -279,8 +279,7 @@ def test_sylvester_early_out_is_exact(name):
     rng = np.random.default_rng(33)
     z = np.concatenate([_box_draws(d, rng, 8192), 0.4 * _box_draws(d, rng, 512),
                         _edge_rows(d, rng)])
-    with np.errstate(invalid="ignore"):  # the full kernel meets 0 * inf on the inf rows
-        pivots = jtsys.gram_pivots(d, z, 1)
+    pivots = jtsys.gram_pivots(d, z, 1)
     positive = np.all(pivots > 0, axis=-1)
     want = np.full(len(z), -np.inf)
     want[positive] = np.log(np.prod(pivots[positive], axis=-1))
@@ -290,6 +289,29 @@ def test_sylvester_early_out_is_exact(name):
     # the edge rows: a row of norm 1 or with a NaN or an inf is out of Omega
     edge = positive[-4 * d.r:].reshape(d.r, 4)
     assert not np.any(edge[:, [0, 2, 3]])
+
+
+@pytest.mark.parametrize("name", list(EARLY_OUT_DOMAINS))
+def test_an_inf_entry_gives_an_infinite_log_norm(name):
+    # N(z, -zbar) = det(I + j(z) j(z)*) is +inf at a point with an infinite
+    # entry, and the point is not in Omega: no 0 * inf in the Schur updates,
+    # so no RuntimeWarning (pytest makes one an error), and the finite points
+    # of the same batch keep their bits
+    d = jtsys.make_domain(**EARLY_OUT_DOMAINS[name])
+    rng = np.random.default_rng(35)
+    finite = 0.5 * _box_draws(d, rng, 2 * d.n)
+    bad = finite.copy()
+    bad[np.arange(d.n), np.arange(d.n)] = np.inf
+    bad[d.n + np.arange(d.n), np.arange(d.n)] = complex(0.0, -np.inf)
+    z = np.concatenate([finite, bad])
+    npt.assert_array_equal(jtsys.log_norm(d, z, -1)[len(finite):], np.inf)
+    npt.assert_array_equal(jtsys.log_norm(d, z, 1)[len(finite):], -np.inf)
+    assert not np.any(jtsys.membership(d, bad))
+    for sign in (1, -1):
+        npt.assert_array_equal(jtsys.log_norm(d, z, sign)[:len(finite)],
+                               jtsys.log_norm(d, finite, sign))
+        npt.assert_array_equal(jtsys.gram_pivots(d, z, sign)[:len(finite)],
+                               jtsys.gram_pivots(d, finite, sign))
 
 
 def test_sylvester_early_out_skips_most_box_rows(monkeypatch):

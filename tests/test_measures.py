@@ -7,12 +7,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cartanhartogs import cli, hartogs, jtsys, measures, verify
-from cartanhartogs.errors import ConvergenceError, DomainError
+from cartanhartogs import cli, forms, hartogs, jtsys, measures, verify
+from cartanhartogs.errors import DomainError
 from cartanhartogs.forms import det_dual_hessian
-from reference import (full_phase_points, mc_volume_dual_full_phase,
-                       mc_volume_dual_whole_chunk, mc_volume_flat_whole_chunk,
-                       selberg_quadrature_symmetrized)
+from conftest import GRID_AND_T33
+from reference import selberg_quadrature_symmetrized
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
 POLY2 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
@@ -93,30 +92,56 @@ def test_gamma_ratios_hold_at_huge_mu():
 
 def test_selberg_quadrature_rank_one():
     for d, s in ((POLY1, 0.0), (POLY1, 2.5), (CH2, 1.0)):
-        quad = measures.selberg_quadrature(d.r, d.a, d.b, s, resolution=80)
-        npt.assert_allclose(quad, measures.capital_f(d, s), rtol=1e-9)
+        quad = measures.selberg_quadrature(d.r, d.a, d.b, s)
+        npt.assert_allclose(quad, measures.capital_f(d, s), rtol=1e-13)
 
 
 def test_selberg_quadrature_rank_two():
-    quad = measures.selberg_quadrature(2, 2, 0, 0.0, resolution=120)
-    npt.assert_allclose(quad, 1.0 / 48.0, rtol=1e-4)
+    quad = measures.selberg_quadrature(2, 2, 0, 0.0)
+    npt.assert_allclose(quad, 1.0 / 48.0, rtol=1e-13)
 
 
 def test_selberg_symmetrized_agrees():
-    ordered = measures.selberg_quadrature(2, 2, 1, 1.0, resolution=90)
+    # the exact rule against the Gauss-Legendre reference on the full square
+    exact = measures.selberg_quadrature(2, 2, 1, 1.0)
     symmetrized = selberg_quadrature_symmetrized(2, 2, 1, 1.0, resolution=90)
-    npt.assert_allclose(symmetrized, ordered, rtol=1e-3)
+    npt.assert_allclose(symmetrized, exact, rtol=1e-3)
 
 
-def test_selberg_auto_converges(monkeypatch):
-    val = measures.selberg_quadrature_auto(2, 2, 0, 0.0, rtol=1e-5)
-    npt.assert_allclose(val, 1.0 / 48.0, rtol=1e-4)
-    monkeypatch.setattr(measures, "_QUAD_START", 8)
-    monkeypatch.setattr(measures, "_QUAD_MAX_RESOLUTION", 16)
-    with pytest.raises(ConvergenceError):
-        # fractional s keeps the integrand non-polynomial, so this tiny
-        # resolution budget cannot reach 1e-13
-        measures.selberg_quadrature_auto(2, 2, 0, 2.5, rtol=1e-13)
+def test_selberg_auto_converges():
+    # the rule has converged at its node count: one node more per axis
+    # changes F(s) by rounding only, at integer and fractional s, up to rank 4
+    for r, a, b in ((2, 2, 0), (2, 2, 1), (3, 2, 0), (4, 2, 0), (3, 0, 0)):
+        m = a * (r - 1) // 2 + 1
+        for s in (0.0, 1e-8, 0.5, 2.5):
+            more = np.sum(measures._polar_rule(*measures._gauss_jacobi01(m + 1, s, b), r, a)[1])
+            rule = measures.selberg_quadrature(r, a, b, s)
+            npt.assert_allclose(more, rule, rtol=1e-13)
+            npt.assert_allclose(rule, math.exp(measures.log_capital_f(r, a, b, s)), rtol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-8, 0.5, 2.5, 1e2])
+@pytest.mark.parametrize("b", [0, 1, 3])
+def test_gauss_jacobi_rule_is_exact(alpha, b):
+    # m nodes integrate x^k (1-x)^alpha x^b exactly for k <= 2m - 1: the
+    # moments are B(alpha+1, b+k+1), a product of rational factors
+    for m in (1, 2, 4):
+        nodes, weights = measures._gauss_jacobi01(m, alpha, b)
+        assert np.all((0 < nodes) & (nodes < 1)) and np.all(weights > 0)
+        for k in range(2 * m):
+            want = math.prod(i / (alpha + 1 + i) for i in range(1, b + k + 1)) / (alpha + 1)
+            npt.assert_allclose(np.sum(weights * nodes**k), want, rtol=1e-13)
+
+
+def test_quadratures_stay_finite_at_huge_mu():
+    # the Jacobi rule takes no difference and no power of mu, so at mu = 1e300
+    # its nodes stay in (0, 1) and its mass is b!/((mu+1) ... (mu+b+1))
+    nodes, weights = measures._gauss_jacobi01(3, 1e300, 2)
+    assert np.all((0 < nodes) & (nodes < 1e-290))
+    npt.assert_allclose(np.sum(weights), 2.0 / (1e300 + 1) / (1e300 + 2) / (1e300 + 3),
+                        rtol=1e-13)
+    npt.assert_allclose(measures.selberg_quadrature(1, 2, 0, 1e300), 0.5 / (1e300 + 1),
+                        rtol=1e-13)
 
 
 def test_flat_volume_exact_oracles():
@@ -132,77 +157,264 @@ def test_flat_volume_exact_oracles():
     assert measures.flat_volume_exact(hartogs.make_hartogs(T22, 1.0)) is None
 
 
+# the grid, type-I(3,3) and the larger rank-3 and rank-4 bases
+QUADRATURE_DOMAINS = {**GRID_AND_T33, "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4),
+                      "type-I(4,4)": dict(kind=jtsys.KIND_TYPE_I, p=4, q=4)}
+
+
+def _polar_constant(d):
+    """c = vol(Omega) / F(0), with vol(Omega) = pi^n on the polydisc and
+    pi^n / n! on the ball, so that vol(M) = pi c F(mu)."""
+    vol = math.pi ** d.n if d.kind == jtsys.KIND_POLYDISC else math.pi ** d.n / math.factorial(d.n)
+    return vol / measures.capital_f(d, 0.0)
+
+
+@pytest.mark.parametrize("mu", [1e-8, 0.5, 1.0, 2.0, 1e2])
+def test_flat_volume_quadrature_matches_exact(mu):
+    # on the polydisc and in rank one, pi c times the quadrature is the
+    # analytic volume, formed from rational factors without log-Gamma
+    for d in (POLY1, POLY2, jtsys.make_domain(jtsys.KIND_POLYDISC, n=3),
+              jtsys.make_domain(jtsys.KIND_CHN, n=1), CH2, jtsys.make_domain(jtsys.KIND_CHN, n=3)):
+        H = hartogs.make_hartogs(d, mu)
+        flat = measures.flat_volume_quadrature(H, np.random.default_rng(7))
+        npt.assert_allclose(math.pi * _polar_constant(d) * flat,
+                            measures.flat_volume_exact(H), rtol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [1e-8, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", list(QUADRATURE_DOMAINS))
+def test_volume_quadratures_match_the_closed_forms(name, mu):
+    # flat: F(mu); dual: F(0) mu^n / (n+1), both over pi c
+    d = jtsys.make_domain(**QUADRATURE_DOMAINS[name])
+    H = hartogs.make_hartogs(d, mu)
+    rng = np.random.default_rng(11)
+    f0 = measures.capital_f(d, 0.0)
+    npt.assert_allclose(measures.flat_volume_quadrature(H, rng),
+                        f0 * measures.capital_f_ratio(d, mu), rtol=1e-12)
+    npt.assert_allclose(measures.dual_volume_quadrature(H, rng),
+                        f0 * mu ** d.n / (d.n + 1), rtol=1e-12)
+
+
 def test_mc_volume_flat_matches_exact():
-    H = hartogs.make_hartogs(POLY1, 1.0)
-    est = measures.mc_volume_flat(H, 400_000, seed=7)
-    assert abs(est.value - np.pi**2 / 2) < 3 * est.standard_error
-    assert est.standard_error < 0.02
+    # the volume family's flat entry on the unit disc at mu = 1: pi c times
+    # its estimate is the analytic volume pi^2 / 2
+    cfg = cli.RunConfig(kind=jtsys.KIND_POLYDISC, n=1, mu=(1.0,), checks=("volume",), seed=7)
+    flat = verify.check_volume(cfg)[0]
+    assert flat["status"] == "pass"
+    assert flat["parameters"]["operation"] == "flat_volume_quadrature"
+    npt.assert_allclose(math.pi * _polar_constant(POLY1) * flat["parameters"]["estimate"],
+                        math.pi**2 / 2, rtol=1e-12)
 
 
 def test_mc_volume_deterministic():
-    H = hartogs.make_hartogs(POLY2, 0.5)
-    a = measures.mc_volume_flat(H, 150_000, seed=3)
-    b = measures.mc_volume_flat(H, 150_000, seed=3)
-    assert a.value == b.value and a.standard_error == b.standard_error
-    c = measures.mc_volume_flat(H, 150_000, seed=4)
-    assert c.value != a.value
+    # the volume family draws its rotations and phases from the seed: a
+    # report repeats bit for bit, another seed moves it by rounding only
+    def run(seed):
+        cfg = cli.RunConfig(kind=jtsys.KIND_TYPE_I, p=2, q=2, mu=(0.5, 2.0),
+                            checks=("volume",), seed=seed)
+        return [c["parameters"] for c in verify.check_volume(cfg)]
+
+    a, b, c = run(3), run(3), run(4)
+    assert a == b
+    for x, y in zip(a, c):
+        key = "estimate" if "estimate" in x else "ratio"
+        npt.assert_allclose(y[key], x[key], rtol=1e-13)
 
 
-def test_mc_volume_flat_error_is_the_binomial_error():
-    # the sample SD of box * 1{hit} over N draws is box sqrt(p (1 - p) / N)
-    H = hartogs.make_hartogs(POLY2, 0.5)
-    est = measures.mc_volume_flat(H, 150_000, seed=3)
-    box = 16.0 * math.pi
-    p = est.value / box
-    assert 0.1 < p < 0.9
-    npt.assert_allclose(est.standard_error, box * math.sqrt(p * (1 - p) / est.samples),
-                        rtol=1e-12)
+def test_mc_volume_dual_matches_formula():
+    # the dual/flat quotient of the two quadratures is the Gamma-product
+    # formula mu^n F(0) / ((n+1) F(mu)), at the self-dual point of the disc
+    # and off it
+    for d, mu in ((POLY1, 1.0), (CH2, 0.5), (T22, 2.0), (T33, 1.0)):
+        H = hartogs.make_hartogs(d, mu)
+        rng = np.random.default_rng(12)
+        ratio = measures.dual_volume_quadrature(H, rng) / measures.flat_volume_quadrature(H, rng)
+        npt.assert_allclose(ratio, measures.dual_flat_ratio_formula(H), rtol=1e-12)
 
 
-@pytest.mark.parametrize("estimator", [measures.mc_volume_flat, measures.mc_volume_dual])
-def test_monte_carlo_rejects_no_samples(estimator):
-    H = hartogs.make_hartogs(POLY2, 1.0)
-    for samples in (0, -5):
-        with pytest.raises(DomainError):
-            estimator(H, samples, 0)
+@pytest.mark.parametrize("domain", [POLY2, T22, T33], ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)"])
+def test_volume_quadratures_repeat_at_a_seed(domain):
+    # the Haar pairs and phases come from the generator: the same seed gives
+    # the same bits, another seed other rotations of the same nodes
+    H = hartogs.make_hartogs(domain, 0.5)
+
+    def both(seed):
+        rng = np.random.default_rng(seed)
+        return measures.flat_volume_quadrature(H, rng), measures.dual_volume_quadrature(H, rng)
+
+    assert both(3) == both(3)
+    npt.assert_allclose(both(4), both(3), rtol=1e-13)
+
+
+TORUS_DOMAINS = {
+    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
+    "type-I(1,3)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=3),
+    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+}
+
+
+@pytest.mark.parametrize("name", list(TORUS_DOMAINS))
+def test_torus_reduced_point_is_an_isotropy_image(name):
+    # each quadrature node is its torus-reduced point, the real frame point
+    # sum_j sqrt(x_j) e_j, moved by a Haar isotropy pair of its own: the
+    # spectral values stay sqrt(x), and equal x give different points
+    d = jtsys.make_domain(**TORUS_DOMAINS[name])
+    x = np.random.default_rng(4).random((300, d.r))
+    x[1] = x[0]
+    z = measures._rotated_frame_points(d, x, np.random.default_rng(5))
+    pairs = jtsys.random_isotropy(d, np.random.default_rng(5), len(x))
+    npt.assert_array_equal(z, jtsys.isotropy_apply(d, pairs, jtsys.frame_point(d, np.sqrt(x))))
+    npt.assert_allclose(np.sort(jtsys.singular_values(d, z), axis=1),
+                        np.sort(np.sqrt(x), axis=1), rtol=1e-13)
+    assert np.max(np.abs(z[0] - z[1])) > 0.1
+
+
+class _NoPhase:
+    """A generator stand-in whose phases are all 0: w real and positive."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("domain", [POLY2, T22, T33, jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=4)],
+                         ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)", "type-I(2,4)"])
+def test_torus_reduction_keeps_the_dual_estimate(monkeypatch, domain):
+    # both quadratures give the same values, to rounding, at the rotated
+    # nodes and at their torus-reduced points with w real: the integrands
+    # are K-invariant and circular in w (moved by at most 3.1e-15 relative
+    # over these domains at mu 0.5, 1, 2)
+    hs = [hartogs.make_hartogs(domain, mu) for mu in (0.5, 1.0, 2.0)]
+
+    def both(H, rng):
+        return measures.flat_volume_quadrature(H, rng), measures.dual_volume_quadrature(H, rng)
+
+    rotated = [both(H, np.random.default_rng(6)) for H in hs]
+    monkeypatch.setattr(measures, "_rotated_frame_points",
+                        lambda D, x, rng: jtsys.frame_point(D, np.sqrt(x)))
+    reduced = [both(H, _NoPhase()) for H in hs]
+    npt.assert_allclose(reduced, rotated, rtol=2e-14)
 
 
 @pytest.mark.parametrize("domain", [POLY2, T22, T33], ids=["polydisc-2", "type-I(2,2)",
                                                            "type-I(3,3)"])
 def test_blocking_changes_no_draw(domain):
-    # the blocked estimator draws each chunk as the whole-chunk reference
-    # does; the flat hits are the same bits as the reference's, which still
-    # takes the phase of w; the dual estimate too, although the reference
-    # draws theta after t where the library draws none (polydisc-2), so
-    # skipping that draw leaves t as it was
+    # each node draws its Haar pair in turn from the generator, so rotating
+    # the nodes in blocks gives the same points, bit for bit, as all at once
+    x = np.random.default_rng(1).random((50, domain.r))
+    whole = measures._rotated_frame_points(domain, x, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    blocks = [measures._rotated_frame_points(domain, x[lo:lo + 7], rng) for lo in range(0, 50, 7)]
+    npt.assert_array_equal(np.concatenate(blocks), whole)
+
+
+# the ids are the names of the Monte Carlo estimators these rules replaced
+@pytest.mark.parametrize("estimator", [measures.flat_volume_quadrature,
+                                       measures.dual_volume_quadrature],
+                         ids=["mc_volume_flat", "mc_volume_dual"])
+def test_monte_carlo_memory_is_bounded(estimator):
+    # the tensor rules run over sorted node tuples: on type-I(4,4), the
+    # largest base, the temporaries stay under 1 MiB (about 0.1 MiB)
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=4, q=4), 1.0)
+    tracemalloc.start()
+    try:
+        estimator(H, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def test_monte_carlo_takes_no_lapack_call(monkeypatch):
+    # the hit test and both volume quadratures run with numpy.linalg's svd,
+    # det and eigvalsh refusing, and give the values they gave before; eigh
+    # runs once, on the flat side's 2x2 Golub-Welsch matrix, never per node
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.0)
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.6, 0.6, size=(2000, 7)) + 1j * rng.uniform(-0.6, 0.6, size=(2000, 7))
+
+    def run():
+        return (hartogs.ch_member_vec(H, pts),
+                measures.flat_volume_quadrature(H, np.random.default_rng(3)),
+                measures.dual_volume_quadrature(H, np.random.default_rng(3)))
+
+    want = run()
+    assert 0 < np.sum(want[0]) < len(pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-point LAPACK call on the volume path")
+
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    for name in ("svd", "det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = run()
+    npt.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    assert shapes == [(2, 2)]
+
+
+@pytest.mark.parametrize("domain", [POLY2, T22, T33], ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)"])
+def test_monte_carlo_takes_no_einsum_or_logaddexp(monkeypatch, domain):
+    # the hit test and both volume quadratures run with np.einsum and
+    # np.logaddexp refusing, and give the values they gave before
     H = hartogs.make_hartogs(domain, 1.0)
-    for samples in (1, measures._BLOCK - 1, measures._BLOCK + 1, measures._CHUNK + 1):
-        assert (measures.mc_volume_flat(H, samples, 5)
-                == mc_volume_flat_whole_chunk(H, samples, 5))
-        assert (measures.mc_volume_dual(H, samples, 6)
-                == mc_volume_dual_whole_chunk(H, samples, 6))
+    rng = np.random.default_rng(8)
+    shape = (2000, domain.n + 1)
+    pts = rng.uniform(-0.6, 0.6, size=shape) + 1j * rng.uniform(-0.6, 0.6, size=shape)
+
+    def run():
+        return (hartogs.ch_member_vec(H, pts),
+                measures.flat_volume_quadrature(H, np.random.default_rng(3)),
+                measures.dual_volume_quadrature(H, np.random.default_rng(3)))
+
+    want = run()
+    assert 0 < np.sum(want[0]) < len(pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar-loop route on the volume path")
+
+    for name in ("einsum", "logaddexp"):
+        monkeypatch.setattr(np, name, refuse)
+    got = run()
+    npt.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
 
 
-@pytest.mark.parametrize("domain, calls", [(POLY2, 1), (CH2, 1), (T22, 2), (T33, 2)],
-                         ids=["polydisc-2", "chn-2", "type-I(2,2)", "type-I(3,3)"])
-def test_dual_draws_theta_only_where_a_phase_survives(monkeypatch, domain, calls):
-    # one generator call per chunk (t) where no phase survives the torus,
-    # two (t, then theta) on type-I of rank >= 2
-    made = []
+SLIPS = {
+    # the dual Hessian determinant off by a factor 1 + 1e-8
+    "det_dual_hessian": lambda mp: mp.setattr(
+        measures, "det_dual_hessian",
+        lambda H, pts, f=forms.det_dual_hessian: f(H, pts) * (1 + 1e-8)),
+    # log N off by a factor 1 + 1e-8, at every binding of log_norm
+    "log_norm": lambda mp: [mp.setattr(mod, "log_norm",
+                                       lambda D, z, sign, f=jtsys.log_norm: f(D, z, sign) * (1 + 1e-8))
+                            for mod in (jtsys, hartogs, forms, measures)],
+    # the fiber boundary of M moved out by 1e-6 in 2 log|w| - mu log N
+    "ch_member_vec": lambda mp: mp.setattr(
+        measures, "ch_member_vec",
+        lambda H, pts: (2.0 * np.log(np.abs(pts[..., -1]))
+                        < H.mu * jtsys.log_norm(H.domain, pts[..., :-1], 1) + 1e-6)),
+}
 
-    class Counting:
-        def __init__(self, rng):
-            self.rng, self.calls = rng, 0
-            made.append(self)
 
-        def random(self, *args, **kwargs):
-            self.calls += 1
-            return self.rng.random(*args, **kwargs)
-
-    rng_of = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *args: Counting(rng_of(*args)))
-    measures.mc_volume_dual(hartogs.make_hartogs(domain, 1.0), measures._CHUNK + 1, 0)
-    assert [c.calls for c in made] == [calls, calls]
+@pytest.mark.parametrize("slip", list(SLIPS))
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+def test_volume_fails_on_a_slip(monkeypatch, name, slip):
+    # each slip fails a volume entry at every mu on the grid and type-I(3,3)
+    cfg = cli.RunConfig(mu=(0.5, 1.0, 2.0), checks=("volume",), **GRID_AND_T33[name])
+    assert all(c["status"] == "pass" for c in verify.check_volume(cfg))
+    SLIPS[slip](monkeypatch)
+    entries = verify.check_volume(cfg)
+    for mu in cfg.mu:
+        assert any(c["status"] == "fail" for c in entries if c["parameters"]["mu"] == mu)
 
 
 def test_gauss_legendre_nodes_are_cached_read_only():
@@ -216,21 +428,20 @@ def test_gauss_legendre_nodes_are_cached_read_only():
     npt.assert_array_equal(first[1], 0.5 * want_weights)
 
 
-TORUS_DOMAINS = {
+LAYOUT_DOMAINS = {
     "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
     "type-I(1,3)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=3),
     "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
     "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
     "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+    "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4),
 }
-LAYOUT_DOMAINS = {**TORUS_DOMAINS, "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4)}
 
 
 @pytest.mark.parametrize("name", list(LAYOUT_DOMAINS))
 def test_kernels_ignore_memory_layout(name):
-    # the Monte Carlo integrands hand the kernels the transpose of a
-    # coordinate-major block; every kernel gives the same bits on it as on
-    # C-ordered points
+    # every kernel gives the same bits on the transpose of a coordinate-major
+    # block as on C-ordered points
     d = jtsys.make_domain(**LAYOUT_DOMAINS[name])
     H = hartogs.make_hartogs(d, 1.0)
     rng = np.random.default_rng(9)
@@ -256,152 +467,27 @@ def _at_shifted_offset(a):
 
 @pytest.mark.parametrize("name", list(LAYOUT_DOMAINS))
 def test_kernels_are_row_exact(name):
-    # each row's value has the same bits in one 65536-row batch, in the
-    # 8192-row blocks of the Monte Carlo estimators and in a copy at a
-    # shifted memory offset
+    # each row's value has the same bits in one 65536-row batch, in 8192-row
+    # blocks and in a copy at a shifted memory offset
     d = jtsys.make_domain(**LAYOUT_DOMAINS[name])
     H = hartogs.make_hartogs(d, 1.0)
     rng = np.random.default_rng(6)
-    rows, block = 1 << 16, measures._BLOCK
+    rows, block = 1 << 16, 1 << 13
     shape = (rows, d.n + 1)
     scale = rng.uniform(0.0, 1.5, size=(rows, 1)) / np.sqrt(d.n / d.r)
     pts = scale * (rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape))
     inside = jtsys.membership(d, pts[:, :-1])
     assert 0.1 * rows < np.sum(inside) < 0.9 * rows
-    t = rng.random(shape)
-    table = measures._torus_phase_table(d)
-    theta = 2 * np.pi * rng.random(shape) if len(table) else None
-    kernels = [lambda p, *_: hartogs.ch_member_vec(H, p),
-               lambda p, *_: det_dual_hessian(H, p),
-               lambda _, t, theta: measures._dual_integrand(H, table, t, theta)]
+    kernels = [lambda p: hartogs.ch_member_vec(H, p), lambda p: det_dual_hessian(H, p)]
     for sign in (1, -1):
-        kernels += [lambda p, *_, s=sign: jtsys.gram_pivots(d, p[:, :-1], s),
-                    lambda p, *_, s=sign: jtsys.log_norm(d, p[:, :-1], s)]
-    args = (pts, t, theta)
-    shifted = tuple(None if a is None else _at_shifted_offset(a) for a in args)
+        kernels += [lambda p, s=sign: jtsys.gram_pivots(d, p[:, :-1], s),
+                    lambda p, s=sign: jtsys.log_norm(d, p[:, :-1], s)]
+    shifted = _at_shifted_offset(pts)
     for kernel in kernels:
-        whole = kernel(*args)
-        blocks = [kernel(*(None if a is None else a[lo:lo + block] for a in args))
-                  for lo in range(0, rows, block)]
+        whole = kernel(pts)
+        blocks = [kernel(pts[lo:lo + block]) for lo in range(0, rows, block)]
         assert np.array_equal(np.concatenate(blocks), whole)
-        assert np.array_equal(kernel(*shifted), whole)
-
-
-def _torus_pair(d, theta):
-    """The per-row diagonal pair that carries rho e^(i theta) to the reduced
-    point: U = diag(e^(-i(theta_i0 - theta_00))), V = diag(e^(i theta_0j)) on
-    type-I, U = diag(e^(-i theta_kk)), V = I on the polydisc."""
-    if d.kind == jtsys.KIND_POLYDISC:
-        u, v = np.exp(-1j * theta[:, :-1]), np.ones((len(theta), d.n))
-    else:
-        p, q = d.shape
-        phases = theta[:, :-1].reshape(-1, p, q)
-        u = np.exp(-1j * (phases[:, :, 0] - phases[:, :1, 0]))
-        v = np.exp(1j * phases[:, 0, :])
-    return jtsys.Isotropy(u[:, :, None] * np.eye(u.shape[1]), v[:, :, None] * np.eye(v.shape[1]))
-
-
-@pytest.mark.parametrize("name", list(TORUS_DOMAINS))
-def test_torus_reduced_point_is_an_isotropy_image(name):
-    # the dual integrand's point is the full-phase point moved by a diagonal
-    # isotropy pair, with w turned onto the real axis
-    d = jtsys.make_domain(**TORUS_DOMAINS[name])
-    rng = np.random.default_rng(4)
-    rho = rng.random((300, d.n + 1)) / rng.random((300, d.n + 1))
-    theta = 2 * np.pi * rng.random((300, d.n + 1))
-    # coordinate-major moduli, phases as drawn
-    reduced = measures._torus_reduced_points(measures._torus_phase_table(d), rho.T, theta).T
-    full = full_phase_points(rho, theta)
-    npt.assert_allclose(reduced[:, :-1],
-                        jtsys.isotropy_apply(d, _torus_pair(d, theta), full[:, :-1]),
-                        rtol=1e-14)
-    npt.assert_allclose(reduced[:, -1], full[:, -1] * np.exp(-1j * theta[:, -1]), rtol=1e-14)
-    # cos and sin are taken of (p-1)(q-1) phases on type-I, of none otherwise
-    complex_cols = np.flatnonzero(np.any(reduced.imag != 0, axis=0))
-    want = (d.shape[0] - 1) * (d.shape[1] - 1) if d.kind == jtsys.KIND_TYPE_I else 0
-    assert len(complex_cols) == want
-
-
-@pytest.mark.parametrize("domain", [POLY2, T22, T33, jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=4)],
-                         ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)", "type-I(2,4)"])
-def test_torus_reduction_keeps_the_dual_estimate(domain):
-    # against the full-phase route over more than one chunk: the rows agree
-    # to rounding, amplified by the Gram pivots at large rho (up to ~7e-11 on
-    # type-I(2,4)); the estimates moved by at most 5.8e-15 and their standard
-    # errors by 5.2e-14 relative over polydisc-2/3, type-I(1,3), (2,2), (2,3),
-    # (3,3), (2,4), mu 0.5, 1, 2 and seeds 0, 6
-    H = hartogs.make_hartogs(domain, 1.0)
-    got = measures.mc_volume_dual(H, measures._CHUNK + 1, 6)
-    want = mc_volume_dual_full_phase(H, measures._CHUNK + 1, 6)
-    npt.assert_allclose(got.value, want.value, rtol=2e-14)
-    npt.assert_allclose(got.standard_error, want.standard_error, rtol=2e-13)
-
-
-@pytest.mark.parametrize("estimator", [measures.mc_volume_flat, measures.mc_volume_dual])
-def test_monte_carlo_memory_is_bounded(estimator):
-    # the integrand's temporaries scale with a block, not with a chunk
-    H = hartogs.make_hartogs(T33, 1.0)
-    tracemalloc.start()
-    try:
-        estimator(H, 2 * measures._CHUNK, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
-
-
-def test_monte_carlo_takes_no_lapack_call(monkeypatch):
-    # the hit test and both volume estimators, over more than one block, run
-    # with numpy.linalg's svd, det, eigh and eigvalsh refusing, and give the
-    # values they gave before
-    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.0)
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(-0.6, 0.6, size=(2000, 7)) + 1j * rng.uniform(-0.6, 0.6, size=(2000, 7))
-    samples = 2 * measures._BLOCK + 1
-
-    def run():
-        return (hartogs.ch_member_vec(H, pts), measures.mc_volume_flat(H, samples, 3),
-                measures.mc_volume_dual(H, samples, 3))
-
-    want = run()
-    assert 0 < np.sum(want[0]) < len(pts)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-point LAPACK call on the Monte Carlo path")
-
-    for name in ("svd", "det", "eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, refuse)
-    got = run()
-    npt.assert_array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
-
-
-@pytest.mark.parametrize("domain", [POLY2, T22, T33], ids=["polydisc-2", "type-I(2,2)", "type-I(3,3)"])
-def test_monte_carlo_takes_no_einsum_or_logaddexp(monkeypatch, domain):
-    # the hit test and both volume estimators, over more than one block, run
-    # with np.einsum and np.logaddexp refusing, and give the values they gave
-    # before
-    H = hartogs.make_hartogs(domain, 1.0)
-    rng = np.random.default_rng(8)
-    shape = (2000, domain.n + 1)
-    pts = rng.uniform(-0.6, 0.6, size=shape) + 1j * rng.uniform(-0.6, 0.6, size=shape)
-    samples = 2 * measures._BLOCK + 1
-
-    def run():
-        return (hartogs.ch_member_vec(H, pts), measures.mc_volume_flat(H, samples, 3),
-                measures.mc_volume_dual(H, samples, 3))
-
-    want = run()
-    assert 0 < np.sum(want[0]) < len(pts)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a scalar-loop route on the Monte Carlo path")
-
-    for name in ("einsum", "logaddexp"):
-        monkeypatch.setattr(np, name, refuse)
-    got = run()
-    npt.assert_array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
+        assert np.array_equal(kernel(shifted), whole)
 
 
 def test_dual_flat_ratio_rank_one_mu_one_is_one():
@@ -409,17 +495,6 @@ def test_dual_flat_ratio_rank_one_mu_one_is_one():
     for n in (1, 2, 3):
         H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_CHN, n=n), 1.0)
         npt.assert_allclose(measures.dual_flat_ratio_formula(H), 1.0, rtol=1e-12)
-
-
-def test_mc_volume_dual_matches_formula():
-    H = hartogs.make_hartogs(POLY1, 1.0)
-    flat = measures.mc_volume_flat(H, 300_000, seed=11)
-    dual = measures.mc_volume_dual(H, 300_000, seed=12)
-    ratio = dual.value / flat.value
-    want = measures.dual_flat_ratio_formula(H)
-    se = ratio * np.hypot(dual.standard_error / dual.value,
-                          flat.standard_error / flat.value)
-    assert abs(ratio - want) < 3 * se
 
 
 def test_duality_gap_signs():
@@ -451,6 +526,43 @@ def test_duality_root_higher_rank_interior():
     # frozen value for the bidisc, solved independently to high precision
     npt.assert_allclose(measures.duality_root(POLY2), 0.9078532620914,
                         atol=1e-9)
+
+
+def test_duality_root_is_float_exact():
+    # the bisection ends on adjacent floats: the gap changes sign across them
+    for d in (POLY2, T22, T33):
+        root = measures.duality_root(d)
+        assert measures.duality_gap(d, np.nextafter(root, 0.0)) > 0
+        assert measures.duality_gap(d, np.nextafter(root, 2.0)) <= 0
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_DOMAINS))
+def test_quadrature_families_pass(name):
+    # volume at mu 1e-8 ... 2, selberg and the duality identity pass at 1e-12
+    # (pytest turns a RuntimeWarning into an error); every volume entry
+    # carries a finite, nonzero estimate or ratio with its reference
+    cfg = cli.RunConfig(mu=(1e-8, 0.5, 1.0, 2.0), **QUADRATURE_DOMAINS[name])
+    volume = verify.check_volume(cfg)
+    entries = volume + verify.check_selberg(cfg) + verify.check_duality(cfg)
+    assert [c["status"] for c in entries] == ["pass"] * len(entries)
+    assert len(volume) == 8 and len(entries) == 15
+    gated = [c for c in entries if c["tolerance"] == verify.QUADRATURE_TOL]
+    assert len(gated) == 13 and verify.QUADRATURE_TOL == 1e-12
+    for c in volume:
+        p = c["parameters"]
+        est, ref = (p["estimate"], p["exact"]) if "estimate" in p else (p["ratio"], p["formula"])
+        assert math.isfinite(est) and est != 0 and ref > 0
+
+
+def test_volume_identity_fails_off_the_root(monkeypatch):
+    # the duality family's identity entry has power: a root 1e-9 off fails it
+    cfg = cli.RunConfig(kind=jtsys.KIND_TYPE_I, p=2, q=2)
+    entry = verify.check_duality(cfg)[-1]
+    assert entry["parameters"]["operation"] == "volume_identity"
+    assert entry["status"] == "pass"
+    root = measures.duality_root
+    monkeypatch.setattr(measures, "duality_root", lambda D: root(D) + 1e-9)
+    assert verify.check_duality(cfg)[-1]["status"] == "fail"
 
 
 def test_gennaio_equality_iff_rank_one():
