@@ -3,13 +3,18 @@
 A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k.
 The two Hartogs potentials have it in closed form from the Jordan data of the
 base (`hartogs_hessian`), and the dual one has its determinant in closed form
-too (`det_dual_hessian`, the paper's product formula).  Both take log N from
-`jtsys.log_norm` and are written in the fiber ratios t = u / G, |w|^2 / G and
-1/G of `hartogs.fiber_ratios`, or in log space, so no power N^mu is formed
-and large mu neither overflows nor cancels.  The associated real two-form
-(i/2) sum G_jk dz_j ^ dzbar_k is represented by an antisymmetric 2m x 2m
-matrix in interleaved real coordinates (x1, y1, ..., xm, ym); the flat form
-omega_0 = sum_j dx_j ^ dy_j is the one of G = I.  The pullbacks the darboux
+too (`det_dual_hessian`, the paper's product formula).  Both are written in
+the fiber ratios t = u / G, |w|^2 / G and 1/G of `hartogs.fiber_ratios`, or
+in log space, so no power N^mu is formed and large mu neither overflows nor
+cancels.  The Hessian takes log N and the derivatives of log N from one
+elimination per point (`jtsys._derivative_rows`: no LAPACK call and no
+`jtsys.jordan_frame`, so it stays independent of the Jacobian it is compared
+with) and assembles its blocks coordinate-major, on (., ., N) rows over the
+batch, turning batch-first once at the end; the determinant takes log N from
+`jtsys.log_norm`.  The associated real two-form (i/2) sum G_jk dz_j ^
+dzbar_k is represented by an antisymmetric 2m x 2m matrix in interleaved
+real coordinates (x1, y1, ..., xm, ym); the flat form omega_0 = sum_j
+dx_j ^ dy_j is the one of G = I.  The pullbacks the darboux
 checks compare with these forms come from the closed-form Jacobian
 `hartogs.darboux_jacobian`; the finite-difference stencils live in
 `tests/reference.py`, where the tests hold both closed forms against them.
@@ -21,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hartogs import HartogsSpec, fiber_ratios, split_vec
-from .jtsys import log_norm, log_norm_derivatives
+from .jtsys import _derivative_rows, _kronecker_rows, log_norm
 
 
 def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
@@ -79,23 +84,38 @@ def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.n
         zw:  -mu t w l_j / G,
         ww:  t / G,
 
-    with the derivatives of l from `jtsys.log_norm_derivatives`.  No term
-    cancels another, and large mu neither overflows nor loses digits.
+    with l and its derivatives from `jtsys._derivative_rows`.  No term
+    cancels another, and large mu neither overflows nor loses digits.  The
+    blocks are assembled on (n+1, n+1, N) rows of the flattened batch and
+    returned as a batch-first view; every step is elementwise, so a row's
+    values do not depend on the rows around it.
     """
     eps = 1 if dual else -1
     d = H.domain
     z, w = split_vec(H, pts)
-    grad, hess = log_norm_derivatives(d, z, sign=-eps)
-    t, w2_g, inv_g = fiber_ratios(H, log_norm(d, z, -eps), w, eps)
+    batch = w.shape
+    log_n, grad, (x, y) = _derivative_rows(d, z, -eps)
+    w = w.reshape(-1)
+    t, w2_g, inv_g = fiber_ratios(H, log_n, w, eps)
     mu_t = H.mu * t
-    out = np.empty(grad.shape[:-1] + (d.n + 1, d.n + 1), dtype=complex)
-    out[..., :-1, :-1] = ((eps * mu_t)[..., None, None] * hess
-                          + (H.mu * mu_t * w2_g)[..., None, None]
-                          * grad[..., :, None] * np.conj(grad[..., None, :]))
-    out[..., :-1, -1] = -(mu_t * w * inv_g)[..., None] * grad
-    out[..., -1, :-1] = np.conj(out[..., :-1, -1])
-    out[..., -1, -1] = t * inv_g
-    return out
+    # complex products as real ones (see `jtsys._kronecker_rows`), into the
+    # real and imaginary planes of the output; a real factor such as eps mu t
+    # scales a complex array exactly on any layout
+    out = np.empty((d.n + 1, d.n + 1, len(w)), dtype=complex)
+    zz = _kronecker_rows((eps * mu_t) * x, y, out[:-1, :-1])
+    g_re, g_im = grad.real, grad.imag
+    # + c l_j conj(l_k), c = mu^2 t |w|^2 / G
+    c = H.mu * mu_t * w2_g
+    cg_re, cg_im = (c * g_re)[:, None], (c * g_im)[:, None]
+    zz.real += cg_re * g_re + cg_im * g_im
+    zz.imag += cg_im * g_re - cg_re * g_im
+    # -(mu t w / G) l_j
+    m_re, m_im = mu_t * w.real * inv_g, mu_t * w.imag * inv_g
+    out.real[:-1, -1] = -(m_re * g_re - m_im * g_im)
+    out.imag[:-1, -1] = -(m_re * g_im + m_im * g_re)
+    out[-1, :-1] = np.conj(out[:-1, -1])
+    out[-1, -1] = t * inv_g
+    return np.moveaxis(out, -1, 0).reshape(batch + (d.n + 1, d.n + 1))
 
 
 def dual_hessian_min_eigs(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:

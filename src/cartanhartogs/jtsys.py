@@ -27,11 +27,16 @@ kernel is row-exact: a row's pivots have the same bits whatever the batch
 size, the block boundaries, the memory layout or the alignment.  At sign +1
 on type-I of rank >= 2, `log_norm` and `membership` first read the Gram
 diagonal and finish only the rows that Sylvester's criterion has not
-already put out of Omega (`_sylvester_rows`).
+already put out of Omega (`_sylvester_rows`).  The same LDL* carries the
+derivatives of log N (`log_norm_derivatives`, behind the Hessians of
+`forms`): forward substitution with L, then A^-1, A^-1 J and, by
+push-through, C^-1 = (I -/+ j(z)* j(z))^-1 as sums of rank-one products of
+(N,) rows, laid out coordinate-major; no LAPACK call and no `jordan_frame`.
 `jordan_frame` is the one factorisation behind the Darboux maps, their
-inverses and their Jacobian, and the one place that rejects a base point
-outside Omega.  Points are flat complex vectors of length n; type-I points
-are reshaped to (p, q) row-major when matrix algebra is needed.
+inverses and their Jacobian, so the darboux checks compare two independent
+routes.  Both reject a base point outside Omega with DomainError.  Points
+are flat complex vectors of length n; type-I points are reshaped to (p, q)
+row-major when matrix algebra is needed.
 """
 
 from __future__ import annotations
@@ -164,11 +169,14 @@ def _gram_diagonal(re: np.ndarray, im: np.ndarray, sign: int) -> np.ndarray:
     return diag
 
 
-def _schur_pivots(re: np.ndarray, im: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
-    """The pivots (p, N) of A from the contiguous (p, q, N) planes and the
-    diagonal, which is overwritten: column by column, the real and imaginary
-    parts of the Gram entries A_ik below the diagonal, then the Schur
-    updates, all real multiply-adds across the batch."""
+def _ldl(re: np.ndarray, im: np.ndarray, diag: np.ndarray,
+         sign: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(pivots, lower) of the unpivoted LDL* of A from the contiguous (p, q, N)
+    planes and the diagonal, which is overwritten: column by column, the
+    real and imaginary parts of the Gram entries A_ik below the diagonal,
+    then the Schur updates, all real multiply-adds across the batch.  The
+    pivots are (p, N); lower[k] holds the real and imaginary planes
+    (p - k - 1, N) of column k of the unit lower L below the diagonal."""
     p = len(re)
     # column k below the diagonal, rows i = k+1..p-1:
     # A_ik = -sign * sum_l j_il conj(j_kl), as real and imaginary parts
@@ -181,12 +189,13 @@ def _schur_pivots(re: np.ndarray, im: np.ndarray, diag: np.ndarray, sign: int) -
         np.multiply(below_im, re[k], out=prod)
         prod -= below_re * im[k]
         col_im.append(-sign * _row_sums(prod))
-    pivots = diag
+    pivots, lower = diag, []
     for k in range(p - 1):
         pivot = pivots[k]
         inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot != 0)
         a_re, a_im = col_re[k], col_im[k]
         r_re, r_im = a_re * inv, a_im * inv
+        lower.append((r_re, r_im))
         # A_ij -= (A_ik / pivot_k) conj(A_jk) for i > j > k
         for j in range(k + 1, p - 1):
             b_re, b_im = a_re[j - k - 1], a_im[j - k - 1]
@@ -194,7 +203,7 @@ def _schur_pivots(re: np.ndarray, im: np.ndarray, diag: np.ndarray, sign: int) -
             col_im[j] -= r_im[j - k:] * b_re - r_re[j - k:] * b_im
         # A_ii -= |A_ik|^2 / pivot_k for i > k, two products >= 0 where pivot_k > 0
         np.subtract(pivots[k + 1:], r_re * a_re + r_im * a_im, out=pivots[k + 1:])
-    return pivots
+    return pivots, lower
 
 
 def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
@@ -228,12 +237,11 @@ def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
     pivots = _gram_diagonal(re, im, sign)
     finite = np.all(np.isfinite(pivots), axis=0)
     if finite.all():
-        pivots = _schur_pivots(re, im, pivots, sign)
+        pivots = _ldl(re, im, pivots, sign)[0]
     else:
         # a point with an inf or NaN entry keeps its Gram diagonal as its
         # pivots, so the Schur updates meet no 0 * inf
-        pivots[:, finite] = _schur_pivots(re[..., finite], im[..., finite],
-                                          pivots[:, finite], sign)
+        pivots[:, finite] = _ldl(re[..., finite], im[..., finite], pivots[:, finite], sign)[0]
     return np.moveaxis(pivots.reshape((D.r,) + z.shape[:-1]), 0, -1)
 
 
@@ -246,7 +254,7 @@ def _sylvester_rows(D: DomainSpec, z, sign: int) -> tuple[slice | np.ndarray, np
     where the kernel's own diagonal A_ii (`_gram_diagonal`, the same code,
     hence the same bits) is formed first and only the rows with every
     A_ii > 0 (an index array, unless that is every row) are compacted and
-    finished by `_schur_pivots`.  That leaves no row of Omega
+    finished by `_ldl`.  That leaves no row of Omega
     out: while every earlier pivot is positive, each Schur update subtracts
     a nonnegative |A_ik|^2 / pivot_k, and rounding is monotone, so
     fl(a - b) <= a and pivot_i <= A_ii in floating point too; a row with some
@@ -260,8 +268,8 @@ def _sylvester_rows(D: DomainSpec, z, sign: int) -> tuple[slice | np.ndarray, np
     diag = _gram_diagonal(re, im, sign)
     keep = np.all(diag > 0, axis=0)
     rows = slice(None) if keep.all() else np.flatnonzero(keep)
-    return rows, _schur_pivots(np.ascontiguousarray(re[..., rows]),
-                               np.ascontiguousarray(im[..., rows]), diag[:, rows], sign)
+    return rows, _ldl(np.ascontiguousarray(re[..., rows]),
+                      np.ascontiguousarray(im[..., rows]), diag[:, rows], sign)[0]
 
 
 def log_norm(D: DomainSpec, z, sign: int) -> np.ndarray:
@@ -277,13 +285,18 @@ def log_norm(D: DomainSpec, z, sign: int) -> np.ndarray:
     """
     z = _check_point(D, z)
     rows, pivots = _sylvester_rows(D, z, sign)
+    out = np.full(z.shape[:-1], -np.inf)
+    out.reshape(-1)[rows] = _log_product(pivots)
+    return out
+
+
+def _log_product(pivots: np.ndarray) -> np.ndarray:
+    """log of the product of the pivots (r, N) of each row, multiplied in
+    order, and -inf where some pivot is <= 0."""
     prod = pivots[0]
     for pivot in pivots[1:]:
         prod = prod * pivot
-    out = np.full(z.shape[:-1], -np.inf)
-    out.reshape(-1)[rows] = np.log(prod, out=np.full(prod.shape, -np.inf),
-                                   where=np.all(pivots > 0, axis=0))
-    return out
+    return np.log(prod, out=np.full(prod.shape, -np.inf), where=np.all(pivots > 0, axis=0))
 
 
 def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -292,6 +305,108 @@ def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
         idx = np.arange(D.n)
         return idx, idx
     return np.divmod(np.arange(D.n), D.shape[1])
+
+
+def _reject_outside(values: np.ndarray, sign: int) -> None:
+    """DomainError at sign = +1 when some pivot, or a Gram diagonal entry
+    (an upper bound on a later pivot), is <= 0: a point not in Omega."""
+    if sign == 1 and np.any(values <= 0):
+        raise DomainError("spectral value >= 1 with sign=+1")
+
+
+def _derivative_rows(D: DomainSpec, z, sign: int
+                     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(log N, gradient, (x, y)) of log N(z, sign * zbar) over the batch
+    flattened to N rows, coordinate-major: log N (N,), the gradient (n, N)
+    and the complex Hessian as Kronecker factors, l_jk = x_ac y_bd at
+    j = (a, b) and k = (c, d) row-major (`_kronecker_rows`), with x (p, p, N)
+    and y (q, q, N) on type-I and (p, q) = (n, 1) on the polydisc.
+
+    With J = j(z) and A = I - sign J J* = L D L*, the unpivoted LDL* of
+    `gram_pivots` (`_ldl` on the row planes, the same bits), forward
+    substitution gives R = L^-1 [I | J], and P = R* D^-1 R = [I | J]* A^-1
+    [I | J] holds A^-1 and G = A^-1 J in its first p rows and J* A^-1 J in
+    its last q rows and columns.  The gradient is -sign conj(G), and the
+    Hessian -sign (A^-1)_ca (C^-1)_bd (Loos 1977; Faraut-Koranyi 1990) has
+    x = -sign (A^-1)^T and y = C^-1 = I + sign J* A^-1 J, the inverse of
+    C = I - sign J* J by push-through, so no q x q inverse is taken.  Every
+    step is a real multiply-add over (N,) rows of real and imaginary
+    planes, with no LAPACK call, so a row has the same bits in any batch.
+    On the polydisc A = C is the diagonal of `gram_pivots`, nothing is
+    eliminated, and x = -sign A^-2 (diagonal), y = 1.  log N is the pivots'
+    product, `log_norm`'s bits.  With sign=+1 every pivot must be positive,
+    i.e. z in Omega: DomainError otherwise (the LDL* divides only by
+    nonzero pivots, so no warning comes first).
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    z = _check_point(D, z)
+    n = D.n
+    if D.kind == KIND_POLYDISC:
+        zt = z.reshape(-1, n).T
+        pivots = 1.0 - sign * (zt.real**2 + zt.imag**2)
+        _reject_outside(pivots, sign)
+        ainv = 1.0 / pivots
+        x = np.zeros((n, n, zt.shape[1]), dtype=complex)
+        x[np.arange(n), np.arange(n)] = -sign * ainv * ainv
+        return (_log_product(pivots), -sign * np.conj(zt) * ainv,
+                (x, np.ones((1, 1, zt.shape[1]), dtype=complex)))
+    p, q = D.shape
+    re, im = (np.ascontiguousarray(a) for a in _row_planes(D, z))
+    diag = _gram_diagonal(re, im, sign)
+    _reject_outside(diag, sign)
+    pivots, lower = _ldl(re, im, diag, sign)
+    _reject_outside(pivots, sign)
+    count = re.shape[-1]
+    # R = L^-1 [I | J], column by column of L: R_i -= L_ik R_k for i > k
+    r_re = np.zeros((p, p + q, count))
+    r_re[np.arange(p), np.arange(p)] = 1.0
+    r_re[:, p:] = re
+    r_im = np.zeros_like(r_re)
+    r_im[:, p:] = im
+    for k, (l_re, l_im) in enumerate(lower):
+        l_re, l_im = l_re[:, None], l_im[:, None]
+        r_re[k + 1:] -= l_re * r_re[k] - l_im * r_im[k]
+        r_im[k + 1:] -= l_re * r_im[k] + l_im * r_re[k]
+    # P = sum_k conj(R_k)^T R_k / d_k; the first columns of R_k vanish past
+    # k (L^-1 is lower triangular), so its first p rows take k+1 of them
+    top_re, top_im = np.zeros((2, p, p + q, count))
+    jaj_re, jaj_im = np.zeros((2, q, q, count))
+    for k in range(p):
+        a_re, a_im = r_re[k][:, None], r_im[k][:, None]
+        b_re, b_im = r_re[k] / pivots[k], r_im[k] / pivots[k]
+        top_re[:k + 1] += a_re[:k + 1] * b_re + a_im[:k + 1] * b_im
+        top_im[:k + 1] += a_re[:k + 1] * b_im - a_im[:k + 1] * b_re
+        jaj_re += a_re[p:] * b_re[p:] + a_im[p:] * b_im[p:]
+        jaj_im += a_re[p:] * b_im[p:] - a_im[p:] * b_re[p:]
+    grad = np.empty((n, count), dtype=complex)
+    grad.real = -sign * top_re[:, p:].reshape(n, count)
+    grad.imag = sign * top_im[:, p:].reshape(n, count)
+    x = np.empty((p, p, count), dtype=complex)
+    x.real = -sign * top_re[:, :p].transpose(1, 0, 2)
+    x.imag = -sign * top_im[:, :p].transpose(1, 0, 2)
+    y = np.empty((q, q, count), dtype=complex)
+    y.real = sign * jaj_re
+    y.real[np.arange(q), np.arange(q)] += 1.0
+    y.imag = sign * jaj_im
+    return _log_product(pivots), grad, (x, y)
+
+
+def _kronecker_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[(a, b), (c, d)] = x[a, c] y[b, d] over the (N,) rows, into the
+    complex (p q, p q, N) array or view out, for x (p, p, N) and y (q, q, N).
+    The complex products are taken as real ones, since numpy's complex
+    multiply fuses them (FMA) on some memory layouts and not on others; so
+    a row rounds the same in any batch."""
+    p, q = len(x), len(y)
+    blocks = out.reshape(p, q, p, q, -1)
+    x_re, x_im = x.real[:, None, :, None], x.imag[:, None, :, None]
+    y_re, y_im = y.real[None, :, None], y.imag[None, :, None]
+    np.multiply(x_re, y_re, out=blocks.real)
+    blocks.real -= x_im * y_im
+    np.multiply(x_re, y_im, out=blocks.imag)
+    blocks.imag += x_im * y_re
+    return out
 
 
 def log_norm_derivatives(D: DomainSpec, z, sign: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,19 +420,15 @@ def log_norm_derivatives(D: DomainSpec, z, sign: int) -> tuple[np.ndarray, np.nd
 
     where coordinate j sits at entry (a, b) of j(z) and k at (c, d); the
     polydisc is the same formula on diagonal matrices.  Returns the gradient
-    (..., n) and the complex Hessian (..., n, n); for sign=+1 the point must
-    lie in the domain.
+    (..., n) and the complex Hessian (..., n, n), from the elimination of
+    `_derivative_rows`; with sign=+1 the point must lie in the domain
+    (DomainError otherwise).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    jz = as_matrix(D, z)
-    jstar = np.conj(np.swapaxes(jz, -1, -2))
-    ainv = np.linalg.inv(np.eye(jz.shape[-2]) - sign * jz @ jstar)
-    cinv = np.linalg.inv(np.eye(jz.shape[-1]) - sign * jstar @ jz)
-    rows, cols = coordinate_entries(D)
-    grad = np.conj((ainv @ jz)[..., rows, cols])
-    hess = ainv[..., rows[None, :], rows[:, None]] * cinv[..., cols[:, None], cols[None, :]]
-    return -sign * grad, -sign * hess
+    batch = np.shape(z)[:-1]
+    _, grad, (x, y) = _derivative_rows(D, z, sign)
+    hess = _kronecker_rows(x, y, np.empty((D.n, D.n, grad.shape[-1]), dtype=complex))
+    return (grad.T.reshape(batch + (D.n,)),
+            np.moveaxis(hess, -1, 0).reshape(batch + (D.n, D.n)))
 
 
 def singular_values(D: DomainSpec, z) -> np.ndarray:

@@ -331,6 +331,7 @@ def fit_genus(D: DomainSpec) -> float:
          + 1j * rng.normal(size=(_GENUS_FIT_POINTS, D.n)))
     top = singular_values(D, g)[:, 0]
     z = g * (rng.uniform(0.8, 2.0, size=_GENUS_FIT_POINTS) / top)[:, None]
-    dets = np.linalg.det(log_norm_derivatives(D, z, sign=-1)[1]).real
-    lognd = log_norm(D, z, -1)
-    return float(np.mean(-np.log(dets) / lognd))
+    # log det of the positive definite Hessian, twice the log of its Cholesky diagonal
+    chol = np.linalg.cholesky(log_norm_derivatives(D, z, sign=-1)[1])
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    return float(np.mean(-log_dets / log_norm(D, z, -1)))

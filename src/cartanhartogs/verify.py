@@ -47,8 +47,12 @@ def _result(name: str, params: dict, worst: float, tol: float,
 # Points per block in darboux_residuals: a block holds the Jacobian's
 # 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian, the
 # two products T1 and T2 that all directions share, p^2 q^2 complex entries
-# each (2 x 81 values, 2.6 kB per point on type-I(3,3)), so memory stays
-# bounded whatever --points is; 500 points fit in one block.
+# each (2 x 81 values, 2.6 kB per point on type-I(3,3)); on the Hessian
+# side, forms.hartogs_hessian writes the (n+1) x (n+1) complex rows of the
+# form (100 values, 1.6 kB per point on type-I(3,3)) from the elimination's
+# p x (p+q) and q x q rows, with a few n x n real temporaries (81 values,
+# 0.65 kB each) alive at a time.  So memory stays bounded whatever --points
+# is; 500 points fit in one block.
 _DARBOUX_BLOCK = 1 << 9
 
 
@@ -131,7 +135,12 @@ def check_det_formula(cfg) -> list[dict]:
     """The paper's product formula for the dual Hessian determinant (genus and
     exponent n+2) against the determinant of the closed-form dual Hessian,
     whose Jordan-data blocks (A^-1)^T (x) C^-1 hold no genus, relative and
-    batched; plus the genus fit against the domain invariant."""
+    batched; plus the genus fit against the domain invariant.
+
+    It does not test the gradient of log N*: the Schur complement of the
+    w-w entry in the dual Hessian is mu t l_jk, since the terms in l_j
+    conj(l_k) cancel, so the determinant is blind to the gradient (a 10%
+    error in it still passes).  The darboux checks hold the gradient."""
     out = []
     for mu in cfg.mu:
         started = time.perf_counter()

@@ -25,7 +25,12 @@ largest singular value of j(z) below 1) is the reference for
 per-direction Daleckii-Krein assembly (`darboux_jacobian_per_direction`,
 one (p, p) tensor per real direction) is the reference for the factored
 `hartogs.darboux_jacobian`, which reads every direction off two products
-per point.
+per point.  The derivatives of log N from two batched LAPACK inverses, A^-1
+and C^-1 (`log_norm_derivatives_two_inverses`), and the Hartogs Hessians
+assembled batch-first on them (`hartogs_hessian_two_inverses`) are the
+references for `jtsys.log_norm_derivatives` and `forms.hartogs_hessian`,
+which take one LDL* per point, C^-1 by push-through and coordinate-major
+rows.
 """
 
 from __future__ import annotations
@@ -360,6 +365,53 @@ def darboux_jacobian_per_direction(H: HartogsSpec, pts: np.ndarray,
     dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
     out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
     out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * (c + 0.5 * w[..., None] * dlog_g)
+    return out
+
+
+def log_norm_derivatives_two_inverses(D: DomainSpec, z, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form derivatives of log N(z, sign * zbar), batched.
+
+    With J = j(z), A = I - sign J J* and C = I - sign J* J (Loos 1977;
+    Faraut-Koranyi, J. Funct. Anal. 88 (1990)),
+
+        d_j log N          = -sign * conj(A^-1 J)_ab,
+        d_j dbar_k log N   = -sign * (A^-1)_ca (C^-1)_bd,
+
+    where coordinate j sits at entry (a, b) of j(z) and k at (c, d); the
+    polydisc is the same formula on diagonal matrices.  Returns the gradient
+    (..., n) and the complex Hessian (..., n, n); for sign=+1 the point must
+    lie in the domain.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    jz = as_matrix(D, z)
+    jstar = np.conj(np.swapaxes(jz, -1, -2))
+    ainv = np.linalg.inv(np.eye(jz.shape[-2]) - sign * jz @ jstar)
+    cinv = np.linalg.inv(np.eye(jz.shape[-1]) - sign * jstar @ jz)
+    rows, cols = jtsys.coordinate_entries(D)
+    grad = np.conj((ainv @ jz)[..., rows, cols])
+    hess = ainv[..., rows[None, :], rows[:, None]] * cinv[..., cols[:, None], cols[None, :]]
+    return -sign * grad, -sign * hess
+
+
+def hartogs_hessian_two_inverses(H: HartogsSpec, pts: np.ndarray,
+                                 dual: bool = False) -> np.ndarray:
+    """The chain-rule assembly of `forms.hartogs_hessian`, batch-first, on
+    the derivatives of `log_norm_derivatives_two_inverses` and log N from
+    `jtsys.log_norm`."""
+    eps = 1 if dual else -1
+    d = H.domain
+    z, w = split_vec(H, pts)
+    grad, hess = log_norm_derivatives_two_inverses(d, z, sign=-eps)
+    t, w2_g, inv_g = fiber_ratios(H, jtsys.log_norm(d, z, -eps), w, eps)
+    mu_t = H.mu * t
+    out = np.empty(grad.shape[:-1] + (d.n + 1, d.n + 1), dtype=complex)
+    out[..., :-1, :-1] = ((eps * mu_t)[..., None, None] * hess
+                          + (H.mu * mu_t * w2_g)[..., None, None]
+                          * grad[..., :, None] * np.conj(grad[..., None, :]))
+    out[..., :-1, -1] = -(mu_t * w * inv_g)[..., None] * grad
+    out[..., -1, :-1] = np.conj(out[..., :-1, -1])
+    out[..., -1, -1] = t * inv_g
     return out
 
 

@@ -4,11 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cartanhartogs import cli, forms, hartogs, jtsys, verify
+from cartanhartogs import cli, forms, hartogs, jtsys, measures, verify
+from cartanhartogs.errors import DomainError
 from conftest import GRID_AND_T33
 from reference import (base_restriction_matches, complex_hessian_batch,
-                       darboux_jacobian_per_direction, det_dual_hessian_fd, jacobian_batch,
-                       log_add_exp, pullback_batch, realify_map, to_complex, to_real)
+                       darboux_jacobian_per_direction, det_dual_hessian_fd,
+                       hartogs_hessian_two_inverses, jacobian_batch, log_add_exp,
+                       log_norm_derivatives_two_inverses, pullback_batch, realify_map,
+                       to_complex, to_real)
 
 
 def _flat_potential(pts):
@@ -272,9 +275,202 @@ def test_hartogs_hessian_matches_stencil(wide_domain, mu):
         scale = np.max(np.abs(closed))
         npt.assert_allclose(closed, np.conj(np.swapaxes(closed, -1, -2)),
                             rtol=0, atol=1e-13 * scale)
-        # a batch gives the same values as its rows one at a time
+        # every step is elementwise: a row alone has the bits it has in the batch
         for row, want in zip(pts[:5], closed[:5]):
-            npt.assert_allclose(forms.hartogs_hessian(H, row, dual), want, rtol=1e-12)
+            npt.assert_array_equal(forms.hartogs_hessian(H, row, dual), want)
+
+
+# the grid plus type-I(3,3), shapes with p != q at rank one and two, and rank four
+DERIVATIVE_DOMAINS = {**GRID_AND_T33,
+                      "type-I(1,3)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=3),
+                      "type-I(2,4)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=4),
+                      "type-I(4,4)": dict(kind=jtsys.KIND_TYPE_I, p=4, q=4)}
+
+
+def _relative_gap(got, want, axes):
+    """max|got - want| over the axes, relative to max|want| there."""
+    return np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes)
+
+
+@pytest.mark.parametrize("name", list(DERIVATIVE_DOMAINS))
+def test_log_norm_derivatives_match_two_inverse_route(name):
+    # one LDL* per point, C^-1 by push-through and coordinate-major rows
+    # against two batched LAPACK inverses, to 1e-13 relative to each point's
+    # largest entry: member points at both signs, heavy-tailed points at
+    # sign -1; a (2, 3) batch and single points have the batch's bits
+    d = jtsys.make_domain(**DERIVATIVE_DOMAINS[name])
+    rng = np.random.default_rng(17)
+    inside = hartogs.sample_member_points(hartogs.make_hartogs(d, 1.0), 30, rng)[:, :-1]
+    heavy = hartogs.sample_heavy_points(d.n + 1, 30, rng)[:, :-1]
+    for sign, z in ((1, inside), (-1, inside), (-1, heavy)):
+        grad, hess = jtsys.log_norm_derivatives(d, z, sign)
+        assert grad.shape == (30, d.n) and hess.shape == (30, d.n, d.n)
+        want_grad, want_hess = log_norm_derivatives_two_inverses(d, z, sign)
+        assert np.all(_relative_gap(grad, want_grad, -1) <= 1e-13), sign
+        assert np.all(_relative_gap(hess, want_hess, (-2, -1)) <= 1e-13), sign
+        block_grad, block_hess = jtsys.log_norm_derivatives(d, z[:6].reshape(2, 3, d.n), sign)
+        assert block_grad.shape == (2, 3, d.n) and block_hess.shape == (2, 3, d.n, d.n)
+        npt.assert_array_equal(block_grad.reshape(6, d.n), grad[:6])
+        npt.assert_array_equal(block_hess.reshape(6, d.n, d.n), hess[:6])
+        for row in range(3):
+            one_grad, one_hess = jtsys.log_norm_derivatives(d, z[row], sign)
+            assert one_grad.shape == (d.n,) and one_hess.shape == (d.n, d.n)
+            npt.assert_array_equal(one_grad, grad[row])
+            npt.assert_array_equal(one_hess, hess[row])
+
+
+@pytest.mark.parametrize("name", list(DERIVATIVE_DOMAINS))
+def test_hartogs_hessian_matches_two_inverse_route(name):
+    # the coordinate-major assembly against the batch-first one on the
+    # two-inverse derivatives, on both sides and up to mu = 1e2
+    d = jtsys.make_domain(**DERIVATIVE_DOMAINS[name])
+    rng = np.random.default_rng(18)
+    for mu in (0.5, 1.0, 2.0, 1e2):
+        H = hartogs.make_hartogs(d, mu)
+        for dual, pts in ((False, hartogs.sample_member_points(H, 20, rng)),
+                          (True, hartogs.sample_heavy_points(d.n + 1, 20, rng))):
+            gap = _relative_gap(forms.hartogs_hessian(H, pts, dual),
+                                hartogs_hessian_two_inverses(H, pts, dual), (-2, -1))
+            assert np.all(gap <= 1e-13), (mu, dual)
+
+
+@pytest.mark.parametrize("name", ["polydisc-3", "type-I(2,3)", "type-I(3,3)", "type-I(2,4)"])
+def test_hessian_side_is_row_exact(name):
+    # each row of both Hessians and of the derivatives of log N has the same
+    # bits in one 512-row batch, in blocks of 128 and of 7 rows (SIMD tails)
+    # and in a copy at a shifted memory offset
+    d = jtsys.make_domain(**DERIVATIVE_DOMAINS[name])
+    H = hartogs.make_hartogs(d, 1.5)
+    rng = np.random.default_rng(20)
+    inside = hartogs.sample_member_points(H, 512, rng)
+    heavy = hartogs.sample_heavy_points(d.n + 1, 512, rng)
+    cases = [(lambda p: (forms.hartogs_hessian(H, p),), inside),
+             (lambda p: (forms.hartogs_hessian(H, p, dual=True),), heavy),
+             (lambda p: jtsys.log_norm_derivatives(d, p[:, :-1], 1), inside),
+             (lambda p: jtsys.log_norm_derivatives(d, p[:, :-1], -1), heavy)]
+    for kernel, pts in cases:
+        whole = kernel(pts)
+        shifted = np.empty(pts.size + 1, dtype=complex)[1:].reshape(pts.shape)
+        shifted[...] = pts
+        runs = [kernel(shifted)]
+        for block in (128, 7):
+            parts = [kernel(pts[lo:lo + block]) for lo in range(0, len(pts), block)]
+            runs.append([np.concatenate(part) for part in zip(*parts)])
+        for run in runs:
+            for got, want in zip(run, whole):
+                npt.assert_array_equal(got, want)
+
+
+def _rotated(lam):
+    """A type-I(2,2) point with spectral values lam whose Gram diagonal
+    entries are below 1 (rows of the rotation by pi/4 times diag(lam))."""
+    c = np.sqrt(0.5)
+    return np.array([c * lam[0], -c * lam[1], c * lam[0], c * lam[1]], dtype=complex)
+
+
+OFF_OMEGA = {
+    "type-I(2,2)": (dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+                    [[1.0, 0, 0, 0.3], [1.2, 0, 0, 0.3], [np.inf, 0, 0, 0.3],
+                     _rotated((1.2, 0.3))]),
+    "polydisc-2": (dict(kind=jtsys.KIND_POLYDISC, n=2),
+                   [[1.0, 0.2], [1.2, 0.2], [np.inf, 0.2], [0.2, -1.0j]]),
+}
+
+
+@pytest.mark.parametrize("name", list(OFF_OMEGA))
+def test_log_norm_derivatives_reject_points_off_omega(name):
+    # at sign +1 a point on the boundary of Omega (spectral value 1), outside
+    # it (1.2, also where every Gram diagonal entry is below 1) or with an
+    # inf entry raises DomainError, alone or in a batch, before any division
+    # by a pivot <= 0 and with warnings as errors; the domain Hessian too
+    dims, points = OFF_OMEGA[name]
+    d = jtsys.make_domain(**dims)
+    H = hartogs.make_hartogs(d, 1.0)
+    inside = np.full(d.n, 0.1, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in np.array(points, dtype=complex):
+            with pytest.raises(DomainError):
+                jtsys.log_norm_derivatives(d, z, 1)
+            with pytest.raises(DomainError):
+                jtsys.log_norm_derivatives(d, np.stack([inside, z]), 1)
+            with pytest.raises(DomainError):
+                forms.hartogs_hessian(H, np.append(z, 0.0))
+        boundary = np.array(points[0], dtype=complex)
+        assert all(np.all(np.isfinite(part))
+                   for part in jtsys.log_norm_derivatives(d, boundary, -1))
+
+
+HESSIAN_SIDE_POWER_DOMAINS = {
+    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+    "type-I(1,2)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=2),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+    "polydisc-2": dict(kind=jtsys.KIND_POLYDISC, n=2),
+}
+
+# (factors of the Hessian l_jk and of the gradient l_j of log N in
+# jtsys._derivative_rows) and the status of every (darboux, dual-darboux,
+# det-formula) entry at tol 1e-10: the dual Hessian's Schur complement on w
+# is mu t l_jk, so the determinant does not see the gradient
+HESSIAN_SIDE_SLIPS = {
+    "none": ((1.0, 1.0), ("pass", "pass", "pass")),
+    "l_jk 1+1e-8": ((1.0 + 1e-8, 1.0), ("fail", "fail", "fail")),
+    "gradient 1+1e-8": ((1.0, 1.0 + 1e-8), ("fail", "fail", "pass")),
+    "gradient 1+1e-1": ((1.0, 1.1), ("fail", "fail", "pass")),
+}
+
+
+@pytest.mark.parametrize("slip", list(HESSIAN_SIDE_SLIPS))
+@pytest.mark.parametrize("name", list(HESSIAN_SIDE_POWER_DOMAINS))
+def test_hessian_side_power_table(monkeypatch, name, slip):
+    (hess_factor, grad_factor), want = HESSIAN_SIDE_SLIPS[slip]
+    dims = HESSIAN_SIDE_POWER_DOMAINS[name]
+    good = jtsys._derivative_rows
+
+    def slipped(D, z, sign):
+        log_n, grad, (x, y) = good(D, z, sign)  # l_jk = x_ac y_bd
+        return log_n, grad_factor * grad, (hess_factor * x, y)
+
+    monkeypatch.setattr(forms, "_derivative_rows", slipped)
+    cfg = cli.RunConfig(kind=dims["kind"], n=dims.get("n"), p=dims.get("p"),
+                        q=dims.get("q"), mu=(0.5, 1.0, 2.0),
+                        checks=("darboux", "dual-darboux", "det-formula"), points=100,
+                        seed=0, tol=1e-10)
+    formula = [c for c in verify.check_det_formula(cfg)
+               if c["parameters"]["operation"] == "det_dual_hessian"]
+    for entries, status in zip((verify.check_darboux(cfg), verify.check_dual_darboux(cfg),
+                                formula), want):
+        assert [c["status"] for c in entries] == [status] * 3
+
+
+@pytest.mark.parametrize("name", ["type-I(2,3)", "polydisc-2"])
+def test_hessian_side_takes_no_lapack_solve_and_no_frame(monkeypatch, name):
+    # the Hessians, the derivatives of log N and the genus fit run with every
+    # inverse, solve, eigh and det refused, and without the Jordan frame: the
+    # darboux checks compare them with the eigh-based Jacobian, so the two
+    # routes stay independent
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    H = hartogs.make_hartogs(d, 1.5)
+    rng = np.random.default_rng(19)
+    inside = hartogs.sample_member_points(H, 8, rng)
+    heavy = hartogs.sample_heavy_points(d.n + 1, 8, rng)
+
+    def outputs():
+        return [forms.hartogs_hessian(H, inside), forms.hartogs_hessian(H, heavy, True),
+                *jtsys.log_norm_derivatives(d, inside[:, :-1], 1),
+                *jtsys.log_norm_derivatives(d, heavy[:, :-1], -1), measures.fit_genus(d)]
+
+    want = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Hessian side took an inverse, a solve, an eigh, "
+                             "a det or the Jordan frame")
+
+    for module, attr in ((np.linalg, "inv"), (np.linalg, "solve"), (np.linalg, "eigh"),
+                         (np.linalg, "det"), (jtsys, "jordan_frame")):
+        monkeypatch.setattr(module, attr, refuse)
+    for got, expected in zip(outputs(), want):
+        npt.assert_array_equal(got, expected)
 
 
 def test_det_dual_hessian_two_routes(domain):

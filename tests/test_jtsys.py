@@ -320,13 +320,13 @@ def test_sylvester_early_out_skips_most_box_rows(monkeypatch):
     d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3)
     z = _box_draws(d, np.random.default_rng(34), 8192)
     seen = []
-    finish = jtsys._schur_pivots
+    finish = jtsys._ldl
 
     def counting(re, im, diag, sign):
         seen.append(re.shape[-1])
         return finish(re, im, diag, sign)
 
-    monkeypatch.setattr(jtsys, "_schur_pivots", counting)
+    monkeypatch.setattr(jtsys, "_ldl", counting)
     jtsys.membership(d, z)
     jtsys.log_norm(d, z, 1)
     assert len(seen) == 2 and max(seen) < 0.01 * len(z)
