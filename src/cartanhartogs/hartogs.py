@@ -14,11 +14,13 @@ packed complex vector of length n+1 with w last; every map, potential and
 membership test takes a packed array of shape (..., n+1) and works on all
 leading axes at once.  The maps, their closed-form inverses (the same Jordan
 kernel with the sign flipped once more) and their Jacobian each take one
-`jtsys.jordan_frame` per point, a single Hermitian eigendecomposition of
-I +/- J J* (spectral calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi
-1990); the Jacobian reads all 2n real directions of z off two small matrix
-products per point (the Daleckii-Krein formula, factored through
-Delta o (v y^T) = diag(v) Delta diag(y)).  Every relation between |w|^2 and
+`jtsys.jordan_frame` per point, the spectral frame of I +/- J J* (spectral
+calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi 1990): closed forms on
+the polydisc and on type-I of rank <= 2 (a diagonal A, or one complex Jacobi
+rotation), one Hermitian eigendecomposition at rank >= 3; the Jacobian
+reads all 2n real directions of z off two small matrix products per point
+(the Daleckii-Krein formula, factored through Delta o (v y^T) = diag(v)
+Delta diag(y)).  Every relation between |w|^2 and
 N^mu is taken in s = 2 log|w| - mu log N, so u = N^mu is never formed and
 large mu neither under- nor overflows: `fiber_ratios` is the one home of t,
 |w|^2/G and 1/G, `ch_member_vec`, the one membership test of M, is s < 0,

@@ -34,13 +34,20 @@ push-through, C^-1 = (I -/+ j(z)* j(z))^-1 as sums of rank-one products of
 (N,) rows, laid out coordinate-major; no LAPACK call and no `jordan_frame`.
 `jordan_frame` is the one factorisation behind the Darboux maps, their
 inverses and their Jacobian, so the darboux checks compare two independent
-routes.  Both reject a base point outside Omega with DomainError.  Points
+routes.  Its route follows the rank: A = I -/+ j(z) j(z)* is diagonal on the
+polydisc and on type-I of rank one, type-I of rank two takes one complex
+Jacobi rotation on (N,) rows of real multiply-adds, and rank >= 3 one
+batched LAPACK eigh.  `singular_values` likewise takes closed forms at rank
+<= 2 and LAPACK's SVD at rank >= 3.  Both reject a base point outside Omega
+with DomainError; a point with an inf or NaN entry stays out of the
+closed-form arithmetic and comes out NaN at sign -1, with no warning.  Points
 are flat complex vectors of length n; type-I points are reshaped to (p, q)
 row-major when matrix algebra is needed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,9 +315,10 @@ def coordinate_entries(D: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reject_outside(values: np.ndarray, sign: int) -> None:
-    """DomainError at sign = +1 when some pivot, or a Gram diagonal entry
-    (an upper bound on a later pivot), is <= 0: a point not in Omega."""
-    if sign == 1 and np.any(values <= 0):
+    """DomainError at sign = +1 when some pivot, spectral value or Gram
+    diagonal entry (an upper bound on a later pivot) is <= 0 or NaN: a point
+    not in Omega."""
+    if sign == 1 and not values.min(initial=np.inf) > 0:
         raise DomainError("spectral value >= 1 with sign=+1")
 
 
@@ -336,28 +344,49 @@ def _derivative_rows(D: DomainSpec, z, sign: int
     eliminated, and x = -sign A^-2 (diagonal), y = 1.  log N is the pivots'
     product, `log_norm`'s bits.  With sign=+1 every pivot must be positive,
     i.e. z in Omega: DomainError otherwise (the LDL* divides only by
-    nonzero pivots, so no warning comes first).
+    nonzero pivots, so no warning comes first).  At sign=-1 a point whose
+    Gram diagonal is not finite (an inf or NaN entry) stays out of the
+    elimination, as in `gram_pivots`, and its row of every output is NaN.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
-    n = D.n
     if D.kind == KIND_POLYDISC:
-        zt = z.reshape(-1, n).T
-        pivots = 1.0 - sign * (zt.real**2 + zt.imag**2)
-        _reject_outside(pivots, sign)
-        ainv = 1.0 / pivots
-        x = np.zeros((n, n, zt.shape[1]), dtype=complex)
-        x[np.arange(n), np.arange(n)] = -sign * ainv * ainv
-        return (_log_product(pivots), -sign * np.conj(zt) * ainv,
-                (x, np.ones((1, 1, zt.shape[1]), dtype=complex)))
-    p, q = D.shape
-    re, im = (np.ascontiguousarray(a) for a in _row_planes(D, z))
-    diag = _gram_diagonal(re, im, sign)
+        zt = z.reshape(-1, D.n).T
+        planes, kernel = (zt,), _polydisc_derivatives
+        diag = 1.0 - sign * (zt.real**2 + zt.imag**2)
+    else:
+        planes, kernel = tuple(np.ascontiguousarray(a) for a in _row_planes(D, z)), _ldl_derivatives
+        diag = _gram_diagonal(*planes, sign)
     _reject_outside(diag, sign)
+    finite = np.all(np.isfinite(diag), axis=0)
+    if finite.all():
+        return kernel(*planes, diag, sign)
+    # a point with an inf or NaN entry (or a Gram entry past the float range)
+    # stays out of the elimination, so it meets no 0 * inf, and comes out NaN
+    log_n, grad, (x, y) = kernel(*(a[..., finite] for a in planes), diag[:, finite], sign)
+    return (_scatter_rows(log_n, finite, -1), _scatter_rows(grad, finite, -1),
+            (_scatter_rows(x, finite, -1), _scatter_rows(y, finite, -1)))
+
+
+def _polydisc_derivatives(zt: np.ndarray, pivots: np.ndarray, sign: int):
+    """`_derivative_rows` on the polydisc, from the coordinates (n, N) and
+    the diagonal pivots of A."""
+    n = len(zt)
+    ainv = 1.0 / pivots
+    x = np.zeros((n, n, zt.shape[1]), dtype=complex)
+    x[np.arange(n), np.arange(n)] = -sign * ainv * ainv
+    return (_log_product(pivots), -sign * np.conj(zt) * ainv,
+            (x, np.ones((1, 1, zt.shape[1]), dtype=complex)))
+
+
+def _ldl_derivatives(re: np.ndarray, im: np.ndarray, diag: np.ndarray, sign: int):
+    """`_derivative_rows` on type-I, from the contiguous (p, q, N) planes of
+    j(z) and the Gram diagonal, which `_ldl` overwrites."""
+    p, q, count = re.shape
+    n = p * q
     pivots, lower = _ldl(re, im, diag, sign)
     _reject_outside(pivots, sign)
-    count = re.shape[-1]
     # R = L^-1 [I | J], column by column of L: R_i -= L_ik R_k for i > k
     r_re = np.zeros((p, p + q, count))
     r_re[np.arange(p), np.arange(p)] = 1.0
@@ -431,13 +460,75 @@ def log_norm_derivatives(D: DomainSpec, z, sign: int) -> tuple[np.ndarray, np.nd
             np.moveaxis(hess, -1, 0).reshape(batch + (D.n, D.n)))
 
 
+def _entry_planes(D: DomainSpec, rows: np.ndarray) -> np.ndarray:
+    """Real planes (2, r, c, N) of the entries of j(z) that carry the
+    coordinates of the rows (N, n): real parts, then imaginary parts, of the
+    (n, 1) diagonal on the polydisc or the (p, q) matrix on type-I, with the
+    point last."""
+    shape = (D.n, 1) if D.kind == KIND_POLYDISC else D.shape
+    return np.array((rows.real.T, rows.imag.T)).reshape((2,) + shape + (len(rows),))
+
+
+def _column_sums(prod: np.ndarray) -> np.ndarray:
+    """sum_l prod[..., l, :], added in order of l.  With `_squared_norms` it
+    is the closed-form frame's own copy of `_row_sums` and `_gram_diagonal`,
+    which belong to the LDL* route the darboux checks hold the frame
+    against, so a fault in one route does not carry into the other."""
+    acc = prod[..., 0, :]
+    for l in range(1, prod.shape[-2]):
+        acc = acc + prod[..., l, :]
+    return acc
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """sum_l |J_il|^2 (r, N), the diagonal of J J*, from the planes (2, r, c, N)."""
+    sq = x * x
+    return _column_sums(sq[0] + sq[1])
+
+
+def _gram_cross(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (J J*)_01 = sum_l J_0l conj(J_1l) from the
+    planes (2, 2, q, N) of two rows."""
+    s = _column_sums(x[:, None, 0] * x[None, :, 1])   # re, im of row 0 times re, im of row 1
+    return s[0, 0] + s[1, 1], s[1, 0] - s[0, 1]
+
+
 def singular_values(D: DomainSpec, z) -> np.ndarray:
-    """All r spectral eigenvalues (descending, zeros kept), batched."""
+    """All r spectral eigenvalues (descending, zeros kept), batched.
+
+    The polydisc sorts |z_j|.  On type-I of rank <= 2 they are closed forms
+    in the entries of j(z), real multiply-adds over the batch: rank one takes
+    the row norm; rank two takes, with g = j(z) j(z)*,
+
+        sigma_1^2 = (g_00 + g_11)/2 + hypot((g_00 - g_11)/2, |g_01|),
+        sigma_2   = sqrt(sum_(l<m) |j_0l j_1m - j_0m j_1l|^2) / sigma_1,
+
+    the second by Binet-Cauchy (sigma_1 sigma_2 = sqrt(det g)), which keeps
+    sigma_2 to rounding relative to sigma_1 where the square root of the
+    smaller eigenvalue of g would lose half the digits.  The entries are
+    squared, so their moduli must lie within about 1e+/-150.  Rank >= 3
+    takes LAPACK's SVD.
+    """
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
         return np.sort(np.abs(z), axis=-1)[..., ::-1]
     p, q = D.shape
-    return np.linalg.svd(z.reshape(z.shape[:-1] + (p, q)), compute_uv=False)
+    if p > 2:
+        return np.linalg.svd(z.reshape(z.shape[:-1] + (p, q)), compute_uv=False)
+    x = _entry_planes(D, z.reshape(-1, D.n))
+    g = _squared_norms(x)
+    if p == 1:
+        return np.sqrt(g[0]).reshape(z.shape[:-1] + (1,))
+    half_sum, half_gap = 0.5 * (g[0] + g[1]), 0.5 * (g[0] - g[1])
+    top = np.sqrt(half_sum + np.hypot(half_gap, np.hypot(*_gram_cross(x))))
+    # the 2 x 2 minors j_0l j_1m - j_0m j_1l, complex products as real ones
+    l, m = np.array(list(itertools.combinations(range(q), 2))).T
+    ul, um, vl, vm = x[:, 0, l], x[:, 0, m], x[:, 1, l], x[:, 1, m]
+    minor_re = ul[0] * vm[0] - ul[1] * vm[1] - um[0] * vl[0] + um[1] * vl[1]
+    minor_im = ul[0] * vm[1] + ul[1] * vm[0] - um[0] * vl[1] - um[1] * vl[0]
+    det = _column_sums(minor_re * minor_re + minor_im * minor_im)
+    low = np.divide(np.sqrt(det), top, out=np.zeros(top.shape), where=top > 0)
+    return np.array((top, np.minimum(low, top))).T.reshape(z.shape[:-1] + (2,))
 
 
 def membership(D: DomainSpec, z) -> np.ndarray:
@@ -453,26 +544,121 @@ def membership(D: DomainSpec, z) -> np.ndarray:
     return out[()]  # a numpy bool for a single point
 
 
+def _rotate(c: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[[c, -sigma], [conj(sigma), c]] times the two rows of the planes
+    x (2, 2, q, N), as real multiply-adds, with c real per point and sigma
+    given as s = [[-Re sigma, Re sigma], [Im sigma, -Im sigma]] (2, 2, N):
+    the factors of the other row's real and imaginary planes."""
+    swap = x[:, ::-1]
+    out = c * x
+    out += s[0][:, None] * swap
+    out += s[1][:, None, None] * swap[::-1]
+    return out
+
+
+def _rotation_frame(x: np.ndarray, a: np.ndarray, sign: int):
+    """(lam (2, N), and the planes of U, U* J and A^(-1/2) J) for two rows,
+    from the planes x (2, 2, q, N) of J and the diagonal a (2, N) of A =
+    I - sign J J*: one complex Jacobi rotation, the 2-by-2 symmetric Schur
+    decomposition (Golub-Van Loan, Matrix Computations, Sec. 8.5).
+
+    With beta = A_01, m = |beta| and h = a_11 - a_00, t = tan(theta) =
+    sgn(h) 2m / (|h| + hypot(h, 2m)) is the smaller root of t^2 + (h/m) t = 1,
+    c = 1 / sqrt(1 + t^2) and sigma = t c beta / m; then U = [[c, sigma],
+    [-conj(sigma), c]] and lam = (a_00 - t m, a_11 + t m).  t / m =
+    sgn(h) 2 / (|h| + hypot(h, 2m)) is formed directly, so beta = 0 gives
+    sigma = 0 with no 0/0, and h = m = 0 gives U = I."""
+    g_re, g_im = _gram_cross(x)            # beta = -sign (g_re + i g_im)
+    m = np.hypot(g_re, g_im)
+    h = a[1] - a[0]
+    den = np.abs(h) + np.hypot(h, 2.0 * m)
+    ratio = np.divide(np.copysign(2.0, h), den, out=np.zeros(den.shape), where=den > 0)
+    t = ratio * m
+    tm = t * m
+    lam = a.copy()
+    lam[0] -= tm
+    lam[1] += tm
+    _reject_outside(lam, sign)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = (-sign * (c * ratio)) * np.array(((-g_re, g_re), (g_im, -g_im)))
+    k = _rotate(c, s, x)                                                  # U* J
+    b_z = _rotate(c, s[:, ::-1], (1.0 / np.sqrt(lam))[:, None] * k)      # U lam^(-1/2) U* J
+    u = np.zeros((2, 2, 2, len(c)))
+    u[0, 0, 0] = u[0, 1, 1] = c
+    u[0, 0, 1], u[0, 1, 0] = s[0, 1], s[0, 0]
+    u[1, 0, 1] = u[1, 1, 0] = s[1, 0]
+    return lam, u, k, b_z
+
+
+def _complex_rows(planes: np.ndarray) -> np.ndarray:
+    """The complex array (N, ...) of the real planes (2, ..., N)."""
+    axes = (planes.ndim - 1,) + tuple(range(1, planes.ndim - 1)) + (0,)
+    return np.ascontiguousarray(planes.transpose(axes)).view(complex)[..., 0]
+
+
+def _scatter_rows(values: np.ndarray, keep: np.ndarray, axis: int) -> np.ndarray:
+    """values of the kept rows (along axis) put back in their places among
+    len(keep) rows; the other rows are NaN."""
+    shape = list(values.shape)
+    shape[axis] = len(keep)
+    out = np.full(shape, np.nan, dtype=values.dtype)
+    np.moveaxis(out, axis, 0)[keep] = np.moveaxis(values, axis, 0)
+    return out
+
+
 def jordan_frame(D: DomainSpec, z, sign: int):
-    """Spectral frame of B(z, sign * zbar) from one Hermitian eigendecomposition
-    A = I - sign J J* = U diag(lam) U* per point, J = j(z), batched.
+    """Spectral frame A = I - sign J J* = U diag(lam) U* of B(z, sign * zbar),
+    J = j(z), batched.
 
     Returns (lam, U, U* J, B(z, sign * zbar)^(-1/4) z), the last as a point.
     Since J C = A J for C = I - sign J* J, the fractional power
     A^(-1/4) J C^(-1/4) equals A^(-1/2) J = U lam^(-1/2) U* J (spectral
     calculus of B(z, +/-zbar): Loos 1977; Faraut-Koranyi 1990), and
-    N(z, sign * zbar) = prod(lam).  The polydisc takes the same route on its
-    diagonal J.  With sign=+1 every lam must be positive, i.e. z in Omega:
-    DomainError otherwise.
+    N(z, sign * zbar) = prod(lam).  The route follows the rank:
+
+    * polydisc and type-I of rank one: A is diagonal, lam_i = 1 - sign
+      sum_l |J_il|^2, U = I, U* J = J and A^(-1/2) J = lam^(-1/2) J;
+    * type-I of rank two: one complex Jacobi rotation (`_rotation_frame`);
+    * type-I of rank >= 3: one batched Hermitian eigendecomposition (LAPACK).
+
+    The first two are real multiply-adds over the batch, so a row's frame has
+    the same bits in any batch, and they take nothing from the LDL* of
+    `gram_pivots`, which the darboux checks compare them with.  The order of
+    lam is not fixed.  With sign=+1 every lam must be positive, i.e. z in
+    Omega: DomainError otherwise, a point with an inf or NaN entry included.
+    At sign=-1 such a point comes out NaN in every output, and on the first
+    two routes its row stays out of the arithmetic, so it raises no warning.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    jz = as_matrix(D, z)
-    lam, u = np.linalg.eigh(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
-    if sign == 1 and np.any(lam <= 0):
-        raise DomainError("spectral value >= 1 with sign=+1")
-    k = np.conj(np.swapaxes(u, -1, -2)) @ jz
-    return lam, u, k, as_vector(D, u @ ((1.0 / np.sqrt(lam))[..., :, None] * k))
+    z = _check_point(D, z)
+    if D.kind == KIND_TYPE_I and D.r > 2:
+        jz = as_matrix(D, z)
+        lam, u = np.linalg.eigh(np.eye(D.r) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
+        _reject_outside(lam, sign)
+        k = np.conj(np.swapaxes(u, -1, -2)) @ jz
+        return lam, u, k, as_vector(D, u @ ((1.0 / np.sqrt(lam))[..., :, None] * k))
+    rows = z.reshape(-1, D.n)
+    x = _entry_planes(D, rows)
+    a = 1.0 - sign * _squared_norms(x)       # the diagonal of A
+    _reject_outside(a, sign)
+    finite = np.isfinite(a).all(axis=0)
+    whole = finite.all()
+    if not whole:
+        rows, x, a = rows[finite], x[..., finite], a[:, finite]
+    if D.kind == KIND_TYPE_I and D.r == 2:
+        lam, u, k, b_z = _rotation_frame(x, a, sign)
+        frame = (lam.T.copy(), _complex_rows(u), _complex_rows(k), _complex_rows(b_z))
+    else:
+        u = np.zeros((len(rows), D.r, D.r), dtype=complex)
+        u.reshape(len(rows), D.r * D.r)[:, ::D.r + 1] = 1.0
+        frame = (a.T.copy(), u, as_matrix(D, rows.copy()),
+                 _complex_rows((1.0 / np.sqrt(a))[:, None] * x))
+    if not whole:
+        frame = tuple(_scatter_rows(part, finite, 0) for part in frame)
+    batch = z.shape[:-1]
+    lam, u, k, b_z = (part.reshape(batch + part.shape[1:]) for part in frame)
+    return lam, u, k, b_z.reshape(batch + (D.n,))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,13 @@ operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 eigendecompositions where the frame uses one, and with the generic norm
 `norm_det` (det A by LAPACK, not the LDL* pivots of `jtsys.log_norm` nor the
 frame's eigenvalues) it rebuilds Psi and Phi from the defining formula, with
-u = N^mu formed.  Membership of Omega through the SVD (`membership_svd`, the
-largest singular value of j(z) below 1) is the reference for
-`jtsys.membership`, which reads it from the signs of those pivots.  The
+u = N^mu formed.  The spectral values from LAPACK's SVD of j(z)
+(`singular_values_svd`) are the reference for `jtsys.singular_values`, which
+takes closed forms at rank <= 2, and for the spectral values the tests read
+off the maps' images; membership of Omega through that SVD
+(`membership_svd`, the largest singular value of j(z) below 1) is the
+reference for `jtsys.membership`, which reads it from the signs of the LDL*
+pivots.  The
 per-direction Daleckii-Krein assembly (`darboux_jacobian_per_direction`,
 one (p, p) tensor per real direction) is the reference for the factored
 `hartogs.darboux_jacobian`, which reads every direction off two products
@@ -43,8 +47,7 @@ import numpy as np
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.hartogs import HartogsSpec, fiber_ratios, potential_field, split_vec
-from cartanhartogs.jtsys import (KIND_POLYDISC, DomainSpec, as_matrix, as_vector,
-                                 singular_values)
+from cartanhartogs.jtsys import KIND_POLYDISC, DomainSpec, as_matrix, as_vector
 
 DEFAULT_STEP = 1e-5
 # eigenvalues below this are treated as zero when building spectral frames
@@ -217,10 +220,16 @@ def bergman_apply(D: DomainSpec, x, y, w) -> np.ndarray:
     return as_vector(D, left @ wm @ right)
 
 
+def singular_values_svd(D: DomainSpec, z) -> np.ndarray:
+    """All r spectral values of z (descending), batched: LAPACK's SVD of
+    j(z), on the polydisc its diagonal matrix."""
+    return np.linalg.svd(as_matrix(D, z), compute_uv=False)
+
+
 def membership_svd(D: DomainSpec, z) -> np.ndarray:
     """z in Omega through the SVD, batched: the largest spectral eigenvalue
     is < 1."""
-    return singular_values(D, z)[..., 0] < 1.0
+    return singular_values_svd(D, z)[..., 0] < 1.0
 
 
 def unit_ball_inequality(lams: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cartanhartogs import capacity, hartogs, jtsys
 from cartanhartogs.errors import DomainError
-from reference import unit_ball_inequality
+from reference import singular_values_svd, unit_ball_inequality
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
 POLY2 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
@@ -63,7 +63,7 @@ def test_phi_inverse_target_oracle():
     assert sol[-1] == 0.0
     # forward map hits the requested spectral targets
     img = hartogs.phi_map_vec(H, sol)
-    npt.assert_allclose(jtsys.singular_values(POLY1, img[:-1]), [0.5], atol=1e-12)
+    npt.assert_allclose(singular_values_svd(POLY1, img[:-1]), [0.5], atol=1e-12)
     npt.assert_allclose(np.abs(img[-1]), 0.0, atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_phi_inverse_target_with_fiber():
     x = np.sqrt((c**2 - delta**2) * np.array([0.7, 0.3]))
     sol = hartogs.phi_inverse(H, np.array([x[0], 0.0, 0.0, x[1], delta]))
     img = hartogs.phi_map_vec(H, sol)
-    npt.assert_allclose(jtsys.singular_values(T22, img[:-1]), np.sort(x)[::-1], atol=1e-10)
+    npt.assert_allclose(singular_values_svd(T22, img[:-1]), np.sort(x)[::-1], atol=1e-10)
     npt.assert_allclose(np.abs(img[-1]), delta, atol=1e-10)
 
 

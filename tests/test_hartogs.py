@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from cartanhartogs import cli, hartogs, jtsys, verify
 from cartanhartogs.errors import DomainError, ShapeError
 from conftest import GRID_AND_T33
-from reference import darboux_map_operator, norm_det, spectral_decompose
+from reference import darboux_map_operator, norm_det, singular_values_svd, spectral_decompose
 
 
 def _hartogs(domain, mu):
@@ -181,20 +181,27 @@ def test_psi_and_its_jacobian_reject_points_outside_omega():
 
 
 def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
-    # no determinant, no SVD, no LDL* pivots, no inverse: a raising log_norm,
-    # gram_pivots, singular_values or LAPACK call other than the frame's one
-    # eigh is reached by none of the maps, inverses or Jacobians, and a
-    # Jacobian takes its frame once
+    # on type-I(2,3) the maps, their inverses and their Jacobians take the
+    # closed-form frame only: no eigh, SVD, determinant or inverse, and
+    # nothing of the LDL* route (gram_pivots, its Gram diagonal, _ldl,
+    # _derivative_rows) that the darboux checks compare them with; on
+    # type-I(3,3) a Jacobian takes its frame from exactly one batched eigh
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 1.5)
-    pts = hartogs.sample_member_points(H, 8, rng)
+    H33 = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3), 1.5)
+    pts, pts33 = hartogs.sample_member_points(H, 8, rng), hartogs.sample_member_points(H33, 8, rng)
     images = (hartogs.psi_map_vec(H, pts), hartogs.phi_map_vec(H, pts))
+    jacobians = [hartogs.darboux_jacobian(H, pts, dual) for dual in (False, True)]
+    eigh = np.linalg.eigh
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the Jordan frame route took a det, an SVD or an inverse")
+        raise AssertionError("the Jordan frame route took an eigh, a det, an SVD, an inverse "
+                             "or the LDL* route")
 
     for module, name in ((jtsys, "log_norm"), (jtsys, "gram_pivots"),
+                         (jtsys, "_gram_diagonal"), (jtsys, "_ldl"),
+                         (jtsys, "_derivative_rows"),
                          (jtsys, "singular_values"), (hartogs, "log_norm"),
-                         (hartogs, "singular_values"),
+                         (hartogs, "singular_values"), (np.linalg, "eigh"),
                          (np.linalg, "det"), (np.linalg, "svd"), (np.linalg, "inv"),
                          (np.linalg, "solve"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, refuse)
@@ -202,13 +209,14 @@ def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
     npt.assert_array_equal(hartogs.phi_map_vec(H, pts), images[1])
     npt.assert_allclose(hartogs.psi_inverse(H, images[0]), pts, atol=1e-12)
     npt.assert_allclose(hartogs.phi_inverse(H, images[1]), pts, atol=1e-12)
+    for dual, want in zip((False, True), jacobians):
+        npt.assert_array_equal(hartogs.darboux_jacobian(H, pts, dual), want)
     frames = []
-    eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: frames.append(m.shape) or eigh(m))
     for dual in (False, True):
         frames.clear()
-        assert np.all(np.isfinite(hartogs.darboux_jacobian(H, pts, dual)))
-        assert frames == [(8, 2, 2)]
+        assert np.all(np.isfinite(hartogs.darboux_jacobian(H33, pts33, dual)))
+        assert frames == [(8, 3, 3)]
 
 
 def test_psi_matches_spectral_inverse(domain, rng):
@@ -313,7 +321,7 @@ def test_phi_image_spectral_bound(domain, rng):
     H = _hartogs(domain, 0.5)
     pts = hartogs.sample_member_points(H, 40, rng, lam_max=0.9, w_frac=0.9)
     images = hartogs.phi_map_vec(H, pts)
-    xi = jtsys.singular_values(domain, images[:, :-1])
+    xi = singular_values_svd(domain, images[:, :-1])
     assert np.all(xi**2 < H.mu)
     assert np.all(np.abs(images[:, -1]) < 1.0)
 
@@ -407,7 +415,7 @@ def test_sample_member_points_respects_floor(domain, rng):
     pts = hartogs.sample_member_points(H, 200, rng, w_frac=0.4)
     log_n = np.log(norm_det(domain, pts[:, :-1], 1))
     assert np.all(2.0 * np.log(np.abs(pts[:, -1])) <= np.log(0.4) + H.mu * log_n + 1e-12)
-    lam = jtsys.singular_values(domain, pts[:, :-1])
+    lam = singular_values_svd(domain, pts[:, :-1])
     assert np.all(lam <= 0.55 + 1e-12)
 
 
@@ -421,7 +429,7 @@ def test_sample_member_points_full_covers(dims, rng):
     assert pts.shape == (4000, d.n + 1)
     assert np.all(hartogs.ch_member_vec(H, pts))
     # near-boundary points do occur, in the base and in the fiber
-    assert np.max(jtsys.singular_values(d, pts[:, :-1])[:, 0]) > 0.99
+    assert np.max(singular_values_svd(d, pts[:, :-1])[:, 0]) > 0.99
     assert np.min(norm_det(d, pts[:, :-1], 1) - np.abs(pts[:, -1]) ** 2) < 5e-3
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
 from reference import (b_quarter_power_operator, bergman_apply, isotropy_draws,
-                       membership_svd, norm_det, spectral_decompose, triple_product)
+                       membership_svd, norm_det, singular_values_svd, spectral_decompose,
+                       triple_product)
 
 
 def test_make_domain_invariants():
@@ -153,6 +154,36 @@ def test_singular_values_batched(domain, rng):
     assert lam.shape == (4, domain.r)
     one_by_one = np.stack([jtsys.singular_values(domain, row) for row in z])
     npt.assert_allclose(lam, one_by_one)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3), (2, 4)], ids=str)
+def test_singular_values_closed_form_takes_no_svd(shape, monkeypatch):
+    # rank <= 2 takes its closed forms, not LAPACK: within 1e-15 sigma_1 of
+    # the SVD on Gaussian rows scaled down to 1e-8, on J = 0, on a
+    # rank-deficient J and on sigma_2 / sigma_1 = 1e-7 (where sqrt(det g)
+    # would lose half the digits); descending, and a row's values have the
+    # same bits alone as in the batch
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=shape[0], q=shape[1])
+    rng = np.random.default_rng(11)
+    z = (rng.normal(size=(300, d.n)) + 1j * rng.normal(size=(300, d.n))) \
+        * np.logspace(-8, 0, 300)[:, None]
+    z[0] = 0.0
+    if d.r == 2:
+        z[1, d.shape[1]:] = (0.6 - 0.3j) * z[1, :d.shape[1]]
+        tau = jtsys.random_isotropy(d, rng, 1)
+        z[2] = jtsys.isotropy_apply(d, tau, jtsys.frame_point(d, np.array([0.9, 9e-8])))[0]
+    want = singular_values_svd(d, z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular_values took an SVD at rank <= 2")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    got = jtsys.singular_values(d, z)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * want[:, :1])
+    assert np.all(np.diff(got, axis=1) <= 0)
+    for i in (0, 1, 2, 299):
+        npt.assert_array_equal(jtsys.singular_values(d, z[i]), got[i])
 
 
 def test_membership_and_distance():
@@ -350,6 +381,94 @@ def test_b_quarter_power_two_routes(domain, rng):
         npt.assert_allclose(np.prod(lam), np.exp(jtsys.log_norm(domain, z, sign)), rtol=1e-12)
 
 
+EDGE_DOMAINS = {
+    "polydisc-3": dict(kind=jtsys.KIND_POLYDISC, n=3),
+    "type-I(1,2)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=2),
+    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+}
+
+
+def _edge_points(d, sign):
+    """The corners of the closed-form frames that are defined at sign: J = 0,
+    equal frame values (beta = 0 and h = 0), a rank-deficient J, a top
+    spectral value 1 - 1e-12 (sign +1) and |z| = 1e3 (sign -1)."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=d.n) + 1j * rng.normal(size=d.n)
+    m = min(d.r, 2)
+    points = [np.zeros(d.n, dtype=complex), jtsys.frame_point(d, np.full(m, 0.7))]
+    if d.kind == jtsys.KIND_TYPE_I and d.r == 2:
+        q = d.shape[1]
+        deficient = np.concatenate([g[:q], (0.6 - 0.3j) * g[:q]])
+        points.append(0.9 * deficient / singular_values_svd(d, deficient)[0])
+    if sign == 1:
+        points.append(jtsys.frame_point(d, np.array([1 - 1e-12] + [0.5] * (m - 1))))
+    else:
+        points.append(1e3 * g / np.linalg.norm(g))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("name", list(EDGE_DOMAINS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_b_quarter_power_edge_cases(name, sign):
+    # the checks of test_b_quarter_power_two_routes, at 1e-12 relative to the
+    # size of each compared matrix, on the corners of the closed forms, one
+    # by one and mixed in one batch: U unitary to 1e-14, no warning, and each
+    # row's frame the bits of its row in the batch
+    d = jtsys.make_domain(**EDGE_DOMAINS[name])
+    z = _edge_points(d, sign)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = jtsys.jordan_frame(d, z, sign)
+        for i, point in enumerate(z):
+            lam, u, k, bz = jtsys.jordan_frame(d, point, sign)
+            for part, row in zip((lam, u, k, bz), batch):
+                assert np.array_equal(part, row[i])
+            jz = jtsys.as_matrix(d, point)
+            a = np.eye(len(lam)) - sign * jz @ jz.conj().T
+            want = b_quarter_power_operator(d, point, sign=sign)
+            npt.assert_allclose(bz, want, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+            npt.assert_allclose((u * lam) @ u.conj().T, a, atol=1e-12 * max(1.0, np.max(np.abs(a))))
+            npt.assert_allclose(k, u.conj().T @ jz, atol=1e-12 * max(1.0, np.max(np.abs(jz))))
+            npt.assert_allclose(u.conj().T @ u, np.eye(len(lam)), atol=1e-14)
+            npt.assert_allclose(np.prod(lam), np.exp(jtsys.log_norm(d, point, sign)), rtol=1e-12)
+
+
+NON_FINITE_DOMAINS = {
+    "polydisc-2": dict(kind=jtsys.KIND_POLYDISC, n=2),
+    "type-I(1,2)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=2),
+    "type-I(2,2)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+    "type-I(2,3)": dict(kind=jtsys.KIND_TYPE_I, p=2, q=3),
+    "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE_DOMAINS))
+def test_non_finite_points_stay_out_of_the_arithmetic(name):
+    # a point with an inf or NaN entry: at sign -1 its row of the frame and
+    # of the derivatives of log N is NaN, with no warning, and the other rows
+    # keep their bits; at sign +1 it is not in Omega, so DomainError.  The
+    # frame is checked on its closed-form routes (rank <= 2); rank 3 keeps
+    # LAPACK's eigh
+    d = jtsys.make_domain(**NON_FINITE_DOMAINS[name])
+    z = 0.2 * np.exp(1j * np.arange(1.0, 4 * d.n + 1)).reshape(4, d.n)
+    z[1, 0] = np.inf
+    z[3, -1] = np.nan
+    finite = np.array([True, False, True, False])
+    routes = [lambda pts, sign: jtsys.log_norm_derivatives(d, pts, sign)]
+    if d.r <= 2 or d.kind == jtsys.KIND_POLYDISC:
+        routes.append(lambda pts, sign: jtsys.jordan_frame(d, pts, sign))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in routes:
+            for got, want in zip(route(z, -1), route(z[finite], -1)):
+                assert np.all(np.isnan(got[~finite]))
+                npt.assert_array_equal(got[finite], want)
+            for row in z[~finite]:
+                with pytest.raises(DomainError):
+                    route(row, 1)
+
+
 def test_b_quarter_power_rejects_boundary():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
     with pytest.raises(DomainError):
@@ -357,6 +476,8 @@ def test_b_quarter_power_rejects_boundary():
     t22 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
     with pytest.raises(DomainError):  # one point of the batch outside Omega
         jtsys.jordan_frame(t22, np.array([[0.5, 0, 0, 0.5], [0.5, 0, 0, 1.01]]), 1)
+    with pytest.raises(DomainError):  # every A_ii = 0.36 > 0, but lam = 0.36 - 0.64 < 0
+        jtsys.jordan_frame(t22, np.array([0.8, 0, 0.8, 0]), 1)
     # sign -1 is defined everywhere
     assert np.all(jtsys.jordan_frame(t22, np.array([3.0, 0, 0, 1.01]), -1)[0] > 1)
 
