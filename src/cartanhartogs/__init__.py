@@ -15,7 +15,6 @@ from .forms import (
     det_dual_hessian,
     dual_hessian_min_eigs,
     hartogs_hessian,
-    hermitian_to_twoform_matrix,
 )
 from .hartogs import (
     HartogsSpec,

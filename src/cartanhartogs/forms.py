@@ -1,4 +1,4 @@
-"""Numerical realization of Kaehler forms: complex Hessians and two-forms.
+"""Numerical realization of Kaehler forms: complex Hessians and their determinant.
 
 A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k.
 The two Hartogs potentials have it in closed form from the Jordan data of the
@@ -12,12 +12,14 @@ elimination per point (`jtsys._derivative_rows`: no LAPACK call and no
 with) and assembles its blocks coordinate-major, on (., ., N) rows over the
 batch, turning batch-first once at the end; the determinant takes log N from
 `jtsys.log_norm`.  The associated real two-form (i/2) sum G_jk dz_j ^
-dzbar_k is represented by an antisymmetric 2m x 2m matrix in interleaved
-real coordinates (x1, y1, ..., xm, ym); the flat form omega_0 = sum_j
-dx_j ^ dy_j is the one of G = I.  The pullbacks the darboux
-checks compare with these forms come from the closed-form Jacobian
-`hartogs.darboux_jacobian`; the finite-difference stencils live in
-`tests/reference.py`, where the tests hold both closed forms against them.
+dzbar_k, in interleaved real coordinates (x1, y1, ..., xm, ym), has -Im G
+in its (x, x) and (y, y) blocks, Re G in (x, y) and -(Re G)^T in (y, x);
+the flat form omega_0 = sum_j dx_j ^ dy_j is the one of G = I.  The darboux
+checks read those blocks off G itself (`verify.darboux_residuals`) and
+compare them with the pullbacks through the closed-form Jacobian
+`hartogs.darboux_jacobian`.  The antisymmetric 2m x 2m matrix of the form
+(`hermitian_to_twoform_matrix`) and the finite-difference stencils live in
+`tests/reference.py`, where the tests hold the closed forms against them.
 Comparisons use the entrywise max norm of the difference.
 """
 
@@ -27,20 +29,6 @@ import numpy as np
 
 from .hartogs import HartogsSpec, fiber_ratios, split_vec
 from .jtsys import _derivative_rows, _kronecker_rows, log_norm
-
-
-def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of (i/2) sum g_jk dz_j ^ dzbar_k, batched over leading axes."""
-    g = np.asarray(g, dtype=complex)
-    m = g.shape[-1]
-    sym = g.real
-    asym = g.imag
-    w = np.zeros(g.shape[:-2] + (2 * m, 2 * m))
-    w[..., 0::2, 0::2] = -asym
-    w[..., 1::2, 1::2] = -asym
-    w[..., 0::2, 1::2] = sym
-    w[..., 1::2, 0::2] = -np.swapaxes(sym, -1, -2)
-    return w
 
 
 def _log_add_exp(x: np.ndarray, y: np.ndarray) -> np.ndarray:

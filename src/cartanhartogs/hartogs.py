@@ -17,10 +17,13 @@ kernel with the sign flipped once more) and their Jacobian each take one
 `jtsys.jordan_frame` per point, the spectral frame of I +/- J J* (spectral
 calculus of B(x, +/-xbar): Loos 1977; Faraut-Koranyi 1990): closed forms on
 the polydisc and on type-I of rank <= 2 (a diagonal A, or one complex Jacobi
-rotation), one Hermitian eigendecomposition at rank >= 3; the Jacobian
-reads all 2n real directions of z off two small matrix products per point
-(the Daleckii-Krein formula, factored through Delta o (v y^T) = diag(v)
-Delta diag(y)).  Every relation between |w|^2 and
+rotation), one Hermitian eigendecomposition at rank >= 3.  The Jacobian
+follows the frame's route: at rank >= 2 it reads all 2n real directions of
+z off two small matrix products per point (the Daleckii-Krein formula,
+factored through Delta o (v y^T) = diag(v) Delta diag(y)); where the frame
+is diagonal (the polydisc as n discs, type-I of rank one) the products
+collapse to elementwise terms at the coordinate entries, with no matrix
+product.  Every relation between |w|^2 and
 N^mu is taken in s = 2 log|w| - mu log N, so u = N^mu is never formed and
 large mu neither under- nor overflows: `fiber_ratios` is the one home of t,
 |w|^2/G and 1/G, `ch_member_vec`, the one membership test of M, is s < 0,
@@ -143,16 +146,68 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     d log u = mu tr(A^-1 dA) = mu eps (c conj(g_ab) + conj(c) g_ab), g = A^-1 J,
     splits the same way, and with it the term d sqrt(mu t) A^(-1/2) J.  Along z,
     d log t = (1 - t) d log u and d log(1/G) = -t d log u; along w, d log t =
-    d log(1/G) = -2 eps Re(conj(w) c) / G.  The polydisc takes the same route.
+    d log(1/G) = -2 eps Re(conj(w) c) / G.
+
+    The products follow the frame's route (`jtsys.frame_is_diagonal`).  On
+    the polydisc and on type-I of rank one A is diagonal and U = I, so only
+    the entries on one row i of J meet: T1[i,i,b,j] = eps Delta_ii
+    conj(J_ib) J_ij + lam_i^(-1/2) [b = j], T2[i,b,i,j] = eps Delta_ii J_ib
+    J_ij and g = J / lam, elementwise at the coordinate entries
+    (`_diagonal_products`); the polydisc is n discs, and its T1 and T2 are
+    diagonal.  At rank >= 2 they are the two products per point above
+    (`_frame_products`).
     """
     eps = 1 if dual else -1
     d = H.domain
     z, w = split_vec(H, pts)
     lam, u, k, b_z = jtsys.jordan_frame(d, z, -eps)     # b_z = A^(-1/2) J
-    p, q = k.shape[-2:]
     lead = z.shape[:-1]
     t, w2_g, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
     scale = np.sqrt(H.mu * t)
+    # s1[a, o], s2[a, o]: T1 and T2 at direction coordinate a and image coordinate o
+    if jtsys.frame_is_diagonal(d):
+        s1, s2, g = _diagonal_products(d, lam, k, scale, eps)
+    else:
+        s1, s2, g = _frame_products(d, lam, u, k, scale, eps)
+    dlog_u = (2.0 * eps * H.mu * np.stack([g.real, g.imag], axis=-1)).reshape(lead + (2 * d.n,))
+    fiber = (0.5 * H.mu * w2_g * scale)[..., None] * g     # (1 - t) = eps |w|^2 / G
+    s1 += np.conj(fiber)[..., :, None] * b_z[..., None, :]
+    s2 += fiber[..., :, None] * b_z[..., None, :]
+    out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
+    np.add(s1, s2, out=out[..., 0:-2:2, :-1])        # c = 1
+    s1 -= s2
+    np.multiply(s1, 1j, out=out[..., 1:-2:2, :-1])   # c = i
+    out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
+    dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
+    out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
+    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * ([1.0, 1j] + 0.5 * w[..., None] * dlog_g)
+    return out
+
+
+def _diagonal_products(d: DomainSpec, lam, k, scale, eps):
+    """(s1, s2, g) of `darboux_jacobian` where A is diagonal and U = I, K = J:
+    where direction a and image o sit on one row i of J, s1 = eps sqrt(mu t)
+    Delta_ii conj(J_a) J_o (plus sqrt(mu t) lam_i^(-1/2) at a = o) and s2 =
+    eps sqrt(mu t) Delta_ii J_a J_o, and 0 elsewhere, with Delta_ii = f'(lam_i)
+    written as `_frame_products` writes Delta; g = J / lam.  Elementwise over
+    the n coordinates, no matrix product."""
+    x = jtsys.as_vector(d, k)          # the coordinates, off U* J = J (NaN rows kept)
+    rows = jtsys.coordinate_entries(d)[0]
+    root = np.sqrt(lam)[..., rows]
+    dx = ((-eps * scale)[..., None] / (root * root * (root + root))) * x
+    same = rows[:, None] == rows       # direction and image on one row of J
+    s1 = np.where(same, np.conj(x)[..., :, None] * dx[..., None, :], 0.0)
+    diag = np.arange(d.n)
+    s1[..., diag, diag] += scale[..., None] / root
+    s2 = np.where(same, x[..., :, None] * dx[..., None, :], 0.0)
+    return s1, s2, x * (1.0 / lam)[..., rows]    # no complex division, which warns on NaN
+
+
+def _frame_products(d: DomainSpec, lam, u, k, scale, eps):
+    """(s1, s2, g) of `darboux_jacobian` from the full frame: T1 and T2 as
+    two products per point, read at the coordinate entries."""
+    p, q = k.shape[-2:]
+    lead = k.shape[:-2]
     root = np.sqrt(lam)
     # eps sqrt(mu t) Delta, without cancellation and f'(x) on the diagonal
     delta = (-eps * scale)[..., None, None] / (root[..., :, None] * root[..., None, :]
@@ -169,19 +224,7 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     s1 = t1.reshape(lead + (p, p, q, q))[..., i, a, b, j]
     s2 = t2.reshape(lead + (p, q, p, q))[..., i, b, a, j]
     g = jtsys.as_vector(d, (x2 @ (1.0 / lam)[..., :, None]).reshape(lead + (p, q)))
-    dlog_u = (2.0 * eps * H.mu * np.stack([g.real, g.imag], axis=-1)).reshape(lead + (2 * d.n,))
-    fiber = (0.5 * H.mu * w2_g * scale)[..., None] * g     # (1 - t) = eps |w|^2 / G
-    s1 += np.conj(fiber)[..., :, None] * b_z[..., None, :]
-    s2 += fiber[..., :, None] * b_z[..., None, :]
-    out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
-    np.add(s1, s2, out=out[..., 0:-2:2, :-1])        # c = 1
-    s1 -= s2
-    np.multiply(s1, 1j, out=out[..., 1:-2:2, :-1])   # c = i
-    out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
-    dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
-    out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
-    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * ([1.0, 1j] + 0.5 * w[..., None] * dlog_g)
-    return out
+    return s1, s2, g
 
 
 def _darboux_inverse(H: HartogsSpec, targets, eps: int) -> np.ndarray:

@@ -18,13 +18,17 @@ spectral frame of B(z, +/-zbar) and its fractional power, the isotropy action
 j(z) -> U j(z) V* of a unitary pair) is expressed through the matrix
 realization j(z): a diagonal matrix for the polydisc, the matrix itself for
 type-I.  For isotropy a kind differs only in how `random_isotropy` draws its
-pairs.  `gram_pivots` is the one kernel behind the generic norm and
-membership of Omega: the pivots of an unpivoted LDL* factorisation of
-I -/+ j(z) j(z)*, computed elementwise over the batch by real multiply-adds
-on contiguous real and imaginary planes of the rows of j(z), so neither
-`log_norm` nor `membership` takes a per-point LAPACK call (SVD or det).  The
-kernel is row-exact: a row's pivots have the same bits whatever the batch
-size, the block boundaries, the memory layout or the alignment.  At sign +1
+pairs: on the polydisc the whole stack is one array of uniforms, per element
+n sort keys (the permutation is their argsort) and then n phase fractions,
+and `isotropy_apply` moves each coordinate by real multiply-adds, so a
+point moves to the same bits alone or in a batch.  `gram_pivots` is the one
+kernel behind the generic norm and membership of Omega: the pivots of an
+unpivoted LDL* factorisation of I -/+ j(z) j(z)*, computed elementwise over
+the batch by real multiply-adds on contiguous real and imaginary planes of
+the rows of j(z), so neither `log_norm` nor `membership` takes a per-point
+LAPACK call (SVD or det).  The kernel is row-exact: a row's pivots have
+the same bits whatever the batch size, the block boundaries, the memory
+layout or the alignment.  At sign +1
 on type-I of rank >= 2, `log_norm` and `membership` first read the Gram
 diagonal and finish only the rows that Sylvester's criterion has not
 already put out of Omega (`_sylvester_rows`).  The same LDL* carries the
@@ -35,14 +39,15 @@ push-through, C^-1 = (I -/+ j(z)* j(z))^-1 as sums of rank-one products of
 `jordan_frame` is the one factorisation behind the Darboux maps, their
 inverses and their Jacobian, so the darboux checks compare two independent
 routes.  Its route follows the rank: A = I -/+ j(z) j(z)* is diagonal on the
-polydisc and on type-I of rank one, type-I of rank two takes one complex
-Jacobi rotation on (N,) rows of real multiply-adds, and rank >= 3 one
-batched LAPACK eigh.  `singular_values` likewise takes closed forms at rank
-<= 2 and LAPACK's SVD at rank >= 3.  Both reject a base point outside Omega
-with DomainError; a point with an inf or NaN entry stays out of the
-closed-form arithmetic and comes out NaN at sign -1, with no warning.  Points
-are flat complex vectors of length n; type-I points are reshaped to (p, q)
-row-major when matrix algebra is needed.
+polydisc and on type-I of rank one (`frame_is_diagonal`, the one test of
+that route, which the Jacobian of the maps reads too), type-I of rank two
+takes one complex Jacobi rotation on (N,) rows of real multiply-adds, and
+rank >= 3 one batched LAPACK eigh.  `singular_values` likewise takes closed
+forms at rank <= 2 and LAPACK's SVD at rank >= 3.  Both reject a base point
+outside Omega with DomainError; a point with an inf or NaN entry stays out
+of the closed-form arithmetic and comes out NaN at sign -1, with no
+warning.  Points are flat complex vectors of length n; type-I points are
+reshaped to (p, q) row-major when matrix algebra is needed.
 """
 
 from __future__ import annotations
@@ -606,6 +611,13 @@ def _scatter_rows(values: np.ndarray, keep: np.ndarray, axis: int) -> np.ndarray
     return out
 
 
+def frame_is_diagonal(D: DomainSpec) -> bool:
+    """True when A = I -/+ j(z) j(z)* is diagonal at every z, so the Jordan
+    frame is U = I: the polydisc (n discs) and type-I of rank one.  The one
+    test of the route that `jordan_frame` and `hartogs.darboux_jacobian` take."""
+    return D.kind == KIND_POLYDISC or D.r == 1
+
+
 def jordan_frame(D: DomainSpec, z, sign: int):
     """Spectral frame A = I - sign J J* = U diag(lam) U* of B(z, sign * zbar),
     J = j(z), batched.
@@ -632,7 +644,7 @@ def jordan_frame(D: DomainSpec, z, sign: int):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
-    if D.kind == KIND_TYPE_I and D.r > 2:
+    if not frame_is_diagonal(D) and D.r > 2:      # type-I of rank >= 3
         jz = as_matrix(D, z)
         lam, u = np.linalg.eigh(np.eye(D.r) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
         _reject_outside(lam, sign)
@@ -646,7 +658,7 @@ def jordan_frame(D: DomainSpec, z, sign: int):
     whole = finite.all()
     if not whole:
         rows, x, a = rows[finite], x[..., finite], a[:, finite]
-    if D.kind == KIND_TYPE_I and D.r == 2:
+    if not frame_is_diagonal(D):
         lam, u, k, b_z = _rotation_frame(x, a, sign)
         frame = (lam.T.copy(), _complex_rows(u), _complex_rows(k), _complex_rows(b_z))
     else:
@@ -700,7 +712,9 @@ def isotropy_apply(D: DomainSpec, tau: Isotropy, z) -> np.ndarray:
     U and V alone (ValueError otherwise).  Coordinate k then moves to
     U_kl z_l conj(V_kl), l = P(k): the terms off the support are masked, not
     multiplied by 0 as in a matrix product, so a NaN or inf stays in its own
-    coordinate."""
+    coordinate.  The complex products are taken as real ones (see
+    `_kronecker_rows`), so a point moves to the same bits alone, as a row
+    of one or inside a batch."""
     jz = as_matrix(D, z)
     u = np.asarray(tau.u, dtype=complex)
     v = np.asarray(tau.v, dtype=complex)
@@ -714,24 +728,32 @@ def isotropy_apply(D: DomainSpec, tau: Isotropy, z) -> np.ndarray:
     if not (np.count_nonzero(support) * D.n == support.size
             and np.array_equal(support, v != 0)):
         raise ValueError("the pair does not map the realization into itself")
-    terms = u * _check_point(D, z)[..., None, :] * np.conj(v)
-    return np.where(support, terms, 0).sum(axis=-1)
+    zk = _check_point(D, z)[..., None, :]
+    uz_re = u.real * zk.real - u.imag * zk.imag
+    uz_im = u.real * zk.imag + u.imag * zk.real
+    # times conj(V), the one term of each row on the support kept
+    re = np.where(support, uz_re * v.real + uz_im * v.imag, 0.0).sum(axis=-1)
+    moved = np.empty(re.shape, dtype=complex)
+    moved.real = re
+    moved.imag = np.where(support, uz_im * v.real - uz_re * v.imag, 0.0).sum(axis=-1)
+    return moved
 
 
 def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isotropy:
     """Draw a stack of count Haar random isotropy elements.
 
-    Polydisc: per element a permutation, then the phases, built into
+    Polydisc: the whole stack is one (count, 2n) array of uniforms, row i
+    holding element i's n sort keys and then its n phase fractions; the
+    permutation P is the argsort of the keys (uniform over the n!
+    orderings) and the phases are exp(2 pi i fraction), built into
     U = P diag(phases), V = P.  Type-I: per element the Gaussians of U, then
-    those of V, followed by one batched QR.
+    those of V, followed by one batched QR.  Either way the draws are per
+    element and in order, so a stack equals its elements drawn one at a time.
     """
     if D.kind == KIND_POLYDISC:
-        perms, phases = [], []
-        for _ in range(count):
-            perms.append(rng.permutation(D.n))
-            phases.append(np.exp(1j * rng.uniform(0, 2 * np.pi, D.n)))
-        pmat = np.eye(D.n)[np.array(perms, dtype=np.intp).reshape(count, D.n)]
-        return Isotropy(pmat * np.array(phases).reshape(count, 1, D.n), pmat)
+        draws = rng.random((count, 2 * D.n))
+        pmat = np.eye(D.n)[np.argsort(draws[:, :D.n], axis=-1)]
+        return Isotropy(pmat * np.exp(2j * np.pi * draws[:, None, D.n:]), pmat)
 
     p, q = D.shape
     # per element: real and imaginary parts of U, then of V

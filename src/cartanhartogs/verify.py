@@ -45,14 +45,17 @@ def _result(name: str, params: dict, worst: float, tol: float,
 
 
 # Points per block in darboux_residuals: a block holds the Jacobian's
-# 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian, the
-# two products T1 and T2 that all directions share, p^2 q^2 complex entries
-# each (2 x 81 values, 2.6 kB per point on type-I(3,3)); on the Hessian
-# side, forms.hartogs_hessian writes the (n+1) x (n+1) complex rows of the
-# form (100 values, 1.6 kB per point on type-I(3,3)) from the elimination's
-# p x (p+q) and q x q rows, with a few n x n real temporaries (81 values,
-# 0.65 kB each) alive at a time.  So memory stays bounded whatever --points
-# is; 500 points fit in one block.
+# 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian at
+# rank >= 2, the two products T1 and T2 that all directions share, p^2 q^2
+# complex entries each (2 x 81 values, 2.6 kB per point on type-I(3,3));
+# where the frame is diagonal (polydisc, rank one) its temporaries are
+# n x n.  On the Hessian side, forms.hartogs_hessian writes the
+# (n+1) x (n+1) complex rows of the form (100 values, 1.6 kB per point on
+# type-I(3,3)) from the elimination's p x (p+q) and q x q rows, with a few
+# n x n real temporaries (81 values, 0.65 kB each) alive at a time; the gap
+# is read off the form's real and imaginary planes, so no 2(n+1) x 2(n+1)
+# target is built.  So memory stays bounded whatever --points is; 500
+# points fit in one block.
 _DARBOUX_BLOCK = 1 << 9
 
 
@@ -65,9 +68,12 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
     The pullback of omega_0 along real directions a, b is Im <D_a, D_b>, with
     D = X + iY the closed-form Jacobian of Psi (or Phi), so it is
     X Y^T - Y X^T, one real product and its transpose; the form it is
-    compared with is the closed-form Hessian of the potential.  The two
-    sides come from independent routes: the map's derivative and the
-    potential's.
+    compared with is the closed-form Hessian G of the potential, whose
+    matrix in interleaved coordinates has -Im G in the (x, x) and (y, y)
+    blocks, Re G in (x, y) and -(Re G)^T in (y, x), so each block is
+    compared with Re G or Im G directly and max|target| is
+    max(|Re G|, |Im G|).  The two sides come from independent routes: the
+    map's derivative and the potential's.
     """
     out = np.empty(len(pts))
     for start in range(0, len(pts), _DARBOUX_BLOCK):
@@ -75,15 +81,23 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
         jac = hartogs.darboux_jacobian(H, block, dual)
         # contiguous planes, which numpy's matmul hands to BLAS
         xy = np.ascontiguousarray(jac.real) @ np.ascontiguousarray(np.swapaxes(jac.imag, -1, -2))
-        target = forms.hermitian_to_twoform_matrix(forms.hartogs_hessian(H, block, dual))
-        gap = np.max(np.abs(xy - np.swapaxes(xy, -1, -2) - target), axis=(-2, -1))
-        out[start:start + len(block)] = gap / np.max(np.abs(target), axis=(-2, -1))
+        gap = xy - np.swapaxes(xy, -1, -2)
+        g = forms.hartogs_hessian(H, block, dual)
+        # minus the form's blocks, in place
+        gap[..., 0::2, 0::2] += g.imag
+        gap[..., 1::2, 1::2] += g.imag
+        gap[..., 0::2, 1::2] -= g.real
+        gap[..., 1::2, 0::2] += np.swapaxes(g.real, -1, -2)
+        scale = np.max(np.maximum(np.abs(g.real), np.abs(g.imag)), axis=(-2, -1))
+        out[start:start + len(block)] = np.max(np.abs(gap), axis=(-2, -1)) / scale
     return out
 
 
 def _witness(pts: np.ndarray, residuals: np.ndarray, failed: np.ndarray) -> list:
-    """The failing points among the four with the largest residuals."""
-    bad = np.argsort(-residuals)[:4]
+    """The failing points among the four with the largest residuals, a NaN
+    residual ranked above every number.  Callers pass failed as the negated
+    pass test, ~(residual <= tol), so a NaN residual counts as failed."""
+    bad = np.argsort(-np.where(np.isnan(residuals), np.inf, residuals))[:4]
     return [{"point": capacity.pack_point(pts[i]), "residual": float(residuals[i])}
             for i in bad if failed[i]]
 
@@ -100,7 +114,7 @@ def _check_pullback(cfg, dual: bool) -> list[dict]:
         res = darboux_residuals(H, pts, dual)
         out.append(_result(name, {"mu": mu, "points": cfg.points, "operation": "pullback"},
                            float(np.max(res)), cfg.tol,
-                           _witness(pts, res, res > cfg.tol), started))
+                           _witness(pts, res, ~(res <= cfg.tol)), started))
     return out
 
 
@@ -126,7 +140,7 @@ def check_psh(cfg) -> list[dict]:
         worst = float(np.max(-eigs))
         out.append(_result("psh", {"mu": mu, "points": cfg.points,
                                    "operation": "is_positive_definite"},
-                           worst, 0.0, _witness(pts, -eigs, eigs <= 0), started,
+                           worst, 0.0, _witness(pts, -eigs, ~(-eigs < 0)), started,
                            strict=True))
     return out
 
@@ -155,7 +169,7 @@ def check_det_formula(cfg) -> list[dict]:
         out.append(_result("det-formula", {"mu": mu, "points": npts,
                                            "operation": "det_dual_hessian"},
                            float(np.max(rel)), cfg.tol,
-                           _witness(pts, rel, rel > cfg.tol), started))
+                           _witness(pts, rel, ~(rel <= cfg.tol)), started))
     started = time.perf_counter()
     fitted = measures.fit_genus(cfg.domain_spec)
     out.append(_result("det-formula", {"operation": "fit_genus", "fitted": fitted},

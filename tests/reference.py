@@ -10,10 +10,15 @@ two-form through it, and the complex Hessian of an arbitrary field, taken from
 the real Hessian.
 
 The file also holds routes that the library does not need: the interleaved
-real coordinates themselves, the Jordan triple product and the Bergman
-operator, the rank inequality behind the flat capacity ball, the spectral
-decomposition over orthogonal tripotents (behind the tests' own spectral
-inverses of Psi and Phi) and the symmetrized Selberg quadrature.  The
+real coordinates themselves, the antisymmetric matrix of the two-form of a
+Hermitian G in them (`hermitian_to_twoform_matrix`, the target that
+`verify.darboux_residuals`, which reads the blocks off Re G and Im G, is
+held to bit for bit), the isotropy draws one element at a time
+(`isotropy_draws`, which `jtsys.random_isotropy`'s stacks must equal), the
+Jordan triple product and the Bergman operator, the rank inequality behind
+the flat capacity ball, the spectral decomposition over orthogonal
+tripotents (behind the tests' own spectral inverses of Psi and Phi) and the
+symmetrized Selberg quadrature.  The
 operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 `jtsys.jordan_frame`: it takes A^(-1/4) J C^(-1/4) from two separate
 eigendecompositions where the frame uses one, and with the generic norm
@@ -29,7 +34,8 @@ pivots.  The
 per-direction Daleckii-Krein assembly (`darboux_jacobian_per_direction`,
 one (p, p) tensor per real direction) is the reference for the factored
 `hartogs.darboux_jacobian`, which reads every direction off two products
-per point.  The derivatives of log N from two batched LAPACK inverses, A^-1
+per point at rank >= 2 and off elementwise terms where the frame is
+diagonal.  The derivatives of log N from two batched LAPACK inverses, A^-1
 and C^-1 (`log_norm_derivatives_two_inverses`), and the Hartogs Hessians
 assembled batch-first on them (`hartogs_hessian_two_inverses`) are the
 references for `jtsys.log_norm_derivatives` and `forms.hartogs_hessian`,
@@ -91,6 +97,20 @@ def realify_map(f):
         return to_real(f(to_complex(x)))
 
     return wrapped
+
+
+def hermitian_to_twoform_matrix(g: np.ndarray) -> np.ndarray:
+    """Coefficient matrix of (i/2) sum g_jk dz_j ^ dzbar_k, batched over leading axes."""
+    g = np.asarray(g, dtype=complex)
+    m = g.shape[-1]
+    sym = g.real
+    asym = g.imag
+    w = np.zeros(g.shape[:-2] + (2 * m, 2 * m))
+    w[..., 0::2, 0::2] = -asym
+    w[..., 1::2, 1::2] = -asym
+    w[..., 0::2, 1::2] = sym
+    w[..., 1::2, 0::2] = -np.swapaxes(sym, -1, -2)
+    return w
 
 
 def jacobian_batch(map_r, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -181,8 +201,9 @@ def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAUL
 
 def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
     """count isotropy elements drawn one at a time, as unitary pairs (U, V):
-    per element a permutation P and then the phases, U = P diag(phases) and
-    V = P, for the polydisc; the real and imaginary Gaussians of U, a QR, then
+    per element 2n uniforms, n sort keys whose argsort is the permutation P
+    and then n phase fractions, U = P diag(exp(2 pi i fraction)) and V = P,
+    for the polydisc; the real and imaginary Gaussians of U, a QR, then
     those of V and a QR, with the phases of R's diagonal moved into Q, for
     type-I."""
     def haar(k: int) -> np.ndarray:
@@ -193,8 +214,9 @@ def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
     out = []
     for _ in range(count):
         if D.kind == "polydisc":
-            pmat = np.eye(D.n)[rng.permutation(D.n)]
-            out.append((pmat @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, D.n))), pmat))
+            keys = rng.random(2 * D.n)
+            pmat = np.eye(D.n)[np.argsort(keys[:D.n])]
+            out.append((pmat @ np.diag(np.exp(2j * np.pi * keys[D.n:])), pmat))
         else:
             p, q = D.shape
             out.append((haar(p), haar(q)))

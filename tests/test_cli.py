@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
-from cartanhartogs import capacity, cli, hartogs, measures
+from cartanhartogs import capacity, cli, forms, hartogs, measures
 
 
 def _run(args, env=None):
@@ -294,6 +294,30 @@ def test_failing_capacity_witnesses_serialize(tmp_path, monkeypatch):
     assert flat[0]["witnesses"]
     assert all(len(pair) == 2 and all(isinstance(x, float) for x in pair)
                for point in flat[0]["witnesses"] for pair in point)
+
+
+def test_a_nan_residual_fails_and_is_named(tmp_path, monkeypatch):
+    # a NaN residual at one point fails the entry and is the witness named,
+    # ranked above the finite residuals
+    seen = []
+    closed = forms.det_dual_hessian
+
+    def one_nan(H, pts):
+        seen.append(pts)
+        out = closed(H, pts)
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(forms, "det_dual_hessian", one_nan)
+    out = tmp_path / "report.json"
+    res = _run(["det-formula", "--domain", "type-I", "--p", "2", "--q", "2", "--mu", "1",
+                "--points", "40", "--output", str(out)])
+    assert res.exit_code == 1
+    entry = json.loads(out.read_text())["checks"][0]
+    assert entry["status"] == "fail" and np.isnan(entry["worst_residual"])
+    assert len(seen) == 1
+    assert [w["point"] for w in entry["witnesses"]] == [capacity.pack_point(seen[0][3])]
+    assert np.isnan(entry["witnesses"][0]["residual"])
 
 
 def test_fd_step_is_accepted_but_unread():

@@ -9,7 +9,8 @@ from cartanhartogs.errors import DomainError
 from conftest import GRID_AND_T33
 from reference import (base_restriction_matches, complex_hessian_batch,
                        darboux_jacobian_per_direction, det_dual_hessian_fd,
-                       hartogs_hessian_two_inverses, jacobian_batch, log_add_exp,
+                       hartogs_hessian_two_inverses, hermitian_to_twoform_matrix,
+                       jacobian_batch, log_add_exp,
                        log_norm_derivatives_two_inverses, pullback_batch, realify_map,
                        to_complex, to_real)
 
@@ -54,11 +55,11 @@ def test_complex_hessian_richardson_rate():
 
 def test_hermitian_to_twoform_oracle():
     # g = I on C^1 -> dx ^ dy
-    w = forms.hermitian_to_twoform_matrix(np.eye(1, dtype=complex))
+    w = hermitian_to_twoform_matrix(np.eye(1, dtype=complex))
     npt.assert_allclose(w, [[0.0, 1.0], [-1.0, 0.0]])
     # purely imaginary off-diagonal part lands in the dx^dx' / dy^dy' blocks
     g = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.0]])
-    w = forms.hermitian_to_twoform_matrix(g)
+    w = hermitian_to_twoform_matrix(g)
     npt.assert_array_equal(w, -w.T)  # antisymmetry must hold exactly
     assert w[0, 2] == pytest.approx(-0.25)
     assert w[0, 3] == pytest.approx(0.5)
@@ -66,7 +67,7 @@ def test_hermitian_to_twoform_oracle():
 
 def test_flat_kahler_form_is_standard_symplectic():
     g = complex_hessian_batch(_flat_potential, np.array([0.2 + 0.1j, 0.4]))
-    got = forms.hermitian_to_twoform_matrix(g)
+    got = hermitian_to_twoform_matrix(g)
     # omega_0 = dx1 ^ dy1 + dx2 ^ dy2 in interleaved coordinates (x1, y1, x2, y2)
     omega0 = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     npt.assert_allclose(got, omega0, atol=1e-7)
@@ -80,7 +81,7 @@ def test_jacobian_of_linear_map_is_exact():
 
 def test_pullback_through_scaling():
     # zeta -> 2 zeta multiplies the flat form by 4
-    target = forms.hermitian_to_twoform_matrix(np.eye(1))
+    target = hermitian_to_twoform_matrix(np.eye(1))
     got = pullback_batch(lambda x: 2.0 * x, np.array([[0.1, 0.2]]), target)
     npt.assert_allclose(got[0], 4.0 * target, atol=1e-9)
 
@@ -90,7 +91,7 @@ def test_pullback_batch_matches_single(rng):
         return np.stack([x[..., 0] + 0.3 * x[..., 1] ** 2,
                          x[..., 1] - 0.1 * x[..., 0] ** 2], axis=-1)
 
-    target = forms.hermitian_to_twoform_matrix(np.eye(1))
+    target = hermitian_to_twoform_matrix(np.eye(1))
     pts = rng.normal(size=(5, 2))
     batched = pullback_batch(warp, pts, target)
     for i in range(len(pts)):
@@ -103,9 +104,9 @@ def test_darboux_pullback_single_point():
     H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=1), 1.0)
     p = np.array([0.3 + 0.1j, 0.2 - 0.2j])
     pulled = pullback_batch(realify_map(lambda c: hartogs.psi_map_vec(H, c)),
-                            to_real(p[None]), forms.hermitian_to_twoform_matrix(np.eye(2)))[0]
+                            to_real(p[None]), hermitian_to_twoform_matrix(np.eye(2)))[0]
     g = complex_hessian_batch(hartogs.potential_field(H), p)
-    want = forms.hermitian_to_twoform_matrix(g)
+    want = hermitian_to_twoform_matrix(g)
     assert np.max(np.abs(pulled - want)) < 1e-6
 
 
@@ -158,6 +159,24 @@ def test_darboux_residuals_blocks_match_one_shot(monkeypatch):
     npt.assert_allclose(verify.darboux_residuals(H, inside), whole[0], rtol=1e-14)
     npt.assert_allclose(verify.darboux_residuals(H, anywhere, dual=True), whole[1],
                         rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["polydisc-3", "type-I(1,2)", "type-I(2,3)", "type-I(3,3)"])
+def test_darboux_residuals_read_the_form_blocks_exactly(name):
+    # the gap read off Re G and Im G block by block has the bits of the gap
+    # to the form's whole antisymmetric matrix, built in interleaved
+    # coordinates, on both sides and at a mu where the scale is tiny
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    rng = np.random.default_rng(6)
+    for mu in (1e-8, 2.0):
+        H = hartogs.make_hartogs(d, mu)
+        for dual, _, pts in _map_cases(H, rng):
+            jac = hartogs.darboux_jacobian(H, pts, dual)
+            xy = jac.real @ np.swapaxes(jac.imag, -1, -2)
+            target = hermitian_to_twoform_matrix(forms.hartogs_hessian(H, pts, dual))
+            gap = np.max(np.abs(xy - np.swapaxes(xy, -1, -2) - target), axis=(-2, -1))
+            want = gap / np.max(np.abs(target), axis=(-2, -1))
+            npt.assert_array_equal(verify.darboux_residuals(H, pts, dual), want)
 
 
 def _jacobian_gap(H, pts, dual, mapping):

@@ -180,6 +180,37 @@ def test_psi_and_its_jacobian_reject_points_outside_omega():
         hartogs.darboux_jacobian(H, pts)
 
 
+@pytest.mark.parametrize("name", ["polydisc-2", "type-I(1,2)", "type-I(2,2)", "type-I(2,3)"])
+def test_darboux_jacobian_keeps_the_frame_contract(name):
+    # on the diagonal route (polydisc, rank one) and the rotation route (rank
+    # two) the Jacobian keeps the contract of `jordan_frame`: on the dual side
+    # a point with an inf or NaN entry of z comes out NaN, with no warning,
+    # and the other rows keep their bits; on the domain side a point outside
+    # Omega, or one with an inf or NaN entry, raises DomainError alone and
+    # inside a batch
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    H = _hartogs(d, 1.5)
+    rng = np.random.default_rng(8)
+    pts = hartogs.sample_heavy_points(d.n + 1, 6, rng)
+    pts[1, 0] = np.inf
+    pts[4, d.n - 1] = np.nan
+    finite = np.array([True, False, True, True, False, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hartogs.darboux_jacobian(H, pts, dual=True)
+        assert np.all(np.isnan(got[~finite]))
+        npt.assert_array_equal(got[finite], hartogs.darboux_jacobian(H, pts[finite], dual=True))
+    members = hartogs.sample_member_points(H, 4, rng)
+    outside = members[0].copy()
+    outside[:-1] = jtsys.frame_point(d, [1.2])
+    for bad in (outside, pts[1], pts[4]):
+        with pytest.raises(DomainError):
+            hartogs.darboux_jacobian(H, bad)
+        with pytest.raises(DomainError):
+            hartogs.darboux_jacobian(H, np.concatenate([members, bad[None]]))
+    assert np.all(np.isfinite(hartogs.darboux_jacobian(H, members)))
+
+
 def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
     # on type-I(2,3) the maps, their inverses and their Jacobians take the
     # closed-form frame only: no eigh, SVD, determinant or inverse, and
@@ -390,6 +421,29 @@ def test_isotropy_moves_a_single_packed_point(domain, rng):
     assert moved.shape == (1, domain.n + 1) and moved[0, -1] == pt[-1]
     npt.assert_allclose(jtsys.log_norm(domain, moved[:, :-1], 1),
                         jtsys.log_norm(domain, pt[None, :-1], 1), rtol=1e-12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polydisc_isotropy_is_row_exact(n):
+    # over 200 draws a point moves to the same bits alone (n+1,), as a row
+    # (1, n+1), as that row of a batch moved by its element, and as that row
+    # of a batch moved by a stack; numpy's complex multiply rounds
+    # differently on different layouts, so the library multiplies real parts
+    H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=n), 1.0)
+    rng = np.random.default_rng(21)
+    pts = hartogs.sample_member_points(H, 200, rng, lam_max=0.8)
+    stack = jtsys.random_isotropy(H.domain, rng, len(pts))
+    by_stack = hartogs.hartogs_isotropy_apply(H, stack, pts)
+    for i, pt in enumerate(pts):
+        tau = jtsys.Isotropy(stack.u[i:i + 1], stack.v[i:i + 1])
+        alone = hartogs.hartogs_isotropy_apply(H, tau, pt)
+        assert _bits(alone) == _bits(hartogs.hartogs_isotropy_apply(H, tau, pt[None]))
+        assert _bits(alone[0]) == _bits(hartogs.hartogs_isotropy_apply(H, tau, pts)[i])
+        assert _bits(alone[0]) == _bits(by_stack[i])
 
 
 @pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_POLYDISC, n=3),
