@@ -18,6 +18,34 @@ construction) and an outer cylinder radius (checked by coordinate bounds):
   [pi (min(1, sqrt(mu)) - eps)^2, pi min(1, mu)], with the inner radius
   clamped at 0 when sqrt(mu) <= eps.
 
+The ball check and the image bound draw a fixed number of points, placed
+where each inclusion is tight, whatever the sample size:
+
+* ball: `_BALL_POINTS` points on the sphere of the given radius, each with
+  one nonzero spectral value x on a grid of [0, radius] with both ends and
+  |w| = sqrt(radius^2 - x^2); plus `_GENERIC_POINTS` uniform points of the
+  ball.  Such a point lies in M iff radius^2 - x^2 < (1 - x^2)^mu, the worst
+  direction of the ball; for mu <= 1 it fails first at x = 0, where |w| =
+  radius, as the radius passes 1, and x = radius > 1 leaves Omega.
+* image bound: xi^2 / mu = t x^2 / (1 + x^2) with t = u / G < 1, so the sup
+  1 is approached as a spectral value x of z grows with w = 0, and
+  |omega|^2 = |w|^2 / G -> 1 as |w| grows.  `_IMAGE_POINTS` frame points
+  carry a leading spectral value on the grid 10^0 ... 10^6, every other one
+  0 or on the same grid below the leading one, and |w| = 0 on every other
+  point, else on a log grid up to 1e6; plus `_GENERIC_POINTS` heavy-tailed
+  points (`sample_heavy_points`).  Both grids stop at 1e6.  There
+  1 - xi^2 / mu = 1e-12, so a slip of 1e-4 in Phi's zeta leaves the
+  cylinder; at 1e8 it is 1e-16 and xi^2 / mu rounds to 1, so the strict
+  bound would fail on a correct map.  So would |omega| at |w| = 1e8, where
+  1 - |omega|^2 = N(z, -zbar)^mu / G ~ 1e-16 N^mu is lost to rounding
+  unless N^mu is large: at x <= 1 for mu <= 2, or at any x for mu = 1e-7.
+
+Both draws are frame points moved by `_ROTATIONS` shared Haar pairs
+(`jtsys.random_isotropy`), each pair broadcast over its own block of points.
+The flat cylinder check samples M (`hartogs_in_cylinder`) in blocks of
+`_CYLINDER_BLOCK` rows, so its memory does not grow with the sample size; on
+member points |z_11| < 1 holds by the bound above, so it cannot fail.
+
 For mu < 1 the two dual bounds pin mu pi; certificates carry a note that this
 is reported as a certified interval only.  The sampled checks return their
 failure witnesses (at most 16): an empty list is a pass.  The sweep targets
@@ -34,12 +62,27 @@ from .errors import DomainError
 from .hartogs import (HartogsSpec, ch_member_vec, phi_inverse, phi_map_vec,
                       sample_ball_points, sample_heavy_points,
                       sample_member_points_full, split_vec)
-from .jtsys import frame_point, membership
+from .jtsys import frame_point, isotropy_apply, membership, random_isotropy
 
 # Margin eps of the inner radii below the exact inclusions.
 EPS = 1e-3
 # Largest round-trip error of a dual sweep target.
 _SWEEP_TOL = 1e-8
+# Haar pairs of the targeted draws, each moving its own block of points.
+_ROTATIONS = 8
+# Sphere points of the ball check and frame points of the image bound.
+_BALL_POINTS = 256
+_IMAGE_POINTS = 512
+# Uniform (ball) or heavy-tailed (image bound) points added to either draw.
+_GENERIC_POINTS = 64
+# Spectral values of the image bound's frame points, by half decades.
+_SPECTRAL_GRID = 10.0 ** np.arange(0.0, 6.25, 0.5)
+# Nonzero fiber moduli |w| of the image bound's frame points.
+_FIBER_GRID = 10.0 ** np.arange(-3.0, 6.25, 1.0)
+# Rows of one draw of the cylinder check.
+_CYLINDER_BLOCK = 1 << 13
+# Witnesses a sampled check returns at most.
+_MAX_WITNESSES = 16
 
 
 @dataclass(frozen=True)
@@ -58,34 +101,69 @@ def pack_point(vec: np.ndarray) -> list:
 
 
 def _witnesses(pts: np.ndarray, ok: np.ndarray) -> list:
-    return [pack_point(row) for row in pts[~ok][:16]]
+    return [pack_point(row) for row in pts[~ok][:_MAX_WITNESSES]]
 
 
-def ball_in_hartogs(H: HartogsSpec, radius: float, samples: int, seed: int) -> list:
-    """Sample the ball of the given radius and test membership in M."""
+def _packed_frame_points(H: HartogsSpec, values: np.ndarray, w: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Packed points (frame_point(values), w), the base point of each block of
+    len(values) / _ROTATIONS rows moved by its own one of _ROTATIONS Haar pairs."""
+    d = H.domain
+    blocks = frame_point(d, values).reshape(_ROTATIONS, -1, d.n).swapaxes(0, 1)
+    moved = isotropy_apply(d, random_isotropy(d, rng, _ROTATIONS), blocks)  # pair b moves block b
+    return np.concatenate([moved.swapaxes(0, 1).reshape(-1, d.n), w[:, None]], axis=-1)
+
+
+def ball_in_hartogs(H: HartogsSpec, radius: float, seed: int) -> list:
+    """Test membership in M of the ball of the given radius: `_BALL_POINTS`
+    points on its sphere, with one nonzero spectral value x on a grid of
+    [0, radius] (both ends included) and |w| = sqrt(radius^2 - x^2), and
+    `_GENERIC_POINTS` uniform points of the ball."""
     rng = np.random.default_rng(seed)
-    pts = sample_ball_points(H.domain.n + 1, samples, rng, radius)
+    x = np.tile(np.linspace(0.0, radius, _BALL_POINTS // _ROTATIONS), _ROTATIONS)
+    w = np.sqrt(radius**2 - x**2) * np.exp(2j * np.pi * rng.random(len(x)))
+    pts = np.concatenate([_packed_frame_points(H, x[:, None], w, rng),
+                          sample_ball_points(H.domain.n + 1, _GENERIC_POINTS, rng, radius)])
     return _witnesses(pts, ch_member_vec(H, pts))
 
 
 def hartogs_in_cylinder(H: HartogsSpec, radius: float, samples: int, seed: int) -> list:
-    """Sample member points of M and test |z_1| < radius (first base coordinate).
+    """Sample member points of M and test |z_1| < radius (first base coordinate),
+    in blocks of `_CYLINDER_BLOCK` rows, until 16 witnesses are found.
 
     The points fill Omega up to its boundary, so at radius 1 the test checks
     |z_11| <= ||z||_op < 1 rather than a bound built into the sampler.
     """
     rng = np.random.default_rng(seed)
-    pts = sample_member_points_full(H, samples, rng)
-    return _witnesses(pts, np.abs(pts[:, 0]) < radius)
+    failures = []
+    for start in range(0, samples, _CYLINDER_BLOCK):
+        pts = sample_member_points_full(H, min(_CYLINDER_BLOCK, samples - start), rng)
+        failures += _witnesses(pts, np.abs(pts[:, 0]) < radius)
+        if len(failures) >= _MAX_WITNESSES:
+            break
+    return failures[:_MAX_WITNESSES]
 
 
-def dual_image_bounds(H: HartogsSpec, samples: int, seed: int) -> list:
-    """Push heavy-tailed points through Phi and check the image bounds
-    xi_j^2 < mu, i.e. zeta / sqrt(mu) in Omega, and |omega| < 1."""
+def dual_image_bounds(H: HartogsSpec, seed: int) -> list:
+    """Push points through Phi and check the image bounds xi_j^2 < mu, i.e.
+    zeta / sqrt(mu) in Omega, and |omega| < 1: `_IMAGE_POINTS` frame points
+    with a leading spectral value on `_SPECTRAL_GRID` (cycled), each other one
+    0 or on the grid below it, and |w| = 0 on every other point, else on
+    `_FIBER_GRID`; and `_GENERIC_POINTS` heavy-tailed points."""
+    d = H.domain
     rng = np.random.default_rng(seed)
-    pts = sample_heavy_points(H.domain.n + 1, samples, rng)
+    row = np.arange(_IMAGE_POINTS)
+    lead = row % len(_SPECTRAL_GRID)
+    others = rng.integers(0, lead[:, None] + 1, size=(_IMAGE_POINTS, d.r - 1))
+    values = _SPECTRAL_GRID[np.column_stack([lead, others])]
+    values[:, 1:][rng.random((_IMAGE_POINTS, d.r - 1)) < 0.5] = 0.0
+    modulus = np.where(row % 2 == 0, 0.0,
+                       _FIBER_GRID[rng.integers(0, len(_FIBER_GRID), size=_IMAGE_POINTS)])
+    w = modulus * np.exp(2j * np.pi * rng.random(_IMAGE_POINTS))
+    pts = np.concatenate([_packed_frame_points(H, values, w, rng),
+                          sample_heavy_points(d.n + 1, _GENERIC_POINTS, rng)])
     zeta, omega = split_vec(H, phi_map_vec(H, pts))
-    inside = membership(H.domain, zeta / np.sqrt(H.mu))
+    inside = membership(d, zeta / np.sqrt(H.mu))
     return _witnesses(pts, inside & (np.abs(omega) < 1.0))
 
 
@@ -109,7 +187,7 @@ def _dual_sweeps(H: HartogsSpec, c: float, sweeps: int, seed: int) -> list:
     err = np.max(np.abs(phi_map_vec(H, phi_inverse(H, targets)) - targets), axis=-1)
     failures = [{"c": c, "delta": float(deltas[i]), "x": xs[i, :ks[i]].tolist(),
                  "err": float(err[i])} for i in np.flatnonzero(err > _SWEEP_TOL)]
-    return failures[:16]
+    return failures[:_MAX_WITNESSES]
 
 
 _DUAL_HEADLINE_NOTE = (
@@ -135,7 +213,7 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int,
         if H.mu > 1.0:
             raise DomainError("flat-side certificate requires mu <= 1")
         r_in = 1.0 - EPS
-        ball_failures = ball_in_hartogs(H, r_in, samples, seed)
+        ball_failures = ball_in_hartogs(H, r_in, seed)
         failures = ball_failures + hartogs_in_cylinder(H, 1.0, samples, seed + 1)
         lower = 0.0 if ball_failures else np.pi * r_in**2
         return CapacityCertificate(lower, np.pi, failures)
@@ -143,7 +221,7 @@ def capacity_certificate(H: HartogsSpec, side: str, samples: int,
         r_bound = float(min(1.0, np.sqrt(H.mu)))
         r_in = max(r_bound - EPS, 0.0)  # sqrt(mu) <= EPS: certify only [0, pi mu]
         sweep_failures = _dual_sweeps(H, r_in, min(samples, 400), seed)
-        bound_failures = dual_image_bounds(H, samples, seed + 1)
+        bound_failures = dual_image_bounds(H, seed + 1)
         lower = 0.0 if sweep_failures else np.pi * r_in**2
         upper = np.inf if bound_failures else np.pi * r_bound**2
         notes = ()

@@ -64,6 +64,14 @@ def split_vec(H: HartogsSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[..., :-1], pts[..., -1]
 
 
+def _split_finite(H: HartogsSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`split_vec` with an inf or NaN w replaced by NaN, so that its row comes
+    out NaN through `fiber_ratios` and every product with w, where an
+    infinite w would meet inf * 0 and warn."""
+    z, w = split_vec(H, pts)
+    return z, np.where(np.isfinite(w), w, np.nan)
+
+
 def _join(zeta: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.concatenate([zeta, omega[..., None]], axis=-1)
 
@@ -116,8 +124,9 @@ def _darboux_map(H: HartogsSpec, pts: np.ndarray, eps: int) -> np.ndarray:
     """(sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w / sqrt(G)) with t = u / G,
     u = N(z, -eps zbar)^mu and G = u + eps |w|^2: Psi at eps = -1, Phi at
     eps = +1.  One `jtsys.jordan_frame` gives B^(-1/4) z and log N = sum log lam,
-    `fiber_ratios` t and |w|^2/G, and w / sqrt(G) = (w / |w|) sqrt(|w|^2 / G)."""
-    z, w = split_vec(H, pts)
+    `fiber_ratios` t and |w|^2/G, and w / sqrt(G) = (w / |w|) sqrt(|w|^2 / G).
+    A point with an inf or NaN w comes out NaN, with no warning."""
+    z, w = _split_finite(H, pts)
     lam, _, _, bz = jtsys.jordan_frame(H.domain, z, -eps)
     t, w2_g, _ = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
     return _join(np.sqrt(H.mu * t)[..., None] * bz, _phase(w) * np.sqrt(w2_g))
@@ -155,11 +164,12 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     J_ij and g = J / lam, elementwise at the coordinate entries
     (`_diagonal_products`); the polydisc is n discs, and its T1 and T2 are
     diagonal.  At rank >= 2 they are the two products per point above
-    (`_frame_products`).
+    (`_frame_products`).  A point with an inf or NaN w comes out NaN, with no
+    warning, as one with an inf or NaN z does on the dual side.
     """
     eps = 1 if dual else -1
     d = H.domain
-    z, w = split_vec(H, pts)
+    z, w = _split_finite(H, pts)
     lam, u, k, b_z = jtsys.jordan_frame(d, z, -eps)     # b_z = A^(-1/2) J
     lead = z.shape[:-1]
     t, w2_g, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)

@@ -498,6 +498,16 @@ def _gram_cross(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[0, 0] + s[1, 1], s[1, 0] - s[0, 1]
 
 
+def _gram_det(x: np.ndarray) -> np.ndarray:
+    """det J J* = sum_(l<m) |j_0l j_1m - j_0m j_1l|^2 (N,) (Binet-Cauchy) from
+    the planes (2, 2, q, N) of two rows, the 2 x 2 minors as real products."""
+    l, m = np.array(list(itertools.combinations(range(x.shape[2]), 2))).T
+    ul, um, vl, vm = x[:, 0, l], x[:, 0, m], x[:, 1, l], x[:, 1, m]
+    minor_re = ul[0] * vm[0] - ul[1] * vm[1] - um[0] * vl[0] + um[1] * vl[1]
+    minor_im = ul[0] * vm[1] + ul[1] * vm[0] - um[0] * vl[1] - um[1] * vl[0]
+    return _column_sums(minor_re * minor_re + minor_im * minor_im)
+
+
 def singular_values(D: DomainSpec, z) -> np.ndarray:
     """All r spectral eigenvalues (descending, zeros kept), batched.
 
@@ -526,13 +536,7 @@ def singular_values(D: DomainSpec, z) -> np.ndarray:
         return np.sqrt(g[0]).reshape(z.shape[:-1] + (1,))
     half_sum, half_gap = 0.5 * (g[0] + g[1]), 0.5 * (g[0] - g[1])
     top = np.sqrt(half_sum + np.hypot(half_gap, np.hypot(*_gram_cross(x))))
-    # the 2 x 2 minors j_0l j_1m - j_0m j_1l, complex products as real ones
-    l, m = np.array(list(itertools.combinations(range(q), 2))).T
-    ul, um, vl, vm = x[:, 0, l], x[:, 0, m], x[:, 1, l], x[:, 1, m]
-    minor_re = ul[0] * vm[0] - ul[1] * vm[1] - um[0] * vl[0] + um[1] * vl[1]
-    minor_im = ul[0] * vm[1] + ul[1] * vm[0] - um[0] * vl[1] - um[1] * vl[0]
-    det = _column_sums(minor_re * minor_re + minor_im * minor_im)
-    low = np.divide(np.sqrt(det), top, out=np.zeros(top.shape), where=top > 0)
+    low = np.divide(np.sqrt(_gram_det(x)), top, out=np.zeros(top.shape), where=top > 0)
     return np.array((top, np.minimum(low, top))).T.reshape(z.shape[:-1] + (2,))
 
 
@@ -572,7 +576,14 @@ def _rotation_frame(x: np.ndarray, a: np.ndarray, sign: int):
     c = 1 / sqrt(1 + t^2) and sigma = t c beta / m; then U = [[c, sigma],
     [-conj(sigma), c]] and lam = (a_00 - t m, a_11 + t m).  t / m =
     sgn(h) 2 / (|h| + hypot(h, 2m)) is formed directly, so beta = 0 gives
-    sigma = 0 with no 0/0, and h = m = 0 gives U = I."""
+    sigma = 0 with no 0/0, and h = m = 0 gives U = I.
+
+    At sign -1 the smaller eigenvalue is taken as det A / lam_large, with
+    det A = 1 + g_00 + g_11 + det J J* = a_00 + a_11 - 1 + det J J*, a sum of
+    positive terms (`_gram_det`, Binet-Cauchy).  a_00 - t m cancels, with a
+    relative error that grows like lam_large / lam_small: at spectral values
+    (1e7, 0.3) it put Phi's smaller spectral value 7e-3 off, and at (1e8,
+    0.3) it came out 0 or negative."""
     g_re, g_im = _gram_cross(x)            # beta = -sign (g_re + i g_im)
     m = np.hypot(g_re, g_im)
     h = a[1] - a[0]
@@ -583,6 +594,11 @@ def _rotation_frame(x: np.ndarray, a: np.ndarray, sign: int):
     lam = a.copy()
     lam[0] -= tm
     lam[1] += tm
+    if sign < 0:
+        first = lam[0] <= lam[1]                 # where the smaller eigenvalue sits
+        large = np.where(first, lam[1], lam[0])
+        small = (a[0] + a[1] - 1.0 + _gram_det(x)) / large
+        lam = np.array((np.where(first, small, large), np.where(first, large, small)))
     _reject_outside(lam, sign)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = (-sign * (c * ratio)) * np.array(((-g_re, g_re), (g_im, -g_im)))

@@ -178,8 +178,8 @@ def test_criterion_9_capacity_certificates():
                                          samples=100_000, seed=11)
     ok &= not cert.failures and cert.lower >= np.pi * (0.5 - 1e-3) ** 2
     ok &= bool(cert.notes)  # headline discrepancy reported, not asserted
-    details.append(f"dual mu=0.25: lower={cert.lower:.4f}, xi-bound 0.25 on 1e5 samples,"
-                   " headline noted")
+    details.append(f"dual mu=0.25: lower={cert.lower:.4f}, xi-bound 0.25 on the targeted"
+                   " draws, headline noted")
     _report(9, "capacity certificates", ok, "; ".join(details))
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from cartanhartogs import capacity, hartogs, jtsys
 from cartanhartogs.errors import DomainError
+from conftest import GRID_AND_T33
 from reference import singular_values_svd, unit_ball_inequality
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
@@ -26,15 +27,15 @@ def test_unit_ball_inequality_holds(lams):
 
 def test_ball_in_hartogs():
     H = hartogs.make_hartogs(POLY1, 1.0)
-    assert not capacity.ball_in_hartogs(H, 0.999, 20_000, seed=5)
+    assert not capacity.ball_in_hartogs(H, 0.999, seed=5)
     # radius beyond 1 must produce witnesses outside the domain
-    assert capacity.ball_in_hartogs(H, 1.3, 20_000, seed=5)
+    assert capacity.ball_in_hartogs(H, 1.3, seed=5)
 
 
 def test_ball_in_hartogs_rank_two():
     # for r > 1 the inclusion still holds at radius 1 - eps when mu <= 1
     H = hartogs.make_hartogs(T22, 0.5)
-    assert not capacity.ball_in_hartogs(H, 0.999, 20_000, seed=5)
+    assert not capacity.ball_in_hartogs(H, 0.999, seed=5)
 
 
 @pytest.mark.parametrize("domain", [POLY1, T22], ids=["polydisc-1", "type-I(2,2)"])
@@ -51,8 +52,84 @@ def test_hartogs_in_cylinder(domain):
 def test_dual_image_bounds():
     for mu in (4.0, 0.25):
         H = hartogs.make_hartogs(POLY1, mu)
-        failures = capacity.dual_image_bounds(H, 50_000, seed=8)
+        failures = capacity.dual_image_bounds(H, seed=8)
         assert not failures, failures[:2]
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+def test_image_bound_resolves_slips_in_zeta(name, monkeypatch):
+    # the frame points reach spectral value 1e6 with w = 0, where
+    # 1 - xi^2 / mu = 1e-12, so zeta * (1 + 1e-4) leaves the cylinder, and
+    # so does zeta * (1 + 1e-9), which a grid stopping at 1e3 would miss
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    good = capacity.phi_map_vec
+    for mu in (0.5, 1.0, 2.0):
+        H = hartogs.make_hartogs(d, mu)
+        monkeypatch.setattr(capacity, "phi_map_vec", good)
+        cert = capacity.capacity_certificate(H, "dual", samples=100, seed=11)
+        npt.assert_allclose(cert.upper, np.pi * min(1.0, mu), rtol=1e-12)
+        assert not cert.failures
+        for size in (1e-4, 1e-9):
+            monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: good(H, pts)
+                                * np.append(np.full(d.n, 1.0 + size), 1.0))
+            cert = capacity.capacity_certificate(H, "dual", samples=100, seed=11)
+            assert cert.upper == np.inf
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+def test_ball_check_resolves_a_1e3_radius(name):
+    # sphere points with one spectral value x on [0, radius]: at x = 0 the
+    # fiber |w| = radius leaves M as soon as radius > 1
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    for mu in (0.5, 1.0):
+        H = hartogs.make_hartogs(d, mu)
+        assert len(capacity.ball_in_hartogs(H, 1.0 + 1e-3, seed=5)) == 16
+        assert capacity.ball_in_hartogs(H, 1.0 - 1e-3, seed=5) == []
+
+
+def test_targeted_draws_sit_where_the_bounds_are_tight(monkeypatch):
+    # the image bound's frame points have a leading spectral value on
+    # 10^0 ... 10^6, |w| = 0 on every other one and |w| <= 1e6; the ball
+    # check's sphere points have one spectral value on a grid of [0, radius]
+    # with both ends
+    seen = []
+    member, image = capacity.ch_member_vec, capacity.phi_map_vec
+    monkeypatch.setattr(capacity, "ch_member_vec",
+                        lambda H, pts: seen.append(pts) or member(H, pts))
+    monkeypatch.setattr(capacity, "phi_map_vec",
+                        lambda H, pts: seen.append(pts) or image(H, pts))
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=3), 0.5)
+    assert not capacity.dual_image_bounds(H, seed=3)
+    assert not capacity.ball_in_hartogs(H, 0.999, seed=3)
+    image_pts, ball_pts = seen
+    frame, sphere = image_pts[:capacity._IMAGE_POINTS], ball_pts[:capacity._BALL_POINTS]
+    assert len(image_pts) == capacity._IMAGE_POINTS + capacity._GENERIC_POINTS
+    assert len(ball_pts) == capacity._BALL_POINTS + capacity._GENERIC_POINTS
+    leading = singular_values_svd(H.domain, frame[:, :-1])[:, 0]
+    npt.assert_allclose(np.unique(np.round(np.log10(leading), 6)), np.arange(0.0, 6.25, 0.5))
+    assert np.all(frame[::2, -1] == 0) and np.all(np.abs(frame[1::2, -1]) > 0)
+    assert np.max(np.abs(frame[:, -1])) <= 1e6 * (1 + 1e-12)
+    npt.assert_allclose(np.linalg.norm(sphere, axis=-1), 0.999, rtol=1e-14)
+    spectra = singular_values_svd(H.domain, sphere[:, :-1])
+    assert np.all(spectra[:, 1] < 1e-12)
+    npt.assert_allclose(np.unique(np.round(spectra[:, 0], 12)),
+                        np.round(np.linspace(0.0, 0.999, 32), 12), atol=1e-12)
+
+
+def test_hartogs_in_cylinder_draws_in_blocks(monkeypatch):
+    # the cylinder check draws fixed blocks, so its memory does not grow with
+    # samples, and stops at the block that completes 16 witnesses
+    sizes = []
+    draw = capacity.sample_member_points_full
+    monkeypatch.setattr(capacity, "sample_member_points_full",
+                        lambda H, count, rng: sizes.append(count) or draw(H, count, rng))
+    H = hartogs.make_hartogs(T22, 1.0)
+    samples = 2 * capacity._CYLINDER_BLOCK + 5
+    assert not capacity.hartogs_in_cylinder(H, 1.0, samples, seed=6)
+    assert sizes == [capacity._CYLINDER_BLOCK] * 2 + [5]
+    sizes.clear()
+    assert len(capacity.hartogs_in_cylinder(H, 0.5, samples, seed=6)) == 16
+    assert sizes == [capacity._CYLINDER_BLOCK]
 
 
 def test_phi_inverse_target_oracle():

@@ -283,7 +283,7 @@ def test_failing_capacity_witnesses_serialize(tmp_path, monkeypatch):
     # witness points are written as [re, im] pairs
     ball = capacity.ball_in_hartogs
     monkeypatch.setattr(capacity, "ball_in_hartogs",
-                        lambda H, radius, samples, seed: ball(H, 1.5, samples, seed))
+                        lambda H, radius, seed: ball(H, 1.5, seed))
     out = tmp_path / "report.json"
     res = _run(["capacity", "--domain", "polydisc", "--n", "1", "--mu", "0.5",
                 "--samples", "400", "--output", str(out)])

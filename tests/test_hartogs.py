@@ -185,21 +185,27 @@ def test_darboux_jacobian_keeps_the_frame_contract(name):
     # on the diagonal route (polydisc, rank one) and the rotation route (rank
     # two) the Jacobian keeps the contract of `jordan_frame`: on the dual side
     # a point with an inf or NaN entry of z comes out NaN, with no warning,
-    # and the other rows keep their bits; on the domain side a point outside
-    # Omega, or one with an inf or NaN entry, raises DomainError alone and
-    # inside a batch
+    # and the other rows keep their bits; so does a point with an inf or NaN
+    # w, in Phi too (no inf * 0 in the fiber ratios); on the domain side a
+    # point outside Omega, or one with an inf or NaN entry of z, raises
+    # DomainError alone and inside a batch
     d = jtsys.make_domain(**GRID_AND_T33[name])
     H = _hartogs(d, 1.5)
     rng = np.random.default_rng(8)
-    pts = hartogs.sample_heavy_points(d.n + 1, 6, rng)
+    pts = hartogs.sample_heavy_points(d.n + 1, 9, rng)
     pts[1, 0] = np.inf
     pts[4, d.n - 1] = np.nan
-    finite = np.array([True, False, True, True, False, True])
+    pts[6, -1] = np.inf
+    pts[7, -1] = complex(-np.inf, np.inf)
+    pts[8, -1] = complex(0.0, np.nan)
+    finite = np.array([True, False, True, True, False, True, False, False, False])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = hartogs.darboux_jacobian(H, pts, dual=True)
-        assert np.all(np.isnan(got[~finite]))
-        npt.assert_array_equal(got[finite], hartogs.darboux_jacobian(H, pts[finite], dual=True))
+        for f in (hartogs.phi_map_vec, lambda H, pts: hartogs.darboux_jacobian(H, pts, True)):
+            got = f(H, pts)
+            assert np.all(np.isnan(got[~finite]))
+            npt.assert_array_equal(got[finite], f(H, pts[finite]))
+            assert np.all(np.isnan(f(H, pts[6])))
     members = hartogs.sample_member_points(H, 4, rng)
     outside = members[0].copy()
     outside[:-1] = jtsys.frame_point(d, [1.2])
@@ -209,6 +215,25 @@ def test_darboux_jacobian_keeps_the_frame_contract(name):
         with pytest.raises(DomainError):
             hartogs.darboux_jacobian(H, np.concatenate([members, bad[None]]))
     assert np.all(np.isfinite(hartogs.darboux_jacobian(H, members)))
+
+
+@pytest.mark.parametrize("name", ["type-I(2,2)", "type-I(2,3)"])
+def test_rank_two_frame_keeps_the_small_spectral_value(name):
+    # Phi at Haar-rotated points with spectral values (x, 0.3) and w = 0 has
+    # spectral values sqrt(mu) (x, 0.3) / sqrt(1 + (x, 0.3)^2); the smaller
+    # eigenvalue of I + J J* is det / lam_large, so it keeps its digits where
+    # a_00 - t m would cancel (7e-3 relative at x = 1e7, NaN at 1e8)
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    H = _hartogs(d, 2.0)
+    tau = jtsys.random_isotropy(d, np.random.default_rng(4), 20)
+    for x in (1e4, 1e7, 1e8):
+        z = jtsys.isotropy_apply(d, tau, jtsys.frame_point(d, np.tile([x, 0.3], (20, 1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            img = hartogs.phi_map_vec(H, np.concatenate([z, np.zeros((20, 1))], axis=-1))
+        want = np.sqrt(2.0) * np.array([x, 0.3]) / np.sqrt(1.0 + np.array([x, 0.3]) ** 2)
+        npt.assert_allclose(singular_values_svd(d, img[:, :-1]), np.tile(want, (20, 1)),
+                            rtol=1e-6)
 
 
 def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
