@@ -54,7 +54,6 @@ from .measures import (
     duality_gap,
     duality_root,
     fit_genus,
-    flat_volume_exact,
     flat_volume_quadrature,
     gennaio_check,
     log_capital_f,

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DomainError
 from .forms import det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
-from .jtsys import (KIND_POLYDISC, DomainSpec, frame_point, isotropy_apply, log_norm,
+from .jtsys import (DomainSpec, frame_point, isotropy_apply, log_norm,
                     log_norm_derivatives, random_isotropy, singular_values)
 
 # relative offset delta of the flat side's fiber probes, |w|^2 = (1 -/+ delta) N^mu
@@ -170,7 +170,8 @@ def selberg_quadrature(r: int, a: int, b: int, s: float) -> float:
     B(s+1, b+1), a product of rational factors.  In rank one the rule is one
     node carrying that mass, so there it is the Beta closed form itself;
     rank one is pinned by the Gauss-Legendre route of
-    `dual_volume_quadrature` and by `flat_volume_exact`."""
+    `dual_volume_quadrature` and, in the tests, by the analytic rank-one
+    volume."""
     if s < 0:
         raise DomainError("s must be nonnegative")
     return float(np.sum(_jacobi_polar_rule(r, a, b, s)[1]))
@@ -247,21 +248,6 @@ def dual_volume_quadrature(H: HartogsSpec, rng: np.random.Generator) -> float:
     with np.errstate(divide="ignore"):  # log 0 = -inf where the determinant underflows
         log_det = np.log(det_dual_hessian(H, pts))
     return float(np.sum(weight * np.exp(log_det + (mu + d.genus) * log_nd - 2.0 * log_1v)))
-
-
-def flat_volume_exact(H: HartogsSpec) -> float | None:
-    """Analytic Lebesgue volume of the Hartogs domain where one exists.
-
-    Polydisc base: pi^(n+1)/(mu+1)^n.  Rank-one base (the complex hyperbolic
-    ball): pi^(n+1) Gamma(mu+1)/Gamma(mu+n+1) = pi^(n+1) prod_{i<n} 1/(mu+1+i).
-    Other bases would need the boundary constant and return None.
-    """
-    d, mu = H.domain, H.mu
-    if d.kind == KIND_POLYDISC:
-        return math.pi ** (d.n + 1) / (mu + 1.0) ** d.n
-    if d.r == 1:
-        return math.pi ** (d.n + 1) * math.prod(1.0 / (mu + 1 + i) for i in range(d.n))
-    return None
 
 
 def dual_flat_ratio_formula(H: HartogsSpec) -> float:

@@ -262,15 +262,14 @@ def check_capacity(cfg) -> list[dict]:
         H = hartogs.make_hartogs(cfg.domain_spec, mu)
         if mu <= 1.0:
             started = time.perf_counter()
-            cert = capacity.capacity_certificate(H, "flat-hartogs", cfg.samples // 4,
-                                                 cfg.seed + 5)
+            cert = capacity.capacity_certificate(H, "flat-hartogs", cfg.seed + 5)
             out.append(_result("capacity", {"mu": mu, "side": "flat-hartogs",
                                             "interval": [cert.lower, cert.upper],
                                             "operation": "capacity_certificate"},
                                float(len(cert.failures)), 0.0,
                                cert.failures[:4], started))
         started = time.perf_counter()
-        cert = capacity.capacity_certificate(H, "dual", cfg.samples // 4, cfg.seed + 6)
+        cert = capacity.capacity_certificate(H, "dual", cfg.seed + 6)
         out.append(_result("capacity", {"mu": mu, "side": "dual",
                                         "interval": [cert.lower, cert.upper],
                                         "notes": list(cert.notes),

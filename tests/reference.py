@@ -262,6 +262,21 @@ def unit_ball_inequality(lams: np.ndarray) -> np.ndarray:
     return np.sum(lams**2, axis=-1) + np.prod(1.0 - lams**2, axis=-1)
 
 
+def flat_volume_exact(H: HartogsSpec) -> float | None:
+    """Analytic Lebesgue volume of the Hartogs domain where one exists.
+
+    Polydisc base: pi^(n+1)/(mu+1)^n.  Rank-one base (the complex hyperbolic
+    ball): pi^(n+1) Gamma(mu+1)/Gamma(mu+n+1) = pi^(n+1) prod_{i<n} 1/(mu+1+i).
+    Other bases would need the boundary constant and return None.
+    """
+    d, mu = H.domain, H.mu
+    if d.kind == KIND_POLYDISC:
+        return math.pi ** (d.n + 1) / (mu + 1.0) ** d.n
+    if d.r == 1:
+        return math.pi ** (d.n + 1) * math.prod(1.0 / (mu + 1 + i) for i in range(d.n))
+    return None
+
+
 def _single_point(D: DomainSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape != (D.n,):

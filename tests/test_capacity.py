@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from cartanhartogs import capacity, hartogs, jtsys
+from cartanhartogs import capacity, cli, hartogs, jtsys, verify
 from cartanhartogs.errors import DomainError
 from conftest import GRID_AND_T33
 from reference import singular_values_svd, unit_ball_inequality
@@ -43,8 +43,8 @@ def test_hartogs_in_cylinder(domain):
     # |z_11| <= ||z||_op < 1 on Omega, so radius 1 holds; the sampler does
     # not bound |z_11| by construction, so a smaller radius must fail
     H = hartogs.make_hartogs(domain, 1.0)
-    assert not capacity.hartogs_in_cylinder(H, 1.0, 20_000, seed=6)
-    bad = capacity.hartogs_in_cylinder(H, 0.5, 20_000, seed=6)
+    assert not capacity.hartogs_in_cylinder(H, 1.0, seed=6)
+    bad = capacity.hartogs_in_cylinder(H, 0.5, seed=6)
     assert bad
     assert all(np.hypot(*row[0]) >= 0.5 for row in bad)  # row: [re, im] pairs
 
@@ -66,14 +66,32 @@ def test_image_bound_resolves_slips_in_zeta(name, monkeypatch):
     for mu in (0.5, 1.0, 2.0):
         H = hartogs.make_hartogs(d, mu)
         monkeypatch.setattr(capacity, "phi_map_vec", good)
-        cert = capacity.capacity_certificate(H, "dual", samples=100, seed=11)
+        cert = capacity.capacity_certificate(H, "dual", seed=11)
         npt.assert_allclose(cert.upper, np.pi * min(1.0, mu), rtol=1e-12)
         assert not cert.failures
         for size in (1e-4, 1e-9):
             monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: good(H, pts)
                                 * np.append(np.full(d.n, 1.0 + size), 1.0))
-            cert = capacity.capacity_certificate(H, "dual", samples=100, seed=11)
+            cert = capacity.capacity_certificate(H, "dual", seed=11)
             assert cert.upper == np.inf
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+def test_image_bound_resolves_a_slip_in_omega_at_every_mu(name, monkeypatch):
+    # every fourth frame point sits at z = 0, where N(z, -zbar)^mu = 1 at any
+    # mu, so |omega|^2 = |w|^2 / (1 + |w|^2) comes within 1e-12 of 1 and
+    # omega * (1 + 1e-4) leaves the unit disc; away from z = 0, N^mu >= 2^mu
+    # dwarfs |w| <= 1e6 at mu = 1e3 and the slip would pass
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    good = capacity.phi_map_vec
+    for mu in (1e-7, 0.5, 1.0, 2.0, 1e3, 1e4):
+        H = hartogs.make_hartogs(d, mu)
+        monkeypatch.setattr(capacity, "phi_map_vec", good)
+        assert capacity.dual_image_bounds(H, seed=3) == []
+        if mu >= 1e3:
+            monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: good(H, pts)
+                                * np.append(np.ones(d.n), 1.0 + 1e-4))
+            assert len(capacity.dual_image_bounds(H, seed=3)) == 16
 
 
 @pytest.mark.parametrize("name", list(GRID_AND_T33))
@@ -89,9 +107,9 @@ def test_ball_check_resolves_a_1e3_radius(name):
 
 def test_targeted_draws_sit_where_the_bounds_are_tight(monkeypatch):
     # the image bound's frame points have a leading spectral value on
-    # 10^0 ... 10^6, |w| = 0 on every other one and |w| <= 1e6; the ball
-    # check's sphere points have one spectral value on a grid of [0, radius]
-    # with both ends
+    # 10^0 ... 10^6, except every fourth one, which sits at z = 0, |w| = 0 on
+    # every other one and |w| <= 1e6; the ball check's sphere points have one
+    # spectral value on a grid of [0, radius] with both ends
     seen = []
     member, image = capacity.ch_member_vec, capacity.phi_map_vec
     monkeypatch.setattr(capacity, "ch_member_vec",
@@ -105,9 +123,12 @@ def test_targeted_draws_sit_where_the_bounds_are_tight(monkeypatch):
     frame, sphere = image_pts[:capacity._IMAGE_POINTS], ball_pts[:capacity._BALL_POINTS]
     assert len(image_pts) == capacity._IMAGE_POINTS + capacity._GENERIC_POINTS
     assert len(ball_pts) == capacity._BALL_POINTS + capacity._GENERIC_POINTS
-    leading = singular_values_svd(H.domain, frame[:, :-1])[:, 0]
+    at_origin = np.arange(capacity._IMAGE_POINTS) % 4 == 3
+    assert np.all(frame[at_origin, :-1] == 0)
+    leading = singular_values_svd(H.domain, frame[~at_origin, :-1])[:, 0]
     npt.assert_allclose(np.unique(np.round(np.log10(leading), 6)), np.arange(0.0, 6.25, 0.5))
     assert np.all(frame[::2, -1] == 0) and np.all(np.abs(frame[1::2, -1]) > 0)
+    assert np.max(np.abs(frame[at_origin, -1])) == pytest.approx(1e6, rel=1e-12)
     assert np.max(np.abs(frame[:, -1])) <= 1e6 * (1 + 1e-12)
     npt.assert_allclose(np.linalg.norm(sphere, axis=-1), 0.999, rtol=1e-14)
     spectra = singular_values_svd(H.domain, sphere[:, :-1])
@@ -116,20 +137,26 @@ def test_targeted_draws_sit_where_the_bounds_are_tight(monkeypatch):
                         np.round(np.linspace(0.0, 0.999, 32), 12), atol=1e-12)
 
 
-def test_hartogs_in_cylinder_draws_in_blocks(monkeypatch):
-    # the cylinder check draws fixed blocks, so its memory does not grow with
-    # samples, and stops at the block that completes 16 witnesses
+def test_capacity_draws_do_not_grow_with_samples(monkeypatch):
+    # every capacity check takes a fixed draw: the cylinder check's member
+    # points and the sweeps' targets are the same at samples 4 and 1e9, and
+    # so is the report
     sizes = []
-    draw = capacity.sample_member_points_full
+    draw, inverse = capacity.sample_member_points_full, capacity.phi_inverse
     monkeypatch.setattr(capacity, "sample_member_points_full",
                         lambda H, count, rng: sizes.append(count) or draw(H, count, rng))
-    H = hartogs.make_hartogs(T22, 1.0)
-    samples = 2 * capacity._CYLINDER_BLOCK + 5
-    assert not capacity.hartogs_in_cylinder(H, 1.0, samples, seed=6)
-    assert sizes == [capacity._CYLINDER_BLOCK] * 2 + [5]
-    sizes.clear()
-    assert len(capacity.hartogs_in_cylinder(H, 0.5, samples, seed=6)) == 16
-    assert sizes == [capacity._CYLINDER_BLOCK]
+    monkeypatch.setattr(capacity, "phi_inverse",
+                        lambda H, pts: sizes.append(len(pts)) or inverse(H, pts))
+    runs = []
+    for samples in (4, 10**9):
+        sizes.clear()
+        cfg = cli.RunConfig(kind=jtsys.KIND_TYPE_I, p=2, q=2, mu=(0.5, 1.0),
+                            checks=("capacity",), samples=samples)
+        report = [{k: v for k, v in c.items() if k != "wall_time_s"}
+                  for c in verify.check_capacity(cfg)]
+        runs.append((list(sizes), report))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [capacity._CYLINDER_POINTS, capacity._SWEEPS] * 2
 
 
 def test_phi_inverse_target_oracle():
@@ -175,17 +202,18 @@ def test_dual_sweeps_detect_a_wrong_map(monkeypatch):
     inverse = capacity.phi_inverse
     monkeypatch.setattr(capacity, "phi_inverse",
                         lambda H, pts: targets.append(pts) or inverse(H, pts))
-    assert not capacity._dual_sweeps(H, 0.999, 50, seed=3)
+    assert not capacity._dual_sweeps(H, 0.999, seed=3)
     # every target lies on the radius-c sphere, 1 <= k <= r spectral values on
     # the frame (E_11, E_22 of the row-major 2x2 matrix), some at the fiber edge
     (pts,) = targets
+    assert len(pts) == capacity._SWEEPS
     npt.assert_allclose(np.linalg.norm(pts, axis=-1), 0.999, rtol=1e-14)
     assert np.all(pts[:, [1, 2]] == 0) and np.all(pts[:, 0] > 0)
-    assert 0 < np.sum(pts[:, 3] == 0) < 50
-    assert 0 < np.sum(pts[:, -1] == 0.999 * (1 - 1e-6)) < 50
+    assert 0 < np.sum(pts[:, 3] == 0) < capacity._SWEEPS
+    assert 0 < np.sum(pts[:, -1] == 0.999 * (1 - 1e-6)) < capacity._SWEEPS
     good = capacity.phi_map_vec
     monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: (1.0 + 1e-6) * good(H, pts))
-    bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
+    bad = capacity._dual_sweeps(H, 0.999, seed=3)
     assert len(bad) == 16
     assert set(bad[0]) == {"c", "delta", "x", "err"}
     # slips that keep the spectra and |omega|: the round trip is compared
@@ -193,7 +221,7 @@ def test_dual_sweeps_detect_a_wrong_map(monkeypatch):
     for slip in (lambda img: np.concatenate([img[:, :-1], np.exp(0.1j) * img[:, -1:]], axis=-1),
                  lambda img: np.concatenate([1j * np.conj(img[:, :-1]), img[:, -1:]], axis=-1)):
         monkeypatch.setattr(capacity, "phi_map_vec", lambda H, pts: slip(good(H, pts)))
-        bad = capacity._dual_sweeps(H, 0.999, 50, seed=3)
+        bad = capacity._dual_sweeps(H, 0.999, seed=3)
         assert len(bad) == 16
         assert set(bad[0]) == {"c", "delta", "x", "err"}
 
@@ -202,31 +230,31 @@ def test_dual_certificate_takes_no_svd(monkeypatch):
     # the image bounds test zeta / sqrt(mu) by the Gram pivots and the sweeps
     # compare points, so the dual certificate is the same with every SVD refused
     H = hartogs.make_hartogs(T22, 2.0)
-    want = capacity.capacity_certificate(H, "dual", samples=2_000, seed=11)
+    want = capacity.capacity_certificate(H, "dual", seed=11)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the dual certificate took an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(jtsys, "singular_values", refuse)
-    assert capacity.capacity_certificate(H, "dual", samples=2_000, seed=11) == want
+    assert capacity.capacity_certificate(H, "dual", seed=11) == want
     assert not want.failures
 
 
 def test_capacity_certificate_flat():
     H = hartogs.make_hartogs(POLY1, 0.5)
-    cert = capacity.capacity_certificate(H, "flat-hartogs", samples=20_000, seed=11)
+    cert = capacity.capacity_certificate(H, "flat-hartogs", seed=11)
     npt.assert_allclose(cert.lower, np.pi * (1 - 1e-3) ** 2)
     npt.assert_allclose(cert.upper, np.pi)
     assert not cert.failures
     with pytest.raises(DomainError):
         capacity.capacity_certificate(hartogs.make_hartogs(POLY1, 2.0),
-                                      "flat-hartogs", samples=100, seed=11)
+                                      "flat-hartogs", seed=11)
 
 
 def test_capacity_certificate_dual_large_mu():
     H = hartogs.make_hartogs(POLY1, 4.0)
-    cert = capacity.capacity_certificate(H, "dual", samples=20_000, seed=11)
+    cert = capacity.capacity_certificate(H, "dual", seed=11)
     assert cert.lower >= np.pi * (1.0 - 1e-3) ** 2
     npt.assert_allclose(cert.upper, np.pi)
     assert not cert.failures
@@ -235,7 +263,7 @@ def test_capacity_certificate_dual_large_mu():
 
 def test_capacity_certificate_dual_small_mu():
     H = hartogs.make_hartogs(POLY1, 0.25)
-    cert = capacity.capacity_certificate(H, "dual", samples=20_000, seed=11)
+    cert = capacity.capacity_certificate(H, "dual", seed=11)
     assert cert.lower >= np.pi * (0.5 - 1e-3) ** 2
     npt.assert_allclose(cert.upper, np.pi * 0.25)
     assert not cert.failures
@@ -247,8 +275,7 @@ def test_capacity_certificate_dual_small_mu():
 def test_capacity_certificate_dual_tiny_mu(domain):
     # sqrt(mu) < eps: the inner radius clamps at 0 instead of going negative
     mu = 1e-7
-    cert = capacity.capacity_certificate(hartogs.make_hartogs(domain, mu), "dual",
-                                         samples=100, seed=11)
+    cert = capacity.capacity_certificate(hartogs.make_hartogs(domain, mu), "dual", seed=11)
     assert cert.lower == 0.0
     npt.assert_allclose(cert.upper, np.pi * mu)
     assert not cert.failures
@@ -258,12 +285,11 @@ def test_capacity_certificate_dual_tiny_mu(domain):
 
 def test_capacity_certificate_unknown_side():
     with pytest.raises(DomainError):
-        capacity.capacity_certificate(hartogs.make_hartogs(POLY1, 1.0), "nosuch",
-                                      samples=100, seed=11)
+        capacity.capacity_certificate(hartogs.make_hartogs(POLY1, 1.0), "nosuch", seed=11)
 
 
 def test_dual_certificate_higher_rank():
     H = hartogs.make_hartogs(T22, 2.0)
-    cert = capacity.capacity_certificate(H, "dual", samples=10_000, seed=11)
+    cert = capacity.capacity_certificate(H, "dual", seed=11)
     assert cert.lower >= np.pi * (1.0 - 1e-3) ** 2
     assert not cert.failures

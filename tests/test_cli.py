@@ -332,6 +332,18 @@ def test_fd_step_is_accepted_but_unread():
     assert strip(plain) == strip(stepped)
 
 
+def test_samples_is_accepted_but_unread():
+    # --samples is validated and echoed, and no check reads it: capacity
+    # takes fixed draws, so 1e9 samples give the report of 400
+    base = ["capacity", "--domain", "type-I", "--p", "3", "--q", "3"]
+    assert _run(base + ["--samples", "inf"]).exit_code == 2
+    small, huge = (json.loads(_strip_times(_run(base + ["--samples", n]).output))
+                   for n in ("400", "1e9"))
+    assert (small["config"].pop("samples"), huge["config"].pop("samples")) == (400, 10**9)
+    assert small == huge
+    assert small["summary"]["overall"] == "pass"
+
+
 def test_volume_with_no_member_node_reports_fail(monkeypatch):
     # a membership test that rejects every fiber probe zeroes the flat
     # quadrature; the ratio is then unbounded, and both entries fail in the
