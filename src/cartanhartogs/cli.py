@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import click
 
@@ -86,7 +86,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
+    # field by field: every value is a str, number, None or a tuple of them,
+    # so dataclasses.asdict's recursive deep copy has nothing to copy
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     echo["mu"] = list(cfg.mu)
     echo["checks"] = list(cfg.checks)
     return echo
@@ -152,6 +154,14 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+def _typed(key: str, val, types: tuple, what: str):
+    """val when it is an instance of types, where a JSON true or false is no
+    number; TypeError naming what was expected otherwise."""
+    if isinstance(val, types) and not isinstance(val, bool):
+        return val
+    raise TypeError(f"{key} must be {what}, not {val!r}")
+
+
 def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig:
     from click.core import ParameterSource
 
@@ -167,7 +177,7 @@ def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig
                 continue
             if key not in merged:
                 raise click.UsageError(f"unknown config key {key!r}")
-            merged[key] = tuple(val) if key == "mu" else val
+            merged[key] = val
 
     for key in merged:
         if key == "seed":
@@ -178,25 +188,33 @@ def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig
         if val is not None and val != ():
             merged[key] = val
 
-    if check_name == "all":
-        checks = tuple(file_vals.get("checks", verify.CHECKS))
-        unknown = [c for c in checks if c not in verify.CHECKS]
-        if unknown:
-            raise click.UsageError(f"unknown checks in config file: {unknown}")
-    else:
-        checks = (check_name,)
-
     try:
-        samples = int(float(merged["samples"]))
-        cfg = RunConfig(kind=merged["kind"], n=merged["n"], p=merged["p"],
-                        q=merged["q"], mu=tuple(float(m) for m in merged["mu"]),
-                        checks=checks, points=int(merged["points"]),
-                        samples=samples, seed=int(merged["seed"]),
-                        fd_step=float(merged["fd_step"]), tol=float(merged["tol"]),
-                        jobs=int(merged["jobs"]), fmt=merged["fmt"],
-                        output=merged["output"])
+        if check_name == "all":
+            checks = tuple(_typed("checks", c, (str,), "a list of names")
+                           for c in _typed("checks", file_vals.get("checks", list(verify.CHECKS)),
+                                           (list,), "a list of names"))
+        else:
+            checks = (check_name,)
+        ints = {key: _typed(key, merged[key], (int,), "an integer")
+                for key in ("points", "seed", "jobs")}
+        ints.update({key: _typed(key, merged[key], (int, type(None)), "an integer")
+                     for key in ("n", "p", "q")})
+        reals = {key: float(_typed(key, merged[key], (int, float), "a number"))
+                 for key in ("fd_step", "tol")}
+        # --samples takes a string such as 1e6
+        samples = int(float(_typed("samples", merged["samples"], (int, float, str), "a number")))
+        cfg = RunConfig(kind=merged["kind"],
+                        mu=tuple(float(_typed("mu", m, (int, float), "a list of numbers"))
+                                 for m in _typed("mu", merged["mu"], (list, tuple),
+                                                 "a list of numbers")),
+                        checks=checks, samples=samples, fmt=merged["fmt"],
+                        output=_typed("output", merged["output"], (str, type(None)), "a path"),
+                        **ints, **reals)
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise click.UsageError(f"malformed config value: {exc}")
+    unknown = [c for c in checks if c not in verify.CHECKS]
+    if unknown:
+        raise click.UsageError(f"unknown checks in config file: {unknown}")
     if cfg.kind is None:
         raise click.UsageError("a domain kind is required (--domain or config file)")
     if cfg.fmt not in ("json", "csv"):

@@ -94,9 +94,10 @@ def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.n
     g_re, g_im = grad.real, grad.imag
     # + c l_j conj(l_k), c = mu^2 t |w|^2 / G
     c = H.mu * mu_t * w2_g
-    cg_re, cg_im = (c * g_re)[:, None], (c * g_im)[:, None]
-    zz.real += cg_re * g_re + cg_im * g_im
-    zz.imag += cg_im * g_re - cg_re * g_im
+    cg_re, cg_im = c * g_re, c * g_im
+    for j in range(d.n):  # row by row, so its temporaries are n rows, not n^2
+        zz.real[j] += cg_re[j] * g_re + cg_im[j] * g_im
+        zz.imag[j] += cg_im[j] * g_re - cg_re[j] * g_im
     # -(mu t w / G) l_j
     m_re, m_im = mu_t * w.real * inv_g, mu_t * w.imag * inv_g
     out.real[:-1, -1] = -(m_re * g_re - m_im * g_im)

@@ -174,19 +174,23 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     lead = z.shape[:-1]
     t, w2_g, inv_g = fiber_ratios(H, np.sum(np.log(lam), axis=-1), w, eps)
     scale = np.sqrt(H.mu * t)
-    # s1[a, o], s2[a, o]: T1 and T2 at direction coordinate a and image coordinate o
+    # s1[a, o] and s2[a, o], T1 and T2 at direction coordinate a and image
+    # coordinate o, are written straight into the rows of c = 1 and c = i
+    out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
+    s1, s2 = out[..., 0:-2:2, :-1], out[..., 1:-2:2, :-1]
     if jtsys.frame_is_diagonal(d):
-        s1, s2, g = _diagonal_products(d, lam, k, scale, eps)
+        g = _diagonal_products(d, lam, k, scale, eps, s1, s2)
     else:
-        s1, s2, g = _frame_products(d, lam, u, k, scale, eps)
+        g = _frame_products(d, lam, u, k, scale, eps, s1, s2)
     dlog_u = (2.0 * eps * H.mu * np.stack([g.real, g.imag], axis=-1)).reshape(lead + (2 * d.n,))
     fiber = (0.5 * H.mu * w2_g * scale)[..., None] * g     # (1 - t) = eps |w|^2 / G
-    s1 += np.conj(fiber)[..., :, None] * b_z[..., None, :]
-    s2 += fiber[..., :, None] * b_z[..., None, :]
-    out = np.empty(lead + (2 * (d.n + 1), d.n + 1), dtype=complex)
-    np.add(s1, s2, out=out[..., 0:-2:2, :-1])        # c = 1
-    s1 -= s2
-    np.multiply(s1, 1j, out=out[..., 1:-2:2, :-1])   # c = i
+    # the two rank-one terms, then s1 - s2, through one scratch array
+    scratch = np.multiply(np.conj(fiber)[..., :, None], b_z[..., None, :])
+    s1 += scratch
+    s2 += np.multiply(fiber[..., :, None], b_z[..., None, :], out=scratch)
+    np.subtract(s1, s2, out=scratch)
+    s1 += s2                                  # c = 1
+    np.multiply(scratch, 1j, out=s2)          # c = i
     out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
     dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
     out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
@@ -194,8 +198,9 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     return out
 
 
-def _diagonal_products(d: DomainSpec, lam, k, scale, eps):
-    """(s1, s2, g) of `darboux_jacobian` where A is diagonal and U = I, K = J:
+def _diagonal_products(d: DomainSpec, lam, k, scale, eps, s1, s2):
+    """s1 and s2 of `darboux_jacobian`, into the given arrays, and g, where A
+    is diagonal and U = I, K = J:
     where direction a and image o sit on one row i of J, s1 = eps sqrt(mu t)
     Delta_ii conj(J_a) J_o (plus sqrt(mu t) lam_i^(-1/2) at a = o) and s2 =
     eps sqrt(mu t) Delta_ii J_a J_o, and 0 elsewhere, with Delta_ii = f'(lam_i)
@@ -206,35 +211,42 @@ def _diagonal_products(d: DomainSpec, lam, k, scale, eps):
     root = np.sqrt(lam)[..., rows]
     dx = ((-eps * scale)[..., None] / (root * root * (root + root))) * x
     same = rows[:, None] == rows       # direction and image on one row of J
-    s1 = np.where(same, np.conj(x)[..., :, None] * dx[..., None, :], 0.0)
+    s1[...] = np.where(same, np.conj(x)[..., :, None] * dx[..., None, :], 0.0)
     diag = np.arange(d.n)
     s1[..., diag, diag] += scale[..., None] / root
-    s2 = np.where(same, x[..., :, None] * dx[..., None, :], 0.0)
-    return s1, s2, x * (1.0 / lam)[..., rows]    # no complex division, which warns on NaN
+    s2[...] = np.where(same, x[..., :, None] * dx[..., None, :], 0.0)
+    return x * (1.0 / lam)[..., rows]    # no complex division, which warns on NaN
 
 
-def _frame_products(d: DomainSpec, lam, u, k, scale, eps):
-    """(s1, s2, g) of `darboux_jacobian` from the full frame: T1 and T2 as
-    two products per point, read at the coordinate entries."""
+def _frame_products(d: DomainSpec, lam, u, k, scale, eps, s1, s2):
+    """s1 and s2 of `darboux_jacobian`, into the given arrays, and g, from
+    the full frame: T1 and T2 as two products per point.  Their entries are
+    s1 and s2 permuted (every entry of J is a coordinate), so each product is
+    scattered into place and dropped before the next one is formed."""
     p, q = k.shape[-2:]
     lead = k.shape[:-2]
     root = np.sqrt(lam)
     # eps sqrt(mu t) Delta, without cancellation and f'(x) on the diagonal
     delta = (-eps * scale)[..., None, None] / (root[..., :, None] * root[..., None, :]
                                                * (root[..., :, None] + root[..., None, :]))
+    entry = np.empty((p, q), dtype=int)  # the coordinate at each entry of J
+    entry[jtsys.coordinate_entries(d)] = np.arange(d.n)
+    # T1[i, a, b, j] is s1 at direction (a, b) and image (i, j)
+    image = entry[:, None, None, :]
     y1 = delta @ (np.conj(k)[..., :, :, None] * k[..., :, None, :]).reshape(lead + (p, q * q))
     diag = np.arange(q)
     y1.reshape(lead + (p, q, q))[..., diag, diag] += (scale[..., None] / root)[..., None]
-    t1 = (u[..., :, None, :] * np.conj(u)[..., None, :, :]).reshape(lead + (p * p, p)) @ y1
+    s1[..., entry[None, :, :, None], image] = (
+        (u[..., :, None, :] * np.conj(u)[..., None, :, :]).reshape(lead + (p * p, p)) @ y1
+    ).reshape(lead + (p, p, q, q))
+    del y1
+    # T2[i, b, a, j] is s2 at direction (a, b) and image (i, j)
     x2 = (u[..., :, None, :] * np.swapaxes(k, -1, -2)[..., None, :, :]).reshape(lead + (p * q, p))
     y2 = (np.swapaxes(u, -1, -2)[..., :, :, None] * k[..., :, None, :]).reshape(lead + (p, p * q))
-    t2 = x2 @ (delta @ y2)
-    i, j = jtsys.coordinate_entries(d)   # entry (i, j) of the image, (a, b) of the direction
-    a, b = i[:, None], j[:, None]
-    s1 = t1.reshape(lead + (p, p, q, q))[..., i, a, b, j]
-    s2 = t2.reshape(lead + (p, q, p, q))[..., i, b, a, j]
-    g = jtsys.as_vector(d, (x2 @ (1.0 / lam)[..., :, None]).reshape(lead + (p, q)))
-    return s1, s2, g
+    z2 = delta @ y2
+    del y2
+    s2[..., entry.T[None, :, :, None], image] = (x2 @ z2).reshape(lead + (p, q, p, q))
+    return jtsys.as_vector(d, (x2 @ (1.0 / lam)[..., :, None]).reshape(lead + (p, q)))
 
 
 def _darboux_inverse(H: HartogsSpec, targets, eps: int) -> np.ndarray:

@@ -434,12 +434,14 @@ def _kronecker_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray
     a row rounds the same in any batch."""
     p, q = len(x), len(y)
     blocks = out.reshape(p, q, p, q, -1)
-    x_re, x_im = x.real[:, None, :, None], x.imag[:, None, :, None]
-    y_re, y_im = y.real[None, :, None], y.imag[None, :, None]
-    np.multiply(x_re, y_re, out=blocks.real)
-    blocks.real -= x_im * y_im
-    np.multiply(x_re, y_im, out=blocks.imag)
-    blocks.imag += x_im * y_re
+    y_re, y_im = y.real[:, None], y.imag[:, None]
+    for a in range(p):  # one row of x at a time, so a temporary is 1/p of out
+        block = blocks[a]
+        x_re, x_im = x.real[a][None, :, None], x.imag[a][None, :, None]
+        np.multiply(x_re, y_re, out=block.real)
+        block.real -= x_im * y_im
+        np.multiply(x_re, y_im, out=block.imag)
+        block.imag += x_im * y_re
     return out
 
 

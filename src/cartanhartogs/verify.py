@@ -44,18 +44,18 @@ def _result(name: str, params: dict, worst: float, tol: float,
     }
 
 
-# Points per block in darboux_residuals: a block holds the Jacobian's
-# 2(n+1) x (n+1) complex entries per point and, inside darboux_jacobian at
-# rank >= 2, the two products T1 and T2 that all directions share, p^2 q^2
-# complex entries each (2 x 81 values, 2.6 kB per point on type-I(3,3));
-# where the frame is diagonal (polydisc, rank one) its temporaries are
-# n x n.  On the Hessian side, forms.hartogs_hessian writes the
-# (n+1) x (n+1) complex rows of the form (100 values, 1.6 kB per point on
-# type-I(3,3)) from the elimination's p x (p+q) and q x q rows, with a few
-# n x n real temporaries (81 values, 0.65 kB each) alive at a time; the gap
-# is read off the form's real and imaginary planes, so no 2(n+1) x 2(n+1)
-# target is built.  So memory stays bounded whatever --points is; 500
-# points fit in one block.
+# Points per block in darboux_residuals.  A block's largest arrays are the
+# Jacobian, 2(n+1) x (n+1) complex entries per point, its two real planes
+# together, and X Y^T and the gap, 2(n+1) x 2(n+1) real entries each: 3.2 kB
+# per point on type-I(3,3).  The steps hold at most two of them at once, and
+# the Hessian, (n+1) x (n+1) complex entries per point, is formed beside the
+# gap alone.  Inside darboux_jacobian at rank >= 2 each of the products T1
+# and T2 (p^2 q^2 complex entries, 1.3 kB per point on type-I(3,3)) is
+# scattered into the Jacobian and dropped before the other is formed, and
+# forms.hartogs_hessian writes its n x n terms a row at a time.  So memory
+# stays bounded whatever --points is (3.3 MB traced for 500 points on
+# type-I(3,3)); 500 points fit in one block.  Smaller blocks do not cut the
+# page faults of a pass: glibc's trim threshold follows the largest array.
 _DARBOUX_BLOCK = 1 << 9
 
 
@@ -79,17 +79,26 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
     for start in range(0, len(pts), _DARBOUX_BLOCK):
         block = pts[start:start + _DARBOUX_BLOCK]
         jac = hartogs.darboux_jacobian(H, block, dual)
-        # contiguous planes, which numpy's matmul hands to BLAS
-        xy = np.ascontiguousarray(jac.real) @ np.ascontiguousarray(np.swapaxes(jac.imag, -1, -2))
+        # contiguous planes, which numpy's matmul hands to BLAS; each input
+        # is dropped once the next step holds what it needs of it
+        re = np.ascontiguousarray(jac.real)
+        im_t = np.ascontiguousarray(np.swapaxes(jac.imag, -1, -2))
+        del jac
+        xy = re @ im_t
+        del re, im_t
         gap = xy - np.swapaxes(xy, -1, -2)
+        del xy
         g = forms.hartogs_hessian(H, block, dual)
         # minus the form's blocks, in place
         gap[..., 0::2, 0::2] += g.imag
         gap[..., 1::2, 1::2] += g.imag
         gap[..., 0::2, 1::2] -= g.real
         gap[..., 1::2, 0::2] += np.swapaxes(g.real, -1, -2)
-        scale = np.max(np.maximum(np.abs(g.real), np.abs(g.imag)), axis=(-2, -1))
-        out[start:start + len(block)] = np.max(np.abs(gap), axis=(-2, -1)) / scale
+        # max(|Re G|, |Im G|) and |gap| in place, on planes no later step reads
+        g_re = np.abs(g.real, out=g.real)
+        np.maximum(g_re, np.abs(g.imag, out=g.imag), out=g_re)
+        out[start:start + len(block)] = (np.max(np.abs(gap, out=gap), axis=(-2, -1))
+                                         / np.max(g_re, axis=(-2, -1)))
     return out
 
 

@@ -106,6 +106,32 @@ def test_out_of_range_inputs_exit_two(args):
     assert "Error:" in res.output
 
 
+@pytest.mark.parametrize("check, conf", [
+    ("darboux", {"mu": 0.5}),
+    ("darboux", {"mu": None}),
+    ("darboux", {"n": "x"}),
+    ("darboux", {"n": 1.5}),
+    ("darboux", {"n": True}),
+    ("all", {"checks": 5}),
+    ("all", {"checks": [["darboux"]]}),
+    ("darboux", {"output": 5}),
+    ("darboux", {"points": 1.5}),
+    ("darboux", {"seed": True}),
+    ("darboux", {"tol": True}),
+    ("darboux", {"mu": [True]}),
+], ids=["mu-scalar", "mu-null", "n-string", "n-float", "n-bool", "checks-int",
+        "checks-nested", "output-int", "points-float", "seed-bool", "tol-bool", "mu-bool"])
+def test_wrong_typed_config_values_exit_two(tmp_path, check, conf):
+    # a config file value of the wrong JSON type is a usage error, not a
+    # traceback nor a value coerced in silence (1.5 points to 1, true to 1),
+    # and an integer output is no file descriptor to write to
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain": "polydisc", "n": 1, **conf}))
+    res = _run([check, "--config", str(path)])
+    assert res.exit_code == 2
+    assert "malformed config value" in res.output
+
+
 @pytest.mark.parametrize("args", [["--n", "1", "--mu", "1e306"], ["--n", "2", "--mu", "1e200"]],
                          ids=["lgamma-overflow", "mu-power-overflow"])
 def test_volume_rejects_mu_power_past_the_float_range(args):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,23 @@ def test_darboux_residuals_blocks_match_one_shot(monkeypatch):
     npt.assert_allclose(verify.darboux_residuals(H, inside), whole[0], rtol=1e-14)
     npt.assert_allclose(verify.darboux_residuals(H, anywhere, dual=True), whole[1],
                         rtol=1e-14)
+
+
+def test_darboux_residuals_memory_is_bounded():
+    # a 500-point block on type-I(3,3) holds at most two arrays the size of
+    # its Jacobian (1.6 MB each) and a few small ones at a time: 3.3 MB
+    # traced on either side; the bound is 1.25 times that
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3), 2.0)
+    rng = np.random.default_rng(0)
+    for dual, pts in ((False, hartogs.sample_member_points(H, 500, rng)),
+                      (True, hartogs.sample_heavy_points(H.domain.n + 1, 500, rng))):
+        tracemalloc.start()
+        try:
+            verify.darboux_residuals(H, pts, dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1e6
 
 
 @pytest.mark.parametrize("name", ["polydisc-3", "type-I(1,2)", "type-I(2,3)", "type-I(3,3)"])
