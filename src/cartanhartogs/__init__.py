@@ -25,7 +25,6 @@ from .hartogs import (
     make_hartogs,
     phi_inverse,
     phi_map_vec,
-    potential_field,
     psi_inverse,
     psi_map_vec,
     sample_member_points,
@@ -43,7 +42,7 @@ from .jtsys import (
     make_domain,
     membership,
     random_isotropy,
-    singular_values,
+    spectral_norm,
 )
 from .measures import (
     GennaioResult,

@@ -80,8 +80,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     except ValueError as exc:  # unknown kind, missing or out-of-range dimensions
         raise click.UsageError(str(exc))
     # the volume formulas take mu^n, which leaves the float range near 1e308
-    if "volume" in cfg.checks and any(domain.n * math.log10(m) > 300 for m in cfg.mu):
+    # and, below 1e-300, loses its digits (subnormal) and then underflows to 0
+    powers = [domain.n * math.log10(m) for m in cfg.mu] if "volume" in cfg.checks else []
+    if any(e > 300 for e in powers):
         raise click.UsageError(f"volume supports mu^n <= 1e300; this domain has n = {domain.n}")
+    if any(e < -300 for e in powers):
+        raise click.UsageError(f"volume supports mu^n >= 1e-300; this domain has n = {domain.n}")
     return cfg
 
 

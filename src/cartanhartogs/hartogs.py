@@ -9,8 +9,8 @@ the dual, u = N(z, -eps zbar)^mu, G = u + eps |w|^2 and t = u / G, the map
     (z, w) -> (sqrt(mu t) B(z, -eps zbar)^(-1/4) z, w / sqrt(G))
 
 pulls the flat form back to the domain form (Psi, eps = -1) and to the dual
-form (Phi, eps = +1); `potential_field(H, dual)` is eps log G.  A point is a
-packed complex vector of length n+1 with w last; every map, potential and
+form (Phi, eps = +1); the potential of either side is eps log G.  A point
+is a packed complex vector of length n+1 with w last; every map and
 membership test takes a packed array of shape (..., n+1) and works on all
 leading axes at once.  The maps, their closed-form inverses (the same Jordan
 kernel with the sign flipped once more) and their Jacobian each take one
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import jtsys
 from .errors import ConvergenceError, DomainError, ShapeError
-from .jtsys import DomainSpec, log_norm, membership, singular_values
+from .jtsys import DomainSpec, log_norm, membership, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,6 @@ def ch_member_vec(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
     z, w = split_vec(H, pts)
     with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0 is a member
         return 2.0 * np.log(np.abs(w)) < H.mu * log_norm(H.domain, z, 1)
-
-
-def potential_field(H: HartogsSpec, dual: bool = False):
-    """phi = -log(N^mu - |w|^2) as a batched field on the open domain, or with
-    dual=True phi* = log(N(z, -zbar)^mu + |w|^2), smooth on all of C^(n+1):
-    eps log G with eps = -1 on the domain and +1 on the dual.  The tests
-    difference it, so it forms N^mu from the `jtsys.gram_pivots`: exp(mu log N)
-    would add |mu log N| ulps to it, which second differences magnify."""
-    eps = 1 if dual else -1
-
-    def field(pts: np.ndarray) -> np.ndarray:
-        z, w = split_vec(H, pts)
-        u = np.prod(jtsys.gram_pivots(H.domain, z, -eps), axis=-1) ** H.mu
-        return eps * np.log(u + eps * np.abs(w) ** 2)
-
-    return field
 
 
 def fiber_ratios(H: HartogsSpec, log_n: np.ndarray, w: np.ndarray, eps: int):
@@ -323,7 +307,7 @@ def sample_base_points(D: DomainSpec, count: int, rng: np.random.Generator,
         radius = lam_max * np.sqrt(rng.uniform(size=(count, D.n)))
         return radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(count, D.n)))
     g = rng.normal(size=(count, D.n)) + 1j * rng.normal(size=(count, D.n))
-    top = singular_values(D, g)[:, 0]
+    top = spectral_norm(D, g)
     scale = lam_max * rng.uniform(size=count) ** (1.0 / (2 * D.n)) / top
     return g * scale[:, None]
 

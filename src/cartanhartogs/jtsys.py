@@ -28,12 +28,10 @@ the batch by real multiply-adds on contiguous real and imaginary planes of
 the rows of j(z), so neither `log_norm` nor `membership` takes a per-point
 LAPACK call (SVD or det).  The kernel is row-exact: a row's pivots have
 the same bits whatever the batch size, the block boundaries, the memory
-layout or the alignment.  At sign +1
-on type-I of rank >= 2, `log_norm` and `membership` first read the Gram
-diagonal and finish only the rows that Sylvester's criterion has not
-already put out of Omega (`_sylvester_rows`).  The same LDL* carries the
-derivatives of log N (`log_norm_derivatives`, behind the Hessians of
-`forms`): forward substitution with L, then A^-1, A^-1 J and, by
+layout or the alignment.  `log_norm` and `membership` read its pivots
+(r, N) with the batch last, as the kernel leaves them.  The same LDL*
+carries the derivatives of log N (`log_norm_derivatives`, behind the
+Hessians of `forms`): forward substitution with L, then A^-1, A^-1 J and, by
 push-through, C^-1 = (I -/+ j(z)* j(z))^-1 as sums of rank-one products of
 (N,) rows, laid out coordinate-major; no LAPACK call and no `jordan_frame`.
 `jordan_frame` is the one factorisation behind the Darboux maps, their
@@ -42,12 +40,13 @@ routes.  Its route follows the rank: A = I -/+ j(z) j(z)* is diagonal on the
 polydisc and on type-I of rank one (`frame_is_diagonal`, the one test of
 that route, which the Jacobian of the maps reads too), type-I of rank two
 takes one complex Jacobi rotation on (N,) rows of real multiply-adds, and
-rank >= 3 one batched LAPACK eigh.  `singular_values` likewise takes closed
-forms at rank <= 2 and LAPACK's SVD at rank >= 3.  Both reject a base point
-outside Omega with DomainError; a point with an inf or NaN entry stays out
-of the closed-form arithmetic and comes out NaN at sign -1, with no
-warning.  Points are flat complex vectors of length n; type-I points are
-reshaped to (p, q) row-major when matrix algebra is needed.
+rank >= 3 one batched LAPACK eigh.  The frame rejects a base point outside
+Omega with DomainError at sign +1; a point with an inf or NaN entry stays
+out of the closed-form arithmetic and comes out NaN at sign -1, with no
+warning.  `spectral_norm`, the largest spectral value, likewise takes a
+closed form at rank <= 2 and LAPACK's SVD at rank >= 3.  Points are flat
+complex vectors of length n; type-I points are reshaped to (p, q) row-major
+when matrix algebra is needed.
 """
 
 from __future__ import annotations
@@ -188,7 +187,10 @@ def _ldl(re: np.ndarray, im: np.ndarray, diag: np.ndarray,
     real and imaginary parts of the Gram entries A_ik below the diagonal,
     then the Schur updates, all real multiply-adds across the batch.  The
     pivots are (p, N); lower[k] holds the real and imaginary planes
-    (p - k - 1, N) of column k of the unit lower L below the diagonal."""
+    (p - k - 1, N) of column k of the unit lower L below the diagonal.
+    No pivot exceeds its A_ii, in floating point too: while the earlier
+    pivots are positive, each Schur update subtracts |A_ik|^2 / pivot_k >= 0
+    and rounding is monotone, so `_derivative_rows` may reject on A_ii <= 0."""
     p = len(re)
     # column k below the diagonal, rows i = k+1..p-1:
     # A_ik = -sign * sum_l j_il conj(j_kl), as real and imaginary parts
@@ -240,66 +242,39 @@ def gram_pivots(D: DomainSpec, z, sign: int) -> np.ndarray:
     they have the same bits whatever the batch size, the row's place in the
     batch, the block boundaries, the memory layout or the alignment of z.
     """
+    z = _check_point(D, z)
+    pivots = _pivot_rows(D, z, sign)
+    return np.moveaxis(pivots.reshape((D.r,) + z.shape[:-1]), 0, -1)
+
+
+def _pivot_rows(D: DomainSpec, z: np.ndarray, sign: int) -> np.ndarray:
+    """The `gram_pivots` (r, N) of the checked points z, the batch flattened
+    to N rows and placed last: the layout `log_norm` and `membership` read."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
-        return 1.0 - sign * (z.real**2 + z.imag**2)
+        return 1.0 - sign * (z.real**2 + z.imag**2).reshape(-1, D.n).T
     re, im = (np.ascontiguousarray(a) for a in _row_planes(D, z))
     pivots = _gram_diagonal(re, im, sign)
     finite = np.all(np.isfinite(pivots), axis=0)
     if finite.all():
-        pivots = _ldl(re, im, pivots, sign)[0]
-    else:
-        # a point with an inf or NaN entry keeps its Gram diagonal as its
-        # pivots, so the Schur updates meet no 0 * inf
-        pivots[:, finite] = _ldl(re[..., finite], im[..., finite], pivots[:, finite], sign)[0]
-    return np.moveaxis(pivots.reshape((D.r,) + z.shape[:-1]), 0, -1)
-
-
-def _sylvester_rows(D: DomainSpec, z, sign: int) -> tuple[slice | np.ndarray, np.ndarray]:
-    """(rows, pivots): the `gram_pivots` (r, k) of the rows `rows` of the
-    flattened batch that may have every pivot positive; the other rows have
-    some pivot <= 0 or NaN.
-
-    rows is every row (a slice), except on type-I of rank >= 2 at sign = +1,
-    where the kernel's own diagonal A_ii (`_gram_diagonal`, the same code,
-    hence the same bits) is formed first and only the rows with every
-    A_ii > 0 (an index array, unless that is every row) are compacted and
-    finished by `_ldl`.  That leaves no row of Omega
-    out: while every earlier pivot is positive, each Schur update subtracts
-    a nonnegative |A_ik|^2 / pivot_k, and rounding is monotone, so
-    fl(a - b) <= a and pivot_i <= A_ii in floating point too; a row with some
-    A_ii <= 0 (or NaN) therefore has some pivot <= 0 (or NaN).  Row-exactness
-    makes the compacted rows' pivots the bits of the full batch's.  In rank
-    one the diagonal is the pivot, and nothing is skipped.
-    """
-    if sign != 1 or D.kind == KIND_POLYDISC or D.r == 1:
-        return slice(None), gram_pivots(D, z, sign).reshape(-1, D.r).T
-    re, im = _row_planes(D, _check_point(D, z))
-    diag = _gram_diagonal(re, im, sign)
-    keep = np.all(diag > 0, axis=0)
-    rows = slice(None) if keep.all() else np.flatnonzero(keep)
-    return rows, _ldl(np.ascontiguousarray(re[..., rows]),
-                      np.ascontiguousarray(im[..., rows]), diag[:, rows], sign)[0]
+        return _ldl(re, im, pivots, sign)[0]
+    # a point with an inf or NaN entry keeps its Gram diagonal as its
+    # pivots, so the Schur updates meet no 0 * inf
+    pivots[:, finite] = _ldl(re[..., finite], im[..., finite], pivots[:, finite], sign)[0]
+    return pivots
 
 
 def log_norm(D: DomainSpec, z, sign: int) -> np.ndarray:
     """log N(z, sign * zbar), batched: the log of the product of the
     `gram_pivots` of I - sign * j(z) j(z)*, one log per row, and -inf where
     some pivot is <= 0 (at sign = +1: z not in Omega, even where N > 0).
-    At sign = +1 the rows that Sylvester's criterion rejects from the Gram
-    diagonal alone skip the rest of the kernel (`_sylvester_rows`); the
-    values are those of the full kernel, bit for bit.
 
     N is prod_j (1 - sign |z_j|^2) on the polydisc and det(I_p - sign * j(z)
     j(z)*) on type-I; N(z, -zbar) >= 1 everywhere.
     """
     z = _check_point(D, z)
-    rows, pivots = _sylvester_rows(D, z, sign)
-    out = np.full(z.shape[:-1], -np.inf)
-    out.reshape(-1)[rows] = _log_product(pivots)
-    return out
+    return _log_product(_pivot_rows(D, z, sign)).reshape(z.shape[:-1])
 
 
 def _log_product(pivots: np.ndarray) -> np.ndarray:
@@ -357,9 +332,8 @@ def _derivative_rows(D: DomainSpec, z, sign: int
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
-        zt = z.reshape(-1, D.n).T
-        planes, kernel = (zt,), _polydisc_derivatives
-        diag = 1.0 - sign * (zt.real**2 + zt.imag**2)
+        planes, kernel = (z.reshape(-1, D.n).T,), _polydisc_derivatives
+        diag = _pivot_rows(D, z, sign)
     else:
         planes, kernel = tuple(np.ascontiguousarray(a) for a in _row_planes(D, z)), _ldl_derivatives
         diag = _gram_diagonal(*planes, sign)
@@ -510,49 +484,38 @@ def _gram_det(x: np.ndarray) -> np.ndarray:
     return _column_sums(minor_re * minor_re + minor_im * minor_im)
 
 
-def singular_values(D: DomainSpec, z) -> np.ndarray:
-    """All r spectral eigenvalues (descending, zeros kept), batched.
+def spectral_norm(D: DomainSpec, z) -> np.ndarray:
+    """The largest spectral eigenvalue sigma_1 (...,), batched.
 
-    The polydisc sorts |z_j|.  On type-I of rank <= 2 they are closed forms
-    in the entries of j(z), real multiply-adds over the batch: rank one takes
-    the row norm; rank two takes, with g = j(z) j(z)*,
+    The polydisc takes max |z_j|.  On type-I of rank <= 2 it is a closed
+    form in the entries of j(z), real multiply-adds over the batch: rank one
+    takes the row norm; rank two takes, with g = j(z) j(z)*,
 
-        sigma_1^2 = (g_00 + g_11)/2 + hypot((g_00 - g_11)/2, |g_01|),
-        sigma_2   = sqrt(sum_(l<m) |j_0l j_1m - j_0m j_1l|^2) / sigma_1,
+        sigma_1^2 = (g_00 + g_11)/2 + hypot((g_00 - g_11)/2, |g_01|).
 
-    the second by Binet-Cauchy (sigma_1 sigma_2 = sqrt(det g)), which keeps
-    sigma_2 to rounding relative to sigma_1 where the square root of the
-    smaller eigenvalue of g would lose half the digits.  The entries are
-    squared, so their moduli must lie within about 1e+/-150.  Rank >= 3
-    takes LAPACK's SVD.
+    The entries are squared, so their moduli must lie within about 1e+/-150.
+    Rank >= 3 takes LAPACK's SVD.
     """
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
-        return np.sort(np.abs(z), axis=-1)[..., ::-1]
+        return np.max(np.abs(z), axis=-1)
     p, q = D.shape
     if p > 2:
-        return np.linalg.svd(z.reshape(z.shape[:-1] + (p, q)), compute_uv=False)
+        return np.linalg.svd(z.reshape(z.shape[:-1] + (p, q)), compute_uv=False)[..., 0]
     x = _entry_planes(D, z.reshape(-1, D.n))
     g = _squared_norms(x)
     if p == 1:
-        return np.sqrt(g[0]).reshape(z.shape[:-1] + (1,))
+        return np.sqrt(g[0]).reshape(z.shape[:-1])
     half_sum, half_gap = 0.5 * (g[0] + g[1]), 0.5 * (g[0] - g[1])
-    top = np.sqrt(half_sum + np.hypot(half_gap, np.hypot(*_gram_cross(x))))
-    low = np.divide(np.sqrt(_gram_det(x)), top, out=np.zeros(top.shape), where=top > 0)
-    return np.array((top, np.minimum(low, top))).T.reshape(z.shape[:-1] + (2,))
+    return np.sqrt(half_sum + np.hypot(half_gap, np.hypot(*_gram_cross(x)))).reshape(z.shape[:-1])
 
 
 def membership(D: DomainSpec, z) -> np.ndarray:
     """True when z lies in Omega, batched: every `gram_pivots` of
     I - j(z) j(z)* is positive (Sylvester's criterion), i.e. the largest
-    spectral eigenvalue is < 1.  It shares `log_norm`'s path at sign = +1
-    (`_sylvester_rows`): rows with some Gram diagonal entry A_ii <= 0 are
-    rejected before the off-diagonal work, with the full kernel's answer."""
+    spectral eigenvalue is < 1; the pivots `log_norm` reads at sign = +1."""
     z = _check_point(D, z)
-    rows, pivots = _sylvester_rows(D, z, 1)
-    out = np.zeros(z.shape[:-1], dtype=bool)
-    out.reshape(-1)[rows] = np.all(pivots > 0, axis=0)
-    return out[()]  # a numpy bool for a single point
+    return np.all(_pivot_rows(D, z, 1) > 0, axis=0).reshape(z.shape[:-1])[()]
 
 
 def _rotate(c: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ from .errors import DomainError
 from .forms import det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
 from .jtsys import (DomainSpec, frame_point, isotropy_apply, log_norm,
-                    log_norm_derivatives, random_isotropy, singular_values)
+                    log_norm_derivatives, random_isotropy, spectral_norm)
 
 # relative offset delta of the flat side's fiber probes, |w|^2 = (1 -/+ delta) N^mu
 _FIBER_PROBE = 1e-9
@@ -315,7 +315,7 @@ def fit_genus(D: DomainSpec) -> float:
     rng = np.random.default_rng(_GENUS_FIT_SEED)
     g = (rng.normal(size=(_GENUS_FIT_POINTS, D.n))
          + 1j * rng.normal(size=(_GENUS_FIT_POINTS, D.n)))
-    top = singular_values(D, g)[:, 0]
+    top = spectral_norm(D, g)
     z = g * (rng.uniform(0.8, 2.0, size=_GENUS_FIT_POINTS) / top)[:, None]
     # log det of the positive definite Hessian, twice the log of its Cholesky diagonal
     chol = np.linalg.cholesky(log_norm_derivatives(D, z, sign=-1)[1])

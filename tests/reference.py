@@ -24,13 +24,15 @@ operator form of B(z, +/-zbar)^(-1/4) is the independent route for
 eigendecompositions where the frame uses one, and with the generic norm
 `norm_det` (det A by LAPACK, not the LDL* pivots of `jtsys.log_norm` nor the
 frame's eigenvalues) it rebuilds Psi and Phi from the defining formula, with
-u = N^mu formed.  The spectral values from LAPACK's SVD of j(z)
-(`singular_values_svd`) are the reference for `jtsys.singular_values`, which
-takes closed forms at rank <= 2, and for the spectral values the tests read
-off the maps' images; membership of Omega through that SVD
-(`membership_svd`, the largest singular value of j(z) below 1) is the
-reference for `jtsys.membership`, which reads it from the signs of the LDL*
-pivots.  The
+u = N^mu formed.  The Kaehler potentials themselves (`potential_field`,
+eps log G with N^mu formed from the LDL* pivots) are the fields the
+finite-difference Hessians difference.  The spectral values from LAPACK's
+SVD of j(z) (`singular_values_svd`) are the reference for
+`jtsys.spectral_norm`, which takes closed forms at rank <= 2, and for the
+spectral values the tests read off the maps' images; membership of Omega
+through that SVD (`membership_svd`, the largest singular value of j(z)
+below 1) is the reference for `jtsys.membership`, which reads it from the
+signs of the LDL* pivots.  The
 per-direction Daleckii-Krein assembly (`darboux_jacobian_per_direction`,
 one (p, p) tensor per real direction) is the reference for the factored
 `hartogs.darboux_jacobian`, which reads every direction off two products
@@ -52,7 +54,7 @@ import numpy as np
 
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
-from cartanhartogs.hartogs import HartogsSpec, fiber_ratios, potential_field, split_vec
+from cartanhartogs.hartogs import HartogsSpec, fiber_ratios, split_vec
 from cartanhartogs.jtsys import KIND_POLYDISC, DomainSpec, as_matrix, as_vector
 
 DEFAULT_STEP = 1e-5
@@ -65,6 +67,23 @@ def norm_det(D: DomainSpec, z, sign: int) -> np.ndarray:
     through LAPACK's determinant."""
     jz = as_matrix(D, z)
     return np.linalg.det(np.eye(jz.shape[-2]) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2))).real
+
+
+def potential_field(H: HartogsSpec, dual: bool = False):
+    """phi = -log(N^mu - |w|^2) as a batched field on the open domain, or with
+    dual=True phi* = log(N(z, -zbar)^mu + |w|^2), smooth on all of C^(n+1):
+    eps log G with eps = -1 on the domain and +1 on the dual.  The
+    finite-difference routes difference it, so it forms N^mu from the
+    `jtsys.gram_pivots`: exp(mu log N) would add |mu log N| ulps to it, which
+    second differences magnify."""
+    eps = 1 if dual else -1
+
+    def field(pts: np.ndarray) -> np.ndarray:
+        z, w = split_vec(H, pts)
+        u = np.prod(jtsys.gram_pivots(H.domain, z, -eps), axis=-1) ** H.mu
+        return eps * np.log(u + eps * np.abs(w) ** 2)
+
+    return field
 
 
 def log_add_exp(x, y) -> np.ndarray:

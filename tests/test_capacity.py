@@ -236,7 +236,7 @@ def test_dual_certificate_takes_no_svd(monkeypatch):
         raise AssertionError("the dual certificate took an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(jtsys, "singular_values", refuse)
+    monkeypatch.setattr(jtsys, "spectral_norm", refuse)
     assert capacity.capacity_certificate(H, "dual", seed=11) == want
     assert not want.failures
 

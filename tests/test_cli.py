@@ -149,6 +149,30 @@ def test_volume_rejects_mu_power_past_the_float_range(args):
     assert len(json.loads(res.output)["checks"]) == 2
 
 
+@pytest.mark.parametrize("args,code", [
+    (["--domain", "type-I", "--p", "2", "--q", "2", "--mu", "1e-300"], 2),
+    (["--domain", "type-I", "--p", "3", "--q", "3", "--mu", "1e-76"], 2),
+    (["--domain", "type-I", "--p", "2", "--q", "2", "--mu", "1e-80"], 2),
+    (["--domain", "type-I", "--p", "2", "--q", "2", "--mu", "1e-76"], 2),
+    (["--domain", "polydisc", "--n", "2", "--mu", "1e-160"], 2),
+    (["--domain", "polydisc", "--n", "2", "--mu", "1e-150"], 0),
+], ids=["underflow-2x2", "underflow-3x3", "subnormal-2x2", "mu-power-1e-304",
+        "subnormal-polydisc", "mu-power-1e-300-runs"])
+def test_volume_rejects_mu_power_below_the_float_range(args, code):
+    # mu^n underflows to 0 (a ZeroDivisionError in the ratio) or loses its
+    # digits in the subnormal range (ratio error 0.76 on type-I(2,2) at
+    # 1e-80): such mu are usage errors for volume, with every warning an
+    # error too; mu^n = 1e-300 still runs and passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _run(["volume", *args])
+    assert res.exit_code == code
+    if code == 2:
+        assert "volume supports mu^n >= 1e-300" in res.output
+    else:
+        assert json.loads(res.output)["summary"]["overall"] == "pass"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": "polydisc", "n": 2, "mu": [2.0],

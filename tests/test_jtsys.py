@@ -134,7 +134,7 @@ def test_generic_norm_oracles():
 
 def test_generic_norm_spectral_product(domain, rng):
     z = 0.6 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
-    lam = jtsys.singular_values(domain, z)
+    lam = singular_values_svd(domain, z)
     npt.assert_allclose(np.exp(jtsys.log_norm(domain, z, 1)),
                         np.prod(1 - lam**2) if np.all(lam < 1) else 0.0)
     npt.assert_allclose(jtsys.log_norm(domain, z, -1), np.log(np.prod(1 + lam**2)))
@@ -149,20 +149,21 @@ def test_spectral_decompose_reconstructs(domain, rng):
 
 
 def test_singular_values_batched(domain, rng):
+    # spectral_norm, the largest singular value, of a batch against its rows
+    # one at a time
     z = rng.normal(size=(4, domain.n)) + 1j * rng.normal(size=(4, domain.n))
-    lam = jtsys.singular_values(domain, z)
-    assert lam.shape == (4, domain.r)
-    one_by_one = np.stack([jtsys.singular_values(domain, row) for row in z])
-    npt.assert_allclose(lam, one_by_one)
+    top = jtsys.spectral_norm(domain, z)
+    assert top.shape == (4,)
+    one_by_one = np.stack([jtsys.spectral_norm(domain, row) for row in z])
+    npt.assert_allclose(top, one_by_one)
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3), (2, 4)], ids=str)
 def test_singular_values_closed_form_takes_no_svd(shape, monkeypatch):
-    # rank <= 2 takes its closed forms, not LAPACK: within 1e-15 sigma_1 of
-    # the SVD on Gaussian rows scaled down to 1e-8, on J = 0, on a
-    # rank-deficient J and on sigma_2 / sigma_1 = 1e-7 (where sqrt(det g)
-    # would lose half the digits); descending, and a row's values have the
-    # same bits alone as in the batch
+    # spectral_norm takes its closed form at rank <= 2, not LAPACK: sigma_1
+    # within 1e-15 sigma_1 of the SVD's on Gaussian rows scaled down to 1e-8,
+    # on J = 0, on a rank-deficient J and on sigma_2 / sigma_1 = 1e-7; and a
+    # row's sigma_1 has the same bits alone as in the batch
     d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=shape[0], q=shape[1])
     rng = np.random.default_rng(11)
     z = (rng.normal(size=(300, d.n)) + 1j * rng.normal(size=(300, d.n))) \
@@ -172,18 +173,17 @@ def test_singular_values_closed_form_takes_no_svd(shape, monkeypatch):
         z[1, d.shape[1]:] = (0.6 - 0.3j) * z[1, :d.shape[1]]
         tau = jtsys.random_isotropy(d, rng, 1)
         z[2] = jtsys.isotropy_apply(d, tau, jtsys.frame_point(d, np.array([0.9, 9e-8])))[0]
-    want = singular_values_svd(d, z)
+    want = singular_values_svd(d, z)[..., 0]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("singular_values took an SVD at rank <= 2")
+        raise AssertionError("spectral_norm took an SVD at rank <= 2")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    got = jtsys.singular_values(d, z)
+    got = jtsys.spectral_norm(d, z)
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-15 * want[:, :1])
-    assert np.all(np.diff(got, axis=1) <= 0)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
     for i in (0, 1, 2, 299):
-        npt.assert_array_equal(jtsys.singular_values(d, z[i]), got[i])
+        npt.assert_array_equal(jtsys.spectral_norm(d, z[i]), got[i])
 
 
 def test_membership_and_distance():
@@ -302,10 +302,10 @@ def _edge_rows(d, rng):
 
 @pytest.mark.parametrize("name", list(EARLY_OUT_DOMAINS))
 def test_sylvester_early_out_is_exact(name):
-    # membership and log_norm at sign +1 skip the rows whose Gram diagonal
-    # already has an entry <= 0; their answers are those of the full kernel,
-    # bit for bit, on box draws (nearly all out of Omega), on smaller draws
-    # (many in it) and on edge rows of j(z)
+    # membership and log_norm at sign +1 read the gram_pivots: their answers
+    # are the pivots' signs and the log of their product, bit for bit, on box
+    # draws (nearly all out of Omega), on smaller draws (many in it) and on
+    # edge rows of j(z)
     d = jtsys.make_domain(**EARLY_OUT_DOMAINS[name])
     rng = np.random.default_rng(33)
     z = np.concatenate([_box_draws(d, rng, 8192), 0.4 * _box_draws(d, rng, 512),
@@ -345,31 +345,10 @@ def test_an_inf_entry_gives_an_infinite_log_norm(name):
                                jtsys.gram_pivots(d, finite, sign))
 
 
-def test_sylvester_early_out_skips_most_box_rows(monkeypatch):
-    # on a type-I(3,3) box block fewer than 1% of the rows reach the
-    # off-diagonal work at sign +1; at sign -1 every row does
-    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3)
-    z = _box_draws(d, np.random.default_rng(34), 8192)
-    seen = []
-    finish = jtsys._ldl
-
-    def counting(re, im, diag, sign):
-        seen.append(re.shape[-1])
-        return finish(re, im, diag, sign)
-
-    monkeypatch.setattr(jtsys, "_ldl", counting)
-    jtsys.membership(d, z)
-    jtsys.log_norm(d, z, 1)
-    assert len(seen) == 2 and max(seen) < 0.01 * len(z)
-    seen.clear()
-    jtsys.log_norm(d, z, -1)
-    assert seen == [len(z)]
-
-
 def test_b_quarter_power_two_routes(domain, rng):
     # the one-eigh frame against two separate operator quarter powers
     z = 0.8 * (rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n))
-    z /= max(1.0, jtsys.singular_values(domain, z)[0] / 0.9)
+    z /= max(1.0, jtsys.spectral_norm(domain, z) / 0.9)
     jz = jtsys.as_matrix(domain, z)
     for sign in (1, -1):
         lam, u, k, bz = jtsys.jordan_frame(domain, z, sign)
