@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -23,6 +24,7 @@ from . import jtsys, verify
 
 ARTIFACT_VERSION = "0.1.0"
 SEED_ENVVAR = "CHVERIFY_SEED"
+_MAX_POINTS = 10**9  # the sampled families stream, so more points would run for days
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if not all(m > 0 and math.isfinite(m) for m in cfg.mu):
         raise click.UsageError("every mu must be positive and finite")
     for field in ("points", "samples", "fd_step", "tol", "jobs"):
-        val = getattr(cfg, field)
-        if not (val > 0 and math.isfinite(val)):
+        # exact for an int, where math.isfinite overflows past the float range
+        if not 0 < getattr(cfg, field) <= sys.float_info.max:
             raise click.UsageError(f"{field} must be positive and finite")
+    if cfg.points > _MAX_POINTS:
+        raise click.UsageError(f"points must be at most {_MAX_POINTS:,}")
     if cfg.seed < 0:
         raise click.UsageError("seed must be nonnegative")
     if cfg.output is not None:
@@ -143,7 +147,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON, or an int past 4300 digits
         raise click.UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
         raise click.UsageError("config file must hold a JSON object")

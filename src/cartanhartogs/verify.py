@@ -1,17 +1,19 @@
 """Verification battery behind the CLI.
 
-Each check samples points, measures a worst residual against a tolerance, and
-returns dictionaries ready for the JSON report.  darboux and dual-darboux pull
-the flat form back through the closed-form Jacobian of Psi or Phi
-(`hartogs.darboux_jacobian`) and compare it with the closed-form Hessian of
-the potential (`forms.hartogs_hessian`), entrywise and relative to the form's
-largest entry at each point, so the same tolerance holds at every mu, where
-the domain form's fiber entries grow like N^(-mu); both sides are exact to
-rounding, so the configured tolerance is the only slack.  No check takes a
-finite difference, so --fd-step reaches none of them.  volume, selberg and
-the duality family's volume identity evaluate exact quadratures
-(`measures`) and gate them at `QUADRATURE_TOL`.  Structural checks carry
-their own tolerances (documented per function).
+Each check measures a worst residual against a tolerance and returns entries
+ready for the JSON report.  The sampled families (darboux, dual-darboux, psh,
+det-formula and the isotropy pairs of equivariance) stream their points
+through `_stream` in fixed chunks, so memory does not grow with --points.
+darboux and dual-darboux pull the flat form back through the closed-form
+Jacobian of Psi or Phi (`hartogs.darboux_jacobian`) and compare it with the
+closed-form Hessian of the potential (`forms.hartogs_hessian`), entrywise and
+relative to the form's largest entry at each point, so the same tolerance
+holds at every mu, where the domain form's fiber entries grow like N^(-mu);
+both sides are exact to rounding, so the configured tolerance is the only
+slack.  No check takes a finite difference, so --fd-step reaches none of
+them.  volume, selberg and the duality family's volume identity evaluate
+exact quadratures (`measures`) and gate them at `QUADRATURE_TOL`.
+Structural checks carry their own tolerances (documented per function).
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ def _result(name: str, params: dict, worst: float, tol: float,
 # gap alone.  Inside darboux_jacobian at rank >= 2 each of the products T1
 # and T2 (p^2 q^2 complex entries, 1.3 kB per point on type-I(3,3)) is
 # scattered into the Jacobian and dropped before the other is formed, and
-# forms.hartogs_hessian writes its n x n terms a row at a time.  So memory
-# stays bounded whatever --points is (3.3 MB traced for 500 points on
-# type-I(3,3)); 500 points fit in one block.  Smaller blocks do not cut the
-# page faults of a pass: glibc's trim threshold follows the largest array.
+# forms.hartogs_hessian writes its n x n terms a row at a time.  So a block's
+# memory is bounded (3.3 MB traced for 500 points on type-I(3,3)); 500 points
+# fit in one block.  Smaller blocks do not cut the page faults of a pass:
+# glibc's trim threshold follows the largest array.
 _DARBOUX_BLOCK = 1 << 9
 
 
@@ -102,56 +104,76 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
     return out
 
 
-def _witness(pts: np.ndarray, residuals: np.ndarray, failed: np.ndarray) -> list:
-    """The failing points among the four with the largest residuals, a NaN
-    residual ranked above every number.  Callers pass failed as the negated
-    pass test, ~(residual <= tol), so a NaN residual counts as failed."""
-    bad = np.argsort(-np.where(np.isnan(residuals), np.inf, residuals))[:4]
-    return [{"point": capacity.pack_point(pts[i]), "residual": float(residuals[i])}
-            for i in bad if failed[i]]
+# Points per chunk of a sampled family, drawn, measured and reduced before the
+# next, so memory does not grow with --points; up to _CHUNK points are one draw
+# of the family's generator.  darboux_residuals splits a chunk into its blocks:
+# drawing 512 points at a time faults in more pages than drawing 8192.
+_CHUNK = 1 << 13
 
 
-def _check_pullback(cfg, dual: bool) -> list[dict]:
-    name = "dual-darboux" if dual else "darboux"
+def _stream(count: int, chunk) -> tuple:
+    """chunk(k) -> (points, residuals) over count points, `_CHUNK` at a time:
+    the worst residual, np.max over all, so a NaN propagates, and the four
+    points with the largest residuals, a NaN ranked first, with those residuals."""
+    worst, top_pts, top_res = -np.inf, None, None
+    for start in range(0, count, _CHUNK):
+        pts, res = chunk(min(_CHUNK, count - start))
+        worst = np.maximum(worst, np.max(res))
+        if top_res is not None:
+            pts, res = np.concatenate([top_pts, pts]), np.concatenate([top_res, res])
+        keep = np.argsort(-np.where(np.isnan(res), np.inf, res))[:4]
+        top_pts, top_res = pts[keep], res[keep]
+    return float(worst), top_pts, top_res
+
+
+def _sampled(cfg, name: str, operation: str, offset: int, count: int,
+             draw, measure, tol: float, strict: bool = False) -> list[dict]:
+    """One entry per mu: count points from draw(H, k, rng), with one generator
+    seeded cfg.seed + offset, measured by measure(H, pts) and gated at tol.
+    The witnesses are the failing points among the four largest residuals."""
     out = []
     for mu in cfg.mu:
         started = time.perf_counter()
         H = hartogs.make_hartogs(cfg.domain_spec, mu)
-        rng = np.random.default_rng(cfg.seed + int(dual))
-        pts = (hartogs.sample_heavy_points(H.domain.n + 1, cfg.points, rng) if dual
-               else hartogs.sample_member_points(H, cfg.points, rng))
-        res = darboux_residuals(H, pts, dual)
-        out.append(_result(name, {"mu": mu, "points": cfg.points, "operation": "pullback"},
-                           float(np.max(res)), cfg.tol,
-                           _witness(pts, res, ~(res <= cfg.tol)), started))
+        rng = np.random.default_rng(cfg.seed + offset)
+
+        def chunk(k):
+            pts = draw(H, k, rng)
+            return pts, measure(H, pts)
+
+        worst, pts, res = _stream(count, chunk)
+        failed = ~(res < tol) if strict else ~(res <= tol)
+        out.append(_result(name, {"mu": mu, "points": count, "operation": operation},
+                           worst, tol, [{"point": capacity.pack_point(p), "residual": float(r)}
+                                        for p, r in zip(pts[failed], res[failed])],
+                           started, strict))
     return out
 
 
 def check_darboux(cfg) -> list[dict]:
-    return _check_pullback(cfg, dual=False)
+    return _sampled(cfg, "darboux", "pullback", 0, cfg.points,
+                    hartogs.sample_member_points, darboux_residuals, cfg.tol)
 
 
 def check_dual_darboux(cfg) -> list[dict]:
-    return _check_pullback(cfg, dual=True)
+    return _sampled(cfg, "dual-darboux", "pullback", 1, cfg.points,
+                    lambda H, k, rng: hartogs.sample_heavy_points(H.domain.n + 1, k, rng),
+                    lambda H, pts: darboux_residuals(H, pts, True), cfg.tol)
 
 
 def check_psh(cfg) -> list[dict]:
     """Strict plurisubharmonicity: the smallest dual Hessian eigenvalue must be
     positive at every point.  The residual is its negative, and the gate is
     strict (residual < 0), so a zero eigenvalue fails."""
-    out = []
-    for mu in cfg.mu:
-        started = time.perf_counter()
-        H = hartogs.make_hartogs(cfg.domain_spec, mu)
-        rng = np.random.default_rng(cfg.seed + 2)
-        pts = hartogs.sample_ball_points(H.domain.n + 1, cfg.points, rng, 10.0)
-        eigs = forms.dual_hessian_min_eigs(H, pts)
-        worst = float(np.max(-eigs))
-        out.append(_result("psh", {"mu": mu, "points": cfg.points,
-                                   "operation": "is_positive_definite"},
-                           worst, 0.0, _witness(pts, -eigs, ~(-eigs < 0)), started,
-                           strict=True))
-    return out
+    return _sampled(cfg, "psh", "is_positive_definite", 2, cfg.points,
+                    lambda H, k, rng: hartogs.sample_ball_points(H.domain.n + 1, k, rng, 10.0),
+                    lambda H, pts: -forms.dual_hessian_min_eigs(H, pts), 0.0, strict=True)
+
+
+def _det_gap(H: hartogs.HartogsSpec, pts: np.ndarray) -> np.ndarray:
+    closed = forms.det_dual_hessian(H, pts)
+    ref = np.linalg.det(forms.hartogs_hessian(H, pts, dual=True)).real
+    return np.abs(ref - closed) / np.abs(closed)
 
 
 def check_det_formula(cfg) -> list[dict]:
@@ -164,21 +186,10 @@ def check_det_formula(cfg) -> list[dict]:
     w-w entry in the dual Hessian is mu t l_jk, since the terms in l_j
     conj(l_k) cancel, so the determinant is blind to the gradient (a 10%
     error in it still passes).  The darboux checks hold the gradient."""
-    out = []
-    for mu in cfg.mu:
-        started = time.perf_counter()
-        H = hartogs.make_hartogs(cfg.domain_spec, mu)
-        rng = np.random.default_rng(cfg.seed + 3)
-        npts = max(10, cfg.points // 4)
-        pts = 0.7 * (rng.normal(size=(npts, H.domain.n + 1))
-                     + 1j * rng.normal(size=(npts, H.domain.n + 1)))
-        closed = forms.det_dual_hessian(H, pts)
-        ref = np.linalg.det(forms.hartogs_hessian(H, pts, dual=True)).real
-        rel = np.abs(ref - closed) / np.abs(closed)
-        out.append(_result("det-formula", {"mu": mu, "points": npts,
-                                           "operation": "det_dual_hessian"},
-                           float(np.max(rel)), cfg.tol,
-                           _witness(pts, rel, ~(rel <= cfg.tol)), started))
+    out = _sampled(cfg, "det-formula", "det_dual_hessian", 3, max(10, cfg.points // 4),
+                   lambda H, k, rng: 0.7 * (rng.normal(size=(k, H.domain.n + 1))
+                                            + 1j * rng.normal(size=(k, H.domain.n + 1))),
+                   _det_gap, cfg.tol)
     started = time.perf_counter()
     fitted = measures.fit_genus(cfg.domain_spec)
     out.append(_result("det-formula", {"operation": "fit_genus", "fitted": fitted},
@@ -298,16 +309,21 @@ def check_equivariance(cfg) -> list[dict]:
         H = hartogs.make_hartogs(d, mu)
         rng = np.random.default_rng(cfg.seed + 7)
         started = time.perf_counter()
-        pts = hartogs.sample_member_points(H, max(8, cfg.points // 4), rng, lam_max=0.8)
-        taus = jtsys.random_isotropy(d, rng, len(pts))  # row i moves point i
-        moved = hartogs.hartogs_isotropy_apply(H, taus, pts)
-        # np.max over arrays, so a NaN residual reaches the gate and fails it
-        worst = np.max([np.abs(mapping(H, moved)
-                               - hartogs.hartogs_isotropy_apply(H, taus, mapping(H, pts)))
-                        for mapping in (hartogs.psi_map_vec, hartogs.phi_map_vec)])
-        out.append(_result("equivariance", {"mu": mu, "pairs": len(pts),
+
+        def pairs(k):
+            pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
+            taus = jtsys.random_isotropy(d, rng, k)  # row i moves point i
+            moved = hartogs.hartogs_isotropy_apply(H, taus, pts)
+            # np.max over arrays, so a NaN residual reaches the gate and fails it
+            return pts, np.max([np.abs(mapping(H, moved)
+                                       - hartogs.hartogs_isotropy_apply(H, taus, mapping(H, pts)))
+                                for mapping in (hartogs.psi_map_vec, hartogs.phi_map_vec)],
+                               axis=(0, 2))
+
+        count = max(8, cfg.points // 4)
+        out.append(_result("equivariance", {"mu": mu, "pairs": count,
                                             "operation": "hartogs_isotropy_apply"},
-                           worst, 1e-10, None, started))
+                           _stream(count, pairs)[0], 1e-10, None, started))
 
         started = time.perf_counter()
         m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)

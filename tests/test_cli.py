@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
-from cartanhartogs import capacity, cli, forms, hartogs, measures
+from cartanhartogs import capacity, cli, forms, hartogs, measures, verify
 
 
 def _run(args, env=None):
@@ -77,6 +77,10 @@ def test_usage_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert _run(["darboux", "--config", str(bad)]).exit_code == 2
+    # an integer past Python's 4300-digit limit fails inside json.load
+    bad.write_text('{"domain": "polydisc", "n": 1, "points": 1' + "0" * 5000 + "}")
+    res = _run(["darboux", "--config", str(bad)])
+    assert res.exit_code == 2 and "cannot read config file" in res.output
     missing_dir = tmp_path / "nodir" / "report.json"
     assert _run(["duality", "--domain", "chn", "--n", "1",
                  "--output", str(missing_dir)]).exit_code == 2
@@ -94,14 +98,32 @@ def test_usage_errors_exit_two(tmp_path):
     ["volume", "--domain", "polydisc", "--n", "1", "--samples", "inf"],
     ["selberg", "--domain", "type-I", "--p", "4", "--q", "4", "--mu", "0"],
     ["all", "--domain", "type-I", "--p", "4", "--q", "4", "--mu", "1e19"],
+    ["darboux", "--domain", "polydisc", "--n", "1", "--points", "1" + "0" * 400],
+    ["all", "--domain", "polydisc", "--n", "1", "--jobs", "1" + "0" * 400],
+    ["darboux", "--domain", "polydisc", "--n", "1", "--points", "1000000001"],
+    ["darboux", "--domain", "polydisc", "--n", "1", "--points", "1" + "0" * 20],
 ], ids=["polydisc-n0", "type-I-p0", "chn-n0", "mu-nan", "mu-inf", "selberg-mu-inf",
-        "selberg-tol-nan", "fd-step-nan", "samples-inf", "selberg-rank4", "all-rank4"])
+        "selberg-tol-nan", "fd-step-nan", "samples-inf", "selberg-rank4", "all-rank4",
+        "points-past-float", "jobs-past-float", "points-above-cap", "points-1e20"])
 def test_out_of_range_inputs_exit_two(args):
     # out-of-range dimensions and non-finite numbers are usage errors, not
     # tracebacks, silent passes or (mu = inf: N^mu = 0) a sampler that never ends;
     # a rank-4 base runs, but not at mu = 0, nor (all takes volume) at
-    # mu^16 = 1e304
+    # mu^16 = 1e304; a count past the float range is not finite, and more
+    # than 10**9 points would stream for days
     res = _run(args)
+    assert res.exit_code == 2
+    assert "Error:" in res.output
+
+
+@pytest.mark.parametrize("conf", [{"points": 10**400}, {"jobs": 10**400},
+                                  {"points": 10**9 + 1}],
+                         ids=["points-past-float", "jobs-past-float", "points-above-cap"])
+def test_out_of_range_config_counts_exit_two(tmp_path, conf):
+    # a config file count meets the bounds of the flags
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain": "polydisc", "n": 1, **conf}))
+    res = _run(["all", "--config", str(path)])
     assert res.exit_code == 2
     assert "Error:" in res.output
 
@@ -346,16 +368,19 @@ def test_failing_capacity_witnesses_serialize(tmp_path, monkeypatch):
                for point in flat[0]["witnesses"] for pair in point)
 
 
-def test_a_nan_residual_fails_and_is_named(tmp_path, monkeypatch):
-    # a NaN residual at one point fails the entry and is the witness named,
-    # ranked above the finite residuals
+def _named_nan(tmp_path, monkeypatch) -> list:
+    """det-formula with a NaN residual at the fourth point drawn: the entry
+    fails, and that point is the one witness, ranked above the finite
+    residuals.  Returns the point batches the determinant was given."""
     seen = []
     closed = forms.det_dual_hessian
 
     def one_nan(H, pts):
-        seen.append(pts)
         out = closed(H, pts)
-        out[3] = np.nan
+        at = 3 - sum(len(p) for p in seen)
+        if 0 <= at < len(pts):
+            out[at] = np.nan
+        seen.append(pts)
         return out
 
     monkeypatch.setattr(forms, "det_dual_hessian", one_nan)
@@ -365,9 +390,21 @@ def test_a_nan_residual_fails_and_is_named(tmp_path, monkeypatch):
     assert res.exit_code == 1
     entry = json.loads(out.read_text())["checks"][0]
     assert entry["status"] == "fail" and np.isnan(entry["worst_residual"])
-    assert len(seen) == 1
-    assert [w["point"] for w in entry["witnesses"]] == [capacity.pack_point(seen[0][3])]
+    assert [w["point"] for w in entry["witnesses"]] == [
+        capacity.pack_point(np.concatenate(seen)[3])]
     assert np.isnan(entry["witnesses"][0]["residual"])
+    return seen
+
+
+def test_a_nan_residual_fails_and_is_named(tmp_path, monkeypatch):
+    assert len(_named_nan(tmp_path, monkeypatch)) == 1
+
+
+def test_a_nan_residual_in_a_later_chunk_fails_and_is_named(tmp_path, monkeypatch):
+    # the 10 points in chunks of 2: the NaN is drawn in the second, and the
+    # worst residual and the witnesses carry it through the last three
+    monkeypatch.setattr(verify, "_CHUNK", 2)
+    assert len(_named_nan(tmp_path, monkeypatch)) == 5
 
 
 def test_fd_step_is_accepted_but_unread():

@@ -179,6 +179,52 @@ def test_darboux_residuals_memory_is_bounded():
         assert peak <= 4.1e6
 
 
+def test_stream_chunks_match_one_shot(monkeypatch):
+    # chunks of 7 carry the worst residual and the four largest of one pass
+    # over the same residuals, also with a NaN in a later chunk, ranked first
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    for residuals in (rng.normal(size=30), np.where(np.arange(30) == 23, np.nan, pts[:, 0].real)):
+        taken = []
+
+        def chunk(k):
+            start = sum(taken)
+            taken.append(k)
+            return pts[start:start + k], residuals[start:start + k]
+
+        worst, top_pts, top_res = verify._stream(30, chunk)
+        assert taken == [7, 7, 7, 7, 2]
+        order = np.argsort(-np.where(np.isnan(residuals), np.inf, residuals))[:4]
+        npt.assert_array_equal(top_res, residuals[order])
+        npt.assert_array_equal(top_pts, pts[order])
+        npt.assert_equal(worst, np.max(residuals))
+
+
+@pytest.mark.parametrize("family", ["darboux", "dual-darboux", "psh", "det-formula",
+                                    "equivariance"])
+def test_sampled_families_memory_is_bounded(monkeypatch, family):
+    # in chunks of 64 points, a family's traced peak at 2048 points stays
+    # within 1.5 times its peak at 64; det-formula and equivariance take a
+    # quarter of --points, and the genus fit is a fixed cost beside the stream
+    monkeypatch.setattr(verify, "_CHUNK", 64)
+    monkeypatch.setattr(measures, "fit_genus", lambda d: d.genus)
+    points_per_item = 4 if family in ("det-formula", "equivariance") else 1
+
+    def peak(count):
+        cfg = cli.RunConfig(kind="type-I", p=3, q=3, mu=(1.0,), checks=(family,),
+                            points=points_per_item * count)
+        tracemalloc.start()
+        try:
+            verify.CHECKS[family](cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # the first call in a process fills one-time caches
+    assert peak(2048) <= 1.5 * peak(64)
+
+
 @pytest.mark.parametrize("name", ["polydisc-3", "type-I(1,2)", "type-I(2,3)", "type-I(3,3)"])
 def test_darboux_residuals_read_the_form_blocks_exactly(name):
     # the gap read off Re G and Im G block by block has the bits of the gap
