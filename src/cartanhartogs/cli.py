@@ -8,14 +8,12 @@ Reports are deterministic given the seed, except for wall-time fields.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import click
@@ -106,6 +104,10 @@ def run(cfg: RunConfig) -> dict:
     """Execute the selected checks and assemble the report dictionary."""
     started = time.perf_counter()
     if cfg.jobs > 1 and len(cfg.checks) > 1:
+        # imported here, as csv in report_csv, so that a run without them
+        # does not pay for their import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             batches = list(pool.map(lambda name: verify.CHECKS[name](cfg), cfg.checks))
     else:
@@ -132,6 +134,8 @@ def report_json(report: dict) -> str:
 
 
 def report_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "status", "worst_residual", "tolerance",

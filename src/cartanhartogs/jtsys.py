@@ -62,6 +62,15 @@ KIND_POLYDISC = "polydisc"
 KIND_TYPE_I = "type-I"
 KIND_CHN = "chn"
 
+# Largest complex dimension n that `make_domain` accepts.  The largest
+# per-point array of a sampled family is an (n+1) x (n+1) complex matrix (the
+# dual Hessian of psh and det-formula; the polydisc isotropy forms n x n
+# planes), and one chunk of 8192 points of it is 8192 * 33^2 * 16 B = 143 MB
+# at n = 32.  A larger n would ask numpy for gigabytes, or, past the int64
+# range, for an array it cannot size.
+_MAX_DIMENSION = 32
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Numerical invariants of a circled bounded symmetric domain.
@@ -91,7 +100,8 @@ class DomainSpec:
 def make_domain(kind: str, *, n: int | None = None, p: int | None = None,
                 q: int | None = None) -> DomainSpec:
     """Build a DomainSpec for the polydisc (n), a type-I domain (p, q) or
-    chn (n), the type-I(1, n) domain CH^n; ValueError on anything else."""
+    chn (n), the type-I(1, n) domain CH^n; ValueError on anything else,
+    a complex dimension above `_MAX_DIMENSION` included."""
     if kind == KIND_CHN:
         if n is None or n < 1:
             raise ValueError("chn needs n >= 1")
@@ -107,8 +117,10 @@ def make_domain(kind: str, *, n: int | None = None, p: int | None = None,
     else:
         raise ValueError(f"unknown domain kind {kind!r} "
                          f"({KIND_POLYDISC} | {KIND_TYPE_I} | {KIND_CHN})")
-    return DomainSpec(kind, shape, r, a, b, n=r * (b + 1) + a * r * (r - 1) // 2,
-                      genus=2 + a * (r - 1) + b)
+    dim = r * (b + 1) + a * r * (r - 1) // 2
+    if dim > _MAX_DIMENSION:
+        raise ValueError(f"the complex dimension must be at most {_MAX_DIMENSION}")
+    return DomainSpec(kind, shape, r, a, b, n=dim, genus=2 + a * (r - 1) + b)
 
 
 def _check_point(D: DomainSpec, z: np.ndarray) -> np.ndarray:
@@ -662,7 +674,9 @@ class Isotropy:
 
     With j(z) of size p x q (n x n on the polydisc), u and v have shapes
     (p, p) and (q, q) for one element, or (k, p, p) and (k, q, q) for a stack
-    of k elements whose slice i acts on point i.
+    of k elements whose slice i acts on point i.  `Isotropy(u, v)` checks
+    both factors unitary (ValueError otherwise); `random_isotropy` builds its
+    pairs unitary by construction and skips the check.
     """
 
     u: np.ndarray
@@ -671,6 +685,15 @@ class Isotropy:
     def __post_init__(self):
         _check_unitary(self.u)
         _check_unitary(self.v)
+
+    @classmethod
+    def _by_construction(cls, u: np.ndarray, v: np.ndarray) -> "Isotropy":
+        """An element whose u and v are unitary by construction, built without
+        the checks of `__post_init__`."""
+        tau = object.__new__(cls)
+        object.__setattr__(tau, "u", u)
+        object.__setattr__(tau, "v", v)
+        return tau
 
 
 def _check_unitary(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -728,13 +751,17 @@ def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isot
     permutation P is the argsort of the keys (uniform over the n!
     orderings) and the phases are exp(2 pi i fraction), built into
     U = P diag(phases), V = P.  Type-I: per element the Gaussians of U, then
-    those of V, followed by one batched QR.  Either way the draws are per
-    element and in order, so a stack equals its elements drawn one at a time.
+    those of V, followed by one batched QR, whose Q factors times the unit
+    phases of R's diagonal are Haar.  Either way the draws are per element and
+    in order, so a stack equals its elements drawn one at a time.  Permutations
+    and QR factors times unit phases are unitary by construction, so the stack
+    skips `Isotropy`'s unitarity check; the tests hold the draws unitary to
+    1e-12.
     """
     if D.kind == KIND_POLYDISC:
         draws = rng.random((count, 2 * D.n))
         pmat = np.eye(D.n)[np.argsort(draws[:, :D.n], axis=-1)]
-        return Isotropy(pmat * np.exp(2j * np.pi * draws[:, None, D.n:]), pmat)
+        return Isotropy._by_construction(pmat * np.exp(2j * np.pi * draws[:, None, D.n:]), pmat)
 
     p, q = D.shape
     # per element: real and imaginary parts of U, then of V
@@ -746,4 +773,4 @@ def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isot
         return qm * (diag / np.abs(diag))[..., None, :]
 
     u_re, u_im, v_re, v_im = np.split(g, [p * p, 2 * p * p, 2 * p * p + q * q], axis=1)
-    return Isotropy(haar(u_re, u_im, p), haar(v_re, v_im, q))
+    return Isotropy._by_construction(haar(u_re, u_im, p), haar(v_re, v_im, q))

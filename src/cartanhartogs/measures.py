@@ -202,17 +202,21 @@ def flat_volume_quadrature(H: HartogsSpec, rng: np.random.Generator) -> float:
     rotated point z, log N = sum_j log(1 - x_j), and by the fiber probes
     1{(z, w) in M} 1{(z, w') not in M} of `ch_member_vec` at
     2 log|w| = mu log N + log(1 - delta), 2 log|w'| = mu log N + log(1 + delta),
-    delta = `_FIBER_PROBE`, w and w' sharing a random phase.  Each factor is
-    1 to rounding; a slip in either half of the membership test zeroes a
-    node.  The Haar pairs, then the phases, come from rng."""
+    delta = `_FIBER_PROBE`, w and w' sharing a random phase; both probe sets
+    go through one `ch_member_vec` call, which is row-exact, so the stack
+    gives each probe the bits of its own call.  Each factor is 1 to rounding;
+    a slip in either half of the membership test zeroes a node.  The Haar
+    pairs, then the phases, come from rng."""
     d, mu = H.domain, H.mu
     x, weight = _jacobi_polar_rule(d.r, d.a, d.b, mu)
     z = _rotated_frame_points(d, x, rng)
     theta = rng.uniform(0.0, 2 * np.pi, size=len(x))
     log_n = np.sum(np.log1p(-x), axis=-1)
     factor = np.exp(mu * (log_norm(d, z, 1) - log_n))
-    inside, outside = (ch_member_vec(H, _packed(z, mu * log_n + math.log1p(delta), theta))
-                       for delta in (-_FIBER_PROBE, _FIBER_PROBE))
+    probes = np.concatenate([mu * log_n + math.log1p(delta)
+                             for delta in (-_FIBER_PROBE, _FIBER_PROBE)])
+    inside, outside = np.split(ch_member_vec(H, _packed(np.concatenate([z, z]), probes,
+                                                        np.concatenate([theta, theta]))), 2)
     return float(np.sum(weight * factor * (inside & ~outside)))
 
 

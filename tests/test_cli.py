@@ -102,15 +102,19 @@ def test_usage_errors_exit_two(tmp_path):
     ["all", "--domain", "polydisc", "--n", "1", "--jobs", "1" + "0" * 400],
     ["darboux", "--domain", "polydisc", "--n", "1", "--points", "1000000001"],
     ["darboux", "--domain", "polydisc", "--n", "1", "--points", "1" + "0" * 20],
+    ["darboux", "--domain", "polydisc", "--n", "1" + "0" * 400],
+    ["darboux", "--domain", "polydisc", "--n", "100000000", "--points", "10"],
 ], ids=["polydisc-n0", "type-I-p0", "chn-n0", "mu-nan", "mu-inf", "selberg-mu-inf",
         "selberg-tol-nan", "fd-step-nan", "samples-inf", "selberg-rank4", "all-rank4",
-        "points-past-float", "jobs-past-float", "points-above-cap", "points-1e20"])
+        "points-past-float", "jobs-past-float", "points-above-cap", "points-1e20",
+        "n-400-digits", "n-1e8"])
 def test_out_of_range_inputs_exit_two(args):
     # out-of-range dimensions and non-finite numbers are usage errors, not
     # tracebacks, silent passes or (mu = inf: N^mu = 0) a sampler that never ends;
     # a rank-4 base runs, but not at mu = 0, nor (all takes volume) at
     # mu^16 = 1e304; a count past the float range is not finite, and more
-    # than 10**9 points would stream for days
+    # than 10**9 points would stream for days; a dimension past 32 would ask
+    # numpy for more memory than it can size or the machine holds
     res = _run(args)
     assert res.exit_code == 2
     assert "Error:" in res.output

@@ -341,6 +341,33 @@ def test_round_trip_detects_a_wrong_map(monkeypatch, dims, name):
     assert round_trip_entries() == ["fail"] * 3
 
 
+@pytest.mark.parametrize("dims", [dict(kind=jtsys.KIND_TYPE_I, p=2, q=2),
+                                  dict(kind=jtsys.KIND_POLYDISC, n=2)],
+                         ids=["type-I(2,2)", "polydisc-2"])
+@pytest.mark.parametrize("name", ["psi_map_vec", "phi_map_vec"])
+def test_isotropy_pairs_detect_a_slipped_coordinate(monkeypatch, dims, name):
+    # a 1 + 1e-6 slip in one coordinate of either map breaks its equivariance,
+    # since the isotropy moves that coordinate into the others
+    cfg = cli.RunConfig(kind=dims["kind"], n=dims.get("n"), p=dims.get("p"),
+                        q=dims.get("q"), mu=(0.5, 1.0, 2.0), checks=("equivariance",),
+                        points=40, samples=1000, seed=0, fd_step=1e-5, tol=1e-5)
+
+    def pair_entries():
+        return [c["status"] for c in verify.check_equivariance(cfg)
+                if c["parameters"]["operation"] == "hartogs_isotropy_apply"]
+
+    assert pair_entries() == ["pass"] * 3
+    good = getattr(hartogs, name)
+
+    def slipped(H, pts):
+        out = good(H, pts)
+        out[..., 0] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(hartogs, name, slipped)
+    assert pair_entries() == ["fail"] * 3
+
+
 def test_psi_is_onto_far_targets(rng):
     # targets far outside the domain still have preimages
     H = _hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2), 1.0)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
+from conftest import GRID_AND_T33
 from reference import (b_quarter_power_operator, bergman_apply, isotropy_draws,
                        membership_svd, norm_det, singular_values_svd, spectral_decompose,
                        triple_product)
@@ -36,6 +37,13 @@ def test_make_domain_rejects_bad_shapes():
         jtsys.make_domain("chn", n=0)
     with pytest.raises(ValueError):
         jtsys.make_domain("chn")
+    # the complex dimension is capped at 32, inclusive
+    assert jtsys.make_domain(jtsys.KIND_POLYDISC, n=32).n == 32
+    assert jtsys.make_domain(jtsys.KIND_TYPE_I, p=4, q=8).n == 32
+    for kind, dims in ((jtsys.KIND_POLYDISC, dict(n=33)), (jtsys.KIND_TYPE_I, dict(p=1, q=33)),
+                       (jtsys.KIND_TYPE_I, dict(p=5, q=7)), (jtsys.KIND_CHN, dict(n=10**400))):
+        with pytest.raises(ValueError, match="at most 32"):
+            jtsys.make_domain(kind, **dims)
 
 
 def test_chn_kind_is_hyperbolic_space():
@@ -510,6 +518,20 @@ def test_random_isotropy_batch_equals_single_draws(name, seed):
         for got in (getattr(stack, field), np.concatenate([getattr(t, field) for t in singles])):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+def test_random_isotropy_draws_are_unitary(name):
+    # random_isotropy skips Isotropy's runtime check: its factors are
+    # permutations or QR factors times unit phases, so unitary by construction
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    rng = np.random.default_rng(13)
+    for count in (1, 8, 300):
+        tau = jtsys.random_isotropy(d, rng, count)
+        for m in (tau.u, tau.v):
+            assert m.shape[0] == count
+            gram = np.conj(np.swapaxes(m, -1, -2)) @ m
+            assert np.max(np.abs(gram - np.eye(m.shape[-1]))) <= 1e-12
 
 
 def test_isotropy_stack_rejects_one_bad_slice():

@@ -490,6 +490,29 @@ def test_kernels_are_row_exact(name):
         assert np.array_equal(kernel(shifted), whole)
 
 
+@pytest.mark.parametrize("name", list(LAYOUT_DOMAINS))
+def test_maps_and_isotropy_are_row_exact_when_stacked(name):
+    # check_equivariance maps tau p and p in one call per map, then moves both
+    # maps' images of p in one isotropy apply, the taus broadcast over the map
+    # axis; every row must have the bits of a call on its own part
+    d = jtsys.make_domain(**LAYOUT_DOMAINS[name])
+    H = hartogs.make_hartogs(d, 1.0)
+    rng = np.random.default_rng(17)
+    k = 1 << 11
+    pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
+    taus = jtsys.random_isotropy(d, rng, k)
+    moved = hartogs.hartogs_isotropy_apply(H, taus, pts)
+    both = np.concatenate([moved, pts])
+    images = np.stack([mapping(H, both) for mapping in (hartogs.psi_map_vec,
+                                                          hartogs.phi_map_vec)])
+    broadcast = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
+    for i, mapping in enumerate((hartogs.psi_map_vec, hartogs.phi_map_vec)):
+        assert np.array_equal(images[i, :k], mapping(H, moved))
+        alone = mapping(H, pts)
+        assert np.array_equal(images[i, k:], alone)
+        assert np.array_equal(broadcast[i], hartogs.hartogs_isotropy_apply(H, taus, alone))
+
+
 def test_dual_flat_ratio_rank_one_mu_one_is_one():
     # CH^n at mu = 1 is self-dual: the ratio formula collapses to 1
     for n in (1, 2, 3):

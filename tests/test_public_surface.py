@@ -80,3 +80,15 @@ def test_the_package_imports_without_scipy():
     res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_cli_import_leaves_out_csv_and_the_thread_pool():
+    # csv serves --format csv and the thread pool --jobs > 1 only, so a plain
+    # run does not pay for their imports
+    code = ("import sys, cartanhartogs.cli; "
+            "print(sorted({'csv', 'concurrent.futures'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
