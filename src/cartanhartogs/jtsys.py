@@ -751,8 +751,9 @@ def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isot
     permutation P is the argsort of the keys (uniform over the n!
     orderings) and the phases are exp(2 pi i fraction), built into
     U = P diag(phases), V = P.  Type-I: per element the Gaussians of U, then
-    those of V, followed by one batched QR, whose Q factors times the unit
-    phases of R's diagonal are Haar.  Either way the draws are per element and
+    those of V, followed by batched QR, one call per factor (one for both
+    when p = q), whose Q factors times the unit phases of R's diagonal are
+    Haar.  Either way the draws are per element and
     in order, so a stack equals its elements drawn one at a time.  Permutations
     and QR factors times unit phases are unitary by construction, so the stack
     skips `Isotropy`'s unitarity check; the tests hold the draws unitary to
@@ -768,9 +769,16 @@ def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isot
     g = rng.normal(size=(count, 2 * (p * p + q * q)))
 
     def haar(re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
-        qm, rm = np.linalg.qr((re + 1j * im).reshape(count, size, size))
+        qm, rm = np.linalg.qr((re + 1j * im).reshape(re.shape[:-1] + (size, size)))
         diag = np.diagonal(rm, axis1=-2, axis2=-1)
         return qm * (diag / np.abs(diag))[..., None, :]
 
-    u_re, u_im, v_re, v_im = np.split(g, [p * p, 2 * p * p, 2 * p * p + q * q], axis=1)
-    return Isotropy._by_construction(haar(u_re, u_im, p), haar(v_re, v_im, q))
+    if p == q:
+        # U and V of every element in one QR call; LAPACK factors each
+        # matrix on its own, so each keeps the bits of a call of its own
+        pairs = g.reshape(count, 2, 2, p * p)        # (element, U or V, re or im, entry)
+        uv = haar(pairs[:, :, 0], pairs[:, :, 1], p)
+        return Isotropy._by_construction(uv[:, 0], uv[:, 1])
+    u, v = g[:, :2 * p * p], g[:, 2 * p * p:]
+    return Isotropy._by_construction(haar(u[:, :p * p], u[:, p * p:], p),
+                                     haar(v[:, :q * q], v[:, q * q:], q))

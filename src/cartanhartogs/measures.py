@@ -57,8 +57,8 @@ import numpy as np
 from .errors import DomainError
 from .forms import det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
-from .jtsys import (DomainSpec, frame_point, isotropy_apply, log_norm,
-                    log_norm_derivatives, random_isotropy, spectral_norm)
+from .jtsys import (DomainSpec, _derivative_rows, _kronecker_rows, frame_point,
+                    isotropy_apply, log_norm, random_isotropy, spectral_norm)
 
 # relative offset delta of the flat side's fiber probes, |w|^2 = (1 -/+ delta) N^mu
 _FIBER_PROBE = 1e-9
@@ -312,8 +312,10 @@ def fit_genus(D: DomainSpec) -> float:
     """Fit gamma from det(Hess_z log N(z, -zbar)) = N(z, -zbar)^(-gamma).
 
     Averages the log-ratio over moderate random points (log N* kept away from
-    zero).  The Hessian is the Jordan-data closed form of
-    `jtsys.log_norm_derivatives`, which holds no genus, so the fit
+    zero).  One elimination per point (`jtsys._derivative_rows`) gives both
+    sides: log N*, with `log_norm`'s bits, and the Hessian's Kronecker
+    factors, assembled as `jtsys.log_norm_derivatives` assembles them.  The
+    Hessian is that Jordan-data closed form, which holds no genus, so the fit
     adjudicates the genus value to rounding.
     """
     rng = np.random.default_rng(_GENUS_FIT_SEED)
@@ -321,7 +323,9 @@ def fit_genus(D: DomainSpec) -> float:
          + 1j * rng.normal(size=(_GENUS_FIT_POINTS, D.n)))
     top = spectral_norm(D, g)
     z = g * (rng.uniform(0.8, 2.0, size=_GENUS_FIT_POINTS) / top)[:, None]
+    log_n, _, (x, y) = _derivative_rows(D, z, -1)
+    hess = _kronecker_rows(x, y, np.empty((D.n, D.n, len(z)), dtype=complex))
     # log det of the positive definite Hessian, twice the log of its Cholesky diagonal
-    chol = np.linalg.cholesky(log_norm_derivatives(D, z, sign=-1)[1])
+    chol = np.linalg.cholesky(np.moveaxis(hess, -1, 0))
     log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
-    return float(np.mean(-log_dets / log_norm(D, z, -1)))
+    return float(np.mean(-log_dets / log_n))

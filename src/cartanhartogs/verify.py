@@ -308,44 +308,61 @@ def check_equivariance(cfg) -> list[dict]:
     member points p, each moved by its own Haar element tau.  A chunk takes
     one call of each map on the rows of tau p and p stacked, and one isotropy
     apply on both maps' images of p, the stack of taus broadcast over the map
-    axis; every one of these kernels is row-exact, so the residuals have the
-    bits of one call per map and point set."""
+    axis.  The lift's 16 points (on the polydisc Hs) and the round trip's 6
+    are drawn right after the last chunk's points and taus, from the same
+    generator, and their rows ride along in that chunk's map calls: Psi on
+    [tau p; p; lifted; round trip] and Phi on [tau p; p; round trip].  The
+    lift keeps its own Psi call on Hs and the round trip its two inverses.
+    Every one of these kernels is row-exact, so each residual has the bits of
+    one call per map and point set.  The pairs entry's wall time includes the
+    map work of the lift and round-trip rows."""
     d = cfg.domain_spec
+    m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)
+    count = max(8, cfg.points // 4)
     out = []
     for mu in cfg.mu:
         H = hartogs.make_hartogs(d, mu)
+        Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
         rng = np.random.default_rng(cfg.seed + 7)
+        tail = {"left": count}  # the lift and round trip ride on the last chunk
         started = time.perf_counter()
 
         def pairs(k):
             pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
             taus = jtsys.random_isotropy(d, rng, k)  # row i moves point i
+            tail["left"] -= k
+            last = not tail["left"]
+            lifted = some = pts[:0]
+            if last:
+                tail["small"] = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
+                some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
+                lifted = hartogs.lift_embedding(d, tail["small"])
             both = np.concatenate([hartogs.hartogs_isotropy_apply(H, taus, pts), pts])
+            psi = hartogs.psi_map_vec(H, np.concatenate([both, lifted, some]))
+            phi = hartogs.phi_map_vec(H, np.concatenate([both, some]))
+            if last:
+                tail.update(some=some, big=psi[2 * k:2 * k + len(lifted)],
+                            images=(psi[2 * k + len(lifted):], phi[2 * k:]))
             # (map, point, coordinate): the images of tau p, then those of p
-            images = np.stack([hartogs.psi_map_vec(H, both), hartogs.phi_map_vec(H, both)])
+            images = np.stack([psi[:2 * k], phi[:2 * k]])
             moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
             # np.max over arrays, so a NaN residual reaches the gate and fails it
             return pts, np.max(np.abs(images[:, :k] - moved), axis=(0, 2))
 
-        count = max(8, cfg.points // 4)
         out.append(_result("equivariance", {"mu": mu, "pairs": count,
                                             "operation": "hartogs_isotropy_apply"},
                            _stream(count, pairs)[0], 1e-10, None, started))
 
         started = time.perf_counter()
-        m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)
-        Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
-        small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
-        big = hartogs.psi_map_vec(H, hartogs.lift_embedding(d, small))
-        expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, small))
+        expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, tail["small"]))
         out.append(_result("equivariance", {"mu": mu, "operation": "lift_embedding"},
-                           float(np.max(np.abs(big - expect))), 1e-10, None, started))
+                           float(np.max(np.abs(tail["big"] - expect))), 1e-10, None, started))
 
         started = time.perf_counter()
-        some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
-        worst = np.max([np.abs(inverse(H, mapping(H, some)) - some)
-                        for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
-                                                 (hartogs.phi_map_vec, hartogs.phi_inverse))])
+        some = tail["some"]
+        worst = np.max([np.abs(inverse(H, image) - some)
+                        for image, inverse in zip(tail["images"], (hartogs.psi_inverse,
+                                                                   hartogs.phi_inverse))])
         out.append(_result("equivariance", {"mu": mu, "operation": "psi_inverse"},
                            worst, 1e-8, None, started))
 

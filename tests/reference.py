@@ -42,17 +42,25 @@ and C^-1 (`log_norm_derivatives_two_inverses`), and the Hartogs Hessians
 assembled batch-first on them (`hartogs_hessian_two_inverses`) are the
 references for `jtsys.log_norm_derivatives` and `forms.hartogs_hessian`,
 which take one LDL* per point, C^-1 by push-through and coordinate-major
-rows.
+rows.  Three routes keep passes that the library folds into one, and the
+library must equal each to the bit: `check_equivariance_separate_calls`,
+the equivariance family with the lift's and round trip's points drawn
+after the isotropy pairs and mapped in calls of their own;
+`sample_members_filtered`, the member samplers' rejection loop with
+`jtsys.membership` and then `jtsys.log_norm` on the kept rows; and
+`fit_genus_two_passes`, the genus fit with log N* from a second
+`jtsys.log_norm` pass beside `jtsys.log_norm_derivatives`.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from cartanhartogs import jtsys
+from cartanhartogs import hartogs, jtsys, measures, verify
 from cartanhartogs.errors import DomainError, ShapeError
 from cartanhartogs.hartogs import HartogsSpec, fiber_ratios, split_vec
 from cartanhartogs.jtsys import KIND_POLYDISC, DomainSpec, as_matrix, as_vector
@@ -500,3 +508,88 @@ def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,
         for k in range(j + 1, r):
             integrand = integrand * (grids[j] ** 2 - grids[k] ** 2) ** a
     return float(np.sum(integrand)) / math.factorial(r)
+
+
+def check_equivariance_separate_calls(cfg) -> list[dict]:
+    """`verify.check_equivariance` with the lift's 16 points and the round
+    trip's 6 drawn after the isotropy pairs, each mapped in calls of its
+    own: Psi on the lifted points, and Psi and Phi on the round trip's."""
+    d = cfg.domain_spec
+    out = []
+    for mu in cfg.mu:
+        H = hartogs.make_hartogs(d, mu)
+        rng = np.random.default_rng(cfg.seed + 7)
+        started = time.perf_counter()
+
+        def pairs(k):
+            pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
+            taus = jtsys.random_isotropy(d, rng, k)
+            both = np.concatenate([hartogs.hartogs_isotropy_apply(H, taus, pts), pts])
+            images = np.stack([hartogs.psi_map_vec(H, both), hartogs.phi_map_vec(H, both)])
+            moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
+            return pts, np.max(np.abs(images[:, :k] - moved), axis=(0, 2))
+
+        count = max(8, cfg.points // 4)
+        out.append(verify._result("equivariance", {"mu": mu, "pairs": count,
+                                                   "operation": "hartogs_isotropy_apply"},
+                                  verify._stream(count, pairs)[0], 1e-10, None, started))
+
+        started = time.perf_counter()
+        m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)
+        Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
+        small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
+        big = hartogs.psi_map_vec(H, hartogs.lift_embedding(d, small))
+        expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, small))
+        out.append(verify._result("equivariance", {"mu": mu, "operation": "lift_embedding"},
+                                  float(np.max(np.abs(big - expect))), 1e-10, None, started))
+
+        started = time.perf_counter()
+        some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
+        worst = np.max([np.abs(inverse(H, mapping(H, some)) - some)
+                        for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
+                                                 (hartogs.phi_map_vec, hartogs.phi_inverse))])
+        out.append(verify._result("equivariance", {"mu": mu, "operation": "psi_inverse"},
+                                  worst, 1e-8, None, started))
+
+    if d.r == 1:
+        started = time.perf_counter()
+        Hb = hartogs.make_hartogs(d, 1.0)
+        rng = np.random.default_rng(cfg.seed + 8)
+        pts = hartogs.sample_ball_points(d.n + 1, 64, rng, 0.9)
+        gap = np.max(np.abs(hartogs.psi_map_vec(Hb, pts) - hartogs.unit_ball_darboux(pts)))
+        out.append(verify._result("equivariance", {"operation": "psi_map",
+                                                   "case": "rank-one ball specialization"},
+                                  float(gap), 1e-12, None, started))
+    return out
+
+
+def sample_members_filtered(H: HartogsSpec, count: int, rng: np.random.Generator,
+                            lam_max: float, w_frac: float) -> np.ndarray:
+    """The member samplers' rejection loop with two Gram-pivot passes per
+    draw: `jtsys.membership` filters the base points, then `jtsys.log_norm`
+    of the kept rows places |w|^2 below w_frac * N^mu."""
+    out = np.empty((count, H.domain.n + 1), dtype=complex)
+    filled = 0
+    while filled < count:
+        z = hartogs.sample_base_points(H.domain, count - filled, rng, lam_max)
+        z = z[jtsys.membership(H.domain, z)]
+        with np.errstate(divide="ignore"):
+            log_w2 = (np.log(w_frac * rng.uniform(size=len(z)))
+                      + H.mu * jtsys.log_norm(H.domain, z, 1))
+        w = np.exp(0.5 * log_w2) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(z)))
+        out[filled:filled + len(z), :-1] = z
+        out[filled:filled + len(z), -1] = w
+        filled += len(z)
+    return out
+
+
+def fit_genus_two_passes(D: DomainSpec) -> float:
+    """`measures.fit_genus` with the Hessian from `jtsys.log_norm_derivatives`
+    and log N* from a second pass, `jtsys.log_norm`."""
+    rng = np.random.default_rng(measures._GENUS_FIT_SEED)
+    points = measures._GENUS_FIT_POINTS
+    g = rng.normal(size=(points, D.n)) + 1j * rng.normal(size=(points, D.n))
+    z = g * (rng.uniform(0.8, 2.0, size=points) / jtsys.spectral_norm(D, g))[:, None]
+    chol = np.linalg.cholesky(jtsys.log_norm_derivatives(D, z, sign=-1)[1])
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    return float(np.mean(-log_dets / jtsys.log_norm(D, z, -1)))

@@ -1,3 +1,4 @@
+import json
 import time
 import warnings
 
@@ -9,8 +10,9 @@ from hypothesis import given, strategies as st
 from cartanhartogs import cli, hartogs, jtsys, verify
 from cartanhartogs.errors import DomainError, ShapeError
 from conftest import GRID_AND_T33
-from reference import (darboux_map_operator, norm_det, potential_field, singular_values_svd,
-                       spectral_decompose)
+from reference import (check_equivariance_separate_calls, darboux_map_operator,
+                       membership_svd, norm_det, potential_field, sample_members_filtered,
+                       singular_values_svd, spectral_decompose)
 
 
 def _hartogs(domain, mu):
@@ -538,6 +540,68 @@ def test_sample_member_points_full_covers(dims, rng):
     # near-boundary points do occur, in the base and in the fiber
     assert np.max(singular_values_svd(d, pts[:, :-1])[:, 0]) > 0.99
     assert np.min(norm_det(d, pts[:, :-1], 1) - np.abs(pts[:, -1]) ** 2) < 5e-3
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+@pytest.mark.parametrize("lam_max", [0.55, 0.8])
+def test_interior_sampler_takes_one_pivot_pass(monkeypatch, name, lam_max):
+    # below lam_max = 1 the filter is read off log_norm's -inf, with no
+    # membership pass, and the rows keep the bits of the filtered loop
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    H = _hartogs(d, 2.0)
+    monkeypatch.setattr(hartogs, "membership", None)
+    for count in (1, 8, 300):
+        got = hartogs.sample_member_points(H, count, np.random.default_rng(count), lam_max)
+        want = sample_members_filtered(H, count, np.random.default_rng(count), lam_max, 0.40)
+        assert np.array_equal(got, want)
+        assert np.all(membership_svd(d, got[:, :-1]))
+
+
+@pytest.mark.parametrize("name", ["polydisc-2", "type-I(2,3)"])
+def test_full_sampler_tests_its_draws_with_membership(monkeypatch, name):
+    # draws up to lam_max = 1 go through jtsys.membership, whose rows the
+    # benchmark's traced run counts as the full sampler's tested rows
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    H = _hartogs(d, 1.0)
+    tested = []
+
+    def counted(D, z):
+        tested.append(len(z))
+        return jtsys.membership(D, z)
+
+    monkeypatch.setattr(hartogs, "membership", counted)
+    got = hartogs.sample_member_points_full(H, 500, np.random.default_rng(4))
+    assert sum(tested) >= 500
+    want = sample_members_filtered(H, 500, np.random.default_rng(4), 1.0, 1.0)
+    assert np.array_equal(got, want)
+
+
+# (patched _CHUNK or None for the default, points): 1 pair chunk (10 pairs,
+# and 8 pairs in one full chunk), 2 chunks (7 + 3) and 3 chunks (7 + 7 + 1,
+# and 7 + 7 + 7)
+EQUIVARIANCE_CHUNKS = [(None, 40), (8, 32), (7, 40), (7, 60), (7, 84)]
+
+
+@pytest.mark.parametrize("name", list(GRID_AND_T33))
+@pytest.mark.parametrize("chunk, points", EQUIVARIANCE_CHUNKS,
+                         ids=[f"chunk{c}-points{p}" for c, p in EQUIVARIANCE_CHUNKS])
+def test_equivariance_equals_separate_calls(monkeypatch, name, chunk, points):
+    # the lift's and round trip's points are drawn after the last chunk's
+    # and ride on its map calls; every entry keeps the bits of the route that
+    # draws them after the pairs and maps them in calls of their own
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+    dims = GRID_AND_T33[name]
+    cfg = cli.RunConfig(kind=dims["kind"], n=dims.get("n"), p=dims.get("p"), q=dims.get("q"),
+                        mu=(0.5, 1.0, 2.0), checks=("equivariance",), points=points, seed=3)
+
+    def entries(report):
+        return [json.dumps({k: v for k, v in entry.items() if k != "wall_time_s"},
+                           sort_keys=True) for entry in report]
+
+    got = verify.check_equivariance(cfg)
+    assert entries(got) == entries(check_equivariance_separate_calls(cfg))
+    assert len(got) == 3 * 3 + (cfg.domain_spec.r == 1)  # 3 entries per mu, the ball at rank 1
 
 
 def test_sample_member_points_fill_at_large_mu(rng):

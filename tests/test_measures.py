@@ -11,7 +11,8 @@ from cartanhartogs import cli, forms, hartogs, jtsys, measures, verify
 from cartanhartogs.errors import DomainError
 from cartanhartogs.forms import det_dual_hessian
 from conftest import GRID_AND_T33
-from reference import flat_volume_exact, selberg_quadrature_symmetrized, singular_values_svd
+from reference import (fit_genus_two_passes, flat_volume_exact, selberg_quadrature_symmetrized,
+                       singular_values_svd)
 
 POLY1 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=1)
 POLY2 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
@@ -602,6 +603,16 @@ def test_fit_genus_adjudication():
     assert abs(measures.fit_genus(T22) - 4.0) < 1e-9
     assert abs(measures.fit_genus(POLY2) - 2.0) < 1e-9
     assert abs(measures.fit_genus(CH2) - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("dims", list(GRID_AND_T33.values()) + [dict(kind=jtsys.KIND_TYPE_I,
+                                                                       p=2, q=4)],
+                         ids=list(GRID_AND_T33) + ["type-I(2,4)"])
+def test_fit_genus_reads_log_norm_off_its_own_elimination(dims):
+    # log N* from the elimination behind the Hessian has log_norm's bits, so
+    # the fit equals the route with a second log_norm pass to the bit
+    d = jtsys.make_domain(**dims)
+    assert measures.fit_genus(d) == fit_genus_two_passes(d)
 
 
 @pytest.mark.parametrize("shift", [1.0, -1.0, 1e-8])
