@@ -1,8 +1,9 @@
 """Configuration-driven verification runs with reproducible reports.
 
-`chverify <check> [flags]` runs one family of checks (or `all`); flags override
-a JSON config file, which overrides the CHVERIFY_SEED environment default, and
-the field defaults of `RunConfig` fill in the rest.
+`chverify <check> [flags]` runs one family of checks (or `all`).  The run's
+settings merge four layers, each over the one before: the field defaults of
+`RunConfig`, then the CHVERIFY_SEED environment variable, then a JSON config
+file (--config), then the flags given on the command line.
 Reports are deterministic given the seed, except for wall-time fields.
 """
 
@@ -147,6 +148,10 @@ def report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+# config file keys spelled apart from their RunConfig fields; a `-` in any key reads as `_`
+_FILE_ALIASES = {"domain": "kind", "format": "fmt"}
+
+
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -158,11 +163,7 @@ def _read_config_file(path: str) -> dict:
     out = {}
     for key, val in raw.items():
         key = key.replace("-", "_")
-        if key == "domain":
-            key = "kind"
-        if key == "format":
-            key = "fmt"
-        out[key] = val
+        out[_FILE_ALIASES.get(key, key)] = val
     return out
 
 
@@ -175,30 +176,22 @@ def _typed(key: str, val, types: tuple, what: str):
 
 
 def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig:
+    """RunConfig from four layers, each over the one before: the field
+    defaults, then $CHVERIFY_SEED, then the --config file, then the flags
+    given on the command line."""
     from click.core import ParameterSource
 
-    merged = {f.name: f.default for f in fields(RunConfig) if f.name != "checks"}
-    if ctx.get_parameter_source("seed") == ParameterSource.ENVIRONMENT:
-        merged["seed"] = flags["seed"]
+    merged = {f.name: f.default for f in fields(RunConfig)}
+    file_vals = _read_config_file(flags["config_path"]) if flags["config_path"] else {}
+    for key in file_vals:  # any field or flag; a file's config_path goes unread
+        if key not in merged and key not in flags:
+            raise click.UsageError(f"unknown config key {key!r}")
 
-    file_vals = {}
-    if flags.get("config_path"):
-        file_vals = _read_config_file(flags["config_path"])
-        for key, val in file_vals.items():
-            if key in ("checks", "config_path"):
-                continue
-            if key not in merged:
-                raise click.UsageError(f"unknown config key {key!r}")
-            merged[key] = val
+    def given(source: ParameterSource) -> dict:
+        return {key: val for key, val in flags.items() if ctx.get_parameter_source(key) == source}
 
-    for key in merged:
-        if key == "seed":
-            if ctx.get_parameter_source("seed") == ParameterSource.COMMANDLINE:
-                merged["seed"] = flags["seed"]
-            continue
-        val = flags.get(key)
-        if val is not None and val != ():
-            merged[key] = val
+    for layer in (given(ParameterSource.ENVIRONMENT), file_vals, given(ParameterSource.COMMANDLINE)):
+        merged.update(layer)
 
     try:
         if check_name == "all":

@@ -27,7 +27,8 @@ product.  Every relation between |w|^2 and
 N^mu is taken in s = 2 log|w| - mu log N, so u = N^mu is never formed and
 large mu neither under- nor overflows: `fiber_ratios` is the one home of t,
 |w|^2/G and 1/G, `ch_member_vec`, the one membership test of M, is s < 0,
-and the member samplers draw s <= log(w_frac).  `lift_embedding` carries
+and the member samplers draw s <= log(w_frac), w_frac = `_W_FRAC` inside and
+1 over the whole domain.  `lift_embedding` carries
 points of the Hartogs domain over Delta^m into M along the canonical frame
 of `jtsys.frame_point`, the hereditary embedding the maps must commute with.
 """
@@ -316,6 +317,8 @@ def sample_base_points(D: DomainSpec, count: int, rng: np.random.Generator,
 _MAX_SAMPLER_ROUNDS = 1000
 # Norm cap of the heavy-tailed points.
 _HEAVY_NORM_CAP = 10.0
+# Cap of |w|^2 / N^mu at the interior member points.
+_W_FRAC = 0.40
 
 
 def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
@@ -356,16 +359,16 @@ def _sample_members(H: HartogsSpec, count: int, rng: np.random.Generator,
 
 
 def sample_member_points(H: HartogsSpec, count: int, rng: np.random.Generator,
-                         lam_max: float = 0.55, w_frac: float = 0.40) -> np.ndarray:
+                         lam_max: float = 0.55) -> np.ndarray:
     """Member points packed as (count, n+1), kept interior for stable closed forms.
 
-    Spectral eigenvalues stay below lam_max and |w|^2 at most w_frac * N^mu,
-    so G = N^mu - |w|^2 >= (1 - w_frac) N^mu: a bound relative to N^mu that
+    Spectral eigenvalues stay below lam_max and |w|^2 at most _W_FRAC * N^mu,
+    so G = N^mu - |w|^2 >= (1 - _W_FRAC) N^mu: a bound relative to N^mu that
     holds at every mu, where N^mu itself may underflow.  Below lam_max = 1 no
     draw can reach the boundary, so the membership filter, read off the one
     `log_norm` pass, keeps every draw.
     """
-    return _sample_members(H, count, rng, lam_max, w_frac)
+    return _sample_members(H, count, rng, lam_max, _W_FRAC)
 
 
 def sample_member_points_full(H: HartogsSpec, count: int,

@@ -42,9 +42,10 @@ that route, which the Jacobian of the maps reads too), type-I of rank two
 takes one complex Jacobi rotation on (N,) rows of real multiply-adds, and
 rank >= 3 one batched LAPACK eigh.  The frame rejects a base point outside
 Omega with DomainError at sign +1; a point with an inf or NaN entry stays
-out of the closed-form arithmetic and comes out NaN at sign -1, with no
+out of the arithmetic on every route and comes out NaN at sign -1, with no
 warning.  `spectral_norm`, the largest spectral value, likewise takes a
-closed form at rank <= 2 and LAPACK's SVD at rank >= 3.  Points are flat
+closed form at rank <= 2 and LAPACK's SVD at rank >= 3, and keeps a point
+with an inf or NaN entry out of both.  Points are flat
 complex vectors of length n; type-I points are reshaped to (p, q) row-major
 when matrix algebra is needed.
 """
@@ -506,20 +507,29 @@ def spectral_norm(D: DomainSpec, z) -> np.ndarray:
         sigma_1^2 = (g_00 + g_11)/2 + hypot((g_00 - g_11)/2, |g_01|).
 
     The entries are squared, so their moduli must lie within about 1e+/-150.
-    Rank >= 3 takes LAPACK's SVD.
+    Rank >= 3 takes LAPACK's SVD.  A row with an inf or NaN entry stays out
+    of the arithmetic and, as max |z_j| does on the polydisc, comes out NaN
+    when some entry is NaN and inf otherwise.
     """
     z = _check_point(D, z)
     if D.kind == KIND_POLYDISC:
         return np.max(np.abs(z), axis=-1)
+    rows = z.reshape(-1, D.n)
+    finite = np.isfinite(rows).all(axis=-1)
+    top = np.where(np.isnan(rows).any(axis=-1), np.nan, np.inf)
+    rows = rows[finite]
     p, q = D.shape
     if p > 2:
-        return np.linalg.svd(z.reshape(z.shape[:-1] + (p, q)), compute_uv=False)[..., 0]
-    x = _entry_planes(D, z.reshape(-1, D.n))
+        top[finite] = np.linalg.svd(rows.reshape(-1, p, q), compute_uv=False)[:, 0]
+        return top.reshape(z.shape[:-1])
+    x = _entry_planes(D, rows)
     g = _squared_norms(x)
     if p == 1:
-        return np.sqrt(g[0]).reshape(z.shape[:-1])
-    half_sum, half_gap = 0.5 * (g[0] + g[1]), 0.5 * (g[0] - g[1])
-    return np.sqrt(half_sum + np.hypot(half_gap, np.hypot(*_gram_cross(x)))).reshape(z.shape[:-1])
+        top[finite] = np.sqrt(g[0])
+    else:
+        half_sum, half_gap = 0.5 * (g[0] + g[1]), 0.5 * (g[0] - g[1])
+        top[finite] = np.sqrt(half_sum + np.hypot(half_gap, np.hypot(*_gram_cross(x))))
+    return top.reshape(z.shape[:-1])
 
 
 def membership(D: DomainSpec, z) -> np.ndarray:
@@ -631,18 +641,12 @@ def jordan_frame(D: DomainSpec, z, sign: int):
     `gram_pivots`, which the darboux checks compare them with.  The order of
     lam is not fixed.  With sign=+1 every lam must be positive, i.e. z in
     Omega: DomainError otherwise, a point with an inf or NaN entry included.
-    At sign=-1 such a point comes out NaN in every output, and on the first
-    two routes its row stays out of the arithmetic, so it raises no warning.
+    At sign=-1 such a point comes out NaN in every output: on every route its
+    row stays out of the arithmetic, so it raises no warning.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     z = _check_point(D, z)
-    if not frame_is_diagonal(D) and D.r > 2:      # type-I of rank >= 3
-        jz = as_matrix(D, z)
-        lam, u = np.linalg.eigh(np.eye(D.r) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
-        _reject_outside(lam, sign)
-        k = np.conj(np.swapaxes(u, -1, -2)) @ jz
-        return lam, u, k, as_vector(D, u @ ((1.0 / np.sqrt(lam))[..., :, None] * k))
     rows = z.reshape(-1, D.n)
     x = _entry_planes(D, rows)
     a = 1.0 - sign * _squared_norms(x)       # the diagonal of A
@@ -651,7 +655,13 @@ def jordan_frame(D: DomainSpec, z, sign: int):
     whole = finite.all()
     if not whole:
         rows, x, a = rows[finite], x[..., finite], a[:, finite]
-    if not frame_is_diagonal(D):
+    if not frame_is_diagonal(D) and D.r > 2:      # type-I of rank >= 3
+        jz = as_matrix(D, rows)
+        lam, u = np.linalg.eigh(np.eye(D.r) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
+        _reject_outside(lam, sign)
+        k = np.conj(np.swapaxes(u, -1, -2)) @ jz
+        frame = (lam, u, k, as_vector(D, u @ ((1.0 / np.sqrt(lam))[..., :, None] * k)))
+    elif not frame_is_diagonal(D):
         lam, u, k, b_z = _rotation_frame(x, a, sign)
         frame = (lam.T.copy(), _complex_rows(u), _complex_rows(k), _complex_rows(b_z))
     else:
@@ -719,20 +729,21 @@ def isotropy_apply(D: DomainSpec, tau: Isotropy, z) -> np.ndarray:
     coordinate.  The complex products are taken as real ones (see
     `_kronecker_rows`), so a point moves to the same bits alone, as a row
     of one or inside a batch."""
-    jz = as_matrix(D, z)
+    z = _check_point(D, z)
+    rows, cols = (D.n, D.n) if D.kind == KIND_POLYDISC else D.shape   # of j(z)
     u = np.asarray(tau.u, dtype=complex)
     v = np.asarray(tau.v, dtype=complex)
-    if u.shape[-1] != jz.shape[-2] or v.shape[-1] != jz.shape[-1]:
-        raise ShapeError(f"U and V must act on {jz.shape[-2]} x {jz.shape[-1]} matrices")
+    if u.shape[-1] != rows or v.shape[-1] != cols:
+        raise ShapeError(f"U and V must act on {rows} x {cols} matrices")
     if D.kind != KIND_POLYDISC:
-        return as_vector(D, u @ jz @ np.conj(np.swapaxes(v, -1, -2)))
+        return as_vector(D, u @ as_matrix(D, z) @ np.conj(np.swapaxes(v, -1, -2)))
     support = u != 0
     # no row of a unitary U is zero, so n nonzeros per n * n block means one
     # per row: a permutation pattern
     if not (np.count_nonzero(support) * D.n == support.size
             and np.array_equal(support, v != 0)):
         raise ValueError("the pair does not map the realization into itself")
-    zk = _check_point(D, z)[..., None, :]
+    zk = z[..., None, :]
     uz_re = u.real * zk.real - u.imag * zk.imag
     uz_im = u.real * zk.imag + u.imag * zk.real
     # times conj(V), the one term of each row on the support kept

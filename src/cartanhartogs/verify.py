@@ -1,9 +1,10 @@
 """Verification battery behind the CLI.
 
 Each check measures a worst residual against a tolerance and returns entries
-ready for the JSON report.  The sampled families (darboux, dual-darboux, psh,
-det-formula and the isotropy pairs of equivariance) stream their points
-through `_stream` in fixed chunks, so memory does not grow with --points.
+ready for the JSON report.  The sampled families (darboux, dual-darboux, psh
+and det-formula) stream their points through `_stream`, and the isotropy
+pairs of equivariance run, in `_CHUNK`-sized chunks, so memory does not grow
+with --points.  Every entry passes or fails by one rule, `_passes`.
 darboux and dual-darboux pull the flat form back through the closed-form
 Jacobian of Psi or Phi (`hartogs.darboux_jacobian`) and compare it with the
 closed-form Hessian of the potential (`forms.hartogs_hessian`), entrywise and
@@ -31,14 +32,18 @@ FIT_GENUS_TOL = 1e-9
 QUADRATURE_TOL = 1e-12
 
 
+def _passes(values, tol: float, strict: bool):
+    """The one pass rule: a value passes when <= tol, or < tol if strict; NaN fails."""
+    return values < tol if strict else values <= tol
+
+
 def _result(name: str, params: dict, worst: float, tol: float,
             witnesses: list | None, started: float, strict: bool = False) -> dict:
-    """A report entry; it passes when worst <= tol, or worst < tol if strict."""
-    passed = worst < tol if strict else worst <= tol
+    """A report entry, its status given by `_passes`."""
     return {
         "name": name,
         "parameters": params,
-        "status": "pass" if passed else "fail",
+        "status": "pass" if _passes(worst, tol, strict) else "fail",
         "worst_residual": float(worst),
         "tolerance": float(tol),
         "witnesses": witnesses or [],
@@ -142,7 +147,7 @@ def _sampled(cfg, name: str, operation: str, offset: int, count: int,
             return pts, measure(H, pts)
 
         worst, pts, res = _stream(count, chunk)
-        failed = ~(res < tol) if strict else ~(res <= tol)
+        failed = ~_passes(res, tol, strict)
         out.append(_result(name, {"mu": mu, "points": count, "operation": operation},
                            worst, tol, [{"point": capacity.pack_point(p), "residual": float(r)}
                                         for p, r in zip(pts[failed], res[failed])],
@@ -324,45 +329,39 @@ def check_equivariance(cfg) -> list[dict]:
         H = hartogs.make_hartogs(d, mu)
         Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
         rng = np.random.default_rng(cfg.seed + 7)
-        tail = {"left": count}  # the lift and round trip ride on the last chunk
         started = time.perf_counter()
-
-        def pairs(k):
+        worst = -np.inf
+        for start in range(0, count, _CHUNK):
+            k = min(_CHUNK, count - start)
             pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
             taus = jtsys.random_isotropy(d, rng, k)  # row i moves point i
-            tail["left"] -= k
-            last = not tail["left"]
             lifted = some = pts[:0]
-            if last:
-                tail["small"] = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
+            if start + k == count:  # the last chunk
+                small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
                 some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
-                lifted = hartogs.lift_embedding(d, tail["small"])
+                lifted = hartogs.lift_embedding(d, small)
             both = np.concatenate([hartogs.hartogs_isotropy_apply(H, taus, pts), pts])
             psi = hartogs.psi_map_vec(H, np.concatenate([both, lifted, some]))
             phi = hartogs.phi_map_vec(H, np.concatenate([both, some]))
-            if last:
-                tail.update(some=some, big=psi[2 * k:2 * k + len(lifted)],
-                            images=(psi[2 * k + len(lifted):], phi[2 * k:]))
             # (map, point, coordinate): the images of tau p, then those of p
             images = np.stack([psi[:2 * k], phi[:2 * k]])
             moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
-            # np.max over arrays, so a NaN residual reaches the gate and fails it
-            return pts, np.max(np.abs(images[:, :k] - moved), axis=(0, 2))
-
+            # np.maximum and np.max propagate NaN, so a NaN residual reaches the gate
+            worst = np.maximum(worst, np.max(np.abs(images[:, :k] - moved)))
         out.append(_result("equivariance", {"mu": mu, "pairs": count,
                                             "operation": "hartogs_isotropy_apply"},
-                           _stream(count, pairs)[0], 1e-10, None, started))
+                           float(worst), 1e-10, None, started))
 
         started = time.perf_counter()
-        expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, tail["small"]))
+        expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, small))
+        big = psi[2 * k:2 * k + len(lifted)]
         out.append(_result("equivariance", {"mu": mu, "operation": "lift_embedding"},
-                           float(np.max(np.abs(tail["big"] - expect))), 1e-10, None, started))
+                           float(np.max(np.abs(big - expect))), 1e-10, None, started))
 
         started = time.perf_counter()
-        some = tail["some"]
         worst = np.max([np.abs(inverse(H, image) - some)
-                        for image, inverse in zip(tail["images"], (hartogs.psi_inverse,
-                                                                   hartogs.phi_inverse))])
+                        for image, inverse in ((psi[2 * k + len(lifted):], hartogs.psi_inverse),
+                                               (phi[2 * k:], hartogs.phi_inverse))])
         out.append(_result("equivariance", {"mu": mu, "operation": "psi_inverse"},
                            worst, 1e-8, None, started))
 

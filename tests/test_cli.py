@@ -231,6 +231,66 @@ def test_file_seed_beats_env_seed(tmp_path):
     assert json.loads(res.output)["config"]["seed"] == 21
 
 
+# (flag, config file key, file value, flag value, echoed field, flag value
+# echoed, default echoed): every field that both a config file and a flag
+# can set; the file value is echoed as it is.  CHVERIFY_SEED=33 is set in
+# each run, so the seed's lowest layer is the environment; `format` is read
+# off the report itself, since a CSV report echoes no config
+PRECEDENCE = [
+    ("--domain", "domain", "chn", "polydisc", "kind", "polydisc", None),
+    ("--n", "n", 2, "3", "n", 3, 1),
+    ("--p", "p", 1, "2", "p", 2, None),
+    ("--q", "q", 2, "3", "q", 3, None),
+    ("--mu", "mu", [2.0], "0.5", "mu", [0.5], [1.0]),
+    ("--points", "points", 15, "25", "points", 25, 100),
+    ("--samples", "samples", 1000, "1e4", "samples", 10_000, 200_000),
+    ("--seed", "seed", 21, "9", "seed", 9, 33),
+    ("--fd-step", "fd-step", 1e-4, "1e-3", "fd_step", 1e-3, 1e-5),
+    ("--tol", "tol", 1e-4, "1e-3", "tol", 1e-3, 1e-5),
+    ("--jobs", "jobs", 2, "3", "jobs", 3, 1),
+    ("--format", "format", "csv", "json", "fmt", "json", "json"),
+    ("--output", "output", "file.json", "flag.json", "output", "flag.json", None),
+]
+
+
+@pytest.mark.parametrize("flag, key, file_val, flag_val, field, from_flag, default",
+                         PRECEDENCE, ids=[row[1] for row in PRECEDENCE])
+def test_layer_precedence_for_every_field(tmp_path, monkeypatch, flag, key, file_val, flag_val,
+                                          field, from_flag, default):
+    # the layers in order: RunConfig defaults, CHVERIFY_SEED, the config
+    # file, the command-line flags; each must beat the ones before it
+    monkeypatch.chdir(tmp_path)
+    base = {"n": 1} if key == "domain" else {"domain": "polydisc", "n": 1}
+    env = {"CHVERIFY_SEED": "33"}
+
+    def echoed(conf, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(conf))
+        res = _run(["selberg", "--config", str(path), *flags], env=env)
+        assert res.exit_code == 0, res.output
+        written = re.search(r"report written to (.+)", res.output)
+        text = (tmp_path / written.group(1)).read_text() if written else res.output
+        if text.startswith("name,status"):
+            return {"fmt": "csv"}
+        return json.loads(text)["config"]
+
+    if key == "domain":
+        res = _run(["selberg", "--n", "1"], env=env)
+        assert res.exit_code == 2 and "a domain kind is required" in res.output
+    else:
+        assert echoed(base)[field] == default
+    assert echoed({**base, key: file_val})[field] == file_val
+    assert echoed({**base, key: file_val}, flag, flag_val)[field] == from_flag
+
+
+def test_unknown_config_key_is_the_first_in_file_order(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"domain": "polydisc", "n": 1, "zeta-key": 1, "alpha": 2}')
+    res = _run(["selberg", "--config", str(path)])
+    assert res.exit_code == 2
+    assert "unknown config key 'zeta_key'" in res.output
+
+
 def test_report_determinism():
     args = ["psh", "--domain", "type-I", "--p", "1", "--q", "2",
             "--points", "50", "--seed", "4"]

@@ -159,7 +159,7 @@ def test_maps_match_operator_route(name):
     rng = np.random.default_rng(3)
     for mu in (0.5, 1.0, 2.0):
         H = _hartogs(d, mu)
-        pts = hartogs.sample_member_points(H, 30, rng, lam_max=0.9, w_frac=0.9)
+        pts = hartogs._sample_members(H, 30, rng, 0.9, 0.9)
         heavy = hartogs.sample_heavy_points(d.n + 1, 30, rng)
         for mapping, eps, rows in ((hartogs.psi_map_vec, -1, pts),
                                    (hartogs.phi_map_vec, 1, np.concatenate([pts, heavy]))):
@@ -281,7 +281,7 @@ def test_maps_take_only_the_jordan_frame(monkeypatch, rng):
 def test_psi_matches_spectral_inverse(domain, rng):
     for mu in (0.5, 2.0):
         H = _hartogs(domain, mu)
-        pts = hartogs.sample_member_points(H, 20, rng, lam_max=0.8, w_frac=0.8)
+        pts = hartogs._sample_members(H, 20, rng, 0.8, 0.8)
         images = hartogs.psi_map_vec(H, pts)
         for row, image in zip(pts, images):
             back = _spectral_inverse_psi(H, image)
@@ -291,7 +291,7 @@ def test_psi_matches_spectral_inverse(domain, rng):
 def test_phi_matches_spectral_inverse(domain, rng):
     for mu in (0.5, 2.0):
         H = _hartogs(domain, mu)
-        pts = hartogs.sample_member_points(H, 20, rng, lam_max=0.8, w_frac=0.8)
+        pts = hartogs._sample_members(H, 20, rng, 0.8, 0.8)
         images = hartogs.phi_map_vec(H, pts)
         for row, image in zip(pts, images):
             back = _spectral_inverse_phi(H, image)
@@ -300,7 +300,7 @@ def test_phi_matches_spectral_inverse(domain, rng):
 
 def test_inverses_round_trip(domain, rng):
     H = _hartogs(domain, 1.5)
-    pts = hartogs.sample_member_points(H, 8, rng, lam_max=0.75, w_frac=0.7)
+    pts = hartogs._sample_members(H, 8, rng, 0.75, 0.7)
     for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
                              (hartogs.phi_map_vec, hartogs.phi_inverse)):
         npt.assert_allclose(inverse(H, mapping(H, pts)), pts, atol=1e-9)
@@ -311,7 +311,7 @@ def test_inverses_batch_equals_spectral_rows(domain, rng):
     # images of member points and on far targets (Psi is onto C^(n+1))
     for mu in (0.5, 1.0, 2.0):
         H = _hartogs(domain, mu)
-        pts = hartogs.sample_member_points(H, 10, rng, lam_max=0.8, w_frac=0.8)
+        pts = hartogs._sample_members(H, 10, rng, 0.8, 0.8)
         far = hartogs.sample_heavy_points(domain.n + 1, 10, rng)
         cases = ((np.concatenate([hartogs.psi_map_vec(H, pts), far]),
                   hartogs.psi_inverse, _spectral_inverse_psi),
@@ -405,7 +405,7 @@ def test_phi_inverse_reaches_unbounded_preimages():
 
 def test_phi_image_spectral_bound(domain, rng):
     H = _hartogs(domain, 0.5)
-    pts = hartogs.sample_member_points(H, 40, rng, lam_max=0.9, w_frac=0.9)
+    pts = hartogs._sample_members(H, 40, rng, 0.9, 0.9)
     images = hartogs.phi_map_vec(H, pts)
     xi = singular_values_svd(domain, images[:, :-1])
     assert np.all(xi**2 < H.mu)
@@ -519,9 +519,10 @@ def test_stacked_isotropy_moves_each_row_by_its_element(dims):
 
 
 def test_sample_member_points_respects_floor(domain, rng):
-    # G = N^mu - |w|^2 >= (1 - w_frac) N^mu, i.e. 2 log|w| <= log(w_frac) + mu log N
+    # G = N^mu - |w|^2 >= (1 - w_frac) N^mu, i.e. 2 log|w| <= log(w_frac) + mu log N,
+    # with w_frac = hartogs._W_FRAC = 0.4
     H = _hartogs(domain, 0.5)
-    pts = hartogs.sample_member_points(H, 200, rng, w_frac=0.4)
+    pts = hartogs.sample_member_points(H, 200, rng)
     log_n = np.log(norm_det(domain, pts[:, :-1], 1))
     assert np.all(2.0 * np.log(np.abs(pts[:, -1])) <= np.log(0.4) + H.mu * log_n + 1e-12)
     lam = singular_values_svd(domain, pts[:, :-1])

@@ -435,16 +435,18 @@ def test_non_finite_points_stay_out_of_the_arithmetic(name):
     # a point with an inf or NaN entry: at sign -1 its row of the frame and
     # of the derivatives of log N is NaN, with no warning, and the other rows
     # keep their bits; at sign +1 it is not in Omega, so DomainError.  The
-    # frame is checked on its closed-form routes (rank <= 2); rank 3 keeps
-    # LAPACK's eigh
+    # largest spectral value of such a row is NaN where an entry is NaN and
+    # inf otherwise, as max |z_j| is on the polydisc.  An inf + inf j entry
+    # next to finite ones gives inf - inf in the rank-two closed form unless
+    # its row is masked out
     d = jtsys.make_domain(**NON_FINITE_DOMAINS[name])
-    z = 0.2 * np.exp(1j * np.arange(1.0, 4 * d.n + 1)).reshape(4, d.n)
+    z = 0.2 * np.exp(1j * np.arange(1.0, 5 * d.n + 1)).reshape(5, d.n)
     z[1, 0] = np.inf
     z[3, -1] = np.nan
-    finite = np.array([True, False, True, False])
-    routes = [lambda pts, sign: jtsys.log_norm_derivatives(d, pts, sign)]
-    if d.r <= 2 or d.kind == jtsys.KIND_POLYDISC:
-        routes.append(lambda pts, sign: jtsys.jordan_frame(d, pts, sign))
+    z[4, 0] = complex(np.inf, np.inf)
+    finite = np.array([True, False, True, False, False])
+    routes = [lambda pts, sign: jtsys.log_norm_derivatives(d, pts, sign),
+              lambda pts, sign: jtsys.jordan_frame(d, pts, sign)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for route in routes:
@@ -454,6 +456,9 @@ def test_non_finite_points_stay_out_of_the_arithmetic(name):
             for row in z[~finite]:
                 with pytest.raises(DomainError):
                     route(row, 1)
+        top = jtsys.spectral_norm(d, z)
+        npt.assert_array_equal(top[~finite], [np.inf, np.nan, np.inf])
+        npt.assert_array_equal(top[finite], jtsys.spectral_norm(d, z[finite]))
 
 
 def test_b_quarter_power_rejects_boundary():
@@ -581,6 +586,23 @@ def test_polydisc_isotropy_keeps_a_nan_in_its_coordinate():
     # the same support on both sides is needed, not only a monomial U
     with pytest.raises(ValueError, match="realization"):
         jtsys.isotropy_apply(d, jtsys.Isotropy(perm, np.eye(3)), z)
+
+
+def test_polydisc_isotropy_checks_shapes_without_the_matrix_stack(monkeypatch):
+    # U and V are checked against n x n, a bad z before them, and no dense
+    # diag(z) stack (..., n, n) is built
+    d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
+    tau = jtsys.random_isotropy(d, np.random.default_rng(0), 1)
+    small = jtsys.random_isotropy(jtsys.make_domain(jtsys.KIND_POLYDISC, n=2),
+                                  np.random.default_rng(0), 1)
+    z = np.full((4, 3), 0.1 + 0.2j)
+    want = jtsys.isotropy_apply(d, tau, z)
+    monkeypatch.setattr(jtsys, "as_matrix", None)
+    npt.assert_array_equal(jtsys.isotropy_apply(d, tau, z), want)
+    with pytest.raises(ShapeError, match="U and V must act on 3 x 3"):
+        jtsys.isotropy_apply(d, small, z)
+    with pytest.raises(ShapeError, match="expected last axis 3"):
+        jtsys.isotropy_apply(d, small, z[:, :2])
 
 
 def test_polydisc_isotropy_oracle():
