@@ -44,8 +44,8 @@ inclusion is tight:
   So would |omega| at |w| = 1e8, where 1 - |omega|^2 = N(z, -zbar)^mu / G
   ~ 1e-16 N^mu is lost to rounding unless N^mu is large.
 
-Both draws are frame points moved by `_ROTATIONS` shared Haar pairs
-(`jtsys.random_isotropy`), each pair broadcast over its own block of points.
+Both draws are frame points moved by `_ROTATIONS` shared Haar isotropy elements
+(`jtsys.random_isotropy`), each broadcast over its own block of points.
 The flat cylinder check (`hartogs_in_cylinder`) tests `_CYLINDER_POINTS`
 member points of M, and the dual sweeps hit `_SWEEPS` targets.  On member
 points |z_11| < 1 holds by the bound above, so the cylinder check cannot
@@ -114,10 +114,10 @@ def _witnesses(pts: np.ndarray, ok: np.ndarray) -> list:
 def _packed_frame_points(H: HartogsSpec, values: np.ndarray, w: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """Packed points (frame_point(values), w), the base point of each block of
-    len(values) / _ROTATIONS rows moved by its own one of _ROTATIONS Haar pairs."""
+    len(values) / _ROTATIONS rows moved by its own one of _ROTATIONS Haar elements."""
     d = H.domain
     blocks = frame_point(d, values).reshape(_ROTATIONS, -1, d.n).swapaxes(0, 1)
-    moved = isotropy_apply(d, random_isotropy(d, rng, _ROTATIONS), blocks)  # pair b moves block b
+    moved = isotropy_apply(d, random_isotropy(d, rng, _ROTATIONS), blocks)  # tau b moves block b
     return np.concatenate([moved.swapaxes(0, 1).reshape(-1, d.n), w[:, None]], axis=-1)
 
 

@@ -183,8 +183,8 @@ def _merge_config(check_name: str, ctx: click.Context, flags: dict) -> RunConfig
 
     merged = {f.name: f.default for f in fields(RunConfig)}
     file_vals = _read_config_file(flags["config_path"]) if flags["config_path"] else {}
-    for key in file_vals:  # any field or flag; a file's config_path goes unread
-        if key not in merged and key not in flags:
+    for key in file_vals:  # RunConfig fields only: a file names no other file
+        if key not in merged:
             raise click.UsageError(f"unknown config key {key!r}")
 
     def given(source: ParameterSource) -> dict:

@@ -185,22 +185,21 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
 
 def _diagonal_products(d: DomainSpec, lam, k, scale, eps, s1, s2):
     """s1 and s2 of `darboux_jacobian`, into the given arrays, and g, where A
-    is diagonal and U = I, K = J:
+    is diagonal and U = I, K = J the coordinates (NaN rows kept):
     where direction a and image o sit on one row i of J, s1 = eps sqrt(mu t)
     Delta_ii conj(J_a) J_o (plus sqrt(mu t) lam_i^(-1/2) at a = o) and s2 =
     eps sqrt(mu t) Delta_ii J_a J_o, and 0 elsewhere, with Delta_ii = f'(lam_i)
     written as `_frame_products` writes Delta; g = J / lam.  Elementwise over
     the n coordinates, no matrix product."""
-    x = jtsys.as_vector(d, k)          # the coordinates, off U* J = J (NaN rows kept)
     rows = jtsys.coordinate_entries(d)[0]
     root = np.sqrt(lam)[..., rows]
-    dx = ((-eps * scale)[..., None] / (root * root * (root + root))) * x
+    dx = ((-eps * scale)[..., None] / (root * root * (root + root))) * k
     same = rows[:, None] == rows       # direction and image on one row of J
-    s1[...] = np.where(same, np.conj(x)[..., :, None] * dx[..., None, :], 0.0)
+    s1[...] = np.where(same, np.conj(k)[..., :, None] * dx[..., None, :], 0.0)
     diag = np.arange(d.n)
     s1[..., diag, diag] += scale[..., None] / root
-    s2[...] = np.where(same, x[..., :, None] * dx[..., None, :], 0.0)
-    return x * (1.0 / lam)[..., rows]    # no complex division, which warns on NaN
+    s2[...] = np.where(same, k[..., :, None] * dx[..., None, :], 0.0)
+    return k * (1.0 / lam)[..., rows]    # no complex division, which warns on NaN
 
 
 def _frame_products(d: DomainSpec, lam, u, k, scale, eps, s1, s2):

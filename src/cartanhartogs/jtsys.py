@@ -14,14 +14,13 @@ orthogonal tripotents (E_jj for type-I, unit vectors for the polydisc), which
 carries Delta^m into Omega for every m <= r.
 
 Every algebraic operator used downstream (generic norm, spectral values, the
-spectral frame of B(z, +/-zbar) and its fractional power, the isotropy action
-j(z) -> U j(z) V* of a unitary pair) is expressed through the matrix
-realization j(z): a diagonal matrix for the polydisc, the matrix itself for
-type-I.  For isotropy a kind differs only in how `random_isotropy` draws its
-pairs: on the polydisc the whole stack is one array of uniforms, per element
-n sort keys (the permutation is their argsort) and then n phase fractions,
-and `isotropy_apply` moves each coordinate by real multiply-adds, so a
-point moves to the same bits alone or in a batch.  `gram_pivots` is the one
+spectral frame of B(z, +/-zbar) and its fractional power) is expressed
+through the matrix realization j(z): a diagonal matrix for the polydisc, the
+matrix itself for type-I.  Isotropy is a unitary pair (`Isotropy`) on
+type-I, and on the polydisc a permutation and n phases (`Monomial`), drawn
+by `random_isotropy` from one array of uniforms (per element n sort keys,
+then n phase fractions) and moved by one gather and real multiply-adds, so
+a point moves to the same bits alone or in a batch.  `gram_pivots` is the one
 kernel behind the generic norm and membership of Omega: the pivots of an
 unpivoted LDL* factorisation of I -/+ j(z) j(z)*, computed elementwise over
 the batch by real multiply-adds on contiguous real and imaginary planes of
@@ -38,7 +37,8 @@ push-through, C^-1 = (I -/+ j(z)* j(z))^-1 as sums of rank-one products of
 inverses and their Jacobian, so the darboux checks compare two independent
 routes.  Its route follows the rank: A = I -/+ j(z) j(z)* is diagonal on the
 polydisc and on type-I of rank one (`frame_is_diagonal`, the one test of
-that route, which the Jacobian of the maps reads too), type-I of rank two
+that route, which the Jacobian of the maps reads too), where the frame is
+the points themselves and builds no n x n array, type-I of rank two
 takes one complex Jacobi rotation on (N,) rows of real multiply-adds, and
 rank >= 3 one batched LAPACK eigh.  The frame rejects a base point outside
 Omega with DomainError at sign +1; a point with an inf or NaN entry stays
@@ -65,10 +65,9 @@ KIND_CHN = "chn"
 
 # Largest complex dimension n that `make_domain` accepts.  The largest
 # per-point array of a sampled family is an (n+1) x (n+1) complex matrix (the
-# dual Hessian of psh and det-formula; the polydisc isotropy forms n x n
-# planes), and one chunk of 8192 points of it is 8192 * 33^2 * 16 B = 143 MB
-# at n = 32.  A larger n would ask numpy for gigabytes, or, past the int64
-# range, for an array it cannot size.
+# dual Hessian of psh and det-formula), and one chunk of 8192 points of it is
+# 8192 * 33^2 * 16 B = 143 MB at n = 32.  A larger n would ask numpy for
+# gigabytes, or, past the int64 range, for an array it cannot size.
 _MAX_DIMENSION = 32
 
 
@@ -160,10 +159,10 @@ def frame_point(D: DomainSpec, lam) -> np.ndarray:
     m = lam.shape[-1]
     if m > D.r:
         raise ShapeError(f"the frame has {D.r} tripotents, got {m} values")
-    jz = np.zeros(lam.shape[:-1] + (D.r, D.shape[-1]), dtype=complex)
-    idx = np.arange(m)
-    jz[..., idx, idx] = lam
-    return as_vector(D, jz)
+    z = np.zeros(lam.shape[:-1] + (D.n,), dtype=complex)
+    rows, cols = coordinate_entries(D)          # tripotent j sits at entry (j, j)
+    z[..., np.flatnonzero(rows == cols)[:m]] = lam
+    return z
 
 
 def _row_planes(D: DomainSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -632,7 +631,8 @@ def jordan_frame(D: DomainSpec, z, sign: int):
     N(z, sign * zbar) = prod(lam).  The route follows the rank:
 
     * polydisc and type-I of rank one: A is diagonal, lam_i = 1 - sign
-      sum_l |J_il|^2, U = I, U* J = J and A^(-1/2) J = lam^(-1/2) J;
+      sum_l |J_il|^2, U = I (returned as None), U* J = J (returned as the
+      points (..., n) themselves) and A^(-1/2) J = lam^(-1/2) J;
     * type-I of rank two: one complex Jacobi rotation (`_rotation_frame`);
     * type-I of rank >= 3: one batched Hermitian eigendecomposition (LAPACK).
 
@@ -655,125 +655,124 @@ def jordan_frame(D: DomainSpec, z, sign: int):
     whole = finite.all()
     if not whole:
         rows, x, a = rows[finite], x[..., finite], a[:, finite]
-    if not frame_is_diagonal(D) and D.r > 2:      # type-I of rank >= 3
+    if frame_is_diagonal(D):                      # U = I, and U* J = J is the points
+        frame = (a.T.copy(), None, rows.copy(), _complex_rows((1.0 / np.sqrt(a))[:, None] * x))
+    elif D.r == 2:
+        lam, u, k, b_z = _rotation_frame(x, a, sign)
+        frame = (lam.T.copy(), _complex_rows(u), _complex_rows(k), _complex_rows(b_z))
+    else:                                         # type-I of rank >= 3
         jz = as_matrix(D, rows)
         lam, u = np.linalg.eigh(np.eye(D.r) - sign * jz @ np.conj(np.swapaxes(jz, -1, -2)))
         _reject_outside(lam, sign)
         k = np.conj(np.swapaxes(u, -1, -2)) @ jz
         frame = (lam, u, k, as_vector(D, u @ ((1.0 / np.sqrt(lam))[..., :, None] * k)))
-    elif not frame_is_diagonal(D):
-        lam, u, k, b_z = _rotation_frame(x, a, sign)
-        frame = (lam.T.copy(), _complex_rows(u), _complex_rows(k), _complex_rows(b_z))
-    else:
-        u = np.zeros((len(rows), D.r, D.r), dtype=complex)
-        u.reshape(len(rows), D.r * D.r)[:, ::D.r + 1] = 1.0
-        frame = (a.T.copy(), u, as_matrix(D, rows.copy()),
-                 _complex_rows((1.0 / np.sqrt(a))[:, None] * x))
     if not whole:
-        frame = tuple(_scatter_rows(part, finite, 0) for part in frame)
+        frame = tuple(part if part is None else _scatter_rows(part, finite, 0) for part in frame)
     batch = z.shape[:-1]
-    lam, u, k, b_z = (part.reshape(batch + part.shape[1:]) for part in frame)
+    lam, u, k, b_z = (part if part is None else part.reshape(batch + part.shape[1:])
+                      for part in frame)
     return lam, u, k, b_z.reshape(batch + (D.n,))
 
 
 @dataclass(frozen=True)
 class Isotropy:
-    """Unitary pair acting on the matrix realization by j(z) -> U j(z) V*
-    (Loos 1977): Haar pairs for type-I, monomial pairs U = P diag(phases),
-    V = P with P a permutation matrix for the polydisc.
-
-    With j(z) of size p x q (n x n on the polydisc), u and v have shapes
-    (p, p) and (q, q) for one element, or (k, p, p) and (k, q, q) for a stack
-    of k elements whose slice i acts on point i.  `Isotropy(u, v)` checks
-    both factors unitary (ValueError otherwise); `random_isotropy` builds its
-    pairs unitary by construction and skips the check.
-    """
+    """Unitary pair acting on the type-I realization by j(z) -> U j(z) V*
+    (Loos 1977).  With j(z) of size p x q, u and v have shapes (p, p) and
+    (q, q) for one element, or (k, p, p) and (k, q, q) for a stack of k
+    elements whose slice i acts on point i.  `Isotropy(u, v)` checks both
+    factors unitary (ValueError otherwise)."""
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        _check_unitary(self.u)
-        _check_unitary(self.v)
-
-    @classmethod
-    def _by_construction(cls, u: np.ndarray, v: np.ndarray) -> "Isotropy":
-        """An element whose u and v are unitary by construction, built without
-        the checks of `__post_init__`."""
-        tau = object.__new__(cls)
-        object.__setattr__(tau, "u", u)
-        object.__setattr__(tau, "v", v)
-        return tau
+        for m in (np.asarray(self.u, dtype=complex), np.asarray(self.v, dtype=complex)):
+            dev = np.max(np.abs(np.conj(np.swapaxes(m, -1, -2)) @ m - np.eye(m.shape[-1])))
+            if dev > 1e-10:
+                raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
 
 
-def _check_unitary(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Reject m unless every matrix in the stack is unitary."""
-    m = np.asarray(m, dtype=complex)
-    gram = np.conj(np.swapaxes(m, -1, -2)) @ m
-    dev = np.max(np.abs(gram - np.eye(m.shape[-1])))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
-    return m
+@dataclass(frozen=True)
+class Monomial:
+    """Isotropy element of the polydisc: coordinate j of z moves to
+    phases[j] z[perm[j]], the pair U = diag(phases) P, V = P with P_jl =
+    [l = perm[j]].  perm (ints) and phases (complex) are (n,) for one
+    element or (k, n) for a stack whose row i acts on point i.  The check:
+    every row of perm a permutation of range(n), every phase within 1e-10
+    of the unit circle (ValueError otherwise)."""
+
+    perm: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self):
+        perm = np.asarray(self.perm)
+        if not (np.issubdtype(perm.dtype, np.integer) and np.array_equal(
+                np.sort(perm, axis=-1), np.broadcast_to(np.arange(perm.shape[-1]), perm.shape))):
+            raise ValueError("perm is not a permutation of range(n) in every row")
+        dev = np.max(np.abs(np.abs(np.asarray(self.phases, dtype=complex)) - 1.0))
+        if not dev <= 1e-10:
+            raise ValueError(f"phase is not of modulus 1 (deviation {dev:.2e})")
 
 
-def isotropy_apply(D: DomainSpec, tau: Isotropy, z) -> np.ndarray:
-    """Apply an origin-fixing triple automorphism, j(z) -> U j(z) V*, batched
-    over points; a stacked tau moves point i by its element i (the arrays
-    broadcast).  ShapeError when U or V does not fit j(z).
+def _unchecked(cls, **fields):
+    """An element of cls whose fields hold by construction, built without
+    the checks of its `__post_init__`: `random_isotropy`'s draws."""
+    tau = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(tau, name, value)
+    return tau
 
-    On the polydisc the pair maps the diagonal realization into itself exactly
-    when |U| and |V| are the same permutation matrix P, which is decided from
-    U and V alone (ValueError otherwise).  Coordinate k then moves to
-    U_kl z_l conj(V_kl), l = P(k): the terms off the support are masked, not
-    multiplied by 0 as in a matrix product, so a NaN or inf stays in its own
-    coordinate.  The complex products are taken as real ones (see
-    `_kronecker_rows`), so a point moves to the same bits alone, as a row
-    of one or inside a batch."""
+
+def isotropy_apply(D: DomainSpec, tau: Isotropy | Monomial, z) -> np.ndarray:
+    """Apply an origin-fixing triple automorphism, batched over points; a
+    stacked tau moves point i by its element i (the arrays broadcast).
+
+    Type-I takes an `Isotropy`, j(z) -> U j(z) V*; the polydisc takes a
+    `Monomial`, one gather z[perm] and one multiply by the phases, taken as
+    real multiply-adds (re = a x - b y, im = a y + b x with a + ib the
+    phase; see `_kronecker_rows`), so a point moves to the same bits alone,
+    as a row of one or inside a batch, and a NaN or inf stays in its own
+    coordinate.  ValueError when tau is the other kind's element, ShapeError
+    when it does not fit j(z)."""
     z = _check_point(D, z)
-    rows, cols = (D.n, D.n) if D.kind == KIND_POLYDISC else D.shape   # of j(z)
-    u = np.asarray(tau.u, dtype=complex)
-    v = np.asarray(tau.v, dtype=complex)
-    if u.shape[-1] != rows or v.shape[-1] != cols:
-        raise ShapeError(f"U and V must act on {rows} x {cols} matrices")
-    if D.kind != KIND_POLYDISC:
-        return as_vector(D, u @ as_matrix(D, z) @ np.conj(np.swapaxes(v, -1, -2)))
-    support = u != 0
-    # no row of a unitary U is zero, so n nonzeros per n * n block means one
-    # per row: a permutation pattern
-    if not (np.count_nonzero(support) * D.n == support.size
-            and np.array_equal(support, v != 0)):
-        raise ValueError("the pair does not map the realization into itself")
-    zk = z[..., None, :]
-    uz_re = u.real * zk.real - u.imag * zk.imag
-    uz_im = u.real * zk.imag + u.imag * zk.real
-    # times conj(V), the one term of each row on the support kept
-    re = np.where(support, uz_re * v.real + uz_im * v.imag, 0.0).sum(axis=-1)
-    moved = np.empty(re.shape, dtype=complex)
-    moved.real = re
-    moved.imag = np.where(support, uz_im * v.real - uz_re * v.imag, 0.0).sum(axis=-1)
-    return moved
+    kind = Monomial if D.kind == KIND_POLYDISC else Isotropy
+    if not isinstance(tau, kind):
+        raise ValueError(f"{D.kind} takes an isotropy element of class {kind.__name__}")
+    if kind is Monomial:
+        perm, phases = np.asarray(tau.perm), np.asarray(tau.phases, dtype=complex)
+        if perm.shape[-1] != D.n:
+            raise ShapeError(f"the element must act on {D.n} coordinates")
+        shape = np.broadcast_shapes(z.shape, perm.shape)
+        moved = np.take_along_axis(np.broadcast_to(z, shape), np.broadcast_to(perm, shape), -1)
+        a, b, x, y = phases.real, phases.imag, moved.real, moved.imag
+        moved.real, moved.imag = a * x - b * y, a * y + b * x
+        return moved
+    u, v = np.asarray(tau.u, dtype=complex), np.asarray(tau.v, dtype=complex)
+    if (u.shape[-1], v.shape[-1]) != D.shape:
+        raise ShapeError(f"U and V must act on {D.shape[0]} x {D.shape[1]} matrices")
+    return as_vector(D, u @ as_matrix(D, z) @ np.conj(np.swapaxes(v, -1, -2)))
 
 
-def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isotropy:
+def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isotropy | Monomial:
     """Draw a stack of count Haar random isotropy elements.
 
-    Polydisc: the whole stack is one (count, 2n) array of uniforms, row i
-    holding element i's n sort keys and then its n phase fractions; the
-    permutation P is the argsort of the keys (uniform over the n!
-    orderings) and the phases are exp(2 pi i fraction), built into
-    U = P diag(phases), V = P.  Type-I: per element the Gaussians of U, then
-    those of V, followed by batched QR, one call per factor (one for both
-    when p = q), whose Q factors times the unit phases of R's diagonal are
-    Haar.  Either way the draws are per element and
-    in order, so a stack equals its elements drawn one at a time.  Permutations
-    and QR factors times unit phases are unitary by construction, so the stack
-    skips `Isotropy`'s unitarity check; the tests hold the draws unitary to
-    1e-12.
+    Polydisc: a `Monomial` stack from one (count, 2n) array of uniforms,
+    row i holding element i's n sort keys and then its n phase fractions;
+    perm is the argsort of the keys (uniform over the n! orderings) and the
+    phases are exp(2 pi i fraction) gathered by perm.  Type-I: an `Isotropy`
+    stack, per element the Gaussians of U, then those of V, followed by
+    batched QR, one call per factor (one for both when p = q), whose Q
+    factors times the unit phases of R's diagonal are Haar.  Either way the
+    draws are per element and in order, so a stack equals its elements drawn
+    one at a time.  Permutations, unit phases and QR factors times unit
+    phases hold by construction, so the stack skips the checks of
+    `Monomial` and `Isotropy`; the tests hold the draws to them.
     """
     if D.kind == KIND_POLYDISC:
         draws = rng.random((count, 2 * D.n))
-        pmat = np.eye(D.n)[np.argsort(draws[:, :D.n], axis=-1)]
-        return Isotropy._by_construction(pmat * np.exp(2j * np.pi * draws[:, None, D.n:]), pmat)
+        perm = np.argsort(draws[:, :D.n], axis=-1)
+        fractions = np.take_along_axis(draws[:, D.n:], perm, -1)
+        return _unchecked(Monomial, perm=perm, phases=np.exp(2j * np.pi * fractions))
 
     p, q = D.shape
     # per element: real and imaginary parts of U, then of V
@@ -789,7 +788,7 @@ def random_isotropy(D: DomainSpec, rng: np.random.Generator, count: int) -> Isot
         # matrix on its own, so each keeps the bits of a call of its own
         pairs = g.reshape(count, 2, 2, p * p)        # (element, U or V, re or im, entry)
         uv = haar(pairs[:, :, 0], pairs[:, :, 1], p)
-        return Isotropy._by_construction(uv[:, 0], uv[:, 1])
+        return _unchecked(Isotropy, u=uv[:, 0], v=uv[:, 1])
     u, v = g[:, :2 * p * p], g[:, 2 * p * p:]
-    return Isotropy._by_construction(haar(u[:, :p * p], u[:, p * p:], p),
-                                     haar(v[:, :q * q], v[:, q * q:], q))
+    return _unchecked(Isotropy, u=haar(u[:, :p * p], u[:, p * p:], p),
+                      v=haar(v[:, :q * q], v[:, q * q:], q))

@@ -180,7 +180,7 @@ def selberg_quadrature(r: int, a: int, b: int, s: float) -> float:
 def _rotated_frame_points(D: DomainSpec, x: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """Points (T, n) with spectral values sqrt(x) (T, r): `frame_point`, each
-    row moved by a fresh Haar isotropy pair drawn from rng."""
+    row moved by a fresh Haar isotropy element drawn from rng."""
     return isotropy_apply(D, random_isotropy(D, rng, len(x)), frame_point(D, np.sqrt(x)))
 
 

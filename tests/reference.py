@@ -15,6 +15,9 @@ Hermitian G in them (`hermitian_to_twoform_matrix`, the target that
 `verify.darboux_residuals`, which reads the blocks off Re G and Im G, is
 held to bit for bit), the isotropy draws one element at a time
 (`isotropy_draws`, which `jtsys.random_isotropy`'s stacks must equal), the
+dense unitary pair of a polydisc `jtsys.Monomial` and its matrix action
+(`monomial_matrices`, `monomial_apply_dense`, the reference for the
+gather of `jtsys.isotropy_apply`), the
 Jordan triple product and the Bergman operator, the rank inequality behind
 the flat capacity ball, the spectral decomposition over orthogonal
 tripotents (behind the tests' own spectral inverses of Psi and Phi) and the
@@ -227,11 +230,11 @@ def base_restriction_matches(H: HartogsSpec, z: np.ndarray, step: float = DEFAUL
 
 
 def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
-    """count isotropy elements drawn one at a time, as unitary pairs (U, V):
-    per element 2n uniforms, n sort keys whose argsort is the permutation P
-    and then n phase fractions, U = P diag(exp(2 pi i fraction)) and V = P,
-    for the polydisc; the real and imaginary Gaussians of U, a QR, then
-    those of V and a QR, with the phases of R's diagonal moved into Q, for
+    """count isotropy elements drawn one at a time: per element 2n uniforms,
+    n sort keys whose argsort is the permutation and then n phase fractions,
+    as (perm, exp(2 pi i fraction) gathered by perm) for the polydisc; the
+    real and imaginary Gaussians of U, a QR, then those of V and a QR, with
+    the phases of R's diagonal moved into Q, as unitary pairs (U, V) for
     type-I."""
     def haar(k: int) -> np.ndarray:
         g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -242,12 +245,28 @@ def isotropy_draws(D, rng: np.random.Generator, count: int) -> list[tuple]:
     for _ in range(count):
         if D.kind == "polydisc":
             keys = rng.random(2 * D.n)
-            pmat = np.eye(D.n)[np.argsort(keys[:D.n])]
-            out.append((pmat @ np.diag(np.exp(2j * np.pi * keys[D.n:])), pmat))
+            perm = np.argsort(keys[:D.n])
+            out.append((perm, np.exp(2j * np.pi * keys[D.n:])[perm]))
         else:
             p, q = D.shape
             out.append((haar(p), haar(q)))
     return out
+
+
+def monomial_matrices(perm, phases) -> tuple[np.ndarray, np.ndarray]:
+    """The dense unitary pair (U, V) = (diag(phases) P, P), P_jl = [l = perm[j]],
+    of a polydisc `jtsys.Monomial` (perm, phases) of shape (..., n), so that
+    U j(z) V* is the matrix action the gather is held to."""
+    perm = np.asarray(perm)
+    pmat = np.eye(perm.shape[-1])[perm]
+    return np.asarray(phases)[..., :, None] * pmat, pmat
+
+
+def monomial_apply_dense(D: DomainSpec, perm, phases, z) -> np.ndarray:
+    """U j(z) V* of the dense pair of `monomial_matrices`, batched as
+    `jtsys.isotropy_apply` is: the matrix products over diag(z)."""
+    u, v = monomial_matrices(perm, phases)
+    return as_vector(D, u @ as_matrix(D, z) @ np.conj(np.swapaxes(v, -1, -2)))
 
 
 def triple_product(D: DomainSpec, x, y, z) -> np.ndarray:
@@ -403,6 +422,9 @@ def darboux_jacobian_per_direction(H: HartogsSpec, pts: np.ndarray,
     d = H.domain
     z, w = split_vec(H, pts)
     lam, u, k, b_z = jtsys.jordan_frame(d, z, -eps)     # b_z = A^(-1/2) J
+    if jtsys.frame_is_diagonal(d):                      # the frame gives U = I, U* J = J
+        k = as_matrix(d, k)
+        u = np.broadcast_to(np.eye(d.r), k.shape[:-2] + (d.r, d.r))
     p, q = k.shape[-2:]
     root = np.sqrt(lam)
     inv_root = 1.0 / root

@@ -291,6 +291,17 @@ def test_unknown_config_key_is_the_first_in_file_order(tmp_path):
     assert "unknown config key 'zeta_key'" in res.output
 
 
+@pytest.mark.parametrize("key", ["config-path", "config_path"])
+def test_a_config_file_may_not_name_a_config_file(tmp_path, key):
+    # config_path is a flag, not a RunConfig field: a file that names one is
+    # refused, not run with the key unread
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain": "polydisc", "n": 1, key: str(path)}))
+    res = _run(["selberg", "--config", str(path)])
+    assert res.exit_code == 2
+    assert "unknown config key 'config_path'" in res.output
+
+
 def test_report_determinism():
     args = ["psh", "--domain", "type-I", "--p", "1", "--q", "2",
             "--points", "50", "--seed", "4"]

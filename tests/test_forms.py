@@ -225,6 +225,25 @@ def test_sampled_families_memory_is_bounded(monkeypatch, family):
     assert peak(2048) <= 1.5 * peak(64)
 
 
+def test_polydisc_equivariance_memory_is_linear_in_n():
+    # the isotropy pairs and the diagonal frame hold (N, n) arrays, not
+    # (N, n, n) stacks: at 4096 points the traced peak of equivariance on
+    # polydisc-32 stays within 6 times its peak on polydisc-8, where an
+    # n x n stack per point would make it 16 times
+    def peak(n):
+        cfg = cli.RunConfig(kind="polydisc", n=n, mu=(1.0,), checks=("equivariance",),
+                            points=4096)
+        tracemalloc.start()
+        try:
+            verify.check_equivariance(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # the first call in a process fills one-time caches
+    assert peak(32) <= 6 * peak(8)
+
+
 @pytest.mark.parametrize("name", ["polydisc-3", "type-I(1,2)", "type-I(2,3)", "type-I(3,3)"])
 def test_darboux_residuals_read_the_form_blocks_exactly(name):
     # the gap read off Re G and Im G block by block has the bits of the gap

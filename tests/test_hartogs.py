@@ -488,13 +488,14 @@ def test_polydisc_isotropy_is_row_exact(n):
     # (1, n+1), as that row of a batch moved by its element, and as that row
     # of a batch moved by a stack; numpy's complex multiply rounds
     # differently on different layouts, so the library multiplies real parts
+    # (the gather itself moves no bits)
     H = _hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=n), 1.0)
     rng = np.random.default_rng(21)
     pts = hartogs.sample_member_points(H, 200, rng, lam_max=0.8)
     stack = jtsys.random_isotropy(H.domain, rng, len(pts))
     by_stack = hartogs.hartogs_isotropy_apply(H, stack, pts)
     for i, pt in enumerate(pts):
-        tau = jtsys.Isotropy(stack.u[i:i + 1], stack.v[i:i + 1])
+        tau = jtsys.Monomial(stack.perm[i:i + 1], stack.phases[i:i + 1])
         alone = hartogs.hartogs_isotropy_apply(H, tau, pt)
         assert _bits(alone) == _bits(hartogs.hartogs_isotropy_apply(H, tau, pt[None]))
         assert _bits(alone[0]) == _bits(hartogs.hartogs_isotropy_apply(H, tau, pts)[i])

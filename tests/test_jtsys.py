@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +11,8 @@ from cartanhartogs import jtsys
 from cartanhartogs.errors import DomainError, ShapeError
 from conftest import GRID_AND_T33
 from reference import (b_quarter_power_operator, bergman_apply, isotropy_draws,
-                       membership_svd, norm_det, singular_values_svd, spectral_decompose,
-                       triple_product)
+                       membership_svd, monomial_apply_dense, monomial_matrices, norm_det,
+                       singular_values_svd, spectral_decompose, triple_product)
 
 
 def test_make_domain_invariants():
@@ -360,12 +362,25 @@ def test_b_quarter_power_two_routes(domain, rng):
     jz = jtsys.as_matrix(domain, z)
     for sign in (1, -1):
         lam, u, k, bz = jtsys.jordan_frame(domain, z, sign)
+        u, k = _dense_frame(domain, z, u, k)
         npt.assert_allclose(bz, b_quarter_power_operator(domain, z, sign=sign), atol=1e-12)
         # the frame itself: A = U diag(lam) U*, k = U* J, prod(lam) = N(z, sign zbar)
         npt.assert_allclose((u * lam) @ u.conj().T,
                             np.eye(len(lam)) - sign * jz @ jz.conj().T, atol=1e-12)
         npt.assert_allclose(k, u.conj().T @ jz, atol=1e-12)
         npt.assert_allclose(np.prod(lam), np.exp(jtsys.log_norm(domain, z, sign)), rtol=1e-12)
+
+
+def _dense_frame(d, z, u, k):
+    """U and U* J of a frame as matrices.  The diagonal route returns U as
+    None and U* J = J as the points themselves, bit for bit, so there U = I
+    and K = j(z) are built here."""
+    if u is None:
+        assert jtsys.frame_is_diagonal(d)
+        assert k.shape == np.shape(z) and np.array_equal(k, z)
+        u = np.broadcast_to(np.eye(d.r), k.shape[:-1] + (d.r, d.r))
+        k = jtsys.as_matrix(d, k)
+    return u, k
 
 
 EDGE_DOMAINS = {
@@ -407,10 +422,12 @@ def test_b_quarter_power_edge_cases(name, sign):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = jtsys.jordan_frame(d, z, sign)
+        assert (batch[1] is None) == jtsys.frame_is_diagonal(d)
         for i, point in enumerate(z):
             lam, u, k, bz = jtsys.jordan_frame(d, point, sign)
             for part, row in zip((lam, u, k, bz), batch):
-                assert np.array_equal(part, row[i])
+                assert part is row is None or np.array_equal(part, row[i])
+            u, k = _dense_frame(d, point, u, k)
             jz = jtsys.as_matrix(d, point)
             a = np.eye(len(lam)) - sign * jz @ jz.conj().T
             want = b_quarter_power_operator(d, point, sign=sign)
@@ -451,6 +468,9 @@ def test_non_finite_points_stay_out_of_the_arithmetic(name):
         warnings.simplefilter("error")
         for route in routes:
             for got, want in zip(route(z, -1), route(z[finite], -1)):
+                if got is None:  # the diagonal frame's U
+                    assert want is None and jtsys.frame_is_diagonal(d)
+                    continue
                 assert np.all(np.isnan(got[~finite]))
                 npt.assert_array_equal(got[finite], want)
             for row in z[~finite]:
@@ -518,7 +538,8 @@ def test_random_isotropy_batch_equals_single_draws(name, seed):
     rng = np.random.default_rng(seed)
     one_by_one = isotropy_draws(d, rng, 6)
     assert rng.normal() == after_singles
-    for i, field in enumerate(("u", "v")):
+    # (perm, phases) on the polydisc, (u, v) on type-I
+    for i, field in enumerate(f.name for f in dataclasses.fields(stack)):
         want = np.stack([draw[i] for draw in one_by_one])
         for got in (getattr(stack, field), np.concatenate([getattr(t, field) for t in singles])):
             assert got.shape == want.shape
@@ -527,13 +548,20 @@ def test_random_isotropy_batch_equals_single_draws(name, seed):
 
 @pytest.mark.parametrize("name", list(GRID_AND_T33))
 def test_random_isotropy_draws_are_unitary(name):
-    # random_isotropy skips Isotropy's runtime check: its factors are
-    # permutations or QR factors times unit phases, so unitary by construction
+    # random_isotropy skips the checks of Monomial and Isotropy: its elements
+    # are permutations with unit phases or QR factors times unit phases, so
+    # they pass those checks and are unitary, as dense pairs, by construction
     d = jtsys.make_domain(**GRID_AND_T33[name])
     rng = np.random.default_rng(13)
     for count in (1, 8, 300):
         tau = jtsys.random_isotropy(d, rng, count)
-        for m in (tau.u, tau.v):
+        if d.kind == jtsys.KIND_POLYDISC:
+            assert tau.perm.shape == tau.phases.shape == (count, d.n)
+            jtsys.Monomial(tau.perm, tau.phases)
+            pair = monomial_matrices(tau.perm, tau.phases)
+        else:
+            pair = (tau.u, tau.v)
+        for m in pair:
             assert m.shape[0] == count
             gram = np.conj(np.swapaxes(m, -1, -2)) @ m
             assert np.max(np.abs(gram - np.eye(m.shape[-1]))) <= 1e-12
@@ -550,47 +578,58 @@ def test_isotropy_stack_rejects_one_bad_slice():
     v[3, 0, 0] += 1e-6
     with pytest.raises(ValueError):
         jtsys.Isotropy(unitaries.u, v)
-    # polydisc-3: a phase off the unit circle makes U = P diag(phases) non-unitary
+    # polydisc-3: a phase off the unit circle or NaN, a row that is not a
+    # permutation of range(3), and perm not of ints
     poly3 = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
     monomial = jtsys.random_isotropy(poly3, np.random.default_rng(2), 3)
-    u = monomial.u.copy()
-    u[1] = u[1] @ np.diag([1.0, 1.0, 1.1])
-    with pytest.raises(ValueError, match="not unitary"):
-        jtsys.Isotropy(u, monomial.v)
-    # a unitary pair that is not monomial moves diag(z) off the diagonal
-    haar = jtsys.random_isotropy(jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3),
-                                 np.random.default_rng(2), 3)
+    phases = monomial.phases.copy()
+    phases[1, 2] *= 1.1
+    with pytest.raises(ValueError, match="modulus 1"):
+        jtsys.Monomial(monomial.perm, phases)
+    phases[1, 2] = np.nan
+    with pytest.raises(ValueError, match="modulus 1"):
+        jtsys.Monomial(monomial.perm, phases)
+    for perm in ([[0, 1, 2], [0, 0, 1], [2, 1, 0]], [[0, 1, 2], [0, 1, 3], [2, 1, 0]],
+                 np.array([[0.0, 1.0, 2.0]] * 3)):
+        with pytest.raises(ValueError, match="permutation"):
+            jtsys.Monomial(np.array(perm), monomial.phases)
+    # a unitary pair does not act on the polydisc, monomial or not, and a
+    # Monomial does not act on type-I
+    t33 = jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3)
+    haar = jtsys.random_isotropy(t33, np.random.default_rng(2), 3)
     z = np.full((3, 3), 0.1 + 0.2j)
-    with pytest.raises(ValueError, match="realization"):
-        jtsys.isotropy_apply(poly3, jtsys.Isotropy(haar.u, monomial.v), z)
+    for pair in (haar, jtsys.Isotropy(*monomial_matrices(monomial.perm, monomial.phases))):
+        with pytest.raises(ValueError, match="class Monomial"):
+            jtsys.isotropy_apply(poly3, pair, z)
+    with pytest.raises(ValueError, match="class Isotropy"):
+        jtsys.isotropy_apply(t33, monomial, np.full((3, 9), 0.1 + 0.2j))
     # a pair sized for another realization
-    with pytest.raises(ShapeError):
-        jtsys.isotropy_apply(poly3, unitaries, z)
+    with pytest.raises(ShapeError, match="U and V must act on 3 x 3"):
+        jtsys.isotropy_apply(t33, unitaries, np.full((4, 9), 0.1 + 0.2j))
 
 
 def test_polydisc_isotropy_keeps_a_nan_in_its_coordinate():
-    # a monomial pair is recognised from U and V, not from an image where
-    # 0 * NaN would spread the NaN into every entry
+    # coordinate j moves to phases[j] z[perm[j]] by one gather, not by a
+    # matrix product, where 0 * NaN or 0 * inf would spread into every entry
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
-    z = np.array([0.1, np.nan, 0.2])
-    # perm (2, 0, 1) with phases (1j, -1, 1): U = P diag(1j, -1, 1), V = P
+    tau = jtsys.Monomial(np.array([2, 0, 1]), np.array([1.0, 1j, -1.0]))
+    npt.assert_array_equal(jtsys.isotropy_apply(d, tau, np.array([0.1, np.nan, 0.2])),
+                           [0.2, 0.1j, np.nan])
+    tau = jtsys.Monomial(np.array([2, 0, 1]), np.array([1.0, 1j, 0.6 + 0.8j]))
+    moved = jtsys.isotropy_apply(d, tau, np.array([[0.1, np.inf, 0.2]]))
+    npt.assert_array_equal(moved, [[0.2, 0.1j, complex(np.inf, np.inf)]])
+    # a dense pair is refused, monomial or not, with or without a NaN
     perm = np.eye(3)[[2, 0, 1]]
-    tau = jtsys.Isotropy(perm * np.array([1j, -1.0, 1.0]), perm)
-    moved = jtsys.isotropy_apply(d, tau, z)
-    npt.assert_array_equal(moved, [0.2, 0.1j, np.nan])
-    # a unitary pair that is not monomial is refused, with or without a NaN
     rot = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
-    for point in (z, np.array([0.1, 0.3, 0.2])):
-        with pytest.raises(ValueError, match="realization"):
-            jtsys.isotropy_apply(d, jtsys.Isotropy(rot, np.eye(3)), point)
-    # the same support on both sides is needed, not only a monomial U
-    with pytest.raises(ValueError, match="realization"):
-        jtsys.isotropy_apply(d, jtsys.Isotropy(perm, np.eye(3)), z)
+    for pair in (jtsys.Isotropy(perm, perm), jtsys.Isotropy(rot, np.eye(3))):
+        for point in (np.array([0.1, np.nan, 0.2]), np.array([0.1, 0.3, 0.2])):
+            with pytest.raises(ValueError, match="class Monomial"):
+                jtsys.isotropy_apply(d, pair, point)
 
 
 def test_polydisc_isotropy_checks_shapes_without_the_matrix_stack(monkeypatch):
-    # U and V are checked against n x n, a bad z before them, and no dense
-    # diag(z) stack (..., n, n) is built
+    # the element is checked against n coordinates, a bad z before it, and
+    # no dense diag(z) stack (..., n, n) is built
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=3)
     tau = jtsys.random_isotropy(d, np.random.default_rng(0), 1)
     small = jtsys.random_isotropy(jtsys.make_domain(jtsys.KIND_POLYDISC, n=2),
@@ -599,7 +638,7 @@ def test_polydisc_isotropy_checks_shapes_without_the_matrix_stack(monkeypatch):
     want = jtsys.isotropy_apply(d, tau, z)
     monkeypatch.setattr(jtsys, "as_matrix", None)
     npt.assert_array_equal(jtsys.isotropy_apply(d, tau, z), want)
-    with pytest.raises(ShapeError, match="U and V must act on 3 x 3"):
+    with pytest.raises(ShapeError, match="must act on 3 coordinates"):
         jtsys.isotropy_apply(d, small, z)
     with pytest.raises(ShapeError, match="expected last axis 3"):
         jtsys.isotropy_apply(d, small, z[:, :2])
@@ -607,7 +646,46 @@ def test_polydisc_isotropy_checks_shapes_without_the_matrix_stack(monkeypatch):
 
 def test_polydisc_isotropy_oracle():
     d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=2)
-    # perm (1, 0) with phases (1j, 1): U = P diag(1j, 1), V = P
-    tau = jtsys.Isotropy(u=np.array([[0, 1], [1j, 0]]), v=np.array([[0, 1], [1, 0]]))
+    # perm (1, 0) with phases (1, 1j): U = diag(phases) P = [[0, 1], [1j, 0]], V = P
+    perm, phases = np.array([1, 0]), np.array([1.0, 1j])
+    u, v = monomial_matrices(perm, phases)
+    npt.assert_array_equal(u, [[0, 1], [1j, 0]])
+    npt.assert_array_equal(v, [[0, 1], [1, 0]])
+    tau = jtsys.Monomial(perm, phases)
     npt.assert_allclose(jtsys.isotropy_apply(d, tau, np.array([0.5, 0.2j])),
                         np.array([0.2j, 0.5j]))
+    # random stacks against U j(z) V* of their dense pairs, in the broadcast
+    # shapes the callers use: k points by k elements, one point by k
+    # elements, and (2, k, n) images by k elements (verify, capacity)
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 7):
+        d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=n)
+        k = 11
+        tau = jtsys.random_isotropy(d, rng, k)
+        for shape in ((k, n), (n,), (1, n), (2, k, n)):
+            z = 0.4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            moved = jtsys.isotropy_apply(d, tau, z)
+            assert moved.shape == np.broadcast_shapes(shape, (k, n))
+            npt.assert_allclose(moved, monomial_apply_dense(d, tau.perm, tau.phases, z),
+                                rtol=1e-15, atol=0)
+
+
+def test_polydisc_isotropy_and_frame_memory_stays_linear():
+    # on polydisc-32 at 1024 points the draw, the move and the frame hold
+    # (N, n) arrays, not (N, n, n) stacks: each traced peak stays within
+    # 4 MB, where one complex (1024, 32, 32) stack alone is 16.8 MB
+    d = jtsys.make_domain(jtsys.KIND_POLYDISC, n=32)
+    rng = np.random.default_rng(3)
+    z = 0.1 * (rng.normal(size=(1024, 32)) + 1j * rng.normal(size=(1024, 32)))
+    tau = jtsys.random_isotropy(d, rng, len(z))
+    for call in (lambda: jtsys.random_isotropy(d, rng, len(z)),
+                 lambda: jtsys.isotropy_apply(d, tau, z),
+                 lambda: jtsys.jordan_frame(d, z, -1)):
+        call()  # the first call in a process fills one-time caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6

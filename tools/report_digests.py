@@ -9,8 +9,10 @@ script prints the same lines in both, so a refactor is checked with `diff`:
 
 The reports are every call of the four benchmark workloads at the seed, built
 with `perfbench/workloads.make_calls`, and `cli.run` of every check family on
-the acceptance grid plus type-I(3,3) at each mu in {0.5, 1, 2}, at the
-default sizes.  A call that raises is digested by its exception.  Both the
+the acceptance grid plus type-I(3,3), polydisc-32 and type-I(1,32) at each mu
+in {0.5, 1, 2}, at the default sizes.  The last two are the largest domains
+of the diagonal Jordan frame, where the polydisc's isotropy is a permutation
+and phases.  A call that raises is digested by its exception.  Both the
 library and the workloads module are imported from the checkout at --root.
 """
 
@@ -31,9 +33,14 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
+# the largest domains of the diagonal frame route, at the dimension cap
+LARGE_DIAGONAL = (("polydisc", {"n": 32}), ("type-I", {"p": 1, "q": 32}))
+
+
 def family_calls(cli, workloads, families, seed: int):
-    """(label, RunConfig) of each family on the grid plus type-I(3,3) at each mu."""
-    for kind, dims in workloads.GRID + (workloads.RANK3,):
+    """(label, RunConfig) of each family on the grid plus type-I(3,3) and
+    `LARGE_DIAGONAL` at each mu."""
+    for kind, dims in workloads.GRID + (workloads.RANK3,) + LARGE_DIAGONAL:
         for family in families:
             for mu in workloads.MUS:
                 cfg = cli.RunConfig(kind=kind, mu=(mu,), checks=(family,), seed=seed, **dims)
