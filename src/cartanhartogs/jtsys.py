@@ -65,9 +65,9 @@ KIND_CHN = "chn"
 
 # Largest complex dimension n that `make_domain` accepts.  The largest
 # per-point array of a sampled family is an (n+1) x (n+1) complex matrix (the
-# dual Hessian of psh and det-formula), and one chunk of 8192 points of it is
-# 8192 * 33^2 * 16 B = 143 MB at n = 32.  A larger n would ask numpy for
-# gigabytes, or, past the int64 range, for an array it cannot size.
+# dual Hessian of psh and det-formula); a check measures 512 points of it at
+# once, 512 * 33^2 * 16 B = 8.9 MB at n = 32.  A much larger n would ask numpy
+# for gigabytes, or, past the int64 range, for an array it cannot size.
 _MAX_DIMENSION = 32
 
 

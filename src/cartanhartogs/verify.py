@@ -2,9 +2,11 @@
 
 Each check measures a worst residual against a tolerance and returns entries
 ready for the JSON report.  The sampled families (darboux, dual-darboux, psh
-and det-formula) stream their points through `_stream`, and the isotropy
-pairs of equivariance run, in `_CHUNK`-sized chunks, so memory does not grow
-with --points.  Every entry passes or fails by one rule, `_passes`.
+and det-formula) stream their points through `_stream`, drawn `_CHUNK` at a
+time and measured `_BLOCK` at a time, and the isotropy pairs of equivariance
+follow the same rule, so memory does not grow with --points and a report does
+not depend on either constant.  Every entry passes or fails by one rule,
+`_passes`.
 darboux and dual-darboux pull the flat form back through the closed-form
 Jacobian of Psi or Phi (`hartogs.darboux_jacobian`) and compare it with the
 closed-form Hessian of the potential (`forms.hartogs_hessian`), entrywise and
@@ -51,21 +53,6 @@ def _result(name: str, params: dict, worst: float, tol: float,
     }
 
 
-# Points per block in darboux_residuals.  A block's largest arrays are the
-# Jacobian, 2(n+1) x (n+1) complex entries per point, its two real planes
-# together, and X Y^T and the gap, 2(n+1) x 2(n+1) real entries each: 3.2 kB
-# per point on type-I(3,3).  The steps hold at most two of them at once, and
-# the Hessian, (n+1) x (n+1) complex entries per point, is formed beside the
-# gap alone.  Inside darboux_jacobian at rank >= 2 each of the products T1
-# and T2 (p^2 q^2 complex entries, 1.3 kB per point on type-I(3,3)) is
-# scattered into the Jacobian and dropped before the other is formed, and
-# forms.hartogs_hessian writes its n x n terms a row at a time.  So a block's
-# memory is bounded (3.3 MB traced for 500 points on type-I(3,3)); 500 points
-# fit in one block.  Smaller blocks do not cut the page faults of a pass:
-# glibc's trim threshold follows the largest array.
-_DARBOUX_BLOCK = 1 << 9
-
-
 def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
                       dual: bool = False) -> np.ndarray:
     """Gap between the pulled-back flat form and the domain (or dual) form at
@@ -82,47 +69,47 @@ def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
     max(|Re G|, |Im G|).  The two sides come from independent routes: the
     map's derivative and the potential's.
     """
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), _DARBOUX_BLOCK):
-        block = pts[start:start + _DARBOUX_BLOCK]
-        jac = hartogs.darboux_jacobian(H, block, dual)
-        # contiguous planes, which numpy's matmul hands to BLAS; each input
-        # is dropped once the next step holds what it needs of it
-        re = np.ascontiguousarray(jac.real)
-        im_t = np.ascontiguousarray(np.swapaxes(jac.imag, -1, -2))
-        del jac
-        xy = re @ im_t
-        del re, im_t
-        gap = xy - np.swapaxes(xy, -1, -2)
-        del xy
-        g = forms.hartogs_hessian(H, block, dual)
-        # minus the form's blocks, in place
-        gap[..., 0::2, 0::2] += g.imag
-        gap[..., 1::2, 1::2] += g.imag
-        gap[..., 0::2, 1::2] -= g.real
-        gap[..., 1::2, 0::2] += np.swapaxes(g.real, -1, -2)
-        # max(|Re G|, |Im G|) and |gap| in place, on planes no later step reads
-        g_re = np.abs(g.real, out=g.real)
-        np.maximum(g_re, np.abs(g.imag, out=g.imag), out=g_re)
-        out[start:start + len(block)] = (np.max(np.abs(gap, out=gap), axis=(-2, -1))
-                                         / np.max(g_re, axis=(-2, -1)))
-    return out
+    jac = hartogs.darboux_jacobian(H, pts, dual)
+    # contiguous planes, which numpy's matmul hands to BLAS; each input
+    # is dropped once the next step holds what it needs of it
+    re = np.ascontiguousarray(jac.real)
+    im_t = np.ascontiguousarray(np.swapaxes(jac.imag, -1, -2))
+    del jac
+    xy = re @ im_t
+    del re, im_t
+    gap = xy - np.swapaxes(xy, -1, -2)
+    del xy
+    g = forms.hartogs_hessian(H, pts, dual)
+    # minus the form's blocks, in place
+    gap[..., 0::2, 0::2] += g.imag
+    gap[..., 1::2, 1::2] += g.imag
+    gap[..., 0::2, 1::2] -= g.real
+    gap[..., 1::2, 0::2] += np.swapaxes(g.real, -1, -2)
+    # max(|Re G|, |Im G|) and |gap| in place, on planes no later step reads
+    g_re = np.abs(g.real, out=g.real)
+    np.maximum(g_re, np.abs(g.imag, out=g.imag), out=g_re)
+    return np.max(np.abs(gap, out=gap), axis=(-2, -1)) / np.max(g_re, axis=(-2, -1))
 
 
-# Points per chunk of a sampled family, drawn, measured and reduced before the
-# next, so memory does not grow with --points; up to _CHUNK points are one draw
-# of the family's generator.  darboux_residuals splits a chunk into its blocks:
-# drawing 512 points at a time faults in more pages than drawing 8192.
+# Points per draw and per measured block of a sampled family.  Each draw of up
+# to _CHUNK points is measured _BLOCK points at a time and reduced before the
+# next draw, so memory does not grow with --points.  A block bounds a kernel's
+# peak (a 512-point darboux block on type-I(3,3) peaks at 3.3 MB traced); a
+# draw of 8192 points faults in fewer pages than draws of 512.  Every measured
+# kernel is row-exact, so a report does not depend on either constant.
 _CHUNK = 1 << 13
+_BLOCK = 1 << 9
 
 
-def _stream(count: int, chunk) -> tuple:
-    """chunk(k) -> (points, residuals) over count points, `_CHUNK` at a time:
-    the worst residual, np.max over all, so a NaN propagates, and the four
-    points with the largest residuals, a NaN ranked first, with those residuals."""
+def _stream(count: int, draw, measure) -> tuple:
+    """count points from draw(k), `_CHUNK` at a time, each draw measured by
+    measure(pts) `_BLOCK` points at a time: the worst residual, np.max over
+    all, so a NaN propagates, and the four points with the largest residuals,
+    a NaN ranked first, with those residuals."""
     worst, top_pts, top_res = -np.inf, None, None
     for start in range(0, count, _CHUNK):
-        pts, res = chunk(min(_CHUNK, count - start))
+        pts = draw(min(_CHUNK, count - start))
+        res = np.concatenate([measure(pts[i:i + _BLOCK]) for i in range(0, len(pts), _BLOCK)])
         worst = np.maximum(worst, np.max(res))
         if top_res is not None:
             pts, res = np.concatenate([top_pts, pts]), np.concatenate([top_res, res])
@@ -141,12 +128,7 @@ def _sampled(cfg, name: str, operation: str, offset: int, count: int,
         started = time.perf_counter()
         H = hartogs.make_hartogs(cfg.domain_spec, mu)
         rng = np.random.default_rng(cfg.seed + offset)
-
-        def chunk(k):
-            pts = draw(H, k, rng)
-            return pts, measure(H, pts)
-
-        worst, pts, res = _stream(count, chunk)
+        worst, pts, res = _stream(count, lambda k: draw(H, k, rng), lambda pts: measure(H, pts))
         failed = ~_passes(res, tol, strict)
         out.append(_result(name, {"mu": mu, "points": count, "operation": operation},
                            worst, tol, [{"point": capacity.pack_point(p), "residual": float(r)}
@@ -310,13 +292,16 @@ def check_equivariance(cfg) -> list[dict]:
     rank-one ball specialization.
 
     The pairs compare Psi(tau p) with tau Psi(p), and likewise for Phi, at
-    member points p, each moved by its own Haar element tau.  A chunk takes
-    one call of each map on the rows of tau p and p stacked, and one isotropy
-    apply on both maps' images of p, the stack of taus broadcast over the map
-    axis.  The lift's 16 points (on the polydisc Hs) and the round trip's 6
-    are drawn right after the last chunk's points and taus, from the same
-    generator, and their rows ride along in that chunk's map calls: Psi on
-    [tau p; p; lifted; round trip] and Phi on [tau p; p; round trip].  The
+    member points p, each moved by its own Haar element tau.  The points are
+    drawn like a sampled family's, `_CHUNK` at a time, and each block of
+    `_BLOCK` of them draws its taus just before it; `jtsys.random_isotropy`
+    draws per element and in order, so the blocks' taus are the draw's.  A
+    block takes one call of each map on the rows of tau p and p stacked, and
+    one isotropy apply on both maps' images of p, the stack of taus broadcast
+    over the map axis.  The lift's 16 points (on the polydisc Hs) and the
+    round trip's 6 are drawn right after the last block's taus, from the
+    same generator, and their rows ride along in that block's map calls: Psi
+    on [tau p; p; lifted; round trip] and Phi on [tau p; p; round trip].  The
     lift keeps its own Psi call on Hs and the round trip its two inverses.
     Every one of these kernels is row-exact, so each residual has the bits of
     one call per map and point set.  The pairs entry's wall time includes the
@@ -332,22 +317,24 @@ def check_equivariance(cfg) -> list[dict]:
         started = time.perf_counter()
         worst = -np.inf
         for start in range(0, count, _CHUNK):
-            k = min(_CHUNK, count - start)
-            pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
-            taus = jtsys.random_isotropy(d, rng, k)  # row i moves point i
-            lifted = some = pts[:0]
-            if start + k == count:  # the last chunk
-                small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
-                some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
-                lifted = hartogs.lift_embedding(d, small)
-            both = np.concatenate([hartogs.hartogs_isotropy_apply(H, taus, pts), pts])
-            psi = hartogs.psi_map_vec(H, np.concatenate([both, lifted, some]))
-            phi = hartogs.phi_map_vec(H, np.concatenate([both, some]))
-            # (map, point, coordinate): the images of tau p, then those of p
-            images = np.stack([psi[:2 * k], phi[:2 * k]])
-            moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
-            # np.maximum and np.max propagate NaN, so a NaN residual reaches the gate
-            worst = np.maximum(worst, np.max(np.abs(images[:, :k] - moved)))
+            drawn = hartogs.sample_member_points(H, min(_CHUNK, count - start), rng, lam_max=0.8)
+            for at in range(0, len(drawn), _BLOCK):
+                pts = drawn[at:at + _BLOCK]
+                k = len(pts)
+                taus = jtsys.random_isotropy(d, rng, k)  # row i moves point i
+                lifted = some = pts[:0]
+                if start + at + k == count:  # the last block
+                    small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
+                    some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
+                    lifted = hartogs.lift_embedding(d, small)
+                both = np.concatenate([hartogs.hartogs_isotropy_apply(H, taus, pts), pts])
+                psi = hartogs.psi_map_vec(H, np.concatenate([both, lifted, some]))
+                phi = hartogs.phi_map_vec(H, np.concatenate([both, some]))
+                # (map, point, coordinate): the images of tau p, then those of p
+                images = np.stack([psi[:2 * k], phi[:2 * k]])
+                moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
+                # np.maximum and np.max propagate NaN, so a NaN residual reaches the gate
+                worst = np.maximum(worst, np.max(np.abs(images[:, :k] - moved)))
         out.append(_result("equivariance", {"mu": mu, "pairs": count,
                                             "operation": "hartogs_isotropy_apply"},
                            float(worst), 1e-10, None, started))

@@ -533,8 +533,9 @@ def selberg_quadrature_symmetrized(r: int, a: float, b: float, s: float,
 
 
 def check_equivariance_separate_calls(cfg) -> list[dict]:
-    """`verify.check_equivariance` with the lift's 16 points and the round
-    trip's 6 drawn after the isotropy pairs, each mapped in calls of its
+    """`verify.check_equivariance` with the isotropy pairs streamed through
+    `verify._stream`, each block drawing its taus, and the lift's 16 points
+    and the round trip's 6 drawn after the pairs, each mapped in calls of its
     own: Psi on the lifted points, and Psi and Phi on the round trip's."""
     d = cfg.domain_spec
     out = []
@@ -543,18 +544,20 @@ def check_equivariance_separate_calls(cfg) -> list[dict]:
         rng = np.random.default_rng(cfg.seed + 7)
         started = time.perf_counter()
 
-        def pairs(k):
-            pts = hartogs.sample_member_points(H, k, rng, lam_max=0.8)
+        def pairs(pts):
+            k = len(pts)
             taus = jtsys.random_isotropy(d, rng, k)
             both = np.concatenate([hartogs.hartogs_isotropy_apply(H, taus, pts), pts])
             images = np.stack([hartogs.psi_map_vec(H, both), hartogs.phi_map_vec(H, both)])
             moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
-            return pts, np.max(np.abs(images[:, :k] - moved), axis=(0, 2))
+            return np.max(np.abs(images[:, :k] - moved), axis=(0, 2))
 
         count = max(8, cfg.points // 4)
+        worst = verify._stream(
+            count, lambda k: hartogs.sample_member_points(H, k, rng, lam_max=0.8), pairs)[0]
         out.append(verify._result("equivariance", {"mu": mu, "pairs": count,
                                                    "operation": "hartogs_isotropy_apply"},
-                                  verify._stream(count, pairs)[0], 1e-10, None, started))
+                                  worst, 1e-10, None, started))
 
         started = time.perf_counter()
         m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)

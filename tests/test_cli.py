@@ -482,6 +482,13 @@ def test_a_nan_residual_in_a_later_chunk_fails_and_is_named(tmp_path, monkeypatc
     assert len(_named_nan(tmp_path, monkeypatch)) == 5
 
 
+def test_a_nan_residual_in_a_later_block_fails_and_is_named(tmp_path, monkeypatch):
+    # the 10 points in one draw, measured in blocks of 2: the NaN is in the
+    # second block, and the worst residual and the witnesses carry it
+    monkeypatch.setattr(verify, "_BLOCK", 2)
+    assert [len(p) for p in _named_nan(tmp_path, monkeypatch)] == [2] * 5
+
+
 def test_fd_step_is_accepted_but_unread():
     # --fd-step is validated and echoed, and no check reads it
     base = ["darboux", "--domain", "polydisc", "--n", "2", "--points", "20"]

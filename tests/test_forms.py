@@ -150,16 +150,21 @@ def test_darboux_checks_resolve_a_relative_1e8_slip(monkeypatch, dims):
 
 
 def test_darboux_residuals_blocks_match_one_shot(monkeypatch):
+    # through the driver, blocks of 7, 7 and 6 points give the bits of one
+    # 20-point block: the worst residual, and the four largest with their points
     H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_TYPE_I, p=1, q=2), 0.5)
     rng = np.random.default_rng(4)
     inside = hartogs.sample_member_points(H, 20, rng)
     anywhere = hartogs.sample_heavy_points(H.domain.n + 1, 20, rng)
-    whole = [verify.darboux_residuals(H, inside),
-             verify.darboux_residuals(H, anywhere, dual=True)]
-    monkeypatch.setattr(verify, "_DARBOUX_BLOCK", 7)  # blocks of 7, 7 and 6 points
-    npt.assert_allclose(verify.darboux_residuals(H, inside), whole[0], rtol=1e-14)
-    npt.assert_allclose(verify.darboux_residuals(H, anywhere, dual=True), whole[1],
-                        rtol=1e-14)
+    runs = [(inside, lambda pts: verify.darboux_residuals(H, pts)),
+            (anywhere, lambda pts: verify.darboux_residuals(H, pts, dual=True))]
+    whole = [verify._stream(20, lambda k: pts, measure) for pts, measure in runs]
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    for (pts, measure), want in zip(runs, whole):
+        worst, top_pts, top_res = verify._stream(20, lambda k: pts, measure)
+        assert worst == want[0]
+        npt.assert_array_equal(top_pts, want[1])
+        npt.assert_array_equal(top_res, want[2])
 
 
 def test_darboux_residuals_memory_is_bounded():
@@ -180,21 +185,29 @@ def test_darboux_residuals_memory_is_bounded():
 
 
 def test_stream_chunks_match_one_shot(monkeypatch):
-    # chunks of 7 carry the worst residual and the four largest of one pass
-    # over the same residuals, also with a NaN in a later chunk, ranked first
+    # draws of 7 measured in blocks of 3 carry the worst residual and the four
+    # largest of one pass over the same residuals, also with a NaN in a later
+    # draw, ranked first
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
     monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_BLOCK", 3)
     for residuals in (rng.normal(size=30), np.where(np.arange(30) == 23, np.nan, pts[:, 0].real)):
-        taken = []
+        drawn, measured = [], []
+        of_point = dict(zip(map(tuple, pts), residuals))
 
-        def chunk(k):
-            start = sum(taken)
-            taken.append(k)
-            return pts[start:start + k], residuals[start:start + k]
+        def draw(k):
+            start = sum(drawn)
+            drawn.append(k)
+            return pts[start:start + k]
 
-        worst, top_pts, top_res = verify._stream(30, chunk)
-        assert taken == [7, 7, 7, 7, 2]
+        def measure(block):
+            measured.append(len(block))
+            return np.array([of_point[tuple(p)] for p in block])
+
+        worst, top_pts, top_res = verify._stream(30, draw, measure)
+        assert drawn == [7, 7, 7, 7, 2]
+        assert measured == [3, 3, 1] * 4 + [2]
         order = np.argsort(-np.where(np.isnan(residuals), np.inf, residuals))[:4]
         npt.assert_array_equal(top_res, residuals[order])
         npt.assert_array_equal(top_pts, pts[order])
@@ -223,6 +236,36 @@ def test_sampled_families_memory_is_bounded(monkeypatch, family):
 
     peak(64)  # the first call in a process fills one-time caches
     assert peak(2048) <= 1.5 * peak(64)
+
+
+# the traced peak of each family at 4096 items (a draw of 4096 points, 8 blocks)
+# over its peak at 512 (one block): the block bounds what a kernel holds, so
+# the draw's points and residuals are all that grows; equivariance also holds
+# the draw's taus and the last block's images beside its lift and round trip
+BLOCK_MEMORY_RATIO = {"darboux": 1.3, "dual-darboux": 1.3, "psh": 1.3, "det-formula": 1.3,
+                      "equivariance": 3.0}
+
+
+@pytest.mark.parametrize("family", list(BLOCK_MEMORY_RATIO))
+def test_sampled_families_memory_is_bounded_by_the_block(monkeypatch, family):
+    # polydisc-16 at the default _CHUNK and _BLOCK; det-formula and
+    # equivariance take a quarter of --points, so their items are draws and
+    # pairs, and the genus fit is a fixed cost beside the stream
+    monkeypatch.setattr(measures, "fit_genus", lambda d: d.genus)
+    points_per_item = 4 if family in ("det-formula", "equivariance") else 1
+
+    def peak(count):
+        cfg = cli.RunConfig(kind="polydisc", n=16, mu=(1.0,), checks=(family,),
+                            points=points_per_item * count)
+        tracemalloc.start()
+        try:
+            verify.CHECKS[family](cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(512)  # the first call in a process fills one-time caches
+    assert peak(4096) <= BLOCK_MEMORY_RATIO[family] * peak(512)
 
 
 def test_polydisc_equivariance_memory_is_linear_in_n():

@@ -578,21 +578,26 @@ def test_full_sampler_tests_its_draws_with_membership(monkeypatch, name):
     assert np.array_equal(got, want)
 
 
-# (patched _CHUNK or None for the default, points): 1 pair chunk (10 pairs,
-# and 8 pairs in one full chunk), 2 chunks (7 + 3) and 3 chunks (7 + 7 + 1,
-# and 7 + 7 + 7)
-EQUIVARIANCE_CHUNKS = [(None, 40), (8, 32), (7, 40), (7, 60), (7, 84)]
+# (patched _CHUNK, patched _BLOCK, points), None for a default: 1 pair chunk
+# (10 pairs, and 8 pairs in one full chunk), 2 chunks (7 + 3) and 3 chunks
+# (7 + 7 + 1, and 7 + 7 + 7); then blocks inside chunks: 10 pairs in blocks of
+# 7 + 3, 15 in chunks of 7 + 7 + 1 cut into blocks of 3 + 3 + 1, and 21 in
+# chunks of 20 + 1 cut into blocks of 7 + 7 + 6 and 1
+EQUIVARIANCE_CHUNKS = [(None, None, 40), (8, None, 32), (7, None, 40), (7, None, 60),
+                       (7, None, 84), (None, 7, 40), (7, 3, 60), (20, 7, 84)]
 
 
 @pytest.mark.parametrize("name", list(GRID_AND_T33))
-@pytest.mark.parametrize("chunk, points", EQUIVARIANCE_CHUNKS,
-                         ids=[f"chunk{c}-points{p}" for c, p in EQUIVARIANCE_CHUNKS])
-def test_equivariance_equals_separate_calls(monkeypatch, name, chunk, points):
-    # the lift's and round trip's points are drawn after the last chunk's
-    # and ride on its map calls; every entry keeps the bits of the route that
-    # draws them after the pairs and maps them in calls of their own
-    if chunk is not None:
-        monkeypatch.setattr(verify, "_CHUNK", chunk)
+@pytest.mark.parametrize("chunk, block, points", EQUIVARIANCE_CHUNKS,
+                         ids=[f"chunk{c}-" + (f"block{b}-" if b else "") + f"points{p}"
+                              for c, b, p in EQUIVARIANCE_CHUNKS])
+def test_equivariance_equals_separate_calls(monkeypatch, name, chunk, block, points):
+    # the lift's and round trip's points are drawn after the last block's
+    # taus and ride on its map calls; every entry keeps the bits of the route
+    # that draws them after the pairs and maps them in calls of their own
+    for constant, value in (("_CHUNK", chunk), ("_BLOCK", block)):
+        if value is not None:
+            monkeypatch.setattr(verify, constant, value)
     dims = GRID_AND_T33[name]
     cfg = cli.RunConfig(kind=dims["kind"], n=dims.get("n"), p=dims.get("p"), q=dims.get("q"),
                         mu=(0.5, 1.0, 2.0), checks=("equivariance",), points=points, seed=3)

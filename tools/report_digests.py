@@ -12,7 +12,11 @@ with `perfbench/workloads.make_calls`, and `cli.run` of every check family on
 the acceptance grid plus type-I(3,3), polydisc-32 and type-I(1,32) at each mu
 in {0.5, 1, 2}, at the default sizes.  The last two are the largest domains
 of the diagonal Jordan frame, where the polydisc's isotropy is a permutation
-and phases.  A call that raises is digested by its exception.  Both the
+and phases.  Last come the multi-draw cells: each sampled family at mu = 1 on
+type-I(2,2), polydisc-8 and type-I(3,3) at 20000 points (80000 --points for
+det-formula and equivariance, which take a quarter), three draws of
+`verify._CHUNK` and 40 blocks of `verify._BLOCK`, so a diff covers both
+boundaries.  A call that raises is digested by its exception.  Both the
 library and the workloads module are imported from the checkout at --root.
 """
 
@@ -35,6 +39,12 @@ def parse_args(argv):
 
 # the largest domains of the diagonal frame route, at the dimension cap
 LARGE_DIAGONAL = (("polydisc", {"n": 32}), ("type-I", {"p": 1, "q": 32}))
+# --points of each streamed family past one draw and one block: 20000 points,
+# or pairs and draws for the families that take a quarter of --points
+MULTI_DRAW = {"darboux": 20000, "dual-darboux": 20000, "psh": 20000,
+              "det-formula": 80000, "equivariance": 80000}
+MULTI_DRAW_DOMAINS = (("type-I", {"p": 2, "q": 2}), ("polydisc", {"n": 8}),
+                      ("type-I", {"p": 3, "q": 3}))
 
 
 def family_calls(cli, workloads, families, seed: int):
@@ -47,6 +57,16 @@ def family_calls(cli, workloads, families, seed: int):
                 yield f"run:{family}@{workloads.domain_label(kind, dims)} mu={mu:g}", cfg
 
 
+def multi_draw_calls(cli, workloads, seed: int):
+    """(label, RunConfig) of each `MULTI_DRAW` family at its --points and
+    mu = 1 on `MULTI_DRAW_DOMAINS`."""
+    for kind, dims in MULTI_DRAW_DOMAINS:
+        for family, points in MULTI_DRAW.items():
+            cfg = cli.RunConfig(kind=kind, mu=(1.0,), checks=(family,), points=points,
+                                seed=seed, **dims)
+            yield f"run:{family}@{workloads.domain_label(kind, dims)} points={points}", cfg
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = os.path.abspath(args.root)
@@ -57,6 +77,7 @@ def main(argv=None) -> int:
     calls = [(f"{name}:{label}", cfg) for name in workloads.WORKLOADS
              for label, cfg in workloads.make_calls(cli, name, args.seed)]
     calls += family_calls(cli, workloads, verify.CHECKS, args.seed)
+    calls += multi_draw_calls(cli, workloads, args.seed)
     for label, cfg in calls:
         try:
             digest = workloads.report_digest(cli.report_json(cli.run(cfg)))
