@@ -298,20 +298,9 @@ def _register(check_name: str, help_text: str) -> None:
         ctx.exit(0 if report["summary"]["overall"] == "pass" else 1)
 
 
-_HELP = {
-    "darboux": "Pull the flat form back through Psi and compare with the domain form.",
-    "dual-darboux": "Pull the flat form back through Phi and compare with the dual form.",
-    "psh": "Certify strict plurisubharmonicity of the dual potential.",
-    "det-formula": "Product-formula dual Hessian determinant vs the closed-form Hessian.",
-    "volume": "Exact quadrature volumes against F(mu) and the dual/flat ratio formula.",
-    "selberg": "Exact Gauss-Jacobi quadrature of F(s) against the Gamma product.",
-    "duality": "Root of the duality equation, equal volumes there, the rank-one equality case.",
-    "capacity": "Embedding-certified symplectic capacity intervals.",
-    "equivariance": "Isotropy equivariance, hereditary maps, inverses, ball case.",
-    "all": "Run every check family.",
-}
-for _name in (*verify.CHECKS, "all"):
-    _register(_name, _HELP[_name])
+_HELP = {"all": "Run every check family."}
+for _name, _text in {**verify.HELP, **_HELP}.items():
+    _register(_name, _text)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 A potential f on C^m yields the Hermitian matrix G_jk = d^2 f / dz_j dzbar_k.
 The two Hartogs potentials have it in closed form from the Jordan data of the
 base (`hartogs_hessian`), and the dual one has its determinant in closed form
-too (`det_dual_hessian`, the paper's product formula).  Both are written in
-the fiber ratios t = u / G, |w|^2 / G and 1/G of `hartogs.fiber_ratios`, or
-in log space, so no power N^mu is formed and large mu neither overflows nor
-cancels.  The Hessian takes log N and the derivatives of log N from one
+too (`det_dual_hessian`, the paper's product formula, and its log
+`log_det_dual_hessian`).  Both are written in the fiber ratios t = u / G,
+|w|^2 / G and 1/G of `hartogs.fiber_ratios`, or in log space, so no power
+N^mu is formed and large mu neither overflows nor cancels.  The Hessian takes log N and the derivatives of log N from one
 elimination per point (`jtsys._derivative_rows`: no LAPACK call and no
 `jtsys.jordan_frame`, so it stays independent of the Jacobian it is compared
 with) and assembles its blocks coordinate-major, on (., ., N) rows over the
@@ -39,24 +39,29 @@ def _log_add_exp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return hi + np.log1p(np.exp(np.minimum(x, y) - hi))
 
 
-def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
-    """Closed-form determinant of the dual potential's complex Hessian at packed
-    points (..., n+1),
+def log_det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
+    """Log of the closed-form determinant of the dual potential's complex
+    Hessian at packed points (..., n+1),
 
     mu^n N*^(mu(n+1) - gamma) / (N*^mu + |w|^2)^(n+2),  N* = N(z, -zbar),
 
     assembled in log space, log G = `_log_add_exp`(mu log N*, 2 log |w|), so
-    neither a power of N* nor |w|^2 is formed and no |w| overflows.  Every
-    step is elementwise, and log N* comes from the row-exact
-    `jtsys.log_norm`, so a row's value does not depend on the rows around it.
+    neither a power of N* nor |w|^2 is formed, no |w| overflows and a
+    determinant below the float range keeps its log.  Every step is
+    elementwise, and log N* comes from the row-exact `jtsys.log_norm`, so a
+    row's value does not depend on the rows around it.
     """
     d = H.domain
     z, w = split_vec(H, pts)
     log_nd = log_norm(d, z, -1)
     with np.errstate(divide="ignore"):  # log 0 = -inf at w = 0, where log G = mu log N*
         log_g = _log_add_exp(H.mu * log_nd, 2.0 * np.log(np.abs(w)))
-    return np.exp(d.n * np.log(H.mu) + (H.mu * (d.n + 1) - d.genus) * log_nd
-                  - (d.n + 2) * log_g)
+    return d.n * np.log(H.mu) + (H.mu * (d.n + 1) - d.genus) * log_nd - (d.n + 2) * log_g
+
+
+def det_dual_hessian(H: HartogsSpec, pts: np.ndarray) -> np.ndarray:
+    """The exp of `log_det_dual_hessian`."""
+    return np.exp(log_det_dual_hessian(H, pts))
 
 
 def hartogs_hessian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.ndarray:

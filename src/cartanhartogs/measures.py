@@ -36,11 +36,11 @@ node tuples with their multiplicities (`_polar_rule`).  The library is
 evaluated at assembled points: each node is `jtsys.frame_point(D, sqrt x)`
 moved by a Haar isotropy pair of its own, with a random phase for w, so a
 slip that breaks K-invariance moves the value too.  The dual side takes
-`forms.det_dual_hessian` at the node's full (z, w).  The flat side takes
-N^mu / prod (1 - x_j)^mu from `jtsys.log_norm`.  What the flat side does not
-test: the fiber length pi N^mu is integrated in closed form, so the fiber
-half of `hartogs.ch_member_vec` is only probed at its boundary, with |w|^2
-just inside and just outside N^mu at each node.
+`forms.log_det_dual_hessian` at the node's full (z, w).  The flat side
+takes N^mu / prod (1 - x_j)^mu from `jtsys.log_norm`.  What the flat side
+does not test: the fiber length pi N^mu is integrated in closed form, so
+the fiber half of `hartogs.ch_member_vec` is only probed at its boundary,
+with |w|^2 just inside and just outside N^mu at each node.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .forms import det_dual_hessian
+from .forms import log_det_dual_hessian
 from .hartogs import HartogsSpec, ch_member_vec
 from .jtsys import (DomainSpec, _derivative_rows, _kronecker_rows, frame_point,
                     isotropy_apply, log_norm, random_isotropy, spectral_norm)
@@ -234,9 +234,10 @@ def dual_volume_quadrature(H: HartogsSpec, rng: np.random.Generator) -> float:
     exact.  Each (y, v) node is a rotated frame point with a fresh Haar pair
     and w at log|w| = (log v - log(1 - v) + mu log N*) / 2 with a random phase,
     log N* = -sum_j log(1 - y_j); its weight is formed in log space,
-    exp(log det + (mu + gamma) log N* - 2 log(1 - v)), so no N*^mu is formed.
-    A node whose determinant underflows adds 0.  The Haar pairs, then the
-    phases, come from rng."""
+    exp(log det + (mu + gamma) log N* - 2 log(1 - v)) with the determinant's
+    log from `forms.log_det_dual_hessian`, so neither N*^mu nor a determinant
+    below the float range is formed.  The Haar pairs, then the phases, come
+    from rng."""
     d, mu = H.domain, H.mu
     y1, wy1 = _gauss01((d.b + d.a * (d.r - 1)) // 2 + 2)
     y, weight = _polar_rule(y1, wy1 * y1 ** d.b, d.r, d.a)
@@ -248,9 +249,7 @@ def dual_volume_quadrature(H: HartogsSpec, rng: np.random.Generator) -> float:
     log_1v = np.log1p(-v)
     z = _rotated_frame_points(d, y / (1.0 - y), rng)
     theta = rng.uniform(0.0, 2 * np.pi, size=len(y))
-    pts = _packed(z, np.log(v) - log_1v + mu * log_nd, theta)
-    with np.errstate(divide="ignore"):  # log 0 = -inf where the determinant underflows
-        log_det = np.log(det_dual_hessian(H, pts))
+    log_det = log_det_dual_hessian(H, _packed(z, np.log(v) - log_1v + mu * log_nd, theta))
     return float(np.sum(weight * np.exp(log_det + (mu + d.genus) * log_nd - 2.0 * log_1v)))
 
 

@@ -1,12 +1,14 @@
 """Verification battery behind the CLI.
 
-Each check measures a worst residual against a tolerance and returns entries
-ready for the JSON report.  The sampled families (darboux, dual-darboux, psh
-and det-formula) stream their points through `_stream`, drawn `_CHUNK` at a
-time and measured `_BLOCK` at a time, and the isotropy pairs of equivariance
-follow the same rule, so memory does not grow with --points and a report does
-not depend on either constant.  Every entry passes or fails by one rule,
-`_passes`.
+A check family is one generator under `@_family(name, help)`, which
+registers it in `CHECKS` and its help line in `HELP`.  It yields one
+`_entry` per identity checked, a worst residual against a tolerance, and the
+wrapper names and times each entry for the JSON report.  The sampled
+families (darboux, dual-darboux, psh and det-formula) stream their points
+through `_stream`, drawn `_CHUNK` at a time and measured `_BLOCK` at a time,
+and the isotropy pairs of equivariance follow the same rule, so memory does
+not grow with --points and a report does not depend on either constant.
+Every entry passes or fails by one rule, `_passes`.
 darboux and dual-darboux pull the flat form back through the closed-form
 Jacobian of Psi or Phi (`hartogs.darboux_jacobian`) and compare it with the
 closed-form Hessian of the potential (`forms.hartogs_hessian`), entrywise and
@@ -21,6 +23,7 @@ Structural checks carry their own tolerances (documented per function).
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -39,18 +42,41 @@ def _passes(values, tol: float, strict: bool):
     return values < tol if strict else values <= tol
 
 
-def _result(name: str, params: dict, worst: float, tol: float,
-            witnesses: list | None, started: float, strict: bool = False) -> dict:
-    """A report entry, its status given by `_passes`."""
+def _entry(params: dict, worst: float, tol: float, witnesses: list | None = None,
+           strict: bool = False) -> dict:
+    """A report entry without its name and wall time, its status given by `_passes`."""
     return {
-        "name": name,
         "parameters": params,
         "status": "pass" if _passes(worst, tol, strict) else "fail",
         "worst_residual": float(worst),
         "tolerance": float(tol),
         "witnesses": witnesses or [],
-        "wall_time_s": round(time.perf_counter() - started, 3),
     }
+
+
+CHECKS = {}  # family name -> check(cfg) -> list of report entries
+HELP = {}  # family name -> the help line of its chverify command
+
+
+def _family(name: str, help_text: str):
+    """Register a generator of `_entry` dicts as the family `name`: the
+    returned check(cfg) lists the entries, each with the family's name and
+    its wall time, which runs from the end of the entry before (or from the
+    call, for the first).  functools.wraps keeps the generator's name and
+    module, so `CHECKS[name]` is the module's check_* function."""
+    def register(entries):
+        @functools.wraps(entries)
+        def check(cfg) -> list[dict]:
+            out, mark = [], time.perf_counter()
+            for entry in entries(cfg):
+                now = time.perf_counter()
+                out.append({"name": name, **entry, "wall_time_s": round(now - mark, 3)})
+                mark = now
+            return out
+        CHECKS[name] = check
+        HELP[name] = help_text
+        return check
+    return register
 
 
 def darboux_residuals(H: hartogs.HartogsSpec, pts: np.ndarray,
@@ -118,52 +144,54 @@ def _stream(count: int, draw, measure) -> tuple:
     return float(worst), top_pts, top_res
 
 
-def _sampled(cfg, name: str, operation: str, offset: int, count: int,
-             draw, measure, tol: float, strict: bool = False) -> list[dict]:
+def _sampled(cfg, operation: str, offset: int, count: int, draw, measure, tol: float,
+             strict: bool = False):
     """One entry per mu: count points from draw(H, k, rng), with one generator
     seeded cfg.seed + offset, measured by measure(H, pts) and gated at tol.
     The witnesses are the failing points among the four largest residuals."""
-    out = []
     for mu in cfg.mu:
-        started = time.perf_counter()
         H = hartogs.make_hartogs(cfg.domain_spec, mu)
         rng = np.random.default_rng(cfg.seed + offset)
         worst, pts, res = _stream(count, lambda k: draw(H, k, rng), lambda pts: measure(H, pts))
         failed = ~_passes(res, tol, strict)
-        out.append(_result(name, {"mu": mu, "points": count, "operation": operation},
-                           worst, tol, [{"point": capacity.pack_point(p), "residual": float(r)}
-                                        for p, r in zip(pts[failed], res[failed])],
-                           started, strict))
-    return out
+        yield _entry({"mu": mu, "points": count, "operation": operation}, worst, tol,
+                     [{"point": capacity.pack_point(p), "residual": float(r)}
+                      for p, r in zip(pts[failed], res[failed])], strict)
 
 
-def check_darboux(cfg) -> list[dict]:
-    return _sampled(cfg, "darboux", "pullback", 0, cfg.points,
-                    hartogs.sample_member_points, darboux_residuals, cfg.tol)
+@_family("darboux", "Pull the flat form back through Psi and compare with the domain form.")
+def check_darboux(cfg):
+    yield from _sampled(cfg, "pullback", 0, cfg.points,
+                        hartogs.sample_member_points, darboux_residuals, cfg.tol)
 
 
-def check_dual_darboux(cfg) -> list[dict]:
-    return _sampled(cfg, "dual-darboux", "pullback", 1, cfg.points,
-                    lambda H, k, rng: hartogs.sample_heavy_points(H.domain.n + 1, k, rng),
-                    lambda H, pts: darboux_residuals(H, pts, True), cfg.tol)
+@_family("dual-darboux", "Pull the flat form back through Phi and compare with the dual form.")
+def check_dual_darboux(cfg):
+    yield from _sampled(cfg, "pullback", 1, cfg.points,
+                        lambda H, k, rng: hartogs.sample_heavy_points(H.domain.n + 1, k, rng),
+                        lambda H, pts: darboux_residuals(H, pts, True), cfg.tol)
 
 
-def check_psh(cfg) -> list[dict]:
+@_family("psh", "Certify strict plurisubharmonicity of the dual potential.")
+def check_psh(cfg):
     """Strict plurisubharmonicity: the smallest dual Hessian eigenvalue must be
     positive at every point.  The residual is its negative, and the gate is
     strict (residual < 0), so a zero eigenvalue fails."""
-    return _sampled(cfg, "psh", "is_positive_definite", 2, cfg.points,
-                    lambda H, k, rng: hartogs.sample_ball_points(H.domain.n + 1, k, rng, 10.0),
-                    lambda H, pts: -forms.dual_hessian_min_eigs(H, pts), 0.0, strict=True)
+    yield from _sampled(cfg, "is_positive_definite", 2, cfg.points,
+                        lambda H, k, rng: hartogs.sample_ball_points(H.domain.n + 1, k, rng, 10.0),
+                        lambda H, pts: -forms.dual_hessian_min_eigs(H, pts), 0.0, strict=True)
 
 
 def _det_gap(H: hartogs.HartogsSpec, pts: np.ndarray) -> np.ndarray:
     closed = forms.det_dual_hessian(H, pts)
     ref = np.linalg.det(forms.hartogs_hessian(H, pts, dual=True)).real
-    return np.abs(ref - closed) / np.abs(closed)
+    # both determinants underflow to 0 far out at large mu: 0/0 is a NaN residual, which fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(ref - closed) / np.abs(closed)
 
 
-def check_det_formula(cfg) -> list[dict]:
+@_family("det-formula", "Product-formula dual Hessian determinant vs the closed-form Hessian.")
+def check_det_formula(cfg):
     """The paper's product formula for the dual Hessian determinant (genus and
     exponent n+2) against the determinant of the closed-form dual Hessian,
     whose Jordan-data blocks (A^-1)^T (x) C^-1 hold no genus, relative and
@@ -173,120 +201,96 @@ def check_det_formula(cfg) -> list[dict]:
     w-w entry in the dual Hessian is mu t l_jk, since the terms in l_j
     conj(l_k) cancel, so the determinant is blind to the gradient (a 10%
     error in it still passes).  The darboux checks hold the gradient."""
-    out = _sampled(cfg, "det-formula", "det_dual_hessian", 3, max(10, cfg.points // 4),
-                   lambda H, k, rng: 0.7 * (rng.normal(size=(k, H.domain.n + 1))
-                                            + 1j * rng.normal(size=(k, H.domain.n + 1))),
-                   _det_gap, cfg.tol)
-    started = time.perf_counter()
+    yield from _sampled(cfg, "det_dual_hessian", 3, max(10, cfg.points // 4),
+                        lambda H, k, rng: 0.7 * (rng.normal(size=(k, H.domain.n + 1))
+                                                 + 1j * rng.normal(size=(k, H.domain.n + 1))),
+                        _det_gap, cfg.tol)
     fitted = measures.fit_genus(cfg.domain_spec)
-    out.append(_result("det-formula", {"operation": "fit_genus", "fitted": fitted},
-                       abs(fitted - cfg.domain_spec.genus), FIT_GENUS_TOL, None, started))
-    return out
+    yield _entry({"operation": "fit_genus", "fitted": fitted},
+                 abs(fitted - cfg.domain_spec.genus), FIT_GENUS_TOL)
 
 
-def check_volume(cfg) -> list[dict]:
+@_family("volume", "Exact quadrature volumes against F(mu) and the dual/flat ratio formula.")
+def check_volume(cfg):
     """The exact quadratures of both volumes (`measures`), in units of the
     polar constant pi c: the flat volume against F(mu) = F(0) F(mu)/F(0) and
     the dual/flat ratio against the Gamma-product formula, both relative at
     `QUADRATURE_TOL`.  The Haar pairs and phases of the nodes come from the
     seed."""
     d = cfg.domain_spec
-    out = []
     for mu in cfg.mu:
         H = hartogs.make_hartogs(d, mu)
         rng = np.random.default_rng(cfg.seed)
-        started = time.perf_counter()
         flat = measures.flat_volume_quadrature(H, rng)
         # F(mu)/F(0) is a product of rational factors, exact at every mu
         exact = measures.capital_f(d, 0.0) * measures.capital_f_ratio(d, mu)
-        out.append(_result("volume", {"mu": mu, "estimate": flat, "exact": exact,
-                                      "operation": "flat_volume_quadrature"},
-                           abs(flat - exact) / exact, QUADRATURE_TOL, None, started))
-        started = time.perf_counter()
+        yield _entry({"mu": mu, "estimate": flat, "exact": exact,
+                      "operation": "flat_volume_quadrature"},
+                     abs(flat - exact) / exact, QUADRATURE_TOL)
         dual = measures.dual_volume_quadrature(H, rng)
         ratio = dual / flat if flat > 0 else float("inf")
         want = measures.dual_flat_ratio_formula(H)
-        out.append(_result("volume", {"mu": mu, "ratio": ratio, "formula": want,
-                                      "operation": "dual_volume_quadrature"},
-                           abs(ratio - want) / want, QUADRATURE_TOL, None, started))
-    return out
+        yield _entry({"mu": mu, "ratio": ratio, "formula": want,
+                      "operation": "dual_volume_quadrature"},
+                     abs(ratio - want) / want, QUADRATURE_TOL)
 
 
-def check_selberg(cfg) -> list[dict]:
+@_family("selberg", "Exact Gauss-Jacobi quadrature of F(s) against the Gamma product.")
+def check_selberg(cfg):
     """The exact Gauss-Jacobi quadrature of F(s) against the Gamma product,
     relative at `QUADRATURE_TOL`, for s in (0, 0.5, 1, 2.5).  In rank one the
     rule is the Beta closed form itself (see `measures.selberg_quadrature`)."""
     d = cfg.domain_spec
-    out = []
     for s in (0.0, 0.5, 1.0, 2.5):
-        started = time.perf_counter()
         quad = measures.selberg_quadrature(d.r, d.a, d.b, s)
         closed = measures.capital_f(d, s)
-        out.append(_result("selberg", {"s": s, "r": d.r, "a": d.a, "b": d.b,
-                                       "operation": "selberg_quadrature"},
-                           abs(quad - closed) / closed, QUADRATURE_TOL, None, started))
-    return out
+        yield _entry({"s": s, "r": d.r, "a": d.a, "b": d.b, "operation": "selberg_quadrature"},
+                     abs(quad - closed) / closed, QUADRATURE_TOL)
 
 
-def check_duality(cfg) -> list[dict]:
+@_family("duality",
+         "Root of the duality equation, equal volumes there, the rank-one equality case.")
+def check_duality(cfg):
     """Root of the duality equation: exactly 1 in rank one, inside (0,1)
     otherwise; the rank-one equality case of the product bound; and the
     identity itself: the flat and dual quadrature volumes equal at the root,
     relative at `QUADRATURE_TOL`."""
     d = cfg.domain_spec
-    started = time.perf_counter()
     root = measures.duality_root(d)
     if d.r == 1:
-        res = _result("duality", {"operation": "duality_root", "root": root},
-                      abs(root - 1.0), 1e-9, None, started)
+        yield _entry({"operation": "duality_root", "root": root}, abs(root - 1.0), 1e-9)
     else:
-        ok = 0.0 < root < 1.0
-        res = _result("duality", {"operation": "duality_root", "root": root},
-                      0.0 if ok else 1.0, 0.5, None, started)
-    started = time.perf_counter()
+        yield _entry({"operation": "duality_root", "root": root},
+                     0.0 if 0.0 < root < 1.0 else 1.0, 0.5)
     gen = measures.gennaio_check(d)
-    want_equality = d.r == 1
-    ok = gen.passed and gen.equality == want_equality
-    out = [res, _result("duality", {"operation": "gennaio_check",
-                                    "value": gen.value, "bound": gen.bound,
-                                    "equality": gen.equality},
-                        0.0 if ok else 1.0, 0.5, None, started)]
-    started = time.perf_counter()
+    ok = gen.passed and gen.equality == (d.r == 1)
+    yield _entry({"operation": "gennaio_check", "value": gen.value, "bound": gen.bound,
+                  "equality": gen.equality}, 0.0 if ok else 1.0, 0.5)
     H = hartogs.make_hartogs(d, root)
     rng = np.random.default_rng(cfg.seed)
     flat = measures.flat_volume_quadrature(H, rng)
     dual = measures.dual_volume_quadrature(H, rng)
-    out.append(_result("duality", {"operation": "volume_identity", "root": root,
-                                   "flat": flat, "dual": dual},
-                       abs(dual - flat) / flat if flat > 0 else float("inf"),
-                       QUADRATURE_TOL, None, started))
-    return out
+    yield _entry({"operation": "volume_identity", "root": root, "flat": flat, "dual": dual},
+                 abs(dual - flat) / flat if flat > 0 else float("inf"), QUADRATURE_TOL)
 
 
-def check_capacity(cfg) -> list[dict]:
-    out = []
+@_family("capacity", "Embedding-certified symplectic capacity intervals.")
+def check_capacity(cfg):
     for mu in cfg.mu:
         H = hartogs.make_hartogs(cfg.domain_spec, mu)
         if mu <= 1.0:
-            started = time.perf_counter()
             cert = capacity.capacity_certificate(H, "flat-hartogs", cfg.seed + 5)
-            out.append(_result("capacity", {"mu": mu, "side": "flat-hartogs",
-                                            "interval": [cert.lower, cert.upper],
-                                            "operation": "capacity_certificate"},
-                               float(len(cert.failures)), 0.0,
-                               cert.failures[:4], started))
-        started = time.perf_counter()
+            yield _entry({"mu": mu, "side": "flat-hartogs", "interval": [cert.lower, cert.upper],
+                          "operation": "capacity_certificate"},
+                         float(len(cert.failures)), 0.0, cert.failures[:4])
         cert = capacity.capacity_certificate(H, "dual", cfg.seed + 6)
-        out.append(_result("capacity", {"mu": mu, "side": "dual",
-                                        "interval": [cert.lower, cert.upper],
-                                        "notes": list(cert.notes),
-                                        "operation": "capacity_certificate"},
-                           float(len(cert.failures)), 0.0,
-                           cert.failures[:4], started))
-    return out
+        yield _entry({"mu": mu, "side": "dual", "interval": [cert.lower, cert.upper],
+                      "notes": list(cert.notes), "operation": "capacity_certificate"},
+                     float(len(cert.failures)), 0.0, cert.failures[:4])
 
 
-def check_equivariance(cfg) -> list[dict]:
+@_family("equivariance", "Isotropy equivariance, hereditary maps, inverses, ball case.")
+def check_equivariance(cfg):
     """Isotropy equivariance of both maps, hereditary behavior under the lift
     of the frame embedding of a polydisc, inverse round trips, and the
     rank-one ball specialization.
@@ -309,12 +313,10 @@ def check_equivariance(cfg) -> list[dict]:
     d = cfg.domain_spec
     m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)
     count = max(8, cfg.points // 4)
-    out = []
     for mu in cfg.mu:
         H = hartogs.make_hartogs(d, mu)
         Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
         rng = np.random.default_rng(cfg.seed + 7)
-        started = time.perf_counter()
         worst = -np.inf
         for start in range(0, count, _CHUNK):
             drawn = hartogs.sample_member_points(H, min(_CHUNK, count - start), rng, lam_max=0.8)
@@ -335,43 +337,23 @@ def check_equivariance(cfg) -> list[dict]:
                 moved = hartogs.hartogs_isotropy_apply(H, taus, images[:, k:])
                 # np.maximum and np.max propagate NaN, so a NaN residual reaches the gate
                 worst = np.maximum(worst, np.max(np.abs(images[:, :k] - moved)))
-        out.append(_result("equivariance", {"mu": mu, "pairs": count,
-                                            "operation": "hartogs_isotropy_apply"},
-                           float(worst), 1e-10, None, started))
+        yield _entry({"mu": mu, "pairs": count, "operation": "hartogs_isotropy_apply"},
+                     float(worst), 1e-10)
 
-        started = time.perf_counter()
         expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, small))
         big = psi[2 * k:2 * k + len(lifted)]
-        out.append(_result("equivariance", {"mu": mu, "operation": "lift_embedding"},
-                           float(np.max(np.abs(big - expect))), 1e-10, None, started))
+        yield _entry({"mu": mu, "operation": "lift_embedding"},
+                     float(np.max(np.abs(big - expect))), 1e-10)
 
-        started = time.perf_counter()
         worst = np.max([np.abs(inverse(H, image) - some)
                         for image, inverse in ((psi[2 * k + len(lifted):], hartogs.psi_inverse),
                                                (phi[2 * k:], hartogs.phi_inverse))])
-        out.append(_result("equivariance", {"mu": mu, "operation": "psi_inverse"},
-                           worst, 1e-8, None, started))
+        yield _entry({"mu": mu, "operation": "psi_inverse"}, worst, 1e-8)
 
     if d.r == 1:
-        started = time.perf_counter()
         Hb = hartogs.make_hartogs(d, 1.0)
         rng = np.random.default_rng(cfg.seed + 8)
         pts = hartogs.sample_ball_points(d.n + 1, 64, rng, 0.9)
         gap = np.max(np.abs(hartogs.psi_map_vec(Hb, pts) - hartogs.unit_ball_darboux(pts)))
-        out.append(_result("equivariance", {"operation": "psi_map",
-                                            "case": "rank-one ball specialization"},
-                           float(gap), 1e-12, None, started))
-    return out
-
-
-CHECKS = {
-    "darboux": check_darboux,
-    "dual-darboux": check_dual_darboux,
-    "psh": check_psh,
-    "det-formula": check_det_formula,
-    "volume": check_volume,
-    "selberg": check_selberg,
-    "duality": check_duality,
-    "capacity": check_capacity,
-    "equivariance": check_equivariance,
-}
+        yield _entry({"operation": "psi_map", "case": "rank-one ball specialization"},
+                     float(gap), 1e-12)

@@ -58,7 +58,6 @@ after the isotropy pairs and mapped in calls of their own;
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -539,10 +538,13 @@ def check_equivariance_separate_calls(cfg) -> list[dict]:
     own: Psi on the lifted points, and Psi and Phi on the round trip's."""
     d = cfg.domain_spec
     out = []
+
+    def entry(params, worst, tol):
+        return {"name": "equivariance", **verify._entry(params, worst, tol)}
+
     for mu in cfg.mu:
         H = hartogs.make_hartogs(d, mu)
         rng = np.random.default_rng(cfg.seed + 7)
-        started = time.perf_counter()
 
         def pairs(pts):
             k = len(pts)
@@ -555,36 +557,30 @@ def check_equivariance_separate_calls(cfg) -> list[dict]:
         count = max(8, cfg.points // 4)
         worst = verify._stream(
             count, lambda k: hartogs.sample_member_points(H, k, rng, lam_max=0.8), pairs)[0]
-        out.append(verify._result("equivariance", {"mu": mu, "pairs": count,
-                                                   "operation": "hartogs_isotropy_apply"},
-                                  worst, 1e-10, None, started))
+        out.append(entry({"mu": mu, "pairs": count, "operation": "hartogs_isotropy_apply"},
+                         worst, 1e-10))
 
-        started = time.perf_counter()
         m = d.r if d.kind == jtsys.KIND_TYPE_I else max(1, d.n - 1)
         Hs = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=m), mu)
         small = hartogs.sample_member_points(Hs, 16, rng, lam_max=0.7)
         big = hartogs.psi_map_vec(H, hartogs.lift_embedding(d, small))
         expect = hartogs.lift_embedding(d, hartogs.psi_map_vec(Hs, small))
-        out.append(verify._result("equivariance", {"mu": mu, "operation": "lift_embedding"},
-                                  float(np.max(np.abs(big - expect))), 1e-10, None, started))
+        out.append(entry({"mu": mu, "operation": "lift_embedding"},
+                         float(np.max(np.abs(big - expect))), 1e-10))
 
-        started = time.perf_counter()
         some = hartogs.sample_member_points(H, 6, rng, lam_max=0.75)
         worst = np.max([np.abs(inverse(H, mapping(H, some)) - some)
                         for mapping, inverse in ((hartogs.psi_map_vec, hartogs.psi_inverse),
                                                  (hartogs.phi_map_vec, hartogs.phi_inverse))])
-        out.append(verify._result("equivariance", {"mu": mu, "operation": "psi_inverse"},
-                                  worst, 1e-8, None, started))
+        out.append(entry({"mu": mu, "operation": "psi_inverse"}, worst, 1e-8))
 
     if d.r == 1:
-        started = time.perf_counter()
         Hb = hartogs.make_hartogs(d, 1.0)
         rng = np.random.default_rng(cfg.seed + 8)
         pts = hartogs.sample_ball_points(d.n + 1, 64, rng, 0.9)
         gap = np.max(np.abs(hartogs.psi_map_vec(Hb, pts) - hartogs.unit_ball_darboux(pts)))
-        out.append(verify._result("equivariance", {"operation": "psi_map",
-                                                   "case": "rank-one ball specialization"},
-                                  float(gap), 1e-12, None, started))
+        out.append(entry({"operation": "psi_map", "case": "rank-one ball specialization"},
+                         float(gap), 1e-12))
     return out
 
 

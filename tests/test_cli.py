@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 
 import numpy as np
@@ -556,3 +557,34 @@ def test_volume_at_mu_100_writes_a_report(tmp_path):
     assert res.exit_code == 0
     checks = json.loads(out.read_text())["checks"]
     assert len(checks) == 2 and all(np.isfinite(c["worst_residual"]) for c in checks)
+
+
+def test_every_family_is_declared_once_with_its_help():
+    # one @_family declaration gives the check, its help line and its command,
+    # and the check is the module's check_* function under the family's name
+    assert set(verify.CHECKS) == set(verify.HELP)
+    assert set(cli.main.commands) == {*verify.CHECKS, "all"}
+    for name, command in cli.main.commands.items():
+        assert command.help == {**verify.HELP, **cli._HELP}[name]
+    for name, check in verify.CHECKS.items():
+        assert check.__name__ == "check_" + name.replace("-", "_")
+        assert getattr(verify, check.__name__) is check
+
+
+def test_an_entry_is_timed_from_the_end_of_the_one_before(monkeypatch):
+    # a delay before the first entry's work lands in that entry, and a
+    # family's entries add up to its own wall time
+    make = verify.hartogs.make_hartogs
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(verify.hartogs, "make_hartogs", slow)
+    cfg = cli.RunConfig(kind="polydisc", n=1, mu=(0.5, 1.0), checks=("volume",))
+    started = time.perf_counter()
+    entries = verify.check_volume(cfg)
+    wall = time.perf_counter() - started
+    # each mu's flat entry builds its HartogsSpec
+    assert entries[0]["wall_time_s"] >= 0.05 and entries[2]["wall_time_s"] >= 0.05
+    assert abs(sum(c["wall_time_s"] for c in entries) - wall) <= 0.001 * len(entries)

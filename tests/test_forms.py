@@ -760,3 +760,15 @@ def test_det_formula_detects_a_wrong_product_formula(monkeypatch, dims, wrong):
     monkeypatch.setattr(forms, "det_dual_hessian",
                         lambda H, pts: _product_formula(H, pts, **kwargs))
     assert [c["status"] for c in formula_entries()] == ["fail"] * 3
+
+
+@pytest.mark.parametrize("dims, mu, points", [(dict(kind=jtsys.KIND_TYPE_I, p=2, q=2), 1e3, 40),
+                                              (dict(kind=jtsys.KIND_POLYDISC, n=32), 50.0, 100)],
+                         ids=["type-I(2,2)-mu1e3", "polydisc-32-mu50"])
+def test_det_formula_where_both_determinants_underflow_fails_without_a_warning(dims, mu, points):
+    # far out at large mu both determinants are 0, and 0/0 is a NaN residual:
+    # the entry fails and names four witnesses, and no RuntimeWarning is raised
+    cfg = cli.RunConfig(mu=(mu,), points=points, checks=("det-formula",), **dims)
+    sampled = verify.check_det_formula(cfg)[0]
+    assert sampled["status"] == "fail" and np.isnan(sampled["worst_residual"])
+    assert len(sampled["witnesses"]) == 4

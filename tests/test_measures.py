@@ -390,10 +390,11 @@ def test_monte_carlo_takes_no_einsum_or_logaddexp(monkeypatch, domain):
 
 
 SLIPS = {
-    # the dual Hessian determinant off by a factor 1 + 1e-8
+    # the dual Hessian determinant off by a factor 1 + 1e-8, at the log the
+    # dual quadrature reads
     "det_dual_hessian": lambda mp: mp.setattr(
-        measures, "det_dual_hessian",
-        lambda H, pts, f=forms.det_dual_hessian: f(H, pts) * (1 + 1e-8)),
+        measures, "log_det_dual_hessian",
+        lambda H, pts, f=forms.log_det_dual_hessian: f(H, pts) + np.log1p(1e-8)),
     # log N off by a factor 1 + 1e-8, at every binding of log_norm
     "log_norm": lambda mp: [mp.setattr(mod, "log_norm",
                                        lambda D, z, sign, f=jtsys.log_norm: f(D, z, sign) * (1 + 1e-8))
@@ -630,3 +631,13 @@ def test_fit_genus_gate_rejects_a_wrong_genus(monkeypatch, shift):
     entry = verify.check_det_formula(cfg)[-1]
     assert entry["status"] == "fail"
     assert entry["parameters"]["fitted"] == pytest.approx(4.0 + shift, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims, mu", [(dict(kind=jtsys.KIND_POLYDISC, n=16), 30.0),
+                                      (dict(kind=jtsys.KIND_TYPE_I, p=1, q=32), 1e-8)],
+                         ids=["polydisc-16-mu30", "type-I(1,32)-mu1e-8"])
+def test_volume_passes_where_node_determinants_underflow(dims, mu):
+    # the dual quadrature reads the determinant's log, so a node whose
+    # determinant lies below the float range still adds its weight
+    entries = verify.check_volume(cli.RunConfig(mu=(mu,), checks=("volume",), **dims))
+    assert [c["status"] for c in entries] == ["pass", "pass"]

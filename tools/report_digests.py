@@ -1,16 +1,19 @@
-"""Print one `label sha256` line per chverify report, wall times left out.
+"""Print one `label sha256` line per chverify report and per `--help` text.
 
-Two checkouts give byte-identical reports (apart from `wall_time_s`) when this
-script prints the same lines in both, so a refactor is checked with `diff`:
+Two checkouts give byte-identical reports (apart from `wall_time_s`) and help
+texts when this script prints the same lines in both, so a refactor is
+checked with `diff`:
 
     python tools/report_digests.py --seed 0 > new.txt
     python tools/report_digests.py --seed 0 --root ../parent > old.txt
     diff old.txt new.txt
 
-The reports are every call of the four benchmark workloads at the seed, built
-with `perfbench/workloads.make_calls`, and `cli.run` of every check family on
-the acceptance grid plus type-I(3,3), polydisc-32 and type-I(1,32) at each mu
-in {0.5, 1, 2}, at the default sizes.  The last two are the largest domains
+The help texts come first: `chverify --help`, then each subcommand's
+`--help`, in name order.  The reports, wall times left out, are every call
+of the four benchmark workloads at the seed, built with
+`perfbench/workloads.make_calls`, and `cli.run` of every check family on
+the acceptance grid plus type-I(3,3), polydisc-32 and type-I(1,32) at each
+mu in {0.5, 1, 2}, at the default sizes.  The last two are the largest domains
 of the diagonal Jordan frame, where the polydisc's isotropy is a permutation
 and phases.  Last come the multi-draw cells: each sampled family at mu = 1 on
 type-I(2,2), polydisc-8 and type-I(3,3) at 20000 points (80000 --points for
@@ -23,6 +26,7 @@ library and the workloads module are imported from the checkout at --root.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -67,6 +71,15 @@ def multi_draw_calls(cli, workloads, seed: int):
             yield f"run:{family}@{workloads.domain_label(kind, dims)} points={points}", cfg
 
 
+def help_digests(cli):
+    """(label, sha256) of `chverify --help` and of each subcommand's `--help`."""
+    from click.testing import CliRunner
+
+    for args in ([], *([name] for name in sorted(cli.main.commands))):
+        text = CliRunner().invoke(cli.main, [*args, "--help"], prog_name="chverify").output
+        yield "help:" + " ".join(["chverify", *args]), hashlib.sha256(text.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = os.path.abspath(args.root)
@@ -74,6 +87,8 @@ def main(argv=None) -> int:
     import workloads
     from cartanhartogs import cli, verify
 
+    for label, digest in help_digests(cli):
+        print(f"{label} {digest}", flush=True)
     calls = [(f"{name}:{label}", cfg) for name in workloads.WORKLOADS
              for label, cfg in workloads.make_calls(cli, name, args.seed)]
     calls += family_calls(cli, workloads, verify.CHECKS, args.seed)
