@@ -13,7 +13,7 @@ from .capacity import (
 from .errors import ConvergenceError, DomainError, ShapeError
 from .forms import (
     det_dual_hessian,
-    dual_hessian_min_eigs,
+    dual_hessian_min_pivot,
     hartogs_hessian,
 )
 from .hartogs import (

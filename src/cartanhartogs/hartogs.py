@@ -176,10 +176,13 @@ def darboux_jacobian(H: HartogsSpec, pts: np.ndarray, dual: bool = False) -> np.
     np.subtract(s1, s2, out=scratch)
     s1 += s2                                  # c = 1
     np.multiply(scratch, 1j, out=s2)          # c = i
-    out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
-    dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
-    out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
-    out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * ([1.0, 1j] + 0.5 * w[..., None] * dlog_g)
+    # 1/G is inf where N^mu underflows on the domain side at large mu, and
+    # inf * 0 NaN: the row is not finite, and the darboux check fails it
+    with np.errstate(invalid="ignore"):
+        out[..., :-2, -1] = -0.5 * (t * np.sqrt(inv_g) * w)[..., None] * dlog_u
+        dlog_g = -2.0 * eps * inv_g[..., None] * np.stack([w.real, w.imag], axis=-1)
+        out[..., -2:, :-1] = 0.5 * (scale[..., None] * dlog_g)[..., None] * b_z[..., None, :]
+        out[..., -2:, -1] = np.sqrt(inv_g)[..., None] * ([1.0, 1j] + 0.5 * w[..., None] * dlog_g)
     return out
 
 

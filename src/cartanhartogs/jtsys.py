@@ -28,7 +28,9 @@ the rows of j(z), so neither `log_norm` nor `membership` takes a per-point
 LAPACK call (SVD or det).  The kernel is row-exact: a row's pivots have
 the same bits whatever the batch size, the block boundaries, the memory
 layout or the alignment.  `log_norm` and `membership` read its pivots
-(r, N) with the batch last, as the kernel leaves them.  The same LDL*
+(r, N) with the batch last, as the kernel leaves them.  Its elimination
+(`_ldl`) is the library's one LDL*: `forms` runs it on the diagonally scaled
+dual Hessian, whose smallest pivot decides psh.  The same LDL*
 carries the derivatives of log N (`log_norm_derivatives`, behind the
 Hessians of `forms`): forward substitution with L, then A^-1, A^-1 J and, by
 push-through, C^-1 = (I -/+ j(z)* j(z))^-1 as sums of rank-one products of
@@ -192,22 +194,13 @@ def _gram_diagonal(re: np.ndarray, im: np.ndarray, sign: int) -> np.ndarray:
     return diag
 
 
-def _ldl(re: np.ndarray, im: np.ndarray, diag: np.ndarray,
-         sign: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """(pivots, lower) of the unpivoted LDL* of A from the contiguous (p, q, N)
-    planes and the diagonal, which is overwritten: column by column, the
-    real and imaginary parts of the Gram entries A_ik below the diagonal,
-    then the Schur updates, all real multiply-adds across the batch.  The
-    pivots are (p, N); lower[k] holds the real and imaginary planes
-    (p - k - 1, N) of column k of the unit lower L below the diagonal.
-    No pivot exceeds its A_ii, in floating point too: while the earlier
-    pivots are positive, each Schur update subtracts |A_ik|^2 / pivot_k >= 0
-    and rounding is monotone, so `_derivative_rows` may reject on A_ii <= 0."""
-    p = len(re)
-    # column k below the diagonal, rows i = k+1..p-1:
-    # A_ik = -sign * sum_l j_il conj(j_kl), as real and imaginary parts
+def _gram_columns(re: np.ndarray, im: np.ndarray,
+                  sign: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The entries of A = I - sign * j(z) j(z)* below the diagonal, from the
+    contiguous (p, q, N) planes: column k as its real and imaginary planes
+    (p - k - 1, N), A_ik = -sign * sum_l j_il conj(j_kl) for i > k."""
     col_re, col_im = [], []
-    for k in range(p - 1):
+    for k in range(len(re) - 1):
         below_re, below_im = re[k + 1:], im[k + 1:]
         prod = below_re * re[k]
         prod += below_im * im[k]
@@ -215,15 +208,34 @@ def _ldl(re: np.ndarray, im: np.ndarray, diag: np.ndarray,
         np.multiply(below_im, re[k], out=prod)
         prod -= below_re * im[k]
         col_im.append(-sign * _row_sums(prod))
+    return col_re, col_im
+
+
+def _ldl(col_re: list[np.ndarray], col_im: list[np.ndarray],
+         diag: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(pivots, lower) of the unpivoted LDL* of a Hermitian A over the batch,
+    from its diagonal (m, N) and its columns below the diagonal, column k as
+    real and imaginary planes (m - k - 1, N) (`_gram_columns`); both are
+    overwritten.  The Schur updates are real multiply-adds across the batch,
+    so a row's pivots are a fixed sequence of IEEE operations on its entries.
+    Column k is divided by pivot k only where that pivot is nonzero.  The
+    pivots are (m, N); lower[k] holds the real and imaginary planes
+    (m - k - 1, N) of column k of the unit lower L below the diagonal.
+    No pivot exceeds its A_ii, in floating point too: while the earlier
+    pivots are positive, each Schur update subtracts |A_ik|^2 / pivot_k >= 0
+    and rounding is monotone, so `_derivative_rows` may reject on A_ii <= 0.
+    This is the one LDL* of the library: `gram_pivots`, `_derivative_rows`
+    and `forms.dual_hessian_min_pivot` share it."""
+    m = len(diag)
     pivots, lower = diag, []
-    for k in range(p - 1):
+    for k in range(m - 1):
         pivot = pivots[k]
         inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot != 0)
         a_re, a_im = col_re[k], col_im[k]
         r_re, r_im = a_re * inv, a_im * inv
         lower.append((r_re, r_im))
         # A_ij -= (A_ik / pivot_k) conj(A_jk) for i > j > k
-        for j in range(k + 1, p - 1):
+        for j in range(k + 1, m - 1):
             b_re, b_im = a_re[j - k - 1], a_im[j - k - 1]
             col_re[j] -= r_re[j - k:] * b_re + r_im[j - k:] * b_im
             col_im[j] -= r_im[j - k:] * b_re - r_re[j - k:] * b_im
@@ -270,10 +282,11 @@ def _pivot_rows(D: DomainSpec, z: np.ndarray, sign: int) -> np.ndarray:
     pivots = _gram_diagonal(re, im, sign)
     finite = np.all(np.isfinite(pivots), axis=0)
     if finite.all():
-        return _ldl(re, im, pivots, sign)[0]
+        return _ldl(*_gram_columns(re, im, sign), pivots)[0]
     # a point with an inf or NaN entry keeps its Gram diagonal as its
     # pivots, so the Schur updates meet no 0 * inf
-    pivots[:, finite] = _ldl(re[..., finite], im[..., finite], pivots[:, finite], sign)[0]
+    pivots[:, finite] = _ldl(*_gram_columns(re[..., finite], im[..., finite], sign),
+                             pivots[:, finite])[0]
     return pivots
 
 
@@ -376,7 +389,7 @@ def _ldl_derivatives(re: np.ndarray, im: np.ndarray, diag: np.ndarray, sign: int
     j(z) and the Gram diagonal, which `_ldl` overwrites."""
     p, q, count = re.shape
     n = p * q
-    pivots, lower = _ldl(re, im, diag, sign)
+    pivots, lower = _ldl(*_gram_columns(re, im, sign), diag)
     _reject_outside(pivots, sign)
     # R = L^-1 [I | J], column by column of L: R_i -= L_ik R_k for i > k
     r_re = np.zeros((p, p + q, count))

@@ -21,6 +21,15 @@ GRID_AND_T33 = {
     "type-I(3,3)": dict(kind=jtsys.KIND_TYPE_I, p=3, q=3),
 }
 
+# the largest supported domains: polydisc and type-I at dimension 16 to 32
+EDGE_DOMAINS = {
+    "polydisc-16": dict(kind=jtsys.KIND_POLYDISC, n=16),
+    "polydisc-32": dict(kind=jtsys.KIND_POLYDISC, n=32),
+    "type-I(1,32)": dict(kind=jtsys.KIND_TYPE_I, p=1, q=32),
+    "type-I(4,8)": dict(kind=jtsys.KIND_TYPE_I, p=4, q=8),
+    "type-I(5,6)": dict(kind=jtsys.KIND_TYPE_I, p=5, q=6),
+}
+
 
 @pytest.fixture
 def rng():

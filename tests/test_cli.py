@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from cartanhartogs import capacity, cli, forms, hartogs, measures, verify
+from conftest import EDGE_DOMAINS
 
 
 def _run(args, env=None):
@@ -382,6 +383,36 @@ def test_large_mu_reports_finite_residuals(tmp_path, family):
     checks = json.loads(out.read_text())["checks"]
     assert len(checks) == 1
     assert all(np.isfinite(c["worst_residual"]) for c in checks)
+
+
+@pytest.mark.parametrize("args", [
+    ["psh", "--domain", "polydisc", "--n", "2", "--mu", "1e300"],
+    ["psh", "--domain", "polydisc", "--n", "2", "--mu", "1e200"],
+    ["darboux", "--domain", "type-I", "--p", "3", "--q", "3", "--mu", "1e5"],
+], ids=["psh-1e300", "psh-1e200", "darboux-3x3-1e5"])
+def test_extreme_mu_writes_a_failing_report(tmp_path, args):
+    # mu^2 t |w|^2 / G overflows on the dual side past mu ~ 1e154, and 1/G on
+    # the domain side at mu = 1e5; the rows with inf or NaN entries fail, and
+    # the run writes its report and exits 1, with every warning an error
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _run([*args, "--output", str(out)])
+    assert res.exit_code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["status"] for c in checks] == ["fail"]
+
+
+@pytest.mark.parametrize("name", list(EDGE_DOMAINS))
+def test_every_family_passes_on_the_largest_domains(name):
+    # the edges of the supported range: every family at 40 points and
+    # mu 0.5, 1 and 2 on domains of dimension 16 to 32, where psh's w-w scale
+    # N*^-mu falls to ~1e-25 and an eigensolver's rounding decided its sign
+    cfg = cli.RunConfig(**EDGE_DOMAINS[name], mu=(0.5, 1.0, 2.0), points=40,
+                        checks=tuple(verify.CHECKS))
+    failed = [(c["name"], c["parameters"].get("mu"), c["worst_residual"])
+              for c in cli.run(cfg)["checks"] if c["status"] != "pass"]
+    assert failed == []
 
 
 @pytest.mark.parametrize("family", ["darboux", "equivariance"])

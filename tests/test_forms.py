@@ -7,7 +7,7 @@ import pytest
 
 from cartanhartogs import cli, forms, hartogs, jtsys, measures, verify
 from cartanhartogs.errors import DomainError
-from conftest import GRID_AND_T33
+from conftest import EDGE_DOMAINS, GRID_AND_T33
 from reference import (base_restriction_matches, complex_hessian_batch,
                        darboux_jacobian_per_direction, det_dual_hessian_fd,
                        hartogs_hessian_two_inverses, hermitian_to_twoform_matrix,
@@ -693,21 +693,146 @@ def test_log_g_agrees_with_logaddexp():
 
 
 def test_dual_hessian_min_eigs_positive(domain, rng):
+    # the smallest pivot of the scaled dual Hessian is positive, so by
+    # Sylvester's criterion its smallest eigenvalue is too
     H = hartogs.make_hartogs(domain, 0.5)
     pts = hartogs.sample_ball_points(domain.n + 1, 50, rng, 10.0)
-    eigs = forms.dual_hessian_min_eigs(H, pts)
-    assert np.all(eigs > 0)
+    assert np.all(forms.dual_hessian_min_pivot(H, pts) > 0)
 
 
 def test_psh_fails_a_zero_eigenvalue(monkeypatch):
-    # strict plurisubharmonicity: a smallest eigenvalue of exactly 0 is not > 0
+    # strict plurisubharmonicity: a smallest pivot of exactly 0 (a zero
+    # eigenvalue) is not > 0
     cfg = cli.RunConfig(kind=jtsys.KIND_POLYDISC, n=2, mu=(0.5, 1.0, 2.0), checks=("psh",),
                         points=20, samples=1000, seed=0, fd_step=1e-5, tol=1e-5)
     assert [c["status"] for c in verify.check_psh(cfg)] == ["pass"] * 3
-    monkeypatch.setattr(forms, "dual_hessian_min_eigs", lambda H, pts: np.zeros(len(pts)))
+    monkeypatch.setattr(forms, "dual_hessian_min_pivot", lambda H, pts: np.zeros(len(pts)))
     entries = verify.check_psh(cfg)
     assert [c["status"] for c in entries] == ["fail"] * 3
     assert all(c["tolerance"] == 0.0 and len(c["witnesses"]) == 4 for c in entries)
+
+
+def _hermitian_rows(rng, count, size, negative):
+    """Hermitian matrices U diag(lam) U* as coordinate-major rows (size,
+    size, count), lam in [0.1, 10] with the first `negative` of them negated,
+    and lam; U is Haar-unitary (the QR of a complex Gaussian)."""
+    gauss = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
+    u = np.linalg.qr(gauss)[0]
+    lam = rng.uniform(0.1, 10.0, size=(count, size))
+    lam[:, :negative] *= -1.0
+    g = np.einsum("nij,nj,nkj->nik", u, lam, np.conj(u))
+    return np.moveaxis(g, 0, -1).copy(), lam
+
+
+def _min_pivot_of(monkeypatch, rows):
+    """dual_hessian_min_pivot with the given coordinate-major rows as its Hessian."""
+    monkeypatch.setattr(forms, "_hessian_rows", lambda H, pts, dual=False: rows)
+    H = hartogs.make_hartogs(jtsys.make_domain(jtsys.KIND_POLYDISC, n=len(rows) - 1), 1.0)
+    return forms.dual_hessian_min_pivot(H, np.zeros((rows.shape[-1], len(rows)), dtype=complex))
+
+
+@pytest.mark.parametrize("negative", [0, 1, 3])
+def test_min_pivot_sign_matches_eigvalsh(monkeypatch, negative):
+    # on Hermitian batches of known inertia the smallest pivot has the sign of
+    # the smallest eigenvalue, and keeps it under a graded congruence
+    # diag(s) G diag(s), s from 1e-12 to 1e12, which changes no eigenvalue's
+    # sign (Sylvester's law of inertia)
+    rng = np.random.default_rng(41)
+    rows, lam = _hermitian_rows(rng, 300, 6, negative)
+    want = np.sign(lam.min(axis=1))
+    assert np.array_equal(np.sign(np.linalg.eigvalsh(np.moveaxis(rows, -1, 0))[:, 0]), want)
+    assert np.array_equal(np.sign(_min_pivot_of(monkeypatch, rows)), want)
+    s = 10.0 ** rng.uniform(-12.0, 12.0, size=(6, 300))
+    assert np.array_equal(np.sign(_min_pivot_of(monkeypatch, s[:, None] * rows * s)), want)
+
+
+def test_min_pivot_bounds_the_scaled_eigenvalue(monkeypatch):
+    # on positive definite rows each pivot of S = D^(-1/2) G D^(-1/2) is
+    # 1 / (S_k^-1)_kk of a leading block S_k, so >= lambda_min(S_k) >=
+    # lambda_min(S) (interlacing); 1e-12 is rounding on entries of size <= 1
+    rng = np.random.default_rng(42)
+    rows, _ = _hermitian_rows(rng, 300, 7, 0)
+    g = np.moveaxis(rows, -1, 0)
+    root = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
+    lam_s = np.linalg.eigvalsh(g / root[:, :, None] / root[:, None, :])[:, 0]
+    pivot = _min_pivot_of(monkeypatch, rows)
+    assert np.all(pivot > 0) and np.all(pivot >= lam_s - 1e-12)
+
+
+@pytest.mark.parametrize("name", ["polydisc-3", "type-I(2,3)", "type-I(3,3)"])
+def test_min_pivot_is_row_exact(name):
+    # one batch and row-by-row calls give the same bits
+    d = jtsys.make_domain(**GRID_AND_T33[name])
+    H = hartogs.make_hartogs(d, 1.5)
+    pts = hartogs.sample_ball_points(d.n + 1, 60, np.random.default_rng(43), 10.0)
+    batch = forms.dual_hessian_min_pivot(H, pts)
+    rows = np.array([forms.dual_hessian_min_pivot(H, p[None])[0] for p in pts])
+    npt.assert_array_equal(rows, batch)
+    npt.assert_array_equal(forms.dual_hessian_min_pivot(H, pts[7]), batch[7])
+
+
+def test_min_pivot_zero_negative_and_non_finite_rows(monkeypatch):
+    # a zero w-w entry (one that underflowed) reads pivot 0 and fails the
+    # strict gate with a finite residual; a negative one fails; a row with a
+    # NaN or inf entry reads NaN; the others are untouched, with no warning
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=2, q=2)
+    H = hartogs.make_hartogs(d, 1.0)
+    pts = hartogs.sample_ball_points(d.n + 1, 6, np.random.default_rng(44), 10.0)
+    want = forms.dual_hessian_min_pivot(H, pts)
+    rows = forms._hessian_rows(H, pts, dual=True)
+    rows[-1, -1, 1] = 0.0
+    rows[-1, -1, 2] *= -1.0
+    rows[1, 0, 3] = rows[0, 1, 3] = np.nan
+    rows[2, 2, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _min_pivot_of(monkeypatch, rows)
+    assert got[1] == 0.0 and got[2] < 0.0
+    assert np.isnan(got[3]) and np.isnan(got[4])
+    npt.assert_array_equal(got[[0, 5]], want[[0, 5]])
+    residual = -got
+    assert not np.any(verify._passes(residual[1:5], 0.0, strict=True))
+    assert np.isfinite(residual[1]) and np.isfinite(residual[2])
+
+
+def test_min_pivot_takes_no_lapack_call(monkeypatch):
+    # psh decides positivity by the LDL* of jtsys._ldl alone: every numpy.linalg
+    # function refuses, and the values do not change
+    d = jtsys.make_domain(jtsys.KIND_TYPE_I, p=3, q=3)
+    H = hartogs.make_hartogs(d, 1.0)
+    pts = hartogs.sample_ball_points(d.n + 1, 40, np.random.default_rng(45), 10.0)
+    want = forms.dual_hessian_min_pivot(H, pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psh took a numpy.linalg call")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    npt.assert_array_equal(forms.dual_hessian_min_pivot(H, pts), want)
+
+
+POWER_DOMAINS = {**GRID_AND_T33, **EDGE_DOMAINS}
+
+
+@pytest.mark.parametrize("name", list(POWER_DOMAINS))
+def test_psh_fails_a_negative_schur_complement(monkeypatch, name):
+    # power: G's w-w entry less (1 + 1e-6) times the Schur complement of the
+    # z-block leaves that complement at -1e-6 of its value, so G is indefinite
+    # by a relative 1e-6, and psh fails at every mu
+    good = forms._hessian_rows
+
+    def shifted(H, pts, dual=False):
+        rows = good(H, pts, dual)
+        g = np.moveaxis(rows, -1, 0)
+        solved = np.linalg.solve(g[:, :-1, :-1], g[:, :-1, -1:])[..., 0]
+        schur = g[:, -1, -1].real - np.einsum("nj,nj->n", g[:, -1, :-1], solved).real
+        rows[-1, -1] -= (1.0 + 1e-6) * schur
+        return rows
+
+    monkeypatch.setattr(forms, "_hessian_rows", shifted)
+    cfg = cli.RunConfig(**POWER_DOMAINS[name], mu=(0.5, 1.0, 2.0), checks=("psh",), points=40)
+    assert [c["status"] for c in verify.check_psh(cfg)] == ["fail"] * 3
 
 
 def test_base_restriction(domain, rng):

@@ -12,14 +12,15 @@ The help texts come first: `chverify --help`, then each subcommand's
 `--help`, in name order.  The reports, wall times left out, are every call
 of the four benchmark workloads at the seed, built with
 `perfbench/workloads.make_calls`, and `cli.run` of every check family on
-the acceptance grid plus type-I(3,3), polydisc-32 and type-I(1,32) at each
-mu in {0.5, 1, 2}, at the default sizes.  The last two are the largest domains
-of the diagonal Jordan frame, where the polydisc's isotropy is a permutation
-and phases.  Last come the multi-draw cells: each sampled family at mu = 1 on
-type-I(2,2), polydisc-8 and type-I(3,3) at 20000 points (80000 --points for
-det-formula and equivariance, which take a quarter), three draws of
-`verify._CHUNK` and 40 blocks of `verify._BLOCK`, so a diff covers both
-boundaries.  A call that raises is digested by its exception.  Both the
+the acceptance grid plus type-I(3,3), polydisc-32, type-I(1,32), polydisc-16,
+type-I(4,8) and type-I(5,6) at each mu in {0.5, 1, 2}, at the default sizes.
+polydisc-32 and type-I(1,32) are the largest domains of the diagonal Jordan
+frame, where the polydisc's isotropy is a permutation and phases; with the
+other three they are the edge domains of the tier-1 edges test.  Last come
+the multi-draw cells: each sampled family at mu = 1 on type-I(2,2),
+polydisc-8 and type-I(3,3) at 20000 points (80000 --points for det-formula
+and equivariance, which take a quarter), three draws of `verify._CHUNK` and
+40 blocks of `verify._BLOCK`, so a diff covers both boundaries.  A call that raises is digested by its exception.  Both the
 library and the workloads module are imported from the checkout at --root.
 """
 
@@ -41,8 +42,12 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-# the largest domains of the diagonal frame route, at the dimension cap
-LARGE_DIAGONAL = (("polydisc", {"n": 32}), ("type-I", {"p": 1, "q": 32}))
+# the largest domains of the diagonal frame route, at the dimension cap, then
+# the other edge domains of the tier-1 edges test, where psh's sign was once
+# an eigensolver's rounding
+LARGE_DOMAINS = (("polydisc", {"n": 32}), ("type-I", {"p": 1, "q": 32}),
+                 ("polydisc", {"n": 16}), ("type-I", {"p": 4, "q": 8}),
+                 ("type-I", {"p": 5, "q": 6}))
 # --points of each streamed family past one draw and one block: 20000 points,
 # or pairs and draws for the families that take a quarter of --points
 MULTI_DRAW = {"darboux": 20000, "dual-darboux": 20000, "psh": 20000,
@@ -53,8 +58,8 @@ MULTI_DRAW_DOMAINS = (("type-I", {"p": 2, "q": 2}), ("polydisc", {"n": 8}),
 
 def family_calls(cli, workloads, families, seed: int):
     """(label, RunConfig) of each family on the grid plus type-I(3,3) and
-    `LARGE_DIAGONAL` at each mu."""
-    for kind, dims in workloads.GRID + (workloads.RANK3,) + LARGE_DIAGONAL:
+    `LARGE_DOMAINS` at each mu."""
+    for kind, dims in workloads.GRID + (workloads.RANK3,) + LARGE_DOMAINS:
         for family in families:
             for mu in workloads.MUS:
                 cfg = cli.RunConfig(kind=kind, mu=(mu,), checks=(family,), seed=seed, **dims)
